@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from . import serialize
@@ -86,16 +85,6 @@ def _make_context(args) -> BinomialContext:
     return BinomialContext(base)
 
 
-def _workers() -> int | None:
-    raw = os.environ.get("RAMIFY_THREADS")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"RAMIFY_THREADS must be an integer, got {raw!r}")
-
-
 def cmd_enumerate(args, out) -> int:
     if args.expand and args.level not in ("fine", "unif"):
         raise ConfigError("--expand requires --level fine or unif")
@@ -108,7 +97,7 @@ def cmd_enumerate(args, out) -> int:
     if args.degree < 1:
         raise ConfigError("--degree must be positive")
     ctx = _make_context(args)
-    results, stats = enumerate_invariants(ctx, args.degree, Level(args.level), workers=_workers())
+    results, stats = enumerate_invariants(ctx, args.degree, Level(args.level))
 
     if args.format == "csv":
         writer = csv.writer(out)

@@ -7,14 +7,11 @@ Weak validity is preserved under removing points, so a partial object that
 fails it can never be completed to a valid one and the pruning is exact:
 with pruning on or off the output set is identical.
 
-Outputs are canonically sorted and deterministic; the degree-level
-enumerator optionally fans the top-level branches out over a thread pool,
-merging results back in canonical order.
+Outputs are canonically sorted and deterministic.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,10 +41,6 @@ class EnumStats:
     branches_visited: int = 0
     results: int = 0
 
-    def merge(self, other: "EnumStats") -> None:
-        self.branches_visited += other.branches_visited
-        self.results += other.results
-
 
 class Level(Enum):
     RAM = "ram"
@@ -68,29 +61,16 @@ def _ore_J0_candidates(ctx: BinomialContext, n: int) -> list[int]:
     return out
 
 
-def _exp_of(p: int, x: int) -> int:
-    s = 0
-    while x > 1:
-        x //= p
-        s += 1
-    return s
-
-
-def _keeps_convex(prefix: list[tuple[int, int]], new: tuple[int, int]) -> bool:
+def _keeps_convex(prefix: list[tuple[int, int, int]], x3: int, y3: int) -> bool:
     # the candidate below the current hull can only break convexity on its left
     if len(prefix) < 2:
         return True
-    (x1, y1), (x2, y2) = prefix[-2], prefix[-1]
-    x3, y3 = new
+    (_, x1, y1), (_, x2, y2) = prefix[-2], prefix[-1]
     return (y2 - y1) * (x3 - x2) < (y3 - y2) * (x2 - x1)
 
 
 def enumerate_ram_polygons(
-    ctx: BinomialContext,
-    n: int,
-    *,
-    prune: bool = True,
-    workers: int | None = None,
+    ctx: BinomialContext, n: int, *, prune: bool = True
 ) -> tuple[list[RamPolygon], EnumStats]:
     """All valid ramification polygons of degree n over the base field.
 
@@ -100,65 +80,61 @@ def enumerate_ram_polygons(
     the current partial polygon's value there (candidates that would make
     an earlier vertex non-extremal are skipped, since the vertex list of a
     polygon must stay strictly convex).
+
+    Pruning is incremental and keeps its verdicts: each root
+    [(1, J0), (p^m, 0)] gets the whole weak check, a child that adds
+    (p^S, J) is checked only for the conditions involving the new vertex,
+    and a child that adds nothing keeps its parent's set, with nothing new
+    to check.  Every visited branch has passed one ``weak_ram_ok`` call, so
+    that call's pass count is ``branches_visited``.  A vertex's own
+    conditions depend on (S, J) alone, so the ordinates passing them are
+    found once per exponent S and the others are never tried.
     """
     if n < 1:
         raise ValueError("degree must be positive")
     p = ctx.base.p
     m = vp(p, n)
     p_top = p**m
+    # the wild vertex (p^m, 0) every partial polygon ends with, and the tame end
+    top = [(m, p_top, 0)] if p_top > 1 else []
     tail = [(p_top, 0)] if p_top > 1 else []
     if n > p_top:
         tail.append((n, 0))
+    # every ordinate after the first lies below J0 <= n * v(n)
+    J_cap = n * ctx.base.e * m - 1
+    ordinates = {
+        S: validity.admissible_ordinates(ctx, n, S, J_cap) if prune else range(1, J_cap + 1)
+        for S in range(1, m)
+    }
+    out: list[RamPolygon] = []
+    stats = EnumStats()
 
-    def positions_of(prefix: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
-        # wild vertices of the partial polygon: the prefix plus (p^m, 0)
-        positions = [(_exp_of(p, x), x, J) for x, J in prefix]
-        if p_top > 1:
-            positions.append((m, p_top, 0))
-        return positions
-
-    def search(
-        prefix: list[tuple[int, int]], S: int, out: list[RamPolygon], stats: EnumStats
-    ) -> None:
-        if prune and not validity.weak_ram_ok(ctx, n, positions_of(prefix)):
+    def search(prefix: list[tuple[int, int, int]], S: int, new: tuple[int, ...] | None) -> None:
+        # prefix holds (s, p^s, J) per vertex; ``new`` the exponents it added
+        if prune and not validity.weak_ram_ok(ctx, n, prefix + top, new):
             return
         stats.branches_visited += 1
         if S >= m:
-            P = RamPolygon(p, n, tuple(prefix + tail))
+            P = RamPolygon(p, n, tuple((x, J) for _, x, J in prefix) + tuple(tail))
             if validity.is_valid_ram(ctx, P).ok:
                 out.append(P)
             return
-        search(prefix, S + 1, out, stats)
+        search(prefix, S + 1, ())
         x_new = p**S
-        x_last, J_last = prefix[-1]
+        _, x_last, J_last = prefix[-1]
         # candidates strictly below the chord from the last vertex to (p^m, 0)
         J_max = (J_last * (p_top - x_new) - 1) // (p_top - x_last)
-        for J in range(1, J_max + 1):
-            if _keeps_convex(prefix, (x_new, J)):
-                search(prefix + [(x_new, J)], S + 1, out, stats)
+        for J in ordinates[S]:
+            if J > J_max:
+                break
+            if _keeps_convex(prefix, x_new, J):
+                search(prefix + [(S, x_new, J)], S + 1, (S,))
 
-    def run(J0: int) -> tuple[list[RamPolygon], EnumStats]:
-        out: list[RamPolygon] = []
-        stats = EnumStats()
-        search([(1, J0)], 1, out, stats)
-        return out, stats
-
-    roots = _ore_J0_candidates(ctx, n)
-    results: list[RamPolygon] = []
-    total = EnumStats()
-    if workers and workers > 1 and len(roots) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for out, stats in pool.map(run, roots):
-                results.extend(out)
-                total.merge(stats)
-    else:
-        for J0 in roots:
-            out, stats = run(J0)
-            results.extend(out)
-            total.merge(stats)
-    results.sort(key=lambda P: P.vertices)
-    total.results = len(results)
-    return results, total
+    for J0 in _ore_J0_candidates(ctx, n):
+        search([(0, 1, J0)], 1, None)
+    out.sort(key=lambda P: P.vertices)
+    stats.results = len(out)
+    return out, stats
 
 
 def enumerate_fine_polygons(
@@ -180,13 +156,12 @@ def enumerate_fine_polygons(
         if vp_binomial(p, n, j) == 0:
             forced.add((j, 0))
     candidates = []
+    hull_values = P.p_power_values()
     for s in range(1, m):
         x = p**s
-        if x in vertex_xs:
-            continue
-        val = P.value_at(x)
-        if val.denominator == 1:
-            candidates.append((x, int(val)))
+        N, D = hull_values[s]
+        if x not in vertex_xs and N % D == 0:
+            candidates.append((x, N // D))
 
     out: list[FinePolygon] = []
     stats = EnumStats()
@@ -276,16 +251,12 @@ def enumerate_unif_classes(
 
 
 def enumerate_invariants(
-    ctx: BinomialContext,
-    n: int,
-    level: Level | str,
-    *,
-    workers: int | None = None,
+    ctx: BinomialContext, n: int, level: Level | str
 ) -> tuple[list, EnumStats]:
     """The full hierarchy to the requested depth, depth-first, in canonical order."""
     level = Level(level) if not isinstance(level, Level) else level
     total = EnumStats()
-    rams, stats = enumerate_ram_polygons(ctx, n, workers=workers)
+    rams, stats = enumerate_ram_polygons(ctx, n)
     total.branches_visited += stats.branches_visited
     if level is Level.RAM:
         total.results = len(rams)

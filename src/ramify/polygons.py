@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
-from .binomials import B, BinomialContext, vp
+from .binomials import BinomialContext, vp, vp_binomial
 from .residue_field import FqElement
 
 
@@ -62,12 +62,13 @@ def decompose(J: int, n: int) -> tuple[int, int]:
     return (J - b) // n, b
 
 
-def _piecewise_value(vertices: Sequence[tuple[int, int]], j: int) -> Fraction:
+def _piecewise_ratio(vertices: Sequence[tuple[int, int]], j: int) -> tuple[int, int]:
+    """The polygon's value at j as an exact fraction N / D with D > 0, not reduced."""
     for (x1, y1), (x2, y2) in zip(vertices, vertices[1:]):
         if x1 <= j <= x2:
-            return Fraction(y1 * (x2 - j) + y2 * (j - x1), x2 - x1)
+            return y1 * (x2 - j) + y2 * (j - x1), x2 - x1
     if j == vertices[0][0]:
-        return Fraction(vertices[0][1])
+        return vertices[0][1], 1
     raise ValueError(f"abscissa {j} outside polygon range")
 
 
@@ -118,7 +119,16 @@ class RamPolygon:
     def value_at(self, j: int) -> Fraction:
         if not 1 <= j <= self.n:
             raise ValueError(f"abscissa {j} outside [1, {self.n}]")
-        return _piecewise_value(self.vertices, j)
+        return Fraction(*_piecewise_ratio(self.vertices, j))
+
+    def p_power_values(self) -> dict[int, tuple[int, int]]:
+        """{s: (N, D)} with value N / D at p^s, for every p^s <= n."""
+        values = {}
+        s, x = 0, 1
+        while x <= self.n:
+            values[s] = _piecewise_ratio(self.vertices, x)
+            s, x = s + 1, x * self.p
+        return values
 
     def wild_vertices(self) -> list[tuple[int, int, int]]:
         """(s, p^s, J) for each vertex at a p-power abscissa <= p^(v_p(n))."""
@@ -165,20 +175,15 @@ class FinePolygon:
             self, "points", tuple(sorted((int(x), int(J)) for x, J in self.points))
         )
         pts = self.points
-        hull_pts = lower_convex_hull(pts)
-        vertices = []
-        for x, y in hull_pts:
-            frac = Fraction(y)
-            if frac.denominator != 1:
-                raise ValueError("hull ordinates must be integers")
-            vertices.append((x, int(frac)))
-        hull = RamPolygon(self.p, self.n, tuple(vertices))
+        # the hull's vertices are some of the (integer) points themselves
+        hull = RamPolygon(self.p, self.n, tuple(lower_convex_hull(pts)))
         object.__setattr__(self, "hull", hull)
         wild_top = self.p ** vp(self.p, self.n)
         for x, J in pts:
             if x <= wild_top and not _is_power_of(self.p, x):
                 raise ValueError(f"point abscissa {x} below {wild_top} must be a p-power")
-            if hull.value_at(x) != J:
+            N, D = _piecewise_ratio(hull.vertices, x)
+            if N != J * D:
                 raise ValueError(f"point ({x}, {J}) is not on the hull")
 
     @property
@@ -320,30 +325,57 @@ def fine_point_specs(
 # the digit-depth bound functions
 
 
+def depth_bound(
+    ctx: BinomialContext,
+    n: int,
+    values: Mapping[int, tuple[int, int]],
+    excluded: Container[int] = (),
+) -> Callable[[int, int], int]:
+    """The digit-depth bound ell(i, s), for p^s <= i <= n, in integers.
+
+    ``values`` maps each exponent s consulted to the polygon's value at p^s
+    as a fraction N / D with D > 0, taken once per polygon.  The bound is
+    ceil((N/D - i) / n) - B(i, p^s) + 1 = -((i*D - N) // (n*D)) - B + 1, or,
+    for s in ``excluded`` (p^s carries no point), the strict-exclusion form
+    floor((N/D - i) / n) - B(i, p^s) + 2 = (N - i*D) // (n*D) - B + 2.
+    """
+    p, e = ctx.base.p, ctx.base.e
+
+    def ell(i: int, s: int) -> int:
+        x = p**s
+        if not x <= i <= n:
+            raise ValueError(f"need p^s <= i <= n, got p^s={x}, i={i}")
+        N, D = values[s]
+        B_ix = e * vp_binomial(p, i, x)
+        if s in excluded:
+            return (N - i * D) // (n * D) - B_ix + 2
+        return -((i * D - N) // (n * D)) - B_ix + 1
+
+    return ell
+
+
+def fine_depth_bound(ctx: BinomialContext, Pstar: FinePolygon) -> Callable[[int, int], int]:
+    """``depth_bound`` of the hull, excluding the p-powers without a point."""
+    values = Pstar.hull.p_power_values()
+    attained = {x for x, _ in Pstar.points}
+    excluded = {s for s in values if Pstar.p**s not in attained}
+    return depth_bound(ctx, Pstar.n, values, excluded)
+
+
 def ell_P(ctx: BinomialContext, P: RamPolygon, i: int, s: int) -> int:
     """ceil((P(p^s) - i) / n) - B(i, p^s) + 1, for p^s <= i <= n."""
-    x = ctx.base.p**s
-    if not x <= i <= P.n:
-        raise ValueError(f"need p^s <= i <= n, got p^s={x}, i={i}")
-    return math.ceil(Fraction(P.value_at(x) - i, P.n)) - B(ctx, i, x) + 1
+    return depth_bound(ctx, P.n, P.p_power_values())(i, s)
 
 
 def ell_fine(ctx: BinomialContext, Pstar: FinePolygon, i: int, s: int) -> int:
     """Digit-depth bound at (i, s) relative to a fine polygon.
 
     Where (p^s, J) is an attained point with J = a*n + b this is
-    a - B(i, p^s) + 1 + [i < b]; where p^s carries no point the bound
-    encodes strict exclusion: floor((P(p^s) - i) / n) - B(i, p^s) + 2.
+    a - B(i, p^s) + 1 + [i < b], the hull's ``ell_P``; where p^s carries no
+    point the bound encodes strict exclusion: floor((P(p^s) - i) / n) -
+    B(i, p^s) + 2.
     """
-    x = ctx.base.p**s
-    if not x <= i <= Pstar.n:
-        raise ValueError(f"need p^s <= i <= n, got p^s={x}, i={i}")
-    J = Pstar.ordinate_at(x)
-    if J is not None:
-        a, b = decompose(J, Pstar.n)
-        return a - B(ctx, i, x) + 1 + (1 if i < b else 0)
-    hull_val = Pstar.hull.value_at(x)
-    return math.floor(Fraction(hull_val - i, Pstar.n)) - B(ctx, i, x) + 2
+    return fine_depth_bound(ctx, Pstar)(i, s)
 
 
 # ---------------------------------------------------------------------------

@@ -326,12 +326,14 @@ def make_field(p: int, f: int, e: int, gamma_spec: str | int = 1) -> BaseField:
     comma-separated coefficient vector such as ``"1,0"``, or ``"g"`` for
     the canonical generator of F_q^x.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
     if f < 1 or e < 1:
         raise ValueError("f and e must be positive")
-    if p**f > Q_LIMIT:
+    # bound q before the trial division, and form p^f only for a small f:
+    # p >= 2 and f >= Q_LIMIT.bit_length() already give p^f > Q_LIMIT
+    if p >= 2 and (p > Q_LIMIT or f >= Q_LIMIT.bit_length() or p**f > Q_LIMIT):
         raise ValueError(f"q = {p}^{f} exceeds the enumeration guard {Q_LIMIT}")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     fq = get_fq(p, f)
     if isinstance(gamma_spec, int):
         gamma = fq.from_int(gamma_spec)

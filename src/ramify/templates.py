@@ -30,8 +30,8 @@ from .polygons import (
     InvariantWithUnif,
     RamPolygon,
     decompose,
-    ell_P,
-    ell_fine,
+    depth_bound,
+    fine_depth_bound,
 )
 from .residue_field import AdditiveMap, BaseField, FqElement, additive_coset_representatives
 from .validity import is_valid_fine, is_valid_ram, is_valid_with_unif
@@ -109,7 +109,7 @@ def template_for_polygon(ctx: BinomialContext, P: RamPolygon) -> Template:
     """The template of exactly the Eisenstein polynomials with polygon ``P``."""
     if not is_valid_ram(ctx, P).ok:
         raise ValueError("template requires a valid polygon")
-    ell = lambda i, s: ell_P(ctx, P, i, s)
+    ell = depth_bound(ctx, P.n, P.p_power_values())
     return _apply_depth_bounds(ctx, eisenstein_template(ctx, P.n), P.n, ell, P.wild_vertices())
 
 
@@ -117,7 +117,7 @@ def template_for_fine(ctx: BinomialContext, Pstar: FinePolygon) -> Template:
     """The template of exactly the polynomials with fine polygon ``Pstar``."""
     if not is_valid_fine(ctx, Pstar).ok:
         raise ValueError("template requires a valid fine polygon")
-    ell = lambda i, s: ell_fine(ctx, Pstar, i, s)
+    ell = fine_depth_bound(ctx, Pstar)
     return _apply_depth_bounds(
         ctx, eisenstein_template(ctx, Pstar.n), Pstar.n, ell, Pstar.wild_points()
     )
@@ -137,13 +137,14 @@ def template_for_invariant(ctx: BinomialContext, inv: InvariantWithUnif) -> Temp
     n = Pstar.n
     template = template_for_fine(ctx, Pstar)
     minus_phi0 = -inv.phi0
+    ell = fine_depth_bound(ctx, Pstar)
     updates = {(0, 1): frozenset({inv.phi0})}
     for s_t, x_t, J_t in Pstar.wild_points():
         a_t, b_t = decompose(J_t, n)
         if b_t < n:
             gamma_t = Pres.residue_at(x_t)
             pinned = gamma_t / beta(ctx, b_t, x_t) * minus_phi0 ** (a_t + 1)
-            depth = ell_fine(ctx, Pstar, b_t, s_t)
+            depth = ell(b_t, s_t)
             previous = updates.get((b_t, depth))
             assert previous is None or previous == frozenset({pinned})
             updates[(b_t, depth)] = frozenset({pinned})

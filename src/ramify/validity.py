@@ -10,7 +10,9 @@ binomial(n, j) is a unit.
 
 Weak validity quantifies the same conditions only over the exponents of
 positions actually present; it is preserved when points are removed, which
-is what makes branch-and-prune enumeration sound.
+is what makes branch-and-prune enumeration sound.  Each condition involves
+one or two positions, so a set that passed stays valid after adding a
+point exactly when the conditions involving the new point hold.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .binomials import BinomialContext, beta, vp, vp_binomial
 from .polygons import (
@@ -27,8 +29,8 @@ from .polygons import (
     InvariantWithUnif,
     RamPolygon,
     decompose,
-    ell_P,
-    ell_fine,
+    depth_bound,
+    fine_depth_bound,
 )
 from .residue_field import FqElement, solve_power_system
 
@@ -69,6 +71,7 @@ def _condition_violations(
     positions: Sequence[tuple[int, int, int]],
     ell: Callable[[int, int], int],
     s_values: Sequence[int],
+    new: Collection[int] | None = None,
 ) -> list[Violation]:
     """Shared Ore / Consistency / Bounding engine.
 
@@ -76,87 +79,99 @@ def _condition_violations(
     ``ell`` is the digit-depth bound; ``s_values`` is the exponent range the
     universally quantified conditions run over (all of 0..v_p(n) for full
     validity, the present exponents only for weak validity).
+
+    ``new``, the exponents of positions just added to a set the caller has
+    checked, restricts the check to the conditions involving them: their
+    own BRange, Ore1 / Ore3 and Ore2, Bounding between them and every
+    exponent in both directions, and Consistency with the positions that
+    share their remainders.
     """
     out: list[Violation] = []
     p = ctx.base.p
-    decomposed = [(s, x, *decompose(J, n)) for s, x, J in positions]
-    for s_t, x_t, a_t, b_t in decomposed:
-        if x_t > b_t:
+    checked_s = s_values if new is None else new
+    bounded = []
+    for s_t, x_t, J_t in positions:
+        _, b_t = decompose(J_t, n)
+        fresh = new is None or s_t in new
+        if fresh and x_t > b_t:
             out.append(Violation.BRANGE)
         if b_t == n:
-            if ell(n, s_t) != 0:
+            if fresh and ell(n, s_t) != 0:
                 out.append(Violation.ORE1)
-        else:
-            if x_t <= b_t and ell(b_t, s_t) < 1:
+        elif x_t <= b_t:
+            own = ell(b_t, s_t)
+            if fresh and own < 1:
                 out.append(Violation.ORE3)
-    for s in s_values:
+            bounded.append((b_t, own, s_values if fresh else checked_s))
+    for s in checked_s:
         if ell(n, s) > 0:
             out.append(Violation.ORE2)
     by_b: dict[int, set[int]] = {}
-    for s_t, x_t, a_t, b_t in decomposed:
-        if b_t < n and x_t <= b_t:
-            by_b.setdefault(b_t, set()).add(ell(b_t, s_t))
-            for s in s_values:
-                if p**s <= b_t and ell(b_t, s_t) < ell(b_t, s):
-                    out.append(Violation.BOUNDING)
-                    break
-    for b, values in by_b.items():
+    for b_t, own, against in bounded:
+        by_b.setdefault(b_t, set()).add(own)
+        for s in against:
+            if p**s <= b_t and own < ell(b_t, s):
+                out.append(Violation.BOUNDING)
+                break
+    for values in by_b.values():
         if len(values) > 1:
             out.append(Violation.CONSISTENCY)
     return out
 
 
-def _position_ell(ctx: BinomialContext, n: int, positions) -> Callable[[int, int], int]:
-    """Digit-depth bound restricted to present exponents, by integer arithmetic.
+def _weak_violations(
+    ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None
+) -> list[Violation]:
+    """The engine over the present exponents only, whole or incremental.
 
-    At an attained position with ordinate J = a*n + b the bound is
-    a + ceil((b - i)/n) - B(i, p^s) + 1, which needs no hull evaluation;
-    weak validity only ever consults these exponents, so this avoids all
-    rational arithmetic in the enumeration hot path.
-    """
-    e, p = ctx.base.e, ctx.base.p
-    info = {s: decompose(J, n) for s, _, J in positions}
-
-    def ell(i: int, s: int) -> int:
-        a, b = info[s]
-        return a - ((i - b) // n) - e * vp_binomial(p, i, p**s) + 1
-
-    return ell
-
-
-def weak_ram_ok(ctx: BinomialContext, n: int, positions) -> bool:
-    """Weak validity from raw (s, p^s, J) vertex data, cheaply.
-
-    Equivalent to ``is_weakly_valid_ram`` on the polygon with these wild
-    vertices; used by the enumerator, which keeps partial polygons as plain
-    vertex lists.
+    At an attained position (p^s, J) the polygon's value is J itself, so the
+    digit-depth bound at the present exponents needs no hull; ``new`` is
+    passed through (see ``_condition_violations``).
     """
     s_values = [s for s, _, _ in positions]
-    ell = _position_ell(ctx, n, positions)
-    return not _condition_violations(ctx, n, positions, ell, s_values)
+    ell = depth_bound(ctx, n, {s: (J, 1) for s, _, J in positions})
+    return _condition_violations(ctx, n, positions, ell, s_values, new)
 
 
-def _ram_positions(P: RamPolygon) -> list[tuple[int, int, int]]:
-    return P.wild_vertices()
+def weak_ram_ok(
+    ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None
+) -> bool:
+    """Weak validity from raw (s, p^s, J) vertex data, cheaply.
+
+    Without ``new`` this is ``is_weakly_valid_ram`` on the polygon with
+    these wild vertices.  With ``new``, the exponents of the vertices just
+    added to a set that already passed, only the conditions involving them
+    are checked: weak validity is a conjunction of per-position and
+    pairwise conditions over the present exponents, so the answer is the
+    same, and with nothing new there is nothing to check.
+    """
+    if new is not None and not new:
+        return True
+    return not _weak_violations(ctx, n, positions, new)
+
+
+def admissible_ordinates(ctx: BinomialContext, n: int, s: int, J_max: int) -> list[int]:
+    """The J in 1..J_max for which a vertex (p^s, J) passes its own conditions.
+
+    These are BRange, Ore1 / Ore3 and Ore2 at s; they depend on (s, J)
+    alone, so the enumerator finds them once per exponent.
+    """
+    x = ctx.base.p**s
+    return [J for J in range(1, J_max + 1) if not _weak_violations(ctx, n, [(s, x, J)])]
 
 
 def is_valid_ram(ctx: BinomialContext, P: RamPolygon) -> ValidityReport:
     """Full validity of a ramification polygon over the base field."""
     s_values = range(vp(ctx.base.p, P.n) + 1)
-    ell = lambda i, s: ell_P(ctx, P, i, s)
+    ell = depth_bound(ctx, P.n, P.p_power_values())
     return ValidityReport.from_violations(
-        _condition_violations(ctx, P.n, _ram_positions(P), ell, list(s_values))
+        _condition_violations(ctx, P.n, P.wild_vertices(), ell, s_values)
     )
 
 
 def is_weakly_valid_ram(ctx: BinomialContext, P: RamPolygon) -> ValidityReport:
     """Validity conditions quantified only over the present vertex exponents."""
-    positions = _ram_positions(P)
-    s_values = sorted({s for s, _, _ in positions})
-    ell = _position_ell(ctx, P.n, positions)
-    return ValidityReport.from_violations(
-        _condition_violations(ctx, P.n, positions, ell, s_values)
-    )
+    return ValidityReport.from_violations(_weak_violations(ctx, P.n, P.wild_vertices()))
 
 
 def _tame_violations(ctx: BinomialContext, Pstar: FinePolygon) -> list[Violation]:
@@ -172,21 +187,16 @@ def _tame_violations(ctx: BinomialContext, Pstar: FinePolygon) -> list[Violation
 def is_valid_fine(ctx: BinomialContext, Pstar: FinePolygon) -> ValidityReport:
     """Full validity of a fine polygon: tame biconditional plus the Ore family."""
     s_values = range(vp(ctx.base.p, Pstar.n) + 1)
-    ell = lambda i, s: ell_fine(ctx, Pstar, i, s)
+    ell = fine_depth_bound(ctx, Pstar)
     violations = _tame_violations(ctx, Pstar)
-    violations += _condition_violations(
-        ctx, Pstar.n, Pstar.wild_points(), ell, list(s_values)
-    )
+    violations += _condition_violations(ctx, Pstar.n, Pstar.wild_points(), ell, s_values)
     return ValidityReport.from_violations(violations)
 
 
 def is_weakly_valid_fine(ctx: BinomialContext, Pstar: FinePolygon) -> ValidityReport:
-    positions = Pstar.wild_points()
-    s_values = sorted({s for s, _, _ in positions})
     # at attained positions the fine bound coincides with the position bound
-    ell = _position_ell(ctx, Pstar.n, positions)
     violations = _tame_violations(ctx, Pstar)
-    violations += _condition_violations(ctx, Pstar.n, positions, ell, s_values)
+    violations += _weak_violations(ctx, Pstar.n, Pstar.wild_points())
     return ValidityReport.from_violations(violations)
 
 

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramify.binomials import BinomialContext
+from ramify.binomials import B, BinomialContext
 from ramify.polygons import (
     FinePolygon,
     FinePolygonWithResidues,
@@ -193,6 +194,48 @@ def test_ell_fine_excluded_position_uses_floor_formula(ctx_q2):
     for i in range(2, 9):
         expected = math.floor(Fraction(hull_val - i, 8)) - B(ctx_q2, i, 2) + 2
         assert ell_fine(ctx_q2, Ps, i, 1) == expected
+
+
+def fraction_value(vertices, x):
+    """The polygon's value at x as a Fraction, straight from its vertices."""
+    for (x1, y1), (x2, y2) in zip(vertices, vertices[1:]):
+        if x1 <= x <= x2:
+            return Fraction(y1 * (x2 - x) + y2 * (x - x1), x2 - x1)
+    return Fraction(vertices[0][1])
+
+
+def fraction_ell_P(ctx, P, i, s):
+    x = ctx.base.p**s
+    return math.ceil(Fraction(fraction_value(P.vertices, x) - i, P.n)) - B(ctx, i, x) + 1
+
+
+def fraction_ell_fine(ctx, Pstar, i, s):
+    x = ctx.base.p**s
+    J = Pstar.ordinate_at(x)
+    if J is not None:
+        a, b = decompose(J, Pstar.n)
+        return a - B(ctx, i, x) + 1 + (1 if i < b else 0)
+    hull_val = fraction_value(Pstar.hull.vertices, x)
+    return math.floor(Fraction(hull_val - i, Pstar.n)) - B(ctx, i, x) + 2
+
+
+def test_integer_bounds_equal_fraction_formulas(ctx_q2, ctx_q3, ram16):
+    from ramify.enumeration import enumerate_fine_polygons, enumerate_ram_polygons
+
+    cases = [(ctx_q2, P) for n in range(1, 16) for P in enumerate_ram_polygons(ctx_q2, n)[0]]
+    cases += [(ctx_q2, P) for P in ram16[0]]
+    cases += [(ctx_q3, P) for P in enumerate_ram_polygons(ctx_q3, 9)[0]]
+    checked = 0
+    for ctx, P in cases:
+        p, n = ctx.base.p, P.n
+        pairs = [(i, s) for s in range(n.bit_length()) if p**s <= n for i in range(p**s, n + 1)]
+        for i, s in pairs:
+            assert ell_P(ctx, P, i, s) == fraction_ell_P(ctx, P, i, s)
+        for Pstar in enumerate_fine_polygons(ctx, P)[0]:
+            for i, s in pairs:
+                assert ell_fine(ctx, Pstar, i, s) == fraction_ell_fine(ctx, Pstar, i, s)
+                checked += 1
+    assert checked > 10_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import ramify.validity
 from ramify import cli, serialize
@@ -100,14 +104,12 @@ def test_cli_enumerate_json_and_csv_agree(capsys):
     assert doc["count"] == len(from_csv)
 
 
-def test_cli_enumerate_deterministic_across_runs_and_threads(capsys, monkeypatch):
+def test_cli_enumerate_deterministic_across_runs(capsys):
     args = ["enumerate", "--p", "2", "--degree", "8", "--level", "fine", "--stats"]
     code1, out1, _ = run_cli(args, capsys)
     code2, out2, _ = run_cli(args, capsys)
-    monkeypatch.setenv("RAMIFY_THREADS", "3")
-    code3, out3, _ = run_cli(args, capsys)
-    assert code1 == code2 == code3 == 0
-    assert out1 == out2 == out3
+    assert code1 == code2 == 0
+    assert out1 == out2
 
 
 def test_cli_enumerate_expand_degree_two(capsys):
@@ -153,6 +155,23 @@ def test_cli_config_errors(capsys):
         assert "error" in err
 
 
+def test_cli_rejects_huge_fields_before_primality():
+    # trial division of an 18-digit prime, or forming 2^(10^18), would hang;
+    # the q guard must reject both first.  Run as a process: exit code and
+    # stderr exactly as a user sees them, and a timeout in place of a hang.
+    src = Path(__import__("ramify").__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for field in (["--p", "1000000000000000003"], ["--p", "2", "--f", str(10**18)]):
+        done = subprocess.run(
+            [sys.executable, "-m", "ramify.cli", "enumerate", *field,
+             "--degree", "2", "--level", "ram"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 2, field
+        assert "exceeds the enumeration guard" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
 def test_cli_analyze_degree_eight(capsys):
     code, out, _ = run_cli(["analyze", "--p", "2", "x^8+2x^7+2x^6+2x^4+2"], capsys)
     assert code == 0
@@ -196,8 +215,8 @@ def test_selftest_detects_injected_ore2_fault(ctx_q2, survey_q2_n4, monkeypatch)
     # e.g. [(1, 8), (4, 0)] in degree 4; the survey cross-check must object
     real = ramify.validity._condition_violations
 
-    def no_ore2(ctx, n, positions, ell, s_values):
-        return [v for v in real(ctx, n, positions, ell, s_values) if v is not Violation.ORE2]
+    def no_ore2(*args, **kwargs):
+        return [v for v in real(*args, **kwargs) if v is not Violation.ORE2]
 
     monkeypatch.setattr(ramify.validity, "_condition_violations", no_ore2)
     problems = survey_case_problems(ctx_q2, 4, 5, survey=survey_q2_n4)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ramify.binomials import BinomialContext, beta
 from ramify.polygons import (
@@ -10,6 +12,7 @@ from ramify.polygons import (
     InvariantWithUnif,
     RamPolygon,
     decompose,
+    lower_convex_hull,
 )
 from ramify.residue_field import make_field
 from ramify.validity import (
@@ -57,6 +60,42 @@ def test_weak_ram_ok_agrees_with_report(ctx_q2):
         assert weak_ram_ok(ctx_q2, P.n, P.wild_vertices()) == is_weakly_valid_ram(
             ctx_q2, P
         ).ok
+
+
+CHILD_FIELDS = [
+    BinomialContext(make_field(*spec))
+    for spec in [(2, 1, 1, 1), (3, 1, 1, 1), (2, 1, 2, 1), (2, 2, 1, "g")]
+]
+
+
+@st.composite
+def prefix_and_child(draw):
+    """A convex prefix of wild vertices ending at (p^m, 0) and a vertex (p^S, J)
+    at an exponent S after the prefix's, as the hull search extends it."""
+    ctx = draw(st.sampled_from(CHILD_FIELDS))
+    p, e = ctx.base.p, ctx.base.e
+    m = draw(st.integers(2, 4 if p == 2 else 3))
+    n = p**m * draw(st.sampled_from([1, p + 1]))
+    cap = n * e * m
+    points = [(p**s, draw(st.integers(1, cap))) for s in range(m)]
+    hull = lower_convex_hull(points + [(p**m, 0)])
+    S = draw(st.integers(1, m - 1))
+    prefix = [(s, x, J) for s, (x, J) in enumerate(points[:S]) if (x, J) in hull]
+    prefix.append((m, p**m, 0))
+    # about half the time the new ordinate shares its remainder with a present one
+    _, _, J_t = draw(st.sampled_from(prefix))
+    _, b_t = decompose(J_t, n)
+    J = draw(st.integers(1, cap) | st.integers(0, e * m).map(lambda a: a * n + b_t))
+    return ctx, n, prefix, (S, p**S, J)
+
+
+@given(prefix_and_child())
+@settings(max_examples=400, deadline=None)
+def test_child_check_agrees_with_full_weak_check(case):
+    ctx, n, prefix, new = case
+    assume(weak_ram_ok(ctx, n, prefix))
+    child = prefix[:-1] + [new] + prefix[-1:]
+    assert weak_ram_ok(ctx, n, child, new=(new[0],)) == weak_ram_ok(ctx, n, child)
 
 
 def test_valid_fine_spec_examples(ctx_q2):
