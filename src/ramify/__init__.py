@@ -39,7 +39,6 @@ from .polygons import (
     decompose,
     ell_P,
     ell_fine,
-    eval_polygon,
     lower_convex_hull,
     residual_polynomials,
 )

@@ -13,16 +13,23 @@ always present, so every R_j is finite).  The fine polygon collects the
 R_j = a*n + b is beta(b, j) * phi_b * (-phi0)^-(1+a), phi0 being the
 first digit of the constant coefficient.
 
+The points and the fine polygon depend only on the valuation signature
+(F_0, ..., F_{n-1}); :func:`ramification_of` maps a signature to both, and
+every invariant of a polynomial is computed by one call to it.  The terms
+are pairwise distinct mod n, so the residue at (j, R_j) reads phi_b directly.
+
 This module is also the test oracle: :func:`brute_force_survey` iterates
 every digit table up to a depth bound and groups the results by fine
-polygon, against which the enumerators and templates are checked.
+polygon, memoised by signature for the one survey, against which the
+enumerators and templates are checked.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .binomials import B, BinomialContext, beta, vp
 from .polygons import (
@@ -30,6 +37,7 @@ from .polygons import (
     FinePolygonWithResidues,
     InvariantWithUnif,
     RamPolygon,
+    _piecewise_ratio,
     decompose,
     lower_convex_hull,
 )
@@ -99,25 +107,33 @@ class EisensteinData:
         """Valuation of coefficient i; None when the coefficient is zero."""
         if i == self.n:
             return 0
-        for k, d in enumerate(self.digits[i], start=1):
-            if d:
-                return k
-        return None
+        return _lead(self.digits[i])[0]
 
     def phi(self, i: int) -> FqElement:
         """Leading digit of coefficient i (1 for the monic leading term)."""
         if i == self.n:
             return self.base.fq.one
-        F = self.F(i)
+        F, phi = _lead(self.digits[i])
         if F is None:
             raise ValueError(f"coefficient {i} is zero")
-        return self.digits[i][F - 1]
+        return phi
+
+    def leading(self) -> tuple[tuple[int | None, FqElement | None], ...]:
+        """(F_i, phi_i) for i < n in one pass, (None, None) for a zero coefficient."""
+        return tuple(_lead(row) for row in self.digits)
 
     def nonzero_digits(self) -> Iterable[tuple[int, int, FqElement]]:
         for i, row in enumerate(self.digits):
             for k, d in enumerate(row, start=1):
                 if d:
                     yield i, k, d
+
+
+def _lead(row: Sequence[FqElement]) -> tuple[int | None, FqElement | None]:
+    for k, d in enumerate(row, start=1):
+        if d:
+            return k, d
+    return None, None
 
 
 def _trim(vec: Iterable[FqElement]) -> tuple[FqElement, ...]:
@@ -131,55 +147,69 @@ def _trim(vec: Iterable[FqElement]) -> tuple[FqElement, ...]:
 # invariants of a polynomial
 
 
+def _term(ctx: BinomialContext, n: int, i: int, j: int, Fi: int) -> int:
+    """n * v(binomial(i, j) * f_i) + i, the term of coefficient i in R_j."""
+    return n * (B(ctx, i, j) + Fi - 1) + i
+
+
+def ramification_of(
+    ctx: BinomialContext, signature: Sequence[int | None]
+) -> tuple[list[tuple[int, int]], FinePolygon]:
+    """(j, R_j) for 1 <= j <= n, and the fine polygon of the points on their hull.
+
+    ``signature`` holds F_0, ..., F_{n-1}, None for a zero coefficient;
+    the monic leading term (F_n = 0) makes every R_j finite.
+    """
+    n = len(signature)
+    terms = [(i, Fi) for i, Fi in enumerate(signature) if Fi is not None]
+    terms.append((n, 0))
+    points = [
+        (j, min(_term(ctx, n, i, j, Fi) for i, Fi in terms if i >= j))
+        for j in range(1, n + 1)
+    ]
+    hull = lower_convex_hull(points)
+    on_hull = []
+    for j, R in points:
+        N, D = _piecewise_ratio(hull, j)
+        if N == R * D:
+            on_hull.append((j, R))
+    return points, FinePolygon(ctx.base.p, n, tuple(on_hull))
+
+
+def _signature(f: EisensteinData) -> tuple[int | None, ...]:
+    return tuple(F for F, _ in f.leading())
+
+
 def ramification_points(f: EisensteinData) -> list[tuple[int, int]]:
     """(j, R_j) for 1 <= j <= n; every R_j is finite thanks to the leading term."""
-    ctx = BinomialContext(f.base)
-    n = f.n
-    valuations = [(i, f.F(i)) for i in range(n + 1)]
-    points = []
-    for j in range(1, n + 1):
-        best = None
-        for i, Fi in valuations[j:]:
-            if Fi is None:
-                continue
-            value = n * (B(ctx, i, j) + Fi - 1) + i
-            if best is None or value < best:
-                best = value
-        points.append((j, best))
-    return points
-
-
-def polygon_of(f: EisensteinData) -> RamPolygon:
-    hull = lower_convex_hull(ramification_points(f))
-    return RamPolygon(f.base.p, f.n, tuple((x, int(y)) for x, y in hull))
+    return ramification_of(BinomialContext(f.base), _signature(f))[0]
 
 
 def fine_of(f: EisensteinData) -> FinePolygon:
-    points = ramification_points(f)
-    hull = polygon_of(f)
-    on_hull = [(j, R) for j, R in points if hull.value_at(j) == R]
-    return FinePolygon(f.base.p, f.n, tuple(on_hull))
+    return ramification_of(BinomialContext(f.base), _signature(f))[1]
+
+
+def polygon_of(f: EisensteinData) -> RamPolygon:
+    # the hull of the points on the hull is the hull of all points
+    return fine_of(f).hull
 
 
 def residues_of(f: EisensteinData) -> FinePolygonWithResidues:
     """Decorate the fine polygon of ``f`` with its leading residues."""
     ctx = BinomialContext(f.base)
-    fine = fine_of(f)
     n = f.n
-    minus_phi0 = -f.digit(0, 1)
+    lead = f.leading() + ((0, f.base.fq.one),)
+    _, fine = ramification_of(ctx, [F for F, _ in lead[:n]])
+    minus_phi0 = -lead[0][1]
     residues = []
     for j, R in fine.points:
         a, b = decompose(R, n)
-        # term valuations are pairwise distinct mod n, so the minimum is
-        # attained exactly once, at the index congruent to R (that is, b)
-        attained = [
-            i
-            for i in range(j, n + 1)
-            if f.F(i) is not None and n * (B(ctx, i, j) + f.F(i) - 1) + i == R
-        ]
-        if attained != [b]:
-            raise AssertionError(f"minimizer at j={j} is {attained}, expected [{b}]")
-        residues.append(beta(ctx, b, j) * f.phi(b) * minus_phi0 ** (-(1 + a)))
+        # term values are pairwise distinct mod n, so R_j is attained only
+        # at the index congruent to R_j, that is b
+        Fb, phi_b = lead[b]
+        if b < j or Fb is None or _term(ctx, n, b, j, Fb) != R:
+            raise AssertionError(f"minimizer at j={j} is not the expected index {b}")
+        residues.append(beta(ctx, b, j) * phi_b * minus_phi0 ** (-(1 + a)))
     return FinePolygonWithResidues(fine, tuple(residues))
 
 
@@ -279,13 +309,9 @@ def brute_force_survey(
     base = ctx.base
     if base.q ** (n * digit_bound) > SURVEY_GUARD:
         raise ValueError("survey size exceeds the iteration guard")
-    fq = base.fq
-    vectors = [tuple(v) for v in _all_vectors(fq, digit_bound)]
+    vectors = list(itertools.product(list(base.fq.elements()), repeat=digit_bound))
     trimmed = [_trim(v) for v in vectors]
-    lead = []  # F value of each vector, None for the zero vector
-    for v in vectors:
-        F = next((k for k, d in enumerate(v, start=1) if d), None)
-        lead.append(F)
+    lead = [_lead(v)[0] for v in vectors]  # F of each vector, None for zero
     const_choices = [idx for idx, v in enumerate(vectors) if v and v[0]]
     other_choices = list(range(len(vectors)))
 
@@ -295,22 +321,7 @@ def brute_force_survey(
     def fine_for(signature: tuple) -> FinePolygon:
         cached = fine_cache.get(signature)
         if cached is None:
-            points = []
-            for j in range(1, n + 1):
-                best = None
-                for i in range(j, n + 1):
-                    Fi = 0 if i == n else signature[i]
-                    if Fi is None:
-                        continue
-                    value = n * (B(ctx, i, j) + Fi - 1) + i
-                    if best is None or value < best:
-                        best = value
-                points.append((j, best))
-            hull = lower_convex_hull(points)
-            P = RamPolygon(base.p, n, tuple((x, int(y)) for x, y in hull))
-            on_hull = tuple((j, R) for j, R in points if P.value_at(j) == R)
-            cached = FinePolygon(base.p, n, on_hull)
-            fine_cache[signature] = cached
+            cached = fine_cache[signature] = ramification_of(ctx, signature)[1]
         return cached
 
     def iterate(prefix: list[int], i: int) -> None:
@@ -327,10 +338,3 @@ def brute_force_survey(
 
     iterate([], 0)
     return survey
-
-
-def _all_vectors(fq, depth: int):
-    import itertools
-
-    elems = list(fq.elements())
-    return itertools.product(elems, repeat=depth)

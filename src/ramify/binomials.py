@@ -19,7 +19,6 @@ def vp(p: int, m: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if m == 0:
         raise ValueError("v_p(0) is infinite")
-    m = abs(m)
     v = 0
     while m % p == 0:
         m //= p

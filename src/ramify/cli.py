@@ -12,17 +12,11 @@ import json
 import sys
 
 from . import serialize
-from .analyzer import (
-    NotEisensteinError,
-    fine_of,
-    parse_integer_polynomial,
-    polygon_of,
-    unif_of,
-)
+from .analyzer import SURVEY_GUARD, NotEisensteinError, parse_integer_polynomial, unif_of
 from .binomials import BinomialContext
 from .enumeration import Level, enumerate_invariants
 from .residue_field import make_field
-from .selftest import run_selftest
+from .selftest import DEFAULT_CASES, run_selftest
 from .templates import (
     cardinality,
     expand_template,
@@ -111,27 +105,32 @@ def cmd_enumerate(args, out) -> int:
             )
         return 0
 
-    records = []
-    for obj in results:
-        record = serialize.invariant_to_json(obj)
-        if args.expand:
-            record = {"invariant": record}
+    records = [serialize.invariant_to_json(obj) for obj in results]
+    if args.expand:
+        templates = []
+        for obj in results:
             if args.level == "fine":
-                template = template_for_fine(ctx, obj)
-                J0 = obj.J0
+                T = truncate_krasner(template_for_fine(ctx, obj), obj.J0)
             else:
-                template = template_for_invariant(ctx, obj)
-                J0 = obj.res.polygon.J0
-            if args.truncate:
-                template = truncate_krasner(template, J0)
-            if args.reduce:
-                template = reduce_template(ctx, template, obj)
-            record["template"] = serialize.template_to_json(template)
-            record["cardinality"] = cardinality(template)
-            record["polynomials"] = [
-                serialize.polynomial_to_json(f) for f in expand_template(template)
-            ]
-        records.append(record)
+                T = truncate_krasner(template_for_invariant(ctx, obj), obj.res.polygon.J0)
+                if args.reduce:
+                    T = reduce_template(ctx, T, obj)
+            templates.append(T)
+        # count before expanding: a listing holds the product of the slot sizes
+        sizes = [cardinality(T) for T in templates]
+        if sum(sizes) > SURVEY_GUARD:
+            raise ConfigError(
+                f"--expand would list {sum(sizes)} polynomials, more than {SURVEY_GUARD}"
+            )
+        records = [
+            {
+                "invariant": record,
+                "template": serialize.template_to_json(T),
+                "cardinality": size,
+                "polynomials": [serialize.polynomial_to_json(f) for f in expand_template(T)],
+            }
+            for record, T, size in zip(records, templates, sizes)
+        ]
     doc = {
         "schema": serialize.SCHEMA_VERSION,
         "field": serialize.field_to_json(ctx.base),
@@ -166,12 +165,13 @@ def cmd_analyze(args, out) -> int:
         )
         f = serialize.polynomial_from_json(ctx.base, json.loads(text))
     invariant = unif_of(f)
+    fine = invariant.res.polygon
     doc = {
         "schema": serialize.SCHEMA_VERSION,
         "field": serialize.field_to_json(ctx.base),
         "polynomial": serialize.polynomial_to_json(f),
-        "polygon": serialize.ram_to_json(polygon_of(f)),
-        "fine": serialize.fine_to_json(fine_of(f)),
+        "polygon": serialize.ram_to_json(fine.hull),
+        "fine": serialize.fine_to_json(fine),
         "residues": serialize.res_to_json(invariant.res),
         "phi0": str(invariant.phi0),
     }
@@ -181,9 +181,6 @@ def cmd_analyze(args, out) -> int:
 
 
 def cmd_selftest(args, out) -> int:
-    from .analyzer import SURVEY_GUARD
-    from .selftest import DEFAULT_CASES
-
     cases = DEFAULT_CASES
     if args.case:
         parsed = []
@@ -194,7 +191,13 @@ def cmd_selftest(args, out) -> int:
                 raise ConfigError(f"bad case {text!r}, expected p:n:depth")
             if not 1 <= n or depth < 1:
                 raise ConfigError(f"bad case {text!r}")
-            if p**(n * depth) > SURVEY_GUARD:
+            try:
+                make_field(p, 1, 1, 1)
+            except ValueError as exc:
+                raise ConfigError(f"bad case {text!r}: {exc}") from exc
+            # p >= 2 here, so an exponent past the guard's bit length exceeds it
+            # and p^(n*depth) is formed only when small
+            if n * depth >= SURVEY_GUARD.bit_length() or p ** (n * depth) > SURVEY_GUARD:
                 raise ConfigError(f"case {text!r} exceeds the survey guard")
             parsed.append((p, n, depth))
         cases = tuple(parsed)
@@ -217,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotEisensteinError as exc:
         print(f"error: not an Eisenstein polynomial: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -106,7 +106,7 @@ class RamPolygon:
         if (wild_top, 0) not in vs:
             raise ValueError(f"missing mandatory vertex ({wild_top}, 0)")
         for x, _ in vs[:-1]:
-            if x > wild_top or not _is_power_of(self.p, x):
+            if x > wild_top or x != self.p ** vp(self.p, x):
                 raise ValueError(f"interior vertex abscissa {x} is not a p-power")
         for (x1, y1), (x2, y2), (x3, y3) in zip(vs, vs[1:], vs[2:]):
             if (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) <= 0:
@@ -134,27 +134,8 @@ class RamPolygon:
         """(s, p^s, J) for each vertex at a p-power abscissa <= p^(v_p(n))."""
         top = self.p ** vp(self.p, self.n)
         return [
-            (_log_p(self.p, x), x, J) for x, J in self.vertices if x <= top
+            (vp(self.p, x), x, J) for x, J in self.vertices if x <= top
         ]
-
-
-def _is_power_of(p: int, x: int) -> bool:
-    while x % p == 0:
-        x //= p
-    return x == 1
-
-
-def _log_p(p: int, x: int) -> int:
-    s = 0
-    while x > 1:
-        x //= p
-        s += 1
-    return s
-
-
-def eval_polygon(P: RamPolygon, j: int) -> Fraction:
-    """Exact value of the piecewise-linear polygon function at j in [1, n]."""
-    return P.value_at(j)
 
 
 @dataclass(frozen=True)
@@ -180,7 +161,7 @@ class FinePolygon:
         object.__setattr__(self, "hull", hull)
         wild_top = self.p ** vp(self.p, self.n)
         for x, J in pts:
-            if x <= wild_top and not _is_power_of(self.p, x):
+            if x <= wild_top and x != self.p ** vp(self.p, x):
                 raise ValueError(f"point abscissa {x} below {wild_top} must be a p-power")
             N, D = _piecewise_ratio(hull.vertices, x)
             if N != J * D:
@@ -199,7 +180,7 @@ class FinePolygon:
     def wild_points(self) -> list[tuple[int, int, int]]:
         """(s, p^s, J) for each point at a p-power abscissa <= p^(v_p(n))."""
         top = self.p ** vp(self.p, self.n)
-        return [(_log_p(self.p, x), x, J) for x, J in self.points if x <= top]
+        return [(vp(self.p, x), x, J) for x, J in self.points if x <= top]
 
     def tame_abscissas(self) -> list[int]:
         """Abscissas of the stored points on the horizontal face beyond p^(v_p(n))."""

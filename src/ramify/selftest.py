@@ -70,13 +70,7 @@ def survey_case_problems(
                 problems.append(f"polynomial outside its template: {f.digits}")
             # residue data depends only on each coefficient's valuation and
             # leading digit
-            key = (
-                fine,
-                tuple(
-                    (f.F(i), f.phi(i) if f.F(i) is not None else None)
-                    for i in range(n)
-                ),
-            )
+            key = (fine, f.leading())
             ok = residue_cache.get(key)
             if ok is None:
                 ok = _residues_consistent(ctx, f)

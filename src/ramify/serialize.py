@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .analyzer import EisensteinData
+from .analyzer import EisensteinData, NotEisensteinError
 from .polygons import (
     FinePolygon,
     FinePolygonWithResidues,
@@ -130,12 +130,23 @@ def polynomial_to_json(f: EisensteinData) -> dict[str, Any]:
     }
 
 
-def polynomial_from_json(base: BaseField, data: dict[str, Any]) -> EisensteinData:
-    table = {
-        (entry["i"], entry["k"]): base.fq.parse(entry["residue"])
-        for entry in data["digits"]
-    }
-    return EisensteinData.from_digit_map(base, int(data["n"]), table)
+def polynomial_from_json(base: BaseField, data: Any) -> EisensteinData:
+    """Inverse of :func:`polynomial_to_json`; a malformed document is NotEisensteinError."""
+    try:
+        table = {
+            (_integer(entry["i"]), _integer(entry["k"])): base.fq.parse(entry["residue"])
+            for entry in data["digits"]
+        }
+        n = _integer(data["n"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise NotEisensteinError(f"malformed polynomial document: {exc!r}") from exc
+    return EisensteinData.from_digit_map(base, n, table)
+
+
+def _integer(value: Any) -> int:
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -199,12 +199,8 @@ def compute_Sm(ctx: BinomialContext, Pres: FinePolygonWithResidues, m: int) -> S
     n = Pres.polygon.n
     C = min(J + m * x for x, J in Pres.polygon.points)
     minimisers = [(x, rho) for x, J, rho in Pres.items() if J + m * x == C]
-    for x, _ in minimisers:
-        x_red = x
-        while x_red % p == 0:
-            x_red //= p
-        if x_red != 1:
-            raise AssertionError("minimiser at a non-p-power abscissa")
+    if any(x != p ** vp(p, x) for x, _ in minimisers):
+        raise AssertionError("minimiser at a non-p-power abscissa")
     fq = ctx.base.fq
 
     def act(u: FqElement) -> FqElement:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramify.analyzer import (
     EisensteinData,
@@ -11,6 +13,14 @@ from ramify.analyzer import (
     render_integer_polynomial,
     residues_of,
     unif_of,
+)
+from ramify.binomials import B, BinomialContext, beta
+from ramify.polygons import (
+    FinePolygon,
+    FinePolygonWithResidues,
+    RamPolygon,
+    decompose,
+    lower_convex_hull,
 )
 from ramify.residue_field import make_field
 from ramify.validity import admissible_phi0, is_valid_fine
@@ -147,3 +157,72 @@ def test_surveyed_residues_are_valid(ctx_q3, survey_q3_n3):
         for f in group:
             decorated = residues_of(f)
             assert f.digit(0, 1) in admissible_phi0(ctx_q3, decorated)
+
+
+# ---------------------------------------------------------------------------
+# the forward pass against a reference kept here: the formulas written out,
+# each coefficient rescanned per use, and the residue minimiser found by scan
+
+
+def _reference_F(f, i):
+    if i == f.n:
+        return 0
+    return next((k for k, d in enumerate(f.digits[i], start=1) if d), None)
+
+
+def _reference_term(ctx, f, i, j):
+    return f.n * (B(ctx, i, j) + _reference_F(f, i) - 1) + i
+
+
+def reference_invariants(f):
+    ctx = BinomialContext(f.base)
+    n = f.n
+    nonzero = [i for i in range(n + 1) if _reference_F(f, i) is not None]
+    points = [
+        (j, min(_reference_term(ctx, f, i, j) for i in nonzero if i >= j))
+        for j in range(1, n + 1)
+    ]
+    hull = RamPolygon(f.base.p, n, tuple(lower_convex_hull(points)))
+    fine = FinePolygon(
+        f.base.p, n, tuple((j, R) for j, R in points if hull.value_at(j) == R)
+    )
+    minus_phi0 = -f.digit(0, 1)
+    residues = []
+    for j, R in fine.points:
+        a, b = decompose(R, n)
+        attained = [i for i in nonzero if i >= j and _reference_term(ctx, f, i, j) == R]
+        assert attained == [b]
+        phi_b = f.base.fq.one if b == n else f.digits[b][_reference_F(f, b) - 1]
+        residues.append(beta(ctx, b, j) * phi_b * minus_phi0 ** (-(1 + a)))
+    return points, hull, fine, FinePolygonWithResidues(fine, tuple(residues))
+
+
+_REFERENCE_FIELDS = [
+    make_field(2, 1, 1, 1),
+    make_field(3, 1, 1, 1),
+    make_field(2, 1, 2, 1),
+    make_field(2, 2, 1, 1),
+]
+
+
+@st.composite
+def digit_tables(draw):
+    base = draw(st.sampled_from(_REFERENCE_FIELDS))
+    n = draw(st.integers(1, 12))
+    elements = list(base.fq.elements())
+    digit = st.sampled_from(elements)
+    rows = [draw(st.lists(st.just(base.fq.zero) | digit, max_size=4)) for _ in range(n)]
+    unit = draw(st.sampled_from([x for x in elements if x]))
+    rows[0] = [unit, *rows[0][1:]]
+    return EisensteinData(base, n, tuple(tuple(row) for row in rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(digit_tables())
+def test_forward_pass_matches_reference_formulas(f):
+    points, hull, fine, res = reference_invariants(f)
+    assert ramification_points(f) == points
+    assert polygon_of(f) == hull
+    assert fine_of(f) == fine
+    assert fine_of(f).hull == hull
+    assert residues_of(f) == res

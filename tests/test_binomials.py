@@ -147,3 +147,10 @@ def test_beta_factorial_decomposition_identity():
 def test_vp_of_zero_rejected():
     with pytest.raises(ValueError):
         vp(2, 0)
+
+
+def test_vp_ignores_sign():
+    for p in (2, 3, 5):
+        for m in range(1, 200):
+            assert vp(p, -m) == vp(p, m)
+    assert vp(2, -96) == 5 and vp(3, -1) == 0

@@ -1,0 +1,83 @@
+"""Golden CLI outputs: the sha256 of stdout for a fixed matrix of cheap commands.
+
+The matrix covers every ``--level``, JSON and CSV output, ``--stats``, the
+template pipeline (``--truncate``, ``--reduce``, ``--expand``), a ramified
+base field (e = 2), F_4, F_9 with a non-trivial uniformizer residue
+(``--gamma g``), ``analyze`` on integer and on digit-table JSON input, and
+one ``selftest`` case.  A refactor that keeps outputs byte-identical keeps
+every hash; a deliberate change of output must update the hash it moves.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from ramify import cli
+
+# a monic Eisenstein polynomial of degree 4 over Q_2 with residue field F_4
+F4_POLYNOMIAL = {
+    "n": 4,
+    "digits": [
+        {"i": 0, "k": 1, "residue": "1,1"},
+        {"i": 0, "k": 2, "residue": "0,1"},
+        {"i": 1, "k": 2, "residue": "1"},
+        {"i": 2, "k": 1, "residue": "0,1"},
+        {"i": 3, "k": 3, "residue": "1,1"},
+    ],
+}
+
+GOLDEN = [
+    ("ram-q2-8-stats",
+     ["enumerate", "--p", "2", "--degree", "8", "--level", "ram", "--stats"],
+     "11a2ad9411da0e62e96ee3b58eb1f5e1d99e3724a05c492d3179450b0e4df80f"),
+    ("fine-q2-8-csv",
+     ["enumerate", "--p", "2", "--degree", "8", "--level", "fine", "--format", "csv"],
+     "a2e5ba8042dc208fdabce7d0b0101274ec34a12b4508cbf445387d1b3d3e97f7"),
+    ("res-q2-4-stats",
+     ["enumerate", "--p", "2", "--degree", "4", "--level", "res", "--stats"],
+     "40f60797bc9dee9ec72fb3ba6000cb44347ffef861e8b58a635a078d317c8e65"),
+    ("unif-q3-3-csv",
+     ["enumerate", "--p", "3", "--degree", "3", "--level", "unif", "--format", "csv"],
+     "e9e9f635e7a3477e7c6f901256cd756a2ea7c32ae8f03a5c0df8d3582a1abcd9"),
+    ("fine-q2-2-expand",
+     ["enumerate", "--p", "2", "--degree", "2", "--level", "fine", "--truncate",
+      "--expand"],
+     "00efdfc633aeae17c945414c392ea49637e58ad008d10e7fac240f4218228fca"),
+    ("unif-q2-4-reduce-expand",
+     ["enumerate", "--p", "2", "--degree", "4", "--level", "unif", "--truncate",
+      "--reduce", "--expand"],
+     "693592dbb503c79d7efab73e9b6189945b63d2d521388dc765f364f26e3ac1a9"),
+    ("unif-e2-4",
+     ["enumerate", "--p", "2", "--e", "2", "--degree", "4", "--level", "unif"],
+     "ba770d47c3c0cbab682e98aa2867aaf65881066f889244a5e34453b130c4a4cd"),
+    ("res-f4-4",
+     ["enumerate", "--p", "2", "--f", "2", "--degree", "4", "--level", "res"],
+     "22ee0bf7f40890f9e9342500c2252fcf751159493822438451b2f23a380ee0aa"),
+    ("unif-f9-gamma-g-3-reduce-expand",
+     ["enumerate", "--p", "3", "--f", "2", "--gamma", "g", "--degree", "3", "--level",
+      "unif", "--truncate", "--reduce", "--expand"],
+     "28b4cf2e2ab7e9c580306a5e192a783dd2f50a92de32167e7b4c20e49abf7df8"),
+    ("analyze-integer",
+     ["analyze", "--p", "2", "x^8+2x^7+2x^6+2x^4+2"],
+     "8735b180a264f1364e1844f44feacf768e11986afd485bca7f1edddfc68adf09"),
+    ("analyze-json-f4",
+     ["analyze", "--p", "2", "--f", "2", "--json", "{F4_POLYNOMIAL}"],
+     "6d59908f3c896104ae13822cf0a775fbe0a103b4289e40f9c0992103d2f87994"),
+    ("selftest-2-2-3",
+     ["selftest", "--case", "2:2:3"],
+     "cf83cbaf2810abda8ae581993e2b5bcc03895807a2af8aaa1616671a93d95911"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", [(argv, digest) for _, argv, digest in GOLDEN],
+    ids=[name for name, _, _ in GOLDEN],
+)
+def test_cli_stdout_matches_golden_hash(argv, digest, capsys, tmp_path):
+    path = tmp_path / "polynomial.json"
+    path.write_text(json.dumps(F4_POLYNOMIAL))
+    argv = [str(path) if arg == "{F4_POLYNOMIAL}" else arg for arg in argv]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -16,7 +16,6 @@ from ramify.polygons import (
     decompose,
     ell_P,
     ell_fine,
-    eval_polygon,
     fine_point_specs,
     lower_convex_hull,
     ram_point_specs,
@@ -77,12 +76,12 @@ def test_decompose_contract(J, n):
 
 def test_eval_polygon_spec_examples():
     P = RamPolygon(2, 8, ((1, 7), (8, 0)))
-    assert eval_polygon(P, 3) == 5
-    assert eval_polygon(P, 1) == 7
+    assert P.value_at(3) == 5
+    assert P.value_at(1) == 7
     P2 = RamPolygon(2, 4, ((1, 2), (2, 0), (4, 0)))
-    assert eval_polygon(P2, 3) == 0
+    assert P2.value_at(3) == 0
     with pytest.raises(ValueError):
-        eval_polygon(P, 9)
+        P.value_at(9)
 
 
 def test_eval_polygon_is_convex_between_vertices():
@@ -92,10 +91,10 @@ def test_eval_polygon_is_convex_between_vertices():
         for j2 in range(j1 + 2, 9):
             mid = (j1 + j2) // 2
             chord = Fraction(
-                eval_polygon(P, j1) * (j2 - mid) + eval_polygon(P, j2) * (mid - j1),
+                P.value_at(j1) * (j2 - mid) + P.value_at(j2) * (mid - j1),
                 j2 - j1,
             )
-            assert eval_polygon(P, mid) <= chord
+            assert P.value_at(mid) <= chord
 
 
 def test_ram_polygon_structural_rejections():
@@ -116,7 +115,7 @@ def test_ram_polygon_structural_rejections():
 def test_ram_polygon_degenerate_shapes():
     assert RamPolygon(2, 1, ((1, 0),)).vertices == ((1, 0),)
     tame = RamPolygon(2, 3, ((1, 0), (3, 0)))
-    assert eval_polygon(tame, 2) == 0
+    assert tame.value_at(2) == 0
 
 
 def test_fine_polygon_requires_points_on_hull():

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,6 +6,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ramify.validity
 from ramify import cli, serialize
@@ -148,6 +152,8 @@ def test_cli_config_errors(capsys):
         ["analyze", "--p", "2", "--f", "2", "x^2-2"],
         ["selftest", "--case", "2:8:5"],
         ["selftest", "--case", "nonsense"],
+        ["selftest", "--case", "4:2:3"],
+        ["selftest", "--case", "1:2:3"],
     ]
     for args in bad_flag_combos:
         code, _, err = run_cli(args, capsys)
@@ -155,21 +161,45 @@ def test_cli_config_errors(capsys):
         assert "error" in err
 
 
+def run_process(*argv):
+    """``python -m ramify.cli *argv`` as a user runs it, with a timeout for a hang."""
+    src = Path(__import__("ramify").__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-m", "ramify.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
 def test_cli_rejects_huge_fields_before_primality():
     # trial division of an 18-digit prime, or forming 2^(10^18), would hang;
     # the q guard must reject both first.  Run as a process: exit code and
     # stderr exactly as a user sees them, and a timeout in place of a hang.
-    src = Path(__import__("ramify").__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
     for field in (["--p", "1000000000000000003"], ["--p", "2", "--f", str(10**18)]):
-        done = subprocess.run(
-            [sys.executable, "-m", "ramify.cli", "enumerate", *field,
-             "--degree", "2", "--level", "ram"],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
+        done = run_process("enumerate", *field, "--degree", "2", "--level", "ram")
         assert done.returncode == 2, field
         assert "exceeds the enumeration guard" in done.stderr
         assert "Traceback" not in done.stderr
+
+
+def test_cli_selftest_rejects_huge_case_before_forming_its_size():
+    # 3^(10^8) takes minutes to form; the guard must reject the case first
+    done = run_process("selftest", "--case", "3:10000:10000")
+    assert done.returncode == 2
+    assert "exceeds the survey guard" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_cli_expand_rejects_huge_listing_before_expanding():
+    # the degree-8 fine templates hold 291,468,941,408 polynomials
+    done = run_process(
+        "enumerate", "--p", "2", "--degree", "8", "--level", "fine", "--truncate",
+        "--expand",
+    )
+    assert done.returncode == 2
+    assert "291468941408 polynomials" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
 
 
 def test_cli_analyze_degree_eight(capsys):
@@ -198,10 +228,95 @@ def test_cli_analyze_json_input(capsys, tmp_path):
     assert json.loads(out)["polygon"]["vertices"] == [[1, 2], [2, 0]]
 
 
-def test_cli_analyze_rejects_non_eisenstein(capsys):
+def test_cli_analyze_rejects_non_eisenstein(capsys, tmp_path):
     code, _, err = run_cli(["analyze", "--p", "2", "x^2-1"], capsys)
     assert code == 3
     assert "Eisenstein" in err
+    path = tmp_path / "poly.json"
+    # digit-table documents of the wrong shape, the wrong type, or with a bad
+    # element literal are malformed input, like a non-Eisenstein table
+    for doc in [
+        {"n": 2},
+        [1, 2],
+        "x^2-2",
+        {"n": "2", "digits": [{"i": 0, "k": 1, "residue": "1"}]},
+        {"n": 2, "digits": [{"i": 0.5, "k": 1, "residue": "1"}]},
+        {"n": 2, "digits": [{"i": 0, "k": 1, "residue": 1}]},
+        {"n": 2, "digits": [{"i": 0, "k": 1, "residue": "x"}]},
+        {"n": 2, "digits": [{"i": 0, "k": 1, "residue": "1,1"}]},
+        {"n": 2, "digits": [{"i": 0, "k": 1}]},
+        {"n": 2, "digits": {"i": 0}},
+    ]:
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(["analyze", "--p", "2", "--json", str(path)], capsys)
+        assert code == 3, doc
+        assert "Eisenstein" in err
+    # a file that is not UTF-8 is unreadable input, like a missing file
+    path.write_bytes(b"\xff\xfe{}")
+    code, _, err = run_cli(["analyze", "--p", "2", "--json", str(path)], capsys)
+    assert code == 2
+    assert "error" in err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 70) | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "digits", "i", "k", "residue"]), children),
+    max_leaves=12,
+)
+_DIGIT_ENTRIES = st.fixed_dictionaries(
+    {
+        "i": st.integers(-1, 65),
+        "k": st.integers(-1, 5),
+        "residue": st.sampled_from(["0", "1", "2", "1,1", "0,1", "1,1,1", "x", ""]),
+    }
+)
+# mostly Eisenstein: a unit constant digit first, later entries may undo it
+_TABLES = st.integers(1, 64).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {
+            "n": st.just(n),
+            "digits": st.lists(
+                st.fixed_dictionaries(
+                    {
+                        "i": st.integers(0, n - 1),
+                        "k": st.integers(1, 4),
+                        "residue": st.sampled_from(["0", "1", "0,1", "1,1"]),
+                    }
+                ),
+                max_size=8,
+            ).map(lambda entries: [{"i": 0, "k": 1, "residue": "1"}, *entries]),
+        }
+    )
+)
+_DOCUMENTS = (
+    _JSON_VALUES
+    | _TABLES
+    | st.fixed_dictionaries(
+        {
+            "n": st.integers(-1, 64) | _JSON_VALUES,
+            "digits": st.lists(_DIGIT_ENTRIES | _JSON_VALUES, max_size=8) | _JSON_VALUES,
+        }
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc=_DOCUMENTS,
+    field=st.sampled_from([["--p", "2"], ["--p", "3"], ["--p", "2", "--f", "2"]]),
+)
+def test_cli_analyze_json_documents_exit_cleanly(doc, field):
+    # any small JSON document: a result or a documented error, never a traceback
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = cli.main(["analyze", *field, "--json", "-"])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 2, 3)
 
 
 def test_cli_selftest_small_cases(capsys):
