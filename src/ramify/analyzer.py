@@ -45,6 +45,10 @@ from .residue_field import BaseField, FqElement
 
 SURVEY_GUARD = 2**24
 
+# digit tables beyond these bounds are refused before any row is allocated
+MAX_DEGREE = 2**12
+MAX_DEPTH = 2**10
+
 # depth of the digit expansion used for integer coefficient input; the
 # invariants depend only on each coefficient's leading digit, deeper digits
 # are kept so the table remains a faithful approximation of the input
@@ -84,6 +88,8 @@ class EisensteinData:
         cls, base: BaseField, n: int, table: Mapping[tuple[int, int], FqElement]
     ) -> "EisensteinData":
         depth = max((k for (_, k) in table), default=1)
+        if n > MAX_DEGREE or depth > MAX_DEPTH:
+            raise NotEisensteinError(f"degree/depth {n}/{depth} beyond {MAX_DEGREE}/{MAX_DEPTH}")
         rows = [[base.fq.zero] * depth for _ in range(n)]
         for (i, k), value in table.items():
             if not 0 <= i < n:

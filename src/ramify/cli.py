@@ -163,7 +163,11 @@ def cmd_analyze(args, out) -> int:
             if args.json_file == "-"
             else open(args.json_file, encoding="utf-8").read()
         )
-        f = serialize.polynomial_from_json(ctx.base, json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:
+            raise NotEisensteinError("JSON document nested too deeply") from exc
+        f = serialize.polynomial_from_json(ctx.base, data)
     invariant = unif_of(f)
     fine = invariant.res.polygon
     doc = {

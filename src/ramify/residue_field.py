@@ -4,66 +4,43 @@ F_q (q = p^f) is realised as F_p[x] modulo a canonical irreducible
 polynomial: the lexicographically least monic irreducible of degree f,
 coefficient vectors compared constant-first.  Elements are coefficient
 vectors over F_p, constant coefficient first, and serialise to the
-comma-separated form of that vector (``"1,0"`` in F_4).  Everything here
-is immutable and interned, so equality is cheap and values can be shared
-freely across threads.
+comma-separated form of that vector (``"1,0"`` in F_4).  They are
+immutable and interned per field, so equality is identity.
 
-Besides the base-field descriptor this module provides the three solvers
-the invariant machinery needs: simultaneous power equations x^k = a in
-F_q^x, coset representatives for images of additive (F_p-linear) maps,
-and orbit representatives of F_q^x under twist subgroups.
+Arithmetic looks up discrete logs to the canonical generator g (the least
+generator of F_q^x) in exp, log and Zech (k -> log(1 + g^k)) tables, built
+as int arrays on a field's first arithmetic use: a field only named builds
+nothing.  Each of the three solvers has a closed form in log space: power
+equations x^k = a are congruences k*t = log a (mod q-1) merged by gcd
+arithmetic, twist orbits are cosets of a subgroup of Z/(q-1), and the cosets
+of an additive (F_p-linear) map's image are read off its row-reduced basis.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-# Enumeration-based routines (element scans, coset listings) must terminate
-# at desk scale, so field construction refuses anything larger.
+# Tables of q entries and element listings must stay at desk scale, so field
+# construction refuses anything larger.
 Q_LIMIT = 2**20
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_p, coefficient tuples with constant term first
-
-
-def _poly_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
+# polynomial helpers over F_p, coefficient tuples with constant term first;
+# they find the modulus and fill the tables, nothing more
 
 
 def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
-    # m is monic
+    """The remainder modulo the monic m, trimmed of zero leading coefficients."""
     r = list(a)
     dm = len(m) - 1
     while len(r) - 1 >= dm and r:
@@ -73,110 +50,146 @@ def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
             for i in range(dm):
                 r[shift + i] = (r[shift + i] - lead * m[i]) % p
         r.pop()
-    return _poly_trim(r)
+    while r and r[-1] == 0:
+        r.pop()
+    return tuple(r)
 
 
 def _monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
     """All monic degree-``degree`` polynomials, in canonical (lex) order."""
-    for lower in itertools.product(range(p), repeat=degree):
-        yield tuple(lower) + (1,)
-
-
-def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    degree = len(poly) - 1
-    for d in range(1, degree // 2 + 1):
-        for g in _monic_polys(p, d):
-            if not _poly_mod(poly, g, p):
-                return False
-    return True
+    return (lower + (1,) for lower in itertools.product(range(p), repeat=degree))
 
 
 @lru_cache(maxsize=None)
 def _canonical_modulus(p: int, f: int) -> tuple[int, ...]:
     if f == 1:
         return (0, 1)  # the polynomial x
-    for cand in _monic_polys(p, f):
-        if _is_irreducible(cand, p):
-            return cand
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    return next(
+        cand for cand in _monic_polys(p, f)
+        if all(_poly_mod(cand, g, p) for d in range(1, f // 2 + 1) for g in _monic_polys(p, d))
+    )
 
 
 # ---------------------------------------------------------------------------
 # fields and elements
 
 
+def _digits(index: int, p: int, f: int) -> tuple[int, ...]:
+    """The coefficient vector at position ``index`` of the lexicographic order."""
+    return tuple(index // p ** (f - 1 - i) % p for i in range(f))
+
+
 class Fq:
     """Arithmetic kernel for F_q with the canonical modulus.
 
     Do not instantiate directly; use :func:`get_fq` so that fields (and
-    hence their interned elements) are unique per (p, f).
+    hence their interned elements) are unique per (p, f).  ``order`` is
+    q - 1, the order of F_q^x.
     """
 
-    __slots__ = ("p", "f", "q", "modulus", "_elems")
+    __slots__ = ("p", "f", "q", "order", "modulus", "zero", "one",
+                 "_elems", "_exp", "_logs", "_zech", "_half")
 
     def __init__(self, p: int, f: int):
         self.p = p
         self.f = f
         self.q = p**f
+        self.order = self.q - 1
         self.modulus = _canonical_modulus(p, f)
-        self._elems: dict[tuple[int, ...], FqElement] = {}
+        self._elems: dict[int, FqElement] = {}
+        self._exp: array | None = None  # set by _tables(), last
+        self.zero = self._intern(0)
+        self.one = self.from_int(1)
+
+    def _intern(self, index: int) -> FqElement:
+        elem = self._elems.get(index)
+        if elem is None:
+            elem = self._elems[index] = FqElement(self, index)
+            if index and self._exp is not None:
+                elem._log = self._logs[index]
+        return elem
+
+    def _unit(self, k: int) -> FqElement:
+        """g^k for 0 <= k < q - 1."""
+        return self._intern(self._exp[k])
+
+    def _tables(self) -> None:
+        """Build the tables once and give every interned unit its log.
+
+        exp[k] is the position of g^k, logs[i] the log of the element at
+        position i, and zech[k] = log(1 + g^k); -1 stands for the zero element.
+        """
+        if self._exp is not None:
+            return
+        p, f, q, n = self.p, self.f, self.q, self.order
+        for index in range(1, q):  # g is the least unit of order q - 1
+            exp = self._powers(_digits(index, p, f))
+            if len(exp) == n:
+                break
+        logs = array("i", [-1]) * q
+        for k, index in enumerate(exp):
+            logs[index] = k
+        # adding 1 steps the leading (constant) coefficient, worth p^(f-1)
+        top = p ** (f - 1)
+        wrap = (p - 1) * top
+        self._zech = array("i", (logs[i + top if i < wrap else i - wrap] for i in exp))
+        self._logs = logs
+        self._half = n // 2 if p > 2 else 0  # log(-1)
+        for index, elem in self._elems.items():
+            elem._log = logs[index] if index else None
+        self._exp = exp
+
+    def _powers(self, x: tuple[int, ...]) -> array:
+        """The positions of x^0, x^1, ... before the powers return to 1.
+
+        u -> x*u is stepped as an F_p-linear map, its images of the power
+        basis packed into ints, one ``width``-bit field per coefficient.
+        """
+        p, f = self.p, self.f
+        width = (f * (p - 1) ** 2).bit_length()
+        mask = (1 << width) - 1
+        packed, image = [], x  # image = x * x^i, for i = 0, 1, ...
+        for _ in range(f):
+            packed.append(sum(c << width * j for j, c in enumerate(image)))
+            image = _poly_mod((0,) + image, self.modulus, p)
+        one = index = p ** (f - 1)
+        coeffs = _digits(index, p, f)
+        powers = array("i")
+        while True:
+            powers.append(index)
+            total = sum(c * column for c, column in zip(coeffs, packed) if c)
+            coeffs = [(total >> width * j & mask) % p for j in range(f)]
+            index = 0
+            for c in coeffs:
+                index = index * p + c
+            if index == one:
+                return powers
 
     def element(self, coeffs: Sequence[int]) -> FqElement:
         if len(coeffs) > self.f:
             raise ValueError(f"coefficient vector longer than f={self.f}")
-        key = tuple(c % self.p for c in coeffs)
-        key += (0,) * (self.f - len(key))
-        elem = self._elems.get(key)
-        if elem is None:
-            elem = FqElement(self, key)
-            self._elems[key] = elem
-        return elem
+        p, f = self.p, self.f
+        return self._intern(sum(c % p * p ** (f - 1 - i) for i, c in enumerate(coeffs)))
 
     def from_int(self, c: int) -> FqElement:
         """Embed a rational integer via the prime subfield."""
-        return self.element((c % self.p,) + (0,) * (self.f - 1))
-
-    @property
-    def zero(self) -> FqElement:
-        return self.element(())
-
-    @property
-    def one(self) -> FqElement:
-        return self.from_int(1)
+        return self._intern(c % self.p * self.p ** (self.f - 1))
 
     def basis(self) -> tuple[FqElement, ...]:
         """The power basis 1, x, ..., x^(f-1) of F_q over F_p."""
-        return tuple(
-            self.element(tuple(1 if j == i else 0 for j in range(self.f)))
-            for i in range(self.f)
-        )
+        return tuple(self._intern(self.p ** (self.f - 1 - i)) for i in range(self.f))
 
     def elements(self) -> Iterator[FqElement]:
         """All elements in canonical (lexicographic) order."""
-        for coeffs in itertools.product(range(self.p), repeat=self.f):
-            yield self.element(coeffs)
+        return (self._intern(index) for index in range(self.q))
 
     def units(self) -> Iterator[FqElement]:
-        return (x for x in self.elements() if x)
+        return (self._intern(index) for index in range(1, self.q))
 
     def generator(self) -> FqElement:
-        """The canonically least generator of the cyclic group F_q^x."""
-        order = self.q - 1
-        prime_divisors = []
-        m = order
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                prime_divisors.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            prime_divisors.append(m)
-        for x in self.units():
-            if all(x ** (order // ell) != self.one for ell in prime_divisors):
-                return x
-        raise AssertionError("multiplicative group has no generator")
+        """The canonically least generator g of the cyclic group F_q^x."""
+        self._tables()
+        return self._unit(1 % self.order)
 
     def parse(self, text: str) -> FqElement:
         """Inverse of ``str(element)``; also accepts a bare integer."""
@@ -199,79 +212,80 @@ def get_fq(p: int, f: int) -> Fq:
 class FqElement:
     """An element of F_q; immutable, interned, totally ordered.
 
-    The order is lexicographic on coefficient vectors and exists purely to
-    make representative choices and serialisations deterministic.
+    ``index`` is its position in the lexicographic order of coefficient
+    vectors, which exists purely to make representative choices and
+    serialisations deterministic.  ``_log`` is its discrete log to g, None
+    for 0 and until the field's tables are built.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "index", "coeffs", "_log", "_hash")
 
-    def __init__(self, field: Fq, coeffs: tuple[int, ...]):
+    def __init__(self, field: Fq, index: int):
         self.field = field
-        self.coeffs = coeffs
+        self.index = index
+        self.coeffs = _digits(index, field.p, field.f)
+        self._log: int | None = None
+        # by value, not by address, so set iteration orders are reproducible
+        self._hash = hash((field.p, field.f, self.coeffs))
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FqElement):
-            return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return self.index != 0
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.field.f, self.coeffs))
+        return self._hash
 
     def __lt__(self, other: "FqElement") -> bool:
         self._check(other)
-        return self.coeffs < other.coeffs
+        return self.index < other.index
 
     def _check(self, other: "FqElement") -> None:
         if self.field is not other.field:
             raise ValueError("elements of different fields")
 
+    def _logarithm(self) -> int | None:
+        """The log to g, building the tables on first use; None for 0."""
+        if self._log is None and self.index:
+            self.field._tables()
+        return self._log
+
     def __add__(self, other: "FqElement") -> "FqElement":
-        self._check(other)
-        p = self.field.p
-        return self.field.element(
-            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        a, b = self._log, other._log
+        fq = self.field
+        if a is None or b is None or fq is not other.field:
+            self._check(other)
+            a, b = self._logarithm(), other._logarithm()
+            if a is None or b is None:
+                return other if a is None else self
+        z = fq._zech[(b - a) % fq.order]  # x + y = x * (1 + y/x)
+        return fq.zero if z < 0 else fq._unit((a + z) % fq.order)
 
     def __sub__(self, other: "FqElement") -> "FqElement":
-        self._check(other)
-        p = self.field.p
-        return self.field.element(
-            tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self + -other
 
     def __neg__(self) -> "FqElement":
-        p = self.field.p
-        return self.field.element(tuple(-a % p for a in self.coeffs))
+        a = self._logarithm()
+        return self if a is None else self.field._unit((a + self.field._half) % self.field.order)
 
     def __mul__(self, other: "FqElement") -> "FqElement":
-        self._check(other)
-        prod = _poly_mul(self.coeffs, other.coeffs, self.field.p)
-        return self.field.element(_poly_mod(prod, self.field.modulus, self.field.p))
+        a, b = self._log, other._log
+        fq = self.field
+        if a is None or b is None or fq is not other.field:
+            self._check(other)
+            a, b = self._logarithm(), other._logarithm()
+            if a is None or b is None:
+                return fq.zero
+        return fq._unit((a + b) % fq.order)
 
     def __pow__(self, k: int) -> "FqElement":
-        if not self:
-            if k > 0:
-                return self
-            if k == 0:
-                return self.field.one
-            raise ZeroDivisionError("0 has no negative powers")
-        k %= self.field.q - 1
-        result = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        a = self._logarithm()
+        if a is None:
+            if k < 0:
+                raise ZeroDivisionError("0 has no negative powers")
+            return self if k else self.field.one
+        return self.field._unit(a * k % self.field.order)
 
     def inverse(self) -> "FqElement":
-        if not self:
-            raise ZeroDivisionError("0 is not invertible")
-        return self ** (self.field.q - 2)
+        return self**-1
 
     def __truediv__(self, other: "FqElement") -> "FqElement":
         return self * other.inverse()
@@ -374,67 +388,39 @@ class AdditiveMap:
         return out
 
 
-def _fp_span(fq: Fq, vectors: Iterable[FqElement]) -> set[FqElement]:
-    """The F_p-span of the given elements, via row reduction."""
-    p = fq.p
-    rows: list[list[int]] = []
-    pivots: list[int] = []
-    for v in vectors:
-        row = list(v.coeffs)
-        for r, piv in zip(rows, pivots):
-            if row[piv]:
-                scale = row[piv] * pow(r[piv], -1, p)
-                row = [(a - scale * b) % p for a, b in zip(row, r)]
-        if any(row):
-            rows.append(row)
-            pivots.append(next(i for i, a in enumerate(row) if a))
-    basis = [fq.element(tuple(r)) for r in rows]
-    span = set()
-    for combo in itertools.product(range(p), repeat=len(basis)):
-        acc = fq.zero
-        for c, b in zip(combo, basis):
-            if c:
-                acc = acc + fq.from_int(c) * b
-        span.add(acc)
-    return span
-
-
 def additive_coset_representatives(
     field: BaseField, amap: AdditiveMap, scale: FqElement
 ) -> set[FqElement]:
     """One representative per coset of F_q^+ modulo scale * image(amap).
 
     Representatives are the lexicographically least element of each coset,
-    so 0 always represents the image itself.
+    so 0 always represents the image itself.  Row reduction gives the image
+    a basis with distinct pivot (leading) columns; each coset then holds
+    exactly one element vanishing at every pivot, and it is the least one,
+    since any other member differs from it first at a pivot column.
     """
     fq = field.fq
-    subspace = _fp_span(fq, (scale * img for img in amap.images))
-    reps: set[FqElement] = set()
-    covered: set[FqElement] = set()
-    for x in fq.elements():
-        if x not in covered:
-            reps.add(x)
-            covered.update(x + w for w in subspace)
-    return reps
+    p, f = fq.p, fq.f
+    rows: dict[int, list[int]] = {}  # pivot column -> row, 1 at the pivot
+    for img in amap.images:
+        row = list((scale * img).coeffs)
+        for col in range(f):
+            c = row[col]
+            if c and col in rows:
+                row = [(a - c * b) % p for a, b in zip(row, rows[col])]
+            elif c:
+                inv = pow(c, -1, p)
+                rows[col] = [a * inv % p for a in row]
+                break
+    weights = [p ** (f - 1 - col) for col in range(f) if col not in rows]
+    return {
+        fq._intern(sum(d * w for d, w in zip(digits, weights)))
+        for digits in itertools.product(range(p), repeat=len(weights))
+    }
 
 
 # ---------------------------------------------------------------------------
 # multiplicative solvers
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) >= 0 and g = a*x + b*y."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def solve_power_system(
@@ -442,33 +428,31 @@ def solve_power_system(
 ) -> set[FqElement]:
     """All x in F_q^x with x^k = a for every (k, a) in ``eqs``.
 
-    The system is first reduced via the extended GCD of the exponents
-    (after adjoining x^(q-1) = 1): with K = gcd(k_i) = sum b_i k_i and
-    A = prod a_i^(b_i), it is consistent iff a_i = A^(k_i / K) for all i,
-    in which case the solutions are those of the single equation x^K = A.
-    That last equation is solved by scanning F_q^x, which is exact and
-    cheap at the field sizes this library admits.
+    With x = g^t each equation is the congruence k*t = log a (mod q-1).
+    It is soluble iff d = gcd(k, q-1) divides log a, and then pins t to one
+    class modulo (q-1)/d.  Merging the classes by gcd arithmetic leaves
+    t = r (mod M) with M dividing q-1, or shows the system inconsistent;
+    no unit is scanned.
     """
     fq = field.fq
-    system = list(eqs)
-    for _, a in system:
-        if not a:
-            raise ValueError("right-hand sides must be nonzero")
-    system.append((fq.q - 1, fq.one))
-    g = 0
-    bezout: list[int] = []
-    for k, _ in system:
-        g2, x, y = _extended_gcd(g, k)
-        bezout = [b * x for b in bezout]
-        bezout.append(y)
-        g = g2
-    target = fq.one
-    for (_, a), b in zip(system, bezout):
-        target = target * a**b
-    for k, a in system:
-        if a != target ** (k // g):
+    n = fq.order
+    system = [(k, a._logarithm()) for k, a in eqs]
+    if any(c is None for _, c in system):
+        raise ValueError("right-hand sides must be nonzero")
+    r, M = 0, 1  # t = r (mod M) solves the equations merged so far
+    for k, c in system:
+        d = math.gcd(k, n)
+        if c % d:
             return set()
-    return {x for x in fq.units() if x**g == target}
+        m = n // d
+        t0 = c // d * pow(k // d, -1, m) % m
+        g = math.gcd(M, m)
+        if (t0 - r) % g:
+            return set()
+        # r + M*s = t0 (mod m), i.e. (M/g)*s = (t0-r)/g (mod m/g)
+        s = (t0 - r) // g * pow(M // g, -1, m // g) % (m // g)
+        r, M = r + M * s, M // g * m
+    return {fq._unit(t) for t in range(r % M, n, M)}
 
 
 def orbit_representatives(
@@ -478,19 +462,21 @@ def orbit_representatives(
 
         H = { delta^(-J) : delta in F_q^x, delta^c = 1 for all listed c }.
 
-    Each representative is the lexicographically least element of its orbit.
+    The deltas form the subgroup of order c = gcd(q-1, listed exponents),
+    so the logs of H are the multiples of h = gcd(q-1, J*(q-1)/c) and the
+    orbits are the classes of log x modulo h.  Each representative is the
+    lexicographically least element of its orbit, found in one pass over
+    the units in that order.
     """
     fq = field.fq
-    one = fq.one
-    twists = {
-        d ** (-J)
-        for d in fq.units()
-        if all(d**c == one for c in constraint_exponents)
-    }
-    reps: set[FqElement] = set()
-    covered: set[FqElement] = set()
-    for x in fq.units():
-        if x not in covered:
-            reps.add(x)
-            covered.update(x * h for h in twists)
-    return reps
+    n = fq.order
+    c = math.gcd(n, *constraint_exponents)
+    h = math.gcd(n, J * (n // c))
+    fq._tables()
+    logs = fq._logs
+    least: dict[int, int] = {}  # log class -> least index in it
+    for index in range(1, fq.q):
+        least.setdefault(logs[index] % h, index)
+        if len(least) == h:
+            break
+    return {fq._intern(index) for index in least.values()}

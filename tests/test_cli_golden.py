@@ -2,8 +2,8 @@
 
 The matrix covers every ``--level``, JSON and CSV output, ``--stats``, the
 template pipeline (``--truncate``, ``--reduce``, ``--expand``), a ramified
-base field (e = 2), F_4, F_9 with a non-trivial uniformizer residue
-(``--gamma g``), ``analyze`` on integer and on digit-table JSON input, and
+base field (e = 2), F_4, F_9, F_8 and F_25 with a non-trivial uniformizer
+residue (``--gamma g``), ``analyze`` on integer and on digit-table JSON input, and
 one ``selftest`` case.  A refactor that keeps outputs byte-identical keeps
 every hash; a deliberate change of output must update the hash it moves.
 """
@@ -58,6 +58,14 @@ GOLDEN = [
      ["enumerate", "--p", "3", "--f", "2", "--gamma", "g", "--degree", "3", "--level",
       "unif", "--truncate", "--reduce", "--expand"],
      "28b4cf2e2ab7e9c580306a5e192a783dd2f50a92de32167e7b4c20e49abf7df8"),
+    ("unif-f8-gamma-g-8-reduce",
+     ["enumerate", "--p", "2", "--f", "3", "--gamma", "g", "--degree", "8", "--level",
+      "unif", "--truncate", "--reduce"],
+     "ba2f84d602675166898fcf36814faa91f9d3a82e907c0af64b25e0e98d0060ee"),
+    ("unif-f25-gamma-g-10-reduce",
+     ["enumerate", "--p", "5", "--f", "2", "--gamma", "g", "--degree", "10", "--level",
+      "unif", "--truncate", "--reduce"],
+     "ab51040f09dcecc9ac072c30197631303f90f22af522fe404afea47ddb82819d"),
     ("analyze-integer",
      ["analyze", "--p", "2", "x^8+2x^7+2x^6+2x^4+2"],
      "8735b180a264f1364e1844f44feacf768e11986afd485bca7f1edddfc68adf09"),

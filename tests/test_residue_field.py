@@ -1,7 +1,15 @@
+import functools
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramify.residue_field import (
     AdditiveMap,
@@ -268,3 +276,231 @@ def test_orbit_representatives_cover_units_once(p, f):
             assert not (orbit & seen)
             seen |= orbit
         assert seen == set(K.fq.units())
+
+
+# ---------------------------------------------------------------------------
+# reference kernel: polynomial multiply and reduce over F_p, as the field
+# arithmetic was done before the log tables; every table result and every
+# solver is checked against it on all fields with f >= 2 and q <= 256 and on
+# some prime fields
+
+
+def ref_poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def ref_poly_mod(a, m, p):
+    r = list(a)
+    dm = len(m) - 1
+    while len(r) - 1 >= dm:
+        lead = r[-1] % p
+        shift = len(r) - 1 - dm
+        for i in range(dm):
+            r[shift + i] = (r[shift + i] - lead * m[i]) % p
+        r.pop()
+    return tuple(r) + (0,) * (dm - len(r))
+
+
+class Reference:
+    """F_q by coefficient tuples, with a product table from the reference kernel."""
+
+    def __init__(self, p, f):
+        self.p, self.f, self.q = p, f, p**f
+        self.modulus = brute_irreducibles(p, f)[0] if f > 1 else (0, 1)
+        # lexicographic order on tuples, constant coefficient first
+        self.elems = list(itertools.product(range(p), repeat=f))
+        self.pos = {c: i for i, c in enumerate(self.elems)}
+        self.mul = [
+            [self.pos[ref_poly_mod(ref_poly_mul(a, b, p), self.modulus, p)] for b in self.elems]
+            for a in self.elems
+        ]
+        self.one = self.pos[(1,) + (0,) * (f - 1)]
+
+    def add(self, i, j):
+        a, b = self.elems[i], self.elems[j]
+        return self.pos[tuple((x + y) % self.p for x, y in zip(a, b))]
+
+    def neg(self, i):
+        return self.pos[tuple(-x % self.p for x in self.elems[i])]
+
+    def power(self, i, k):
+        if i == 0:
+            return 0 if k > 0 else self.one
+        k %= self.q - 1
+        result = self.one
+        for _ in range(k):
+            result = self.mul[result][i]
+        return result
+
+    def inverse(self, i):
+        return next(j for j in range(1, self.q) if self.mul[i][j] == self.one)
+
+    def order(self, i):
+        k, x = 1, i
+        while x != self.one:
+            x, k = self.mul[x][i], k + 1
+        return k
+
+    def generator(self):
+        return next(i for i in range(1, self.q) if self.order(i) == self.q - 1)
+
+
+ORACLE_FIELDS = [
+    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
+    (3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2), (11, 2), (13, 2),
+    (2, 1), (3, 1), (5, 1), (31, 1), (251, 1),
+]
+ORACLE_IDS = [f"F{p**f}" for p, f in ORACLE_FIELDS]
+
+
+@functools.lru_cache(maxsize=None)
+def reference(p, f):
+    return Reference(p, f)
+
+
+def _elements(p, f):
+    fq = get_fq(p, f)
+    return fq, reference(p, f), [fq.element(c) for c in reference(p, f).elems]
+
+
+def _check_arithmetic(ref, els, i, j):
+    a, b = els[i], els[j]
+    assert (a + b).coeffs == ref.elems[ref.add(i, j)]
+    assert (a - b).coeffs == ref.elems[ref.add(i, ref.neg(j))]
+    assert (-a).coeffs == ref.elems[ref.neg(i)]
+    assert (a * b).coeffs == ref.elems[ref.mul[i][j]]
+    if j:
+        assert (a / b).coeffs == ref.elems[ref.mul[i][ref.inverse(j)]]
+        assert b.inverse().coeffs == ref.elems[ref.inverse(j)]
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+
+
+@pytest.mark.parametrize("p,f", ORACLE_FIELDS, ids=ORACLE_IDS)
+def test_table_kernel_matches_reference_arithmetic(p, f):
+    fq, ref, els = _elements(p, f)
+    assert fq.modulus == ref.modulus
+    assert fq.generator().coeffs == ref.elems[ref.generator()]
+    assert sorted(els) == els and [x.index for x in els] == list(range(ref.q))
+    if ref.q <= 32:
+        pairs = itertools.product(range(ref.q), repeat=2)
+    else:
+        rng = random.Random(ref.q)
+        pairs = [(rng.randrange(ref.q), rng.randrange(ref.q)) for _ in range(3000)]
+        pairs += [(0, j) for j in range(ref.q)] + [(i, 0) for i in range(ref.q)]
+    for i, j in pairs:
+        _check_arithmetic(ref, els, i, j)
+    for i in range(ref.q):
+        for k in (-ref.q - 1, -2, -1, 0, 1, 2, 3, ref.q - 2, ref.q - 1, ref.q, 2 * ref.q + 5):
+            if i or k >= 0:
+                assert (els[i] ** k).coeffs == ref.elems[ref.power(i, k)]
+
+
+LARGE = [(pf, name) for pf, name in zip(ORACLE_FIELDS, ORACLE_IDS) if pf[0] ** pf[1] > 32]
+
+
+@pytest.mark.parametrize("p,f", [pf for pf, _ in LARGE], ids=[name for _, name in LARGE])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_table_kernel_matches_reference_on_samples(p, f, data):
+    fq, ref, els = _elements(p, f)
+    index = st.integers(0, ref.q - 1)
+    i, j = data.draw(index), data.draw(index)
+    _check_arithmetic(ref, els, i, j)
+    k = data.draw(st.integers(-3 * ref.q, 3 * ref.q))
+    if i or k >= 0:
+        assert (els[i] ** k).coeffs == ref.elems[ref.power(i, k)]
+
+
+@pytest.mark.parametrize("p,f", ORACLE_FIELDS, ids=ORACLE_IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_solvers_match_brute_force_scans(p, f, data):
+    fq, ref, els = _elements(p, f)
+    K = make_field(p, f, 1, 1)
+    units = range(1, ref.q)
+    exponent = st.integers(-2 * ref.q, 2 * ref.q)
+
+    # power systems: the same solution set as a scan of F_q^x
+    eqs = data.draw(st.lists(st.tuples(exponent, st.integers(1, ref.q - 1)), max_size=3))
+    if data.draw(st.booleans()):  # make the system soluble
+        x = data.draw(st.integers(1, ref.q - 1))
+        eqs = [(k, ref.power(x, k)) for k, _ in eqs]
+    want = {i for i in units if all(ref.power(i, k) == a for k, a in eqs)}
+    got = solve_power_system(K, [(k, els[a]) for k, a in eqs])
+    assert {x.index for x in got} == want
+
+    # orbits: the lex-least member of each orbit, and the orbits partition F_q^x
+    J = data.draw(exponent)
+    constraints = data.draw(st.lists(exponent, max_size=2))
+    twists = {
+        ref.power(d, -J) for d in units
+        if all(ref.power(d, c) == ref.one for c in constraints)
+    }
+    want, covered = set(), set()
+    for i in units:
+        if i not in covered:
+            want.add(i)
+            covered |= {ref.mul[i][h] for h in twists}
+    reps = orbit_representatives(K, J, constraints)
+    assert {x.index for x in reps} == want
+    orbits = [{ref.mul[r][h] for h in twists} for r in want]
+    assert sum(map(len, orbits)) == ref.q - 1 and set().union(*orbits) == set(units)
+
+    # additive cosets: the lex-least member of each coset, and the cosets partition F_q
+    images = data.draw(st.lists(st.integers(0, ref.q - 1), min_size=f, max_size=f))
+    scale = data.draw(st.integers(0, ref.q - 1))
+    span = {0}
+    for v in (ref.mul[scale][i] for i in images):
+        for _ in range(p - 1):
+            span |= {ref.add(w, v) for w in span}
+    want, covered = set(), set()
+    for i in range(ref.q):
+        if i not in covered:
+            want.add(i)
+            covered |= {ref.add(i, w) for w in span}
+    amap = AdditiveMap(fq, tuple(els[i] for i in images))
+    reps = additive_coset_representatives(K, amap, els[scale])
+    assert {x.index for x in reps} == want
+    assert len(reps) * len(span) == ref.q
+
+
+def test_make_field_builds_no_tables_for_a_large_field():
+    # q = 2^20: the tables would take seconds and megabytes that merely naming
+    # the field must not spend.  The modulus search is the whole of the work,
+    # so make_field takes at most 1.25 times that search, and little memory.
+    script = """
+import json, resource, time
+import ramify.residue_field as rf
+search = rf._canonical_modulus
+spent = []
+def timed(p, f):
+    start = time.perf_counter()
+    modulus = search(p, f)
+    spent.append(time.perf_counter() - start)
+    return modulus
+rf._canonical_modulus = timed
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = time.perf_counter()
+K = rf.make_field(2, 20, 1, 1)
+total = time.perf_counter() - start
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"built": K.fq._exp is not None, "search": spent[0], "total": total,
+                  "rss_mb": (after - before) / 1024, "gamma": str(K.gamma)}))
+"""
+    src = Path(__import__("ramify").__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert not result["built"]
+    assert result["gamma"] == "1" + ",0" * 19
+    assert result["total"] <= 1.25 * result["search"] + 0.05
+    assert result["rss_mb"] <= 16

@@ -3,8 +3,10 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -161,13 +163,13 @@ def test_cli_config_errors(capsys):
         assert "error" in err
 
 
-def run_process(*argv):
+def run_process(*argv, preexec_fn=None):
     """``python -m ramify.cli *argv`` as a user runs it, with a timeout for a hang."""
     src = Path(__import__("ramify").__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     return subprocess.run(
         [sys.executable, "-m", "ramify.cli", *argv],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=preexec_fn,
     )
 
 
@@ -200,6 +202,34 @@ def test_cli_expand_rejects_huge_listing_before_expanding():
     assert "291468941408 polynomials" in done.stderr
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
+
+
+def test_cli_analyze_rejects_deeply_nested_json(tmp_path):
+    # json.loads recurses once per nesting level and raises RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    done = run_process("analyze", "--p", "2", "--json", str(path))
+    assert done.returncode == 3
+    assert "nested too deeply" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_cli_analyze_rejects_huge_degree_or_depth_before_allocating(tmp_path):
+    # a ~100-byte document naming k = 10^9 or n = 10^12 would allocate n rows
+    # of k digits; the bounds reject it first.  The address space of the
+    # process is capped, so a regression fails fast instead of taking memory.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    for n, k in ((2, 10**9), (10**12, 1)):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": n, "digits": [{"i": 0, "k": k, "residue": "1"}]}))
+        start = time.perf_counter()
+        done = run_process("analyze", "--p", "2", "--json", str(path), preexec_fn=cap)
+        assert time.perf_counter() - start < 1.0  # interpreter start-up included
+        assert done.returncode == 3, (n, k)
+        assert "beyond 4096/1024" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 def test_cli_analyze_degree_eight(capsys):
