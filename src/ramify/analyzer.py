@@ -228,6 +228,7 @@ def unif_of(f: EisensteinData) -> InvariantWithUnif:
 
 
 _TERM = re.compile(r"^([+-]?\d*)(?:\*?x(?:\^(\d+))?)?$")
+_SIGNS = {"": 1, "+": 1, "-": -1}
 
 
 def parse_integer_polynomial(base: BaseField, text: str) -> EisensteinData:
@@ -244,19 +245,19 @@ def parse_integer_polynomial(base: BaseField, text: str) -> EisensteinData:
     p = base.p
     cleaned = text.replace(" ", "").replace("-", "+-")
     parts = [part for part in cleaned.split("+") if part]
+    if not parts:
+        raise NotEisensteinError("no terms given")
     coeffs: dict[int, int] = {}
     for part in parts:
         match = _TERM.match(part)
-        if not match or (match.group(1) in ("", "+", "-") and "x" not in part):
+        if not match or (match.group(1) in _SIGNS and "x" not in part):
             raise NotEisensteinError(f"cannot parse term {part!r}")
         raw_coeff, raw_exp = match.groups()
-        if "x" in part:
-            exp = int(raw_exp) if raw_exp else 1
-        else:
-            exp = 0
-        coeff = int(raw_coeff) if raw_coeff not in ("", "+", "-") else (
-            -1 if raw_coeff == "-" else 1
-        )
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            exp = (int(raw_exp) if raw_exp else 1) if "x" in part else 0
+            coeff = _SIGNS[raw_coeff] if raw_coeff in _SIGNS else int(raw_coeff)
+        except ValueError as exc:
+            raise NotEisensteinError(f"term {part[:20]!r}... has too many digits") from exc
         coeffs[exp] = coeffs.get(exp, 0) + coeff
     n = max(coeffs)
     if coeffs.get(n) != 1:
@@ -323,24 +324,12 @@ def brute_force_survey(
 
     fine_cache: dict[tuple, FinePolygon] = {}
     survey: dict[FinePolygon, list[EisensteinData]] = {}
-
-    def fine_for(signature: tuple) -> FinePolygon:
-        cached = fine_cache.get(signature)
-        if cached is None:
-            cached = fine_cache[signature] = ramification_of(ctx, signature)[1]
-        return cached
-
-    def iterate(prefix: list[int], i: int) -> None:
-        if i == n:
-            signature = tuple(lead[idx] for idx in prefix)
-            fine = fine_for(signature)
-            data = EisensteinData(base, n, tuple(trimmed[idx] for idx in prefix))
-            survey.setdefault(fine, []).append(data)
-            return
-        for idx in const_choices if i == 0 else other_choices:
-            prefix.append(idx)
-            iterate(prefix, i + 1)
-            prefix.pop()
-
-    iterate([], 0)
+    # lexicographic in (phi_0, ..., phi_{n-1}), phi_0 with a nonzero first digit
+    for choice in itertools.product(const_choices, *[other_choices] * (n - 1)):
+        signature = tuple(lead[idx] for idx in choice)
+        fine = fine_cache.get(signature)
+        if fine is None:
+            fine = fine_cache[signature] = ramification_of(ctx, signature)[1]
+        data = EisensteinData(base, n, tuple(trimmed[idx] for idx in choice))
+        survey.setdefault(fine, []).append(data)
     return survey

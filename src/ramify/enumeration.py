@@ -83,12 +83,12 @@ def enumerate_ram_polygons(
 
     Pruning is incremental and keeps its verdicts: each root
     [(1, J0), (p^m, 0)] gets the whole weak check, a child that adds
-    (p^S, J) is checked only for the conditions involving the new vertex,
-    and a child that adds nothing keeps its parent's set, with nothing new
-    to check.  Every visited branch has passed one ``weak_ram_ok`` call, so
-    that call's pass count is ``branches_visited``.  A vertex's own
-    conditions depend on (S, J) alone, so the ordinates passing them are
-    found once per exponent S and the others are never tried.
+    (p^S, J) is checked through its pairs with the vertices present, each
+    distinct pair once per search, and a child that adds nothing keeps its
+    parent's set, with nothing new to check.  Every visited branch has
+    passed one ``weak_ram_ok`` call, so that call's pass count is
+    ``branches_visited``.  A vertex's own conditions depend on (S, J) alone,
+    so the ordinates passing them are found once per exponent S.
     """
     if n < 1:
         raise ValueError("degree must be positive")
@@ -108,10 +108,11 @@ def enumerate_ram_polygons(
     }
     out: list[RamPolygon] = []
     stats = EnumStats()
+    verdicts: dict[tuple[int, int, int, int], bool] = {}
 
     def search(prefix: list[tuple[int, int, int]], S: int, new: tuple[int, ...] | None) -> None:
         # prefix holds (s, p^s, J) per vertex; ``new`` the exponents it added
-        if prune and not validity.weak_ram_ok(ctx, n, prefix + top, new):
+        if prune and not validity.weak_ram_ok(ctx, n, prefix + top, new, verdicts):
             return
         stats.branches_visited += 1
         if S >= m:

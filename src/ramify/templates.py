@@ -21,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .analyzer import EisensteinData
 from .binomials import BinomialContext, beta, vp
@@ -33,8 +34,14 @@ from .polygons import (
     depth_bound,
     fine_depth_bound,
 )
-from .residue_field import AdditiveMap, BaseField, FqElement, additive_coset_representatives
+from .residue_field import AdditiveMap, BaseField, Fq, FqElement, additive_coset_representatives
 from .validity import is_valid_fine, is_valid_ram, is_valid_with_unif
+
+
+@lru_cache(maxsize=None)
+def _default_sets(fq: Fq) -> tuple[frozenset[FqElement], frozenset[FqElement]]:
+    """The default slots {0} and F_q, built once per field."""
+    return frozenset({fq.zero}), frozenset(fq.elements())
 
 
 @dataclass(frozen=True)
@@ -50,9 +57,8 @@ class Template:
         listed = self.slots.get((i, k))
         if listed is not None:
             return listed
-        if self.cutoff is not None and k >= self.cutoff:
-            return frozenset({self.base.fq.zero})
-        return frozenset(self.base.fq.elements())
+        zero, full = _default_sets(self.base.fq)
+        return zero if self.cutoff is not None and k >= self.cutoff else full
 
     def with_slots(self, updates: dict[tuple[int, int], frozenset[FqElement]]) -> "Template":
         merged = dict(self.slots)
@@ -160,8 +166,7 @@ def truncate_krasner(T: Template, J0: int) -> Template:
     """
     bound = 1 + Fraction(2 * J0, T.n)
     cutoff = math.floor(bound) + 1
-    zero = frozenset({T.base.fq.zero})
-    full = frozenset(T.base.fq.elements())
+    zero, full = _default_sets(T.base.fq)
     slots = {}
     for (i, k), value in T.slots.items():
         if k >= cutoff:
@@ -225,7 +230,7 @@ def reduce_template(ctx: BinomialContext, T: Template, inv: InvariantWithUnif) -
     """
     if T.cutoff is None:
         raise ValueError("reduction requires a truncated template")
-    full = frozenset(T.base.fq.elements())
+    _, full = _default_sets(T.base.fq)
     minus_phi0 = -inv.phi0
     updates = {}
     m = 1

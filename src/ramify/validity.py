@@ -11,8 +11,11 @@ binomial(n, j) is a unit.
 Weak validity quantifies the same conditions only over the exponents of
 positions actually present; it is preserved when points are removed, which
 is what makes branch-and-prune enumeration sound.  Each condition involves
-one or two positions, so a set that passed stays valid after adding a
-point exactly when the conditions involving the new point hold.
+one or two positions (BRange, Ore1 / Ore3 and Ore2 one, Bounding and
+Consistency two), and the depth bound at a present exponent reads only
+that position's J, so weak validity of a set is the conjunction of the
+weak validity of its pairs.  A set that passed stays valid after adding a
+point v exactly when every pair {t, v} passes.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ def _condition_violations(
     positions: Sequence[tuple[int, int, int]],
     ell: Callable[[int, int], int],
     s_values: Sequence[int],
-    new: Collection[int] | None = None,
 ) -> list[Violation]:
     """Shared Ore / Consistency / Bounding engine.
 
@@ -79,37 +81,29 @@ def _condition_violations(
     ``ell`` is the digit-depth bound; ``s_values`` is the exponent range the
     universally quantified conditions run over (all of 0..v_p(n) for full
     validity, the present exponents only for weak validity).
-
-    ``new``, the exponents of positions just added to a set the caller has
-    checked, restricts the check to the conditions involving them: their
-    own BRange, Ore1 / Ore3 and Ore2, Bounding between them and every
-    exponent in both directions, and Consistency with the positions that
-    share their remainders.
     """
     out: list[Violation] = []
     p = ctx.base.p
-    checked_s = s_values if new is None else new
     bounded = []
     for s_t, x_t, J_t in positions:
         _, b_t = decompose(J_t, n)
-        fresh = new is None or s_t in new
-        if fresh and x_t > b_t:
+        if x_t > b_t:
             out.append(Violation.BRANGE)
         if b_t == n:
-            if fresh and ell(n, s_t) != 0:
+            if ell(n, s_t) != 0:
                 out.append(Violation.ORE1)
         elif x_t <= b_t:
             own = ell(b_t, s_t)
-            if fresh and own < 1:
+            if own < 1:
                 out.append(Violation.ORE3)
-            bounded.append((b_t, own, s_values if fresh else checked_s))
-    for s in checked_s:
+            bounded.append((b_t, own))
+    for s in s_values:
         if ell(n, s) > 0:
             out.append(Violation.ORE2)
     by_b: dict[int, set[int]] = {}
-    for b_t, own, against in bounded:
+    for b_t, own in bounded:
         by_b.setdefault(b_t, set()).add(own)
-        for s in against:
+        for s in s_values:
             if p**s <= b_t and own < ell(b_t, s):
                 out.append(Violation.BOUNDING)
                 break
@@ -119,35 +113,44 @@ def _condition_violations(
     return out
 
 
-def _weak_violations(
-    ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None
-) -> list[Violation]:
-    """The engine over the present exponents only, whole or incremental.
+def _weak_violations(ctx: BinomialContext, n: int, positions) -> list[Violation]:
+    """The engine over the present exponents only.
 
     At an attained position (p^s, J) the polygon's value is J itself, so the
-    digit-depth bound at the present exponents needs no hull; ``new`` is
-    passed through (see ``_condition_violations``).
+    digit-depth bound at the present exponents needs no hull.
     """
     s_values = [s for s, _, _ in positions]
     ell = depth_bound(ctx, n, {s: (J, 1) for s, _, J in positions})
-    return _condition_violations(ctx, n, positions, ell, s_values, new)
+    return _condition_violations(ctx, n, positions, ell, s_values)
 
 
 def weak_ram_ok(
-    ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None
+    ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None, verdicts=None
 ) -> bool:
     """Weak validity from raw (s, p^s, J) vertex data, cheaply.
 
     Without ``new`` this is ``is_weakly_valid_ram`` on the polygon with
     these wild vertices.  With ``new``, the exponents of the vertices just
-    added to a set that already passed, only the conditions involving them
-    are checked: weak validity is a conjunction of per-position and
-    pairwise conditions over the present exponents, so the answer is the
-    same, and with nothing new there is nothing to check.
+    added to a set that already passed, it is the conjunction of the weak
+    check of every pair {t, v} with v new and t present (t = v checks v
+    alone), so the answer is the same; with nothing new it is True.  Pair
+    verdicts are read from and stored in the dict ``verdicts`` under
+    (s_t, J_t, s_v, J_v), which a caller may share between the calls of
+    one field and degree.
     """
-    if new is not None and not new:
-        return True
-    return not _weak_violations(ctx, n, positions, new)
+    if new is None:
+        return not _weak_violations(ctx, n, positions)
+    verdicts = {} if verdicts is None else verdicts
+    for v in positions:
+        if v[0] in new:
+            for t in positions:
+                key = (t[0], t[2], v[0], v[2])
+                ok = verdicts.get(key)
+                if ok is None:
+                    ok = verdicts[key] = not _weak_violations(ctx, n, [t, v])
+                if not ok:
+                    return False
+    return True
 
 
 def admissible_ordinates(ctx: BinomialContext, n: int, s: int, J_max: int) -> list[int]:

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +136,33 @@ def test_survey_degree_two_keys(ctx_q2, survey_q2_n2):
     }
     # 32 Eisenstein tables at depth 3: digit (0,1) nonzero, 4 free digits
     assert sum(len(g) for g in survey_q2_n2.values()) == 32
+
+
+def test_survey_lists_tables_in_lexicographic_order(ctx_q2, survey_q2_n2):
+    def digits(f):
+        return tuple(tuple(d.index for d in row) + (0,) * (3 - len(row)) for row in f.digits)
+
+    for group in survey_q2_n2.values():
+        assert group == sorted(group, key=digits)
+    firsts = [group[0] for group in survey_q2_n2.values()]
+    assert firsts == sorted(firsts, key=digits)
+
+
+def test_survey_is_freed_without_the_collector(ctx_q2):
+    # the survey holds no reference cycle, so dropping it frees every table at once
+    def tables():
+        return sum(isinstance(obj, EisensteinData) for obj in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = tables()
+        survey = brute_force_survey(ctx_q2, 4, 3)
+        assert tables() > before
+        del survey
+        assert tables() == before
+    finally:
+        gc.enable()
 
 
 def test_survey_guard(ctx_q2):

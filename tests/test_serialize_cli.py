@@ -259,9 +259,11 @@ def test_cli_analyze_json_input(capsys, tmp_path):
 
 
 def test_cli_analyze_rejects_non_eisenstein(capsys, tmp_path):
-    code, _, err = run_cli(["analyze", "--p", "2", "x^2-1"], capsys)
-    assert code == 3
-    assert "Eisenstein" in err
+    # not Eisenstein, no term at all, a term with more digits than int() converts
+    for text in ["x^2-1", "", "+", "x^2+2" + "0" * 5000]:
+        code, _, err = run_cli(["analyze", "--p", "2", text], capsys)
+        assert code == 3, text[:20]
+        assert "Eisenstein" in err
     path = tmp_path / "poly.json"
     # digit-table documents of the wrong shape, the wrong type, or with a bad
     # element literal are malformed input, like a non-Eisenstein table
@@ -347,6 +349,88 @@ def test_cli_analyze_json_documents_exit_cleanly(doc, field):
     finally:
         sys.stdin = stdin
     assert code in (0, 2, 3)
+
+
+_JUNK = st.text(alphabet="-+:,x^0123456789g ", max_size=8)
+
+
+def _mostly(valid, invalid):
+    """Mostly a value from ``valid``, else one from ``invalid`` or junk (None)."""
+    choices = valid * 4 + invalid + [None]
+    return st.sampled_from(choices).flatmap(lambda v: _JUNK if v is None else st.just(v))
+
+
+def _flat(parts):
+    return [arg for part in parts for arg in part]
+
+
+# --p, then at most one more field option
+_FIELD = st.tuples(
+    _mostly(["2", "3"], ["0", "4", "-3", "1000000000000000003"]).map(lambda v: ["--p", v]),
+    st.sampled_from([None, None, ("--f", "2"), ("--e", "2"), ("--gamma", "g")]).flatmap(
+        lambda opt: _mostly([opt[1]], ["0", "-1", "1,1,1"]).map(lambda v: [opt[0], v])
+        if opt
+        else st.just([])
+    ),
+).map(_flat)
+_ENUMERATE_ARGV = st.tuples(
+    st.just(["enumerate"]),
+    _FIELD,
+    _mostly(["1", "2", "3", "4"], ["0", "-1"]).map(lambda v: ["--degree", v]),
+    _mostly(["ram", "fine", "res", "unif"], ["all"]).map(lambda v: ["--level", v]),
+    st.one_of(
+        st.sampled_from(
+            [[], ["--stats"], ["--format", "csv", "--stats"], ["--truncate", "--expand"]]
+            + [["--truncate", "--reduce"], ["--truncate", "--reduce", "--expand"]]
+        ),
+        st.lists(
+            st.sampled_from(["--stats", "--truncate", "--reduce", "--expand", "csv"]), max_size=5
+        ),
+    ),
+).map(_flat)
+_ANALYZE_ARGV = st.tuples(
+    st.just(["analyze"]),
+    _FIELD,
+    st.one_of(
+        _mostly(["x^2+2", "x^4+2x+2", "x^3+3", "x^8+2x^7+2"], ["x^2-1", "x^0", "", "+"]).map(
+            lambda v: [v]
+        ),
+        st.text(alphabet="x^+-*0123456789 ", max_size=12).map(lambda v: [v]),
+        st.sampled_from([["--json", "-"], [], ["x^2+2", "--json", "-"]]),
+    ),
+).map(_flat)
+_SELFTEST_ARGV = st.tuples(
+    st.just(["selftest"]),
+    st.lists(
+        _mostly(["2:2:3", "3:3:2", "2:3:2"], ["4:2:3", "2:0:3", "2:30:30"]).map(
+            lambda v: ["--case", v]
+        ),
+        min_size=1,  # no --case runs the built-in cases, far beyond a fuzz budget
+        max_size=2,
+    ).map(_flat),
+).map(_flat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    argv=_ENUMERATE_ARGV | _ANALYZE_ARGV | _SELFTEST_ARGV,
+    stdin=st.sampled_from(['{"n": 2, "digits": [{"i": 0, "k": 1, "residue": "1"}]}', "[", ""]),
+)
+def test_cli_argv_exits_cleanly(argv, stdin):
+    # bounded degrees and cases, junk and out-of-range values: a result or a
+    # documented error (argparse exits 2 itself), never a traceback
+    stdin_, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = stdin_
+    assert code in (0, 2, 3), argv
 
 
 def test_cli_selftest_small_cases(capsys):

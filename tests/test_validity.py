@@ -70,8 +70,9 @@ CHILD_FIELDS = [
 
 @st.composite
 def prefix_and_child(draw):
-    """A convex prefix of wild vertices ending at (p^m, 0) and a vertex (p^S, J)
-    at an exponent S after the prefix's, as the hull search extends it."""
+    """A convex prefix of wild vertices ending at (p^m, 0) and one or two
+    vertices (p^S, J) at exponents after the prefix's, as the hull search
+    extends it (two at once when a search is resumed deeper)."""
     ctx = draw(st.sampled_from(CHILD_FIELDS))
     p, e = ctx.base.p, ctx.base.e
     m = draw(st.integers(2, 4 if p == 2 else 3))
@@ -82,20 +83,42 @@ def prefix_and_child(draw):
     S = draw(st.integers(1, m - 1))
     prefix = [(s, x, J) for s, (x, J) in enumerate(points[:S]) if (x, J) in hull]
     prefix.append((m, p**m, 0))
-    # about half the time the new ordinate shares its remainder with a present one
-    _, _, J_t = draw(st.sampled_from(prefix))
-    _, b_t = decompose(J_t, n)
-    J = draw(st.integers(1, cap) | st.integers(0, e * m).map(lambda a: a * n + b_t))
-    return ctx, n, prefix, (S, p**S, J)
+    exponents = sorted(draw(st.sets(st.integers(S, m - 1), min_size=1, max_size=2)))
+    added = []
+    for s in exponents:
+        # the new ordinate is random, or shares its remainder with a present
+        # one, or passes with the prefix alone (then only a new pair can fail)
+        _, _, J_t = draw(st.sampled_from(prefix + added))
+        _, b_t = decompose(J_t, n)
+        passing = [J for J in range(1, cap + 1) if weak_ram_ok(ctx, n, prefix + [(s, p**s, J)])]
+        J = draw(
+            st.integers(1, cap)
+            | st.integers(0, e * m).map(lambda a: a * n + b_t)
+            | st.sampled_from(passing or [1])
+        )
+        added.append((s, p**s, J))
+    return ctx, n, prefix, added
 
 
 @given(prefix_and_child())
 @settings(max_examples=400, deadline=None)
 def test_child_check_agrees_with_full_weak_check(case):
-    ctx, n, prefix, new = case
+    ctx, n, prefix, added = case
     assume(weak_ram_ok(ctx, n, prefix))
-    child = prefix[:-1] + [new] + prefix[-1:]
-    assert weak_ram_ok(ctx, n, child, new=(new[0],)) == weak_ram_ok(ctx, n, child)
+    child = prefix[:-1] + added + prefix[-1:]
+    new = {s for s, _, _ in added}
+    verdicts = {}
+    assert weak_ram_ok(ctx, n, child, new, verdicts) == weak_ram_ok(ctx, n, child)
+    # a second check reads every pair verdict from the dict
+    assert weak_ram_ok(ctx, n, child, new, verdicts) == weak_ram_ok(ctx, n, child, new)
+
+
+def test_pair_check_of_a_lone_vertex_is_its_own_check(ctx_q2):
+    # with nothing else present the pair {v, v} carries v's own conditions
+    for J in range(1, 40):
+        vertex = [(1, 2, J)]
+        assert weak_ram_ok(ctx_q2, 8, vertex, {1}) == weak_ram_ok(ctx_q2, 8, vertex)
+    assert weak_ram_ok(ctx_q2, 8, [(1, 2, 5)], ())
 
 
 def test_valid_fine_spec_examples(ctx_q2):
