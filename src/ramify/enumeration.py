@@ -12,6 +12,7 @@ Outputs are canonically sorted and deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,7 +26,7 @@ from .polygons import (
     decompose,
 )
 from .residue_field import orbit_representatives, solve_power_system
-from .validity import admissible_phi0
+from .validity import admissible_phi0, invariant_gcd
 
 
 @dataclass
@@ -89,6 +90,11 @@ def enumerate_ram_polygons(
     passed one ``weak_ram_ok`` call, so that call's pass count is
     ``branches_visited``.  A vertex's own conditions depend on (S, J) alone,
     so the ordinates passing them are found once per exponent S.
+
+    A leaf's full verdict is ``valid_ram_ok``: the pair verdicts (already
+    passed when pruning) and, at each absent exponent, the memoised pieces
+    of the enclosing segment, both kept in the search's one verdict dict.
+    A ``RamPolygon`` is built only for a leaf that passes.
     """
     if n < 1:
         raise ValueError("degree must be positive")
@@ -116,9 +122,8 @@ def enumerate_ram_polygons(
             return
         stats.branches_visited += 1
         if S >= m:
-            P = RamPolygon(p, n, tuple((x, J) for _, x, J in prefix) + tuple(tail))
-            if validity.is_valid_ram(ctx, P).ok:
-                out.append(P)
+            if validity.valid_ram_ok(ctx, n, prefix + top, verdicts, () if prune else None):
+                out.append(RamPolygon(p, n, tuple((x, J) for _, x, J in prefix) + tuple(tail)))
             return
         search(prefix, S + 1, ())
         x_new = p**S
@@ -146,40 +151,55 @@ def enumerate_fine_polygons(
     The hull vertices and the forced horizontal points are always present;
     the branching is over the non-vertex p-power abscissas where the hull
     passes through a lattice point.
+
+    The guard's one full check of the hull, the hull's values at the
+    p-powers and the tame verdict, which reads only the forced points, hold
+    for every branch.  So the root, the hull's own points, has nothing left
+    to check beyond the tame verdict; a child that adds a candidate checks
+    only the pairs the candidate forms with the points present (``pairs_ok``);
+    and a leaf makes one engine call over every exponent
+    (``fine_ore_violations``), with the strict-exclusion bound at the p-powers
+    left without a point.  A ``FinePolygon`` is built only per result.
     """
     if not validity.is_valid_ram(ctx, P).ok:
         raise ValueError("fine enumeration requires a valid ramification polygon")
     p, n = P.p, P.n
     m = vp(p, n)
-    vertex_xs = {x for x, _ in P.vertices}
-    forced = set(P.vertices)
+    values = P.p_power_values()
+    forced = dict(P.vertices)
     for j in range(p**m, n + 1):
         if vp_binomial(p, n, j) == 0:
-            forced.add((j, 0))
+            forced[j] = 0
+    tame_ok = validity.tame_ok(ctx, n, forced)
+    wild = P.wild_vertices()
     candidates = []
-    hull_values = P.p_power_values()
     for s in range(1, m):
         x = p**s
-        N, D = hull_values[s]
-        if x not in vertex_xs and N % D == 0:
-            candidates.append((x, N // D))
+        N, D = values[s]
+        if x not in forced and N % D == 0:
+            candidates.append((s, x, N // D))
 
     out: list[FinePolygon] = []
     stats = EnumStats()
+    verdicts: dict[tuple[int, int, int, int], bool] = {}
 
-    def search(idx: int, chosen: list[tuple[int, int]]) -> None:
-        Pstar = FinePolygon(p, n, tuple(sorted(forced | set(chosen))))
-        if prune and not validity.is_weakly_valid_fine(ctx, Pstar).ok:
+    def search(idx: int, chosen: list[tuple[int, int, int]], new: tuple[int, ...] | None) -> None:
+        # chosen holds (s, p^s, J) per candidate taken; ``new`` the exponent it
+        # added, None at the root
+        if prune and not (
+            tame_ok if new is None else validity.pairs_ok(ctx, n, wild + chosen, new, verdicts)
+        ):
             return
         stats.branches_visited += 1
         if idx == len(candidates):
-            if validity.is_valid_fine(ctx, Pstar).ok:
-                out.append(Pstar)
+            if tame_ok and not validity.fine_ore_violations(ctx, n, wild + chosen, values):
+                points = forced | {x: J for _, x, J in chosen}
+                out.append(FinePolygon(p, n, tuple(sorted(points.items()))))
             return
-        search(idx + 1, chosen)
-        search(idx + 1, chosen + [candidates[idx]])
+        search(idx + 1, chosen, ())
+        search(idx + 1, chosen + [candidates[idx]], (candidates[idx][0],))
 
-    search(0, [])
+    search(0, [], None)
     out.sort(key=lambda Ps: Ps.points)
     stats.results = len(out)
     return out, stats
@@ -238,17 +258,28 @@ def enumerate_residue_classes(
 def enumerate_unif_classes(
     ctx: BinomialContext, Pres: FinePolygonWithResidues
 ) -> tuple[list[InvariantWithUnif], EnumStats]:
-    """One representative per equivalence class of admissible phi0 values."""
+    """One representative per equivalence class of admissible phi0 values.
+
+    phi0 and phi0' are equivalent when phi0' / phi0 = delta^n for a delta
+    with delta^g = 1, g the gcd of the ordinates (``equivalent_with_unif``).
+    Those deltas form the subgroup of order c = gcd(q-1, g), so the logs of
+    the quotients are the multiples of h = gcd(q-1, n*(q-1)/c) and the
+    classes are those of log phi0 modulo h.  One pass in increasing order
+    keeps the least admissible phi0 of each class.
+    """
     stats = EnumStats()
     admissible = sorted(admissible_phi0(ctx, Pres))
     stats.branches_visited = len(admissible)
-    reps: list[InvariantWithUnif] = []
+    order = ctx.base.fq.order
+    c = math.gcd(order, invariant_gcd(Pres))
+    h = math.gcd(order, Pres.polygon.n * (order // c))
+    reps: dict[int, InvariantWithUnif] = {}
     for phi0 in admissible:
-        cand = InvariantWithUnif(Pres, phi0)
-        if not any(validity.equivalent_with_unif(ctx, rep, cand) for rep in reps):
-            reps.append(cand)
+        key = phi0._logarithm() % h
+        if key not in reps:
+            reps[key] = InvariantWithUnif(Pres, phi0)
     stats.results = len(reps)
-    return reps, stats
+    return list(reps.values()), stats
 
 
 def enumerate_invariants(

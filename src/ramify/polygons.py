@@ -274,7 +274,8 @@ def ram_point_specs(P: RamPolygon) -> tuple[PointSpec, ...]:
         if x in xs:
             specs.append(PointSpec(x, xs[x], Rel.EQ))
         else:
-            specs.append(PointSpec(x, math.ceil(P.value_at(x)), Rel.GE))
+            N, D = _piecewise_ratio(P.vertices, x)
+            specs.append(PointSpec(x, -(-N // D), Rel.GE))
     if P.n != P.p**top_s:
         specs.append(PointSpec(P.n, 0, Rel.EQ))
     return tuple(specs)
@@ -288,14 +289,16 @@ def fine_point_specs(
     if residues is not None:
         rho_at = {x: rho for (x, _), rho in zip(Pstar.points, residues)}
     specs = []
+    points = dict(Pstar.points)
     top_s = vp(Pstar.p, Pstar.n)
     for s in range(top_s + 1):
         x = Pstar.p**s
-        J = Pstar.ordinate_at(x)
+        J = points.get(x)
         if J is not None:
             specs.append(PointSpec(x, J, Rel.EQ, rho_at.get(x)))
         else:
-            specs.append(PointSpec(x, math.floor(Pstar.hull.value_at(x)), Rel.GT))
+            N, D = _piecewise_ratio(Pstar.hull.vertices, x)
+            specs.append(PointSpec(x, N // D, Rel.GT))
     for x, J in Pstar.points:
         if x > Pstar.p**top_s:
             specs.append(PointSpec(x, J, Rel.EQ, rho_at.get(x)))

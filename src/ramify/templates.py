@@ -18,9 +18,7 @@ to coset representatives of the images of the induced additive maps.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .analyzer import EisensteinData
@@ -164,8 +162,7 @@ def truncate_krasner(T: Template, J0: int) -> Template:
     same extension, so this keeps the set of generated extensions intact
     while making the template finite.
     """
-    bound = 1 + Fraction(2 * J0, T.n)
-    cutoff = math.floor(bound) + 1
+    cutoff = 2 + 2 * J0 // T.n
     zero, full = _default_sets(T.base.fq)
     slots = {}
     for (i, k), value in T.slots.items():

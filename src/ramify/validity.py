@@ -16,6 +16,19 @@ Consistency two), and the depth bound at a present exponent reads only
 that position's J, so weak validity of a set is the conjunction of the
 weak validity of its pairs.  A set that passed stays valid after adding a
 point v exactly when every pair {t, v} passes.
+
+Full validity splits the same way at the leaves of a search.  It is weak
+validity plus the conditions at the absent exponents s, and there the
+polygon's value at p^s depends only on the segment (u, w) of consecutive
+present points enclosing it.  So the check at an absent s is a conjunction
+of pieces, one per present point t: Ore2 at s plus the Bounding of t at s,
+a verdict that depends on (s_t, J_t, s, s_u, J_u, s_w, J_w) alone.
+``valid_ram_ok`` memoises pairs and pieces in one dict per search.  A fine
+leaf is one engine call over every exponent, on the hull's values, with
+the strict-exclusion bound at the p-powers left without a point
+(``fine_ore_violations``); its tame biconditional reads the horizontal face
+alone (``tame_ok``).  The full ``is_valid_*`` checks keep their own
+routes and stay the reference for these verdicts.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .binomials import BinomialContext, beta, vp, vp_binomial
 from .polygons import (
@@ -124,23 +137,16 @@ def _weak_violations(ctx: BinomialContext, n: int, positions) -> list[Violation]
     return _condition_violations(ctx, n, positions, ell, s_values)
 
 
-def weak_ram_ok(
-    ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None, verdicts=None
+def pairs_ok(
+    ctx: BinomialContext, n: int, positions, new: Collection[int], verdicts: dict
 ) -> bool:
-    """Weak validity from raw (s, p^s, J) vertex data, cheaply.
+    """Whether a weakly valid set stays so with its vertices of exponent in ``new``.
 
-    Without ``new`` this is ``is_weakly_valid_ram`` on the polygon with
-    these wild vertices.  With ``new``, the exponents of the vertices just
-    added to a set that already passed, it is the conjunction of the weak
-    check of every pair {t, v} with v new and t present (t = v checks v
-    alone), so the answer is the same; with nothing new it is True.  Pair
-    verdicts are read from and stored in the dict ``verdicts`` under
-    (s_t, J_t, s_v, J_v), which a caller may share between the calls of
-    one field and degree.
+    ``positions`` lists (s, p^s, J) for the whole set.  The answer is the
+    conjunction of the weak check of every pair {t, v} with v new and t
+    present (t = v checks v alone); with nothing new it is True.  Verdicts
+    are read from and stored in ``verdicts`` under (s_t, J_t, s_v, J_v).
     """
-    if new is None:
-        return not _weak_violations(ctx, n, positions)
-    verdicts = {} if verdicts is None else verdicts
     for v in positions:
         if v[0] in new:
             for t in positions:
@@ -151,6 +157,72 @@ def weak_ram_ok(
                 if not ok:
                     return False
     return True
+
+
+def weak_ram_ok(
+    ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None, verdicts=None
+) -> bool:
+    """Weak validity from raw (s, p^s, J) vertex data, cheaply.
+
+    Without ``new`` this is ``is_weakly_valid_ram`` on the polygon with
+    these wild vertices.  With ``new``, the exponents of the vertices just
+    added to a set that already passed, it is ``pairs_ok``, so the answer
+    is the same; the dict ``verdicts`` may be shared between the calls of
+    one field and degree.
+    """
+    if new is None:
+        return not _weak_violations(ctx, n, positions)
+    return pairs_ok(ctx, n, positions, new, {} if verdicts is None else verdicts)
+
+
+def valid_ram_ok(
+    ctx: BinomialContext, n: int, positions, verdicts: dict, new: Collection[int] | None = None
+) -> bool:
+    """Full validity of the polygon with these wild vertices, from memoised pieces.
+
+    ``positions`` lists (s, p^s, J) per wild vertex in increasing s, from
+    s = 0 to v_p(n).  The verdict is ``pairs_ok`` over the pairs of the
+    vertices in ``new`` (every vertex when None; the set is known weakly
+    valid otherwise) and then the pieces at the absent exponents: for s
+    strictly between consecutive vertices u and w, and each vertex t, the
+    engine on [t] at s alone, with the value of the segment (u, w) at p^s.
+    Pieces are memoised in ``verdicts`` under (s_t, J_t, s, s_u, J_u, s_w,
+    J_w), beside the pair verdicts.
+    """
+    if new is None:
+        new = [s for s, _, _ in positions]
+    if not pairs_ok(ctx, n, positions, new, verdicts):
+        return False
+    p = ctx.base.p
+    for (s_u, x_u, J_u), (s_w, x_w, J_w) in zip(positions, positions[1:]):
+        for s in range(s_u + 1, s_w):
+            for t in positions:
+                key = (t[0], t[2], s, s_u, J_u, s_w, J_w)
+                ok = verdicts.get(key)
+                if ok is None:
+                    x = p**s
+                    value = (J_u * (x_w - x) + J_w * (x - x_u), x_w - x_u)
+                    ell = depth_bound(ctx, n, {t[0]: (t[2], 1), s: value})
+                    ok = verdicts[key] = not _condition_violations(ctx, n, [t], ell, [s])
+                if not ok:
+                    return False
+    return True
+
+
+def fine_ore_violations(
+    ctx: BinomialContext, n: int, positions, values: Mapping[int, tuple[int, int]]
+) -> list[Violation]:
+    """The Ore family of full fine validity, in one engine call over every exponent.
+
+    ``positions`` lists (s, p^s, J) for the attained wild points and
+    ``values`` maps each s <= v_p(n) to the hull's value N / D at p^s; an
+    exponent without a point takes the strict-exclusion bound.  The tame
+    biconditional is ``tame_ok``'s.
+    """
+    s_values = range(vp(ctx.base.p, n) + 1)
+    present = {s for s, _, _ in positions}
+    ell = depth_bound(ctx, n, values, excluded=[s for s in s_values if s not in present])
+    return _condition_violations(ctx, n, positions, ell, s_values)
 
 
 def admissible_ordinates(ctx: BinomialContext, n: int, s: int, J_max: int) -> list[int]:
@@ -177,14 +249,21 @@ def is_weakly_valid_ram(ctx: BinomialContext, P: RamPolygon) -> ValidityReport:
     return ValidityReport.from_violations(_weak_violations(ctx, P.n, P.wild_vertices()))
 
 
+def tame_ok(ctx: BinomialContext, n: int, points: Mapping[int, int]) -> bool:
+    """The tame biconditional on the points {x: J}.
+
+    For p^(v_p(n)) <= j <= n, (j, 0) is a point exactly when binomial(n, j)
+    is a unit.
+    """
+    p = ctx.base.p
+    return all(
+        (vp_binomial(p, n, j) == 0) == (points.get(j) == 0)
+        for j in range(p ** vp(p, n), n + 1)
+    )
+
+
 def _tame_violations(ctx: BinomialContext, Pstar: FinePolygon) -> list[Violation]:
-    p, n = ctx.base.p, Pstar.n
-    top = p ** vp(p, n)
-    for j in range(top, n + 1):
-        attained = Pstar.ordinate_at(j) == 0
-        if (vp_binomial(p, n, j) == 0) != attained:
-            return [Violation.TAME]
-    return []
+    return [] if tame_ok(ctx, Pstar.n, dict(Pstar.points)) else [Violation.TAME]
 
 
 def is_valid_fine(ctx: BinomialContext, Pstar: FinePolygon) -> ValidityReport:
