@@ -13,10 +13,26 @@ always present, so every R_j is finite).  The fine polygon collects the
 R_j = a*n + b is beta(b, j) * phi_b * (-phi0)^-(1+a), phi0 being the
 first digit of the constant coefficient.
 
-The points and the fine polygon depend only on the valuation signature
-(F_0, ..., F_{n-1}); :func:`ramification_of` maps a signature to both, and
-every invariant of a polynomial is computed by one call to it.  The terms
-are pairwise distinct mod n, so the residue at (j, R_j) reads phi_b directly.
+The fine polygon depends only on the valuation signature
+(F_0, ..., F_{n-1}), and :func:`ramification_of` maps a signature to it;
+every invariant of a polynomial is computed by one call.  It evaluates R_j
+only where a point can lie on the hull, m being v_p(n):
+
+* lemma: for p^s <= j < p^(s+1) and j <= i,
+  v_p(binomial(i, j)) >= v_p(binomial(i, p^s));
+* so each term at such a j is at least the same coefficient's term at
+  p^s, and R_j >= R_(p^s);
+* R_j > 0 for j < p^m (Lucas), so the hull strictly decreases on
+  [1, p^m] and every (j, R_j) with j not a p-power lies strictly above it;
+* tame rule: beyond p^m, R_j = 0 exactly when v_p(binomial(n, j)) = 0
+  (the leading term gives n*B(n, j), every other term is at least i > 0),
+  and the other R_j are positive, above the horizontal face.
+
+So R is taken at p^0, ..., p^m and the tame zeros are added: O(n log_p n)
+terms per polynomial, where every abscissa would take O(n^2).
+:func:`ramification_points` keeps the O(n^2) definition for callers that
+want every point.  The terms are pairwise distinct mod n, so the residue
+at (j, R_j) reads phi_b directly.
 
 This module is also the test oracle: :func:`brute_force_survey` iterates
 every digit table up to a depth bound and groups the results by fine
@@ -31,7 +47,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .binomials import B, BinomialContext, beta, vp
+from .binomials import B, BinomialContext, beta, vp, vp_binomial
 from .polygons import (
     FinePolygon,
     FinePolygonWithResidues,
@@ -158,28 +174,35 @@ def _term(ctx: BinomialContext, n: int, i: int, j: int, Fi: int) -> int:
     return n * (B(ctx, i, j) + Fi - 1) + i
 
 
-def ramification_of(
-    ctx: BinomialContext, signature: Sequence[int | None]
-) -> tuple[list[tuple[int, int]], FinePolygon]:
-    """(j, R_j) for 1 <= j <= n, and the fine polygon of the points on their hull.
+def ramification_of(ctx: BinomialContext, signature: Sequence[int | None]) -> FinePolygon:
+    """The fine polygon of the points (j, R_j), from R at the p-powers and the tame zeros.
 
     ``signature`` holds F_0, ..., F_{n-1}, None for a zero coefficient;
-    the monic leading term (F_n = 0) makes every R_j finite.
+    the monic leading term (F_n = 0) makes every R_j finite.  R is taken at
+    p^0, ..., p^m (m = v_p(n)), each a minimum over the present i >= p^s,
+    and the tame zeros (j, 0), p^m < j <= n with v_p(binomial(n, j)) = 0,
+    are added: O(n log_p n) terms.  No other point is on the hull.  Lemma:
+    v_p(binomial(i, j)) >= v_p(binomial(i, p^s)) for p^s <= j < p^(s+1),
+    j <= i, so R_j >= R_(p^s), while the hull strictly decreases on
+    [1, p^m] (R_j > 0 there, by Lucas).  Tame rule: beyond p^m, R_j is 0
+    exactly where the leading term n*B(n, j) is, and positive elsewhere.
     """
     n = len(signature)
-    terms = [(i, Fi) for i, Fi in enumerate(signature) if Fi is not None]
-    terms.append((n, 0))
-    points = [
-        (j, min(_term(ctx, n, i, j, Fi) for i, Fi in terms if i >= j))
-        for j in range(1, n + 1)
-    ]
+    p = ctx.base.p
+    ne = n * ctx.base.e
+    # n*(F_i - 1) + i, the part of coefficient i's term that does not depend on j
+    present = [(i, n * (Fi - 1) + i) for i, Fi in enumerate(signature) if Fi is not None]
+    present.append((n, 0))
+    wild = [p**s for s in range(vp(p, n) + 1)]
+    points = [(x, min(ne * vp_binomial(p, i, x) + c for i, c in present if i >= x)) for x in wild]
+    points += [(j, 0) for j in range(wild[-1] + 1, n + 1) if not vp_binomial(p, n, j)]
     hull = lower_convex_hull(points)
     on_hull = []
     for j, R in points:
         N, D = _piecewise_ratio(hull, j)
         if N == R * D:
             on_hull.append((j, R))
-    return points, FinePolygon(ctx.base.p, n, tuple(on_hull))
+    return FinePolygon(p, n, tuple(on_hull))
 
 
 def _signature(f: EisensteinData) -> tuple[int | None, ...]:
@@ -187,12 +210,19 @@ def _signature(f: EisensteinData) -> tuple[int | None, ...]:
 
 
 def ramification_points(f: EisensteinData) -> list[tuple[int, int]]:
-    """(j, R_j) for 1 <= j <= n; every R_j is finite thanks to the leading term."""
-    return ramification_of(BinomialContext(f.base), _signature(f))[0]
+    """(j, R_j) for 1 <= j <= n by the O(n^2) definition; the leading term keeps R_j finite."""
+    ctx = BinomialContext(f.base)
+    n = f.n
+    terms = [(i, Fi) for i, Fi in enumerate(_signature(f)) if Fi is not None]
+    terms.append((n, 0))
+    return [
+        (j, min(_term(ctx, n, i, j, Fi) for i, Fi in terms if i >= j))
+        for j in range(1, n + 1)
+    ]
 
 
 def fine_of(f: EisensteinData) -> FinePolygon:
-    return ramification_of(BinomialContext(f.base), _signature(f))[1]
+    return ramification_of(BinomialContext(f.base), _signature(f))
 
 
 def polygon_of(f: EisensteinData) -> RamPolygon:
@@ -205,7 +235,7 @@ def residues_of(f: EisensteinData) -> FinePolygonWithResidues:
     ctx = BinomialContext(f.base)
     n = f.n
     lead = f.leading() + ((0, f.base.fq.one),)
-    _, fine = ramification_of(ctx, [F for F, _ in lead[:n]])
+    fine = ramification_of(ctx, [F for F, _ in lead[:n]])
     minus_phi0 = -lead[0][1]
     residues = []
     for j, R in fine.points:
@@ -329,7 +359,7 @@ def brute_force_survey(
         signature = tuple(lead[idx] for idx in choice)
         fine = fine_cache.get(signature)
         if fine is None:
-            fine = fine_cache[signature] = ramification_of(ctx, signature)[1]
+            fine = fine_cache[signature] = ramification_of(ctx, signature)
         data = EisensteinData(base, n, tuple(trimmed[idx] for idx in choice))
         survey.setdefault(fine, []).append(data)
     return survey

@@ -55,19 +55,60 @@ def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
     return tuple(r)
 
 
-def _monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
-    """All monic degree-``degree`` polynomials, in canonical (lex) order."""
-    return (lower + (1,) for lower in itertools.product(range(p), repeat=degree))
+def _poly_mulmod(a: Sequence[int], b: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _poly_mod([c % p for c in prod], m, p)
+
+
+def _poly_powmod(a: Sequence[int], k: int, m: Sequence[int], p: int) -> tuple[int, ...]:
+    result = (1,)
+    while k:
+        if k & 1:
+            result = _poly_mulmod(result, a, m, p)
+        a = _poly_mulmod(a, a, m, p)
+        k >>= 1
+    return result
+
+
+def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
+    """A gcd of two trimmed polynomials, monic unless b = 0."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = tuple(c * inv % p for c in b)
+        a, b = b, _poly_mod(a, b, p)
+    return tuple(a)
+
+
+def _is_irreducible(g: tuple[int, ...], p: int) -> bool:
+    """Rabin's test for a monic g of degree f >= 2: x^(p^f) = x mod g and,
+    for every prime r | f, gcd(x^(p^(f/r)) - x, g) = 1."""
+    f = len(g) - 1
+    if _poly_powmod((0, 1), p**f, g, p) != (0, 1):
+        return False
+    for r in range(2, f + 1):
+        if f % r == 0 and is_prime(r):
+            h = list(_poly_powmod((0, 1), p ** (f // r), g, p)) + [0, 0]
+            h[1] = (h[1] - 1) % p
+            if len(_poly_gcd(g, _poly_mod(h, g, p), p)) != 1:
+                return False
+    return True
 
 
 @lru_cache(maxsize=None)
 def _canonical_modulus(p: int, f: int) -> tuple[int, ...]:
     if f == 1:
         return (0, 1)  # the polynomial x
-    return next(
-        cand for cand in _monic_polys(p, f)
-        if all(_poly_mod(cand, g, p) for d in range(1, f // 2 + 1) for g in _monic_polys(p, d))
+    # the candidates in lex order, less those with constant term 0 (divisible by x)
+    candidates = (
+        (c0,) + rest + (1,)
+        for c0 in range(1, p)
+        for rest in itertools.product(range(p), repeat=f - 1)
     )
+    return next(cand for cand in candidates if _is_irreducible(cand, p))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +383,7 @@ def make_field(p: int, f: int, e: int, gamma_spec: str | int = 1) -> BaseField:
     """
     if f < 1 or e < 1:
         raise ValueError("f and e must be positive")
-    # bound q before the trial division, and form p^f only for a small f:
+    # bound q before the modulus search, and form p^f only for a small f:
     # p >= 2 and f >= Q_LIMIT.bit_length() already give p^f > Q_LIMIT
     if p >= 2 and (p > Q_LIMIT or f >= Q_LIMIT.bit_length() or p**f > Q_LIMIT):
         raise ValueError(f"q = {p}^{f} exceeds the enumeration guard {Q_LIMIT}")

@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -229,15 +230,21 @@ def reference_invariants(f):
 _REFERENCE_FIELDS = [
     make_field(2, 1, 1, 1),
     make_field(3, 1, 1, 1),
+    make_field(5, 1, 1, 1),
     make_field(2, 1, 2, 1),
     make_field(2, 2, 1, 1),
+    make_field(3, 2, 1, 1),
 ]
+
+# p-power and p-power-multiple degrees, where ``ramification_of`` skips most
+# abscissas and (for 48 and 54) adds tame zeros beyond p^(v_p(n))
+_SKIPPING_DEGREES = [9, 16, 25, 27, 32, 48, 54, 64]
 
 
 @st.composite
 def digit_tables(draw):
     base = draw(st.sampled_from(_REFERENCE_FIELDS))
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12) | st.sampled_from(_SKIPPING_DEGREES))
     elements = list(base.fq.elements())
     digit = st.sampled_from(elements)
     rows = [draw(st.lists(st.just(base.fq.zero) | digit, max_size=4)) for _ in range(n)]
@@ -255,3 +262,57 @@ def test_forward_pass_matches_reference_formulas(f):
     assert fine_of(f) == fine
     assert fine_of(f).hull == hull
     assert residues_of(f) == res
+
+
+def _table_with_signature(base, signature, rng):
+    """A digit table whose coefficient i leads at pi^F_i, zero where F_i is None."""
+    units = [x for x in base.fq.elements() if x]
+    return EisensteinData(
+        base,
+        len(signature),
+        tuple(() if F is None else (base.fq.zero,) * (F - 1) + (rng.choice(units),)
+              for F in signature),
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fine_of_is_the_on_hull_part_of_every_point(p):
+    # seeded sweep over e <= 3 and f <= 2: the fine polygon from the p-powers and
+    # the tame zeros is the set of points (j, R_j) of all n abscissas on their hull
+    rng = random.Random(p)
+    for e in (1, 2, 3):
+        for f_ in (1, 2):
+            base = make_field(p, f_, e, 1)
+            for _ in range(40):
+                n = rng.choice([rng.randint(1, 30), p ** rng.randint(1, 3) * rng.randint(1, 4)])
+                top = e * n.bit_length() + 2
+                signature = [1] + [
+                    None if rng.random() < 0.2 else rng.randint(1, top) for _ in range(n - 1)
+                ]
+                f = _table_with_signature(base, signature, rng)
+                points = ramification_points(f)
+                hull = RamPolygon(p, n, tuple(lower_convex_hull(points)))
+                on_hull = tuple((j, R) for j, R in points if hull.value_at(j) == R)
+                assert fine_of(f).points == on_hull, (p, e, f_, signature)
+
+
+def _vp_binomial_by_digit_sums(p, limit):
+    """v_p(binomial(i, j)) for 0 <= j <= i < limit, by Legendre's digit-sum form."""
+    sums = [0] * limit
+    for k in range(1, limit):
+        sums[k] = sums[k // p] + k % p
+    return lambda i, j: (sums[j] + sums[i - j] - sums[i]) // (p - 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_binomial_valuation_is_least_at_the_p_power_below(p):
+    # the lemma behind ramification_of: for p^s <= j < p^(s+1) and j <= i,
+    # v_p(binomial(i, j)) >= v_p(binomial(i, p^s))
+    limit = 700
+    v = _vp_binomial_by_digit_sums(p, limit)
+    for i in range(1, limit):
+        x = 1
+        while x <= i:
+            floor = v(i, x)
+            assert all(v(i, j) >= floor for j in range(x, min(x * p, i + 1))), (i, x)
+            x *= p

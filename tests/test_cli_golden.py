@@ -3,13 +3,16 @@
 The matrix covers every ``--level``, JSON and CSV output, ``--stats``, the
 template pipeline (``--truncate``, ``--reduce``, ``--expand``), a ramified
 base field (e = 2), F_4, F_9, F_8 and F_25 with a non-trivial uniformizer
-residue (``--gamma g``), ``analyze`` on integer and on digit-table JSON input, and
-one ``selftest`` case.  A refactor that keeps outputs byte-identical keeps
-every hash; a deliberate change of output must update the hash it moves.
+residue (``--gamma g``), ``analyze`` on integer and on digit-table JSON input
+(dense tables of degree 64 over Q_2 and 27 over Q_3 among them, where the
+forward pass skips most abscissas), and one ``selftest`` case.  A refactor
+that keeps outputs byte-identical keeps every hash; a deliberate change of
+output must update the hash it moves.
 """
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -25,6 +28,23 @@ F4_POLYNOMIAL = {
         {"i": 2, "k": 1, "residue": "0,1"},
         {"i": 3, "k": 3, "residue": "1,1"},
     ],
+}
+
+
+def dense_table(p, n, depth=3):
+    """Every coefficient below x^n nonzero, with ``depth`` digits from a varied valuation."""
+    digits = []
+    for i in range(n):
+        lead = 1 if i == 0 else 1 + (4 * i * i + i + 6) % 7
+        for k in range(lead, lead + depth):
+            digits.append({"i": i, "k": k, "residue": str(1 + (i + k) % (p - 1))})
+    return {"n": n, "digits": digits}
+
+
+DOCUMENTS = {
+    "{F4_POLYNOMIAL}": F4_POLYNOMIAL,
+    "{DENSE_Q2_64}": dense_table(2, 64),
+    "{DENSE_Q3_27}": dense_table(3, 27),
 }
 
 GOLDEN = [
@@ -72,6 +92,12 @@ GOLDEN = [
     ("analyze-json-f4",
      ["analyze", "--p", "2", "--f", "2", "--json", "{F4_POLYNOMIAL}"],
      "6d59908f3c896104ae13822cf0a775fbe0a103b4289e40f9c0992103d2f87994"),
+    ("analyze-json-q2-64-dense",
+     ["analyze", "--p", "2", "--json", "{DENSE_Q2_64}"],
+     "da69eb80954f8db1816ec9eb982c8d4cfc022d999809cf78c994797509d0681c"),
+    ("analyze-json-q3-27-dense",
+     ["analyze", "--p", "3", "--json", "{DENSE_Q3_27}"],
+     "86ac4e6acad5741750cc06c2ea8d4c3275b6af3b50d78d6a562be49e4ba88058"),
     ("selftest-2-2-3",
      ["selftest", "--case", "2:2:3"],
      "cf83cbaf2810abda8ae581993e2b5bcc03895807a2af8aaa1616671a93d95911"),
@@ -83,9 +109,24 @@ GOLDEN = [
     ids=[name for name, _, _ in GOLDEN],
 )
 def test_cli_stdout_matches_golden_hash(argv, digest, capsys, tmp_path):
-    path = tmp_path / "polynomial.json"
-    path.write_text(json.dumps(F4_POLYNOMIAL))
-    argv = [str(path) if arg == "{F4_POLYNOMIAL}" else arg for arg in argv]
+    paths = {}
+    for name, document in DOCUMENTS.items():
+        paths[name] = tmp_path / f"{name.strip('{}')}.json"
+        paths[name].write_text(json.dumps(document))
+    argv = [str(paths[arg]) if arg in paths else arg for arg in argv]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_dense_degree_4096_analysis_is_fast(capsys, tmp_path):
+    # the largest degree analyze accepts: every coefficient present, so each of
+    # the 4096 abscissas would cost a minimum over thousands of terms
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(dense_table(2, 4096)))
+    start = time.perf_counter()
+    assert cli.main(["analyze", "--p", "2", "--json", str(path)]) == 0
+    assert time.perf_counter() - start < 3
+    out = capsys.readouterr().out
+    digest = "4471c4b7f5b701c0dae572dc84fc83b61338fb019ca7f70790c8be4e0c76c3c3"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
