@@ -32,9 +32,7 @@ from .polygons import (
     FinePolygon,
     FinePolygonWithResidues,
     InvariantWithUnif,
-    PointSpec,
     RamPolygon,
-    Rel,
     ResidualPolynomial,
     decompose,
     ell_P,

@@ -54,8 +54,15 @@ class BinomialContext:
 
 
 def B(ctx: BinomialContext, i: int, j: int) -> int:
-    """Valuation of binomial(i, j) in K, i.e. e * v_p(binomial(i, j))."""
-    return ctx.base.e * vp_binomial(ctx.base.p, i, j)
+    """Valuation of binomial(i, j) in K, i.e. e * v_p(binomial(i, j)).
+
+    Taken from the factorials, whose cache grows with i alone, so that the
+    O(n^2) ``analyzer.ramification_points`` leaves no O(n^2) cache behind.
+    """
+    if not 0 <= j <= i:
+        raise ValueError(f"binomial({i},{j}) out of range")
+    p = ctx.base.p
+    return ctx.base.e * (vp_factorial(p, i) - vp_factorial(p, j) - vp_factorial(p, i - j))
 
 
 @lru_cache(maxsize=None)

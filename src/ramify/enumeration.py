@@ -152,14 +152,16 @@ def enumerate_fine_polygons(
     the branching is over the non-vertex p-power abscissas where the hull
     passes through a lattice point.
 
-    The guard's one full check of the hull, the hull's values at the
-    p-powers and the tame verdict, which reads only the forced points, hold
-    for every branch.  So the root, the hull's own points, has nothing left
-    to check beyond the tame verdict; a child that adds a candidate checks
-    only the pairs the candidate forms with the points present (``pairs_ok``);
-    and a leaf makes one engine call over every exponent
-    (``fine_ore_violations``), with the strict-exclusion bound at the p-powers
-    left without a point.  A ``FinePolygon`` is built only per result.
+    The guard's one full check of the hull and the hull's values at the
+    p-powers hold for every branch, and the tame biconditional holds by
+    construction: on [p^m, n] the forced points are the tame zeros and the
+    hull's vertices (p^m, 0) and (n, 0), which are tame zeros too.  So the
+    root, the hull's own points, has nothing left to check; a child
+    that adds a candidate checks only the pairs the candidate forms with the
+    points present (``pairs_ok``); and a leaf makes one engine call over
+    every exponent (``fine_ore_violations``), with the strict-exclusion bound
+    at the p-powers left without a point.  A ``FinePolygon`` is built only
+    per result.
     """
     if not validity.is_valid_ram(ctx, P).ok:
         raise ValueError("fine enumeration requires a valid ramification polygon")
@@ -170,7 +172,6 @@ def enumerate_fine_polygons(
     for j in range(p**m, n + 1):
         if vp_binomial(p, n, j) == 0:
             forced[j] = 0
-    tame_ok = validity.tame_ok(ctx, n, forced)
     wild = P.wild_vertices()
     candidates = []
     for s in range(1, m):
@@ -187,12 +188,12 @@ def enumerate_fine_polygons(
         # chosen holds (s, p^s, J) per candidate taken; ``new`` the exponent it
         # added, None at the root
         if prune and not (
-            tame_ok if new is None else validity.pairs_ok(ctx, n, wild + chosen, new, verdicts)
+            new is None or validity.pairs_ok(ctx, n, wild + chosen, new, verdicts)
         ):
             return
         stats.branches_visited += 1
         if idx == len(candidates):
-            if tame_ok and not validity.fine_ore_violations(ctx, n, wild + chosen, values):
+            if not validity.fine_ore_violations(ctx, n, wild + chosen, values):
                 points = forced | {x: J for _, x, J in chosen}
                 out.append(FinePolygon(p, n, tuple(sorted(points.items()))))
             return
@@ -285,30 +286,21 @@ def enumerate_unif_classes(
 def enumerate_invariants(
     ctx: BinomialContext, n: int, level: Level | str
 ) -> tuple[list, EnumStats]:
-    """The full hierarchy to the requested depth, depth-first, in canonical order."""
-    level = Level(level) if not isinstance(level, Level) else level
-    total = EnumStats()
-    rams, stats = enumerate_ram_polygons(ctx, n)
-    total.branches_visited += stats.branches_visited
-    if level is Level.RAM:
-        total.results = len(rams)
-        return rams, total
-    results: list = []
-    for P in rams:
-        fines, stats = enumerate_fine_polygons(ctx, P)
-        total.branches_visited += stats.branches_visited
-        if level is Level.FINE:
-            results.extend(fines)
-            continue
-        for Pstar in fines:
-            decorated, stats = enumerate_residue_classes(ctx, Pstar)
+    """The full hierarchy to the requested depth, in canonical order.
+
+    Each level refines every result of the one above in turn, so the order
+    is that of a depth-first walk of the hierarchy.
+    """
+    level = Level(level)
+    found, stats = enumerate_ram_polygons(ctx, n)
+    total = EnumStats(stats.branches_visited)
+    # looked up per call, so a tracer that rebinds these module names sees the calls
+    refiners = (enumerate_fine_polygons, enumerate_residue_classes, enumerate_unif_classes)
+    for refine in refiners[: list(Level).index(level)]:
+        parents, found = found, []
+        for obj in parents:
+            refined, stats = refine(ctx, obj)
             total.branches_visited += stats.branches_visited
-            if level is Level.RES:
-                results.extend(decorated)
-                continue
-            for Pres in decorated:
-                refined, stats = enumerate_unif_classes(ctx, Pres)
-                total.branches_visited += stats.branches_visited
-                results.extend(refined)
-    total.results = len(results)
-    return results, total
+            found.extend(refined)
+    total.results = len(found)
+    return found, total

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
@@ -152,20 +151,27 @@ class FinePolygon:
     hull: RamPolygon = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "points", tuple(sorted((int(x), int(J)) for x, J in self.points))
-        )
-        pts = self.points
-        # the hull's vertices are some of the (integer) points themselves
-        hull = RamPolygon(self.p, self.n, tuple(lower_convex_hull(pts)))
-        object.__setattr__(self, "hull", hull)
-        wild_top = self.p ** vp(self.p, self.n)
-        for x, J in pts:
-            if x <= wild_top and x != self.p ** vp(self.p, x):
+        pts = tuple(sorted((int(x), int(J)) for x, J in self.points))
+        object.__setattr__(self, "points", pts)
+        if len({x for x, _ in pts}) != len(pts):
+            raise ValueError("duplicate abscissa")
+        p, wild_top = self.p, self.p ** vp(self.p, self.n)
+        for x, _ in pts:
+            if x <= wild_top and x != p ** vp(p, x):
                 raise ValueError(f"point abscissa {x} below {wild_top} must be a p-power")
-            N, D = _piecewise_ratio(hull.vertices, x)
-            if N != J * D:
-                raise ValueError(f"point ({x}, {J}) is not on the hull")
+        # with distinct sorted abscissas, every point is on the lower hull exactly
+        # when no turn is concave, and the hull's vertices are the two ends and
+        # the points where the turn is strict
+        vertices = list(pts[:1])
+        for (x1, y1), (x2, y2), (x3, y3) in zip(pts, pts[1:], pts[2:]):
+            turn = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
+            if turn < 0:
+                raise ValueError(f"point ({x2}, {y2}) is not on the hull")
+            if turn > 0:
+                vertices.append((x2, y2))
+        if len(pts) > 1:
+            vertices.append(pts[-1])
+        object.__setattr__(self, "hull", RamPolygon(p, self.n, tuple(vertices)))
 
     @property
     def J0(self) -> int:
@@ -232,77 +238,6 @@ class InvariantWithUnif:
     def __post_init__(self) -> None:
         if not self.phi0:
             raise ValueError("phi0 must be nonzero")
-
-
-class Rel(Enum):
-    EQ = "="
-    GE = ">="
-    GT = ">"
-
-
-@dataclass(frozen=True)
-class PointSpec:
-    """Generalized point record: the ordinate R_x is constrained by ``rel``.
-
-    This is the interchange form covering plain and fine polygons at once:
-    EQ marks an attained point, GT an excluded one, GE leaves it open.  A
-    residue may only decorate an attained point.
-    """
-
-    x: int
-    J: int
-    rel: Rel
-    rho: FqElement | None = None
-
-    def __post_init__(self) -> None:
-        if self.x < 1 or self.J < 0:
-            raise ValueError("bad point coordinates")
-        if self.rho is not None:
-            if self.rel is not Rel.EQ:
-                raise ValueError("residues require an attained (EQ) point")
-            if not self.rho:
-                raise ValueError("residues must be nonzero")
-
-
-def ram_point_specs(P: RamPolygon) -> tuple[PointSpec, ...]:
-    """One record per p-power abscissa (vertices EQ, the rest GE), plus (n, 0)."""
-    specs = []
-    xs = dict(P.vertices)
-    top_s = vp(P.p, P.n)
-    for s in range(top_s + 1):
-        x = P.p**s
-        if x in xs:
-            specs.append(PointSpec(x, xs[x], Rel.EQ))
-        else:
-            N, D = _piecewise_ratio(P.vertices, x)
-            specs.append(PointSpec(x, -(-N // D), Rel.GE))
-    if P.n != P.p**top_s:
-        specs.append(PointSpec(P.n, 0, Rel.EQ))
-    return tuple(specs)
-
-
-def fine_point_specs(
-    Pstar: FinePolygon, residues: Sequence[FqElement] | None = None
-) -> tuple[PointSpec, ...]:
-    """Records for every p-power position (EQ or GT) and every tame point."""
-    rho_at: dict[int, FqElement] = {}
-    if residues is not None:
-        rho_at = {x: rho for (x, _), rho in zip(Pstar.points, residues)}
-    specs = []
-    points = dict(Pstar.points)
-    top_s = vp(Pstar.p, Pstar.n)
-    for s in range(top_s + 1):
-        x = Pstar.p**s
-        J = points.get(x)
-        if J is not None:
-            specs.append(PointSpec(x, J, Rel.EQ, rho_at.get(x)))
-        else:
-            N, D = _piecewise_ratio(Pstar.hull.vertices, x)
-            specs.append(PointSpec(x, N // D, Rel.GT))
-    for x, J in Pstar.points:
-        if x > Pstar.p**top_s:
-            specs.append(PointSpec(x, J, Rel.EQ, rho_at.get(x)))
-    return tuple(specs)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Every emitted record carries a field-descriptor header and a schema
 version, so output files are self-describing and reproducible: polygons
 are arrays of [x, J] pairs, residues are element strings (comma-separated
-coefficient vectors), tame points are flagged by listing their abscissas,
-and the generalized point records expose the attained/excluded relation
-per p-power position.
+coefficient vectors), and tame points are flagged by listing their
+abscissas.  The generalized point records are written straight from the
+polygon: the attained, open or excluded relation per p-power position,
+then every point beyond the last one.
 """
 
 from __future__ import annotations
@@ -13,15 +14,8 @@ from __future__ import annotations
 from typing import Any
 
 from .analyzer import EisensteinData, NotEisensteinError
-from .polygons import (
-    FinePolygon,
-    FinePolygonWithResidues,
-    InvariantWithUnif,
-    PointSpec,
-    RamPolygon,
-    fine_point_specs,
-    ram_point_specs,
-)
+from .binomials import vp
+from .polygons import FinePolygon, FinePolygonWithResidues, InvariantWithUnif, RamPolygon
 from .residue_field import BaseField, make_field
 from .templates import Template
 
@@ -42,18 +36,39 @@ def field_from_json(data: dict[str, Any]) -> BaseField:
     return make_field(int(data["p"]), int(data["f"]), int(data["e"]), data["gamma"])
 
 
-def point_spec_to_json(spec: PointSpec) -> dict[str, Any]:
-    out: dict[str, Any] = {"x": spec.x, "J": spec.J, "rel": spec.rel.value}
-    if spec.rho is not None:
-        out["rho"] = str(spec.rho)
-    return out
+def _point_specs(points, hull: RamPolygon, rel: str, residues=()) -> list[dict[str, Any]]:
+    """The point records of a polygon's attained ``points`` (a hull's are its vertices).
+
+    One record per p-power position up to p^(v_p(n)): "=" where a point is
+    attained, otherwise the hull's value there, rounded up under ">=" (the
+    position is left open) or down under ">" (it is excluded); then one "="
+    record per point beyond p^(v_p(n)).  ``residues``, one per point, decorate
+    the "=" records.
+    """
+    attained = dict(points)
+    rho_at = {x: str(rho) for x, rho in zip(attained, residues)}
+    positions = [hull.p**s for s in range(vp(hull.p, hull.n) + 1)]
+    positions += [x for x in attained if x > positions[-1]]
+    values = hull.p_power_values()
+    records = []
+    # only p-power positions can lack a point, so s is their exponent where read
+    for s, x in enumerate(positions):
+        if x not in attained:
+            N, D = values[s]
+            records.append({"x": x, "J": N // D if rel == ">" else -(-N // D), "rel": rel})
+            continue
+        record = {"x": x, "J": attained[x], "rel": "="}
+        if x in rho_at:
+            record["rho"] = rho_at[x]
+        records.append(record)
+    return records
 
 
 def ram_to_json(P: RamPolygon) -> dict[str, Any]:
     return {
         "n": P.n,
         "vertices": [[x, J] for x, J in P.vertices],
-        "point_specs": [point_spec_to_json(s) for s in ram_point_specs(P)],
+        "point_specs": _point_specs(P.vertices, P, ">="),
     }
 
 
@@ -67,7 +82,7 @@ def fine_to_json(Pstar: FinePolygon) -> dict[str, Any]:
         "points": [[x, J] for x, J in Pstar.points],
         "tame": Pstar.tame_abscissas(),
         "hull": [[x, J] for x, J in Pstar.hull.vertices],
-        "point_specs": [point_spec_to_json(s) for s in fine_point_specs(Pstar)],
+        "point_specs": _point_specs(Pstar.points, Pstar.hull, ">"),
     }
 
 
@@ -76,12 +91,14 @@ def fine_from_json(base: BaseField, data: dict[str, Any]) -> FinePolygon:
 
 
 def res_to_json(Pres: FinePolygonWithResidues) -> dict[str, Any]:
-    out = fine_to_json(Pres.polygon)
-    out["points"] = [[x, J, str(rho)] for x, J, rho in Pres.items()]
-    out["point_specs"] = [
-        point_spec_to_json(s) for s in fine_point_specs(Pres.polygon, Pres.residues)
-    ]
-    return out
+    Pstar = Pres.polygon
+    return {
+        "n": Pstar.n,
+        "points": [[x, J, str(rho)] for x, J, rho in Pres.items()],
+        "tame": Pstar.tame_abscissas(),
+        "hull": [[x, J] for x, J in Pstar.hull.vertices],
+        "point_specs": _point_specs(Pstar.points, Pstar.hull, ">", Pres.residues),
+    }
 
 
 def res_from_json(base: BaseField, data: dict[str, Any]) -> FinePolygonWithResidues:

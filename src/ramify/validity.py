@@ -26,9 +26,10 @@ a verdict that depends on (s_t, J_t, s, s_u, J_u, s_w, J_w) alone.
 ``valid_ram_ok`` memoises pairs and pieces in one dict per search.  A fine
 leaf is one engine call over every exponent, on the hull's values, with
 the strict-exclusion bound at the p-powers left without a point
-(``fine_ore_violations``); its tame biconditional reads the horizontal face
-alone (``tame_ok``).  The full ``is_valid_*`` checks keep their own
-routes and stay the reference for these verdicts.
+(``fine_ore_violations``); the fine search places the tame zeros itself,
+so only ``is_valid_fine`` checks the tame biconditional (``tame_ok``).
+The full ``is_valid_*`` checks keep their own routes and stay the
+reference for these verdicts.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ def fine_ore_violations(
     ``positions`` lists (s, p^s, J) for the attained wild points and
     ``values`` maps each s <= v_p(n) to the hull's value N / D at p^s; an
     exponent without a point takes the strict-exclusion bound.  The tame
-    biconditional is ``tame_ok``'s.
+    biconditional is not checked (see ``tame_ok``).
     """
     s_values = range(vp(ctx.base.p, n) + 1)
     present = {s for s, _, _ in positions}

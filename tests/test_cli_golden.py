@@ -16,7 +16,10 @@ import time
 
 import pytest
 
-from ramify import cli
+from ramify import cli, serialize
+from ramify.analyzer import ramification_points
+from ramify.binomials import vp_binomial
+from ramify.residue_field import make_field
 
 # a monic Eisenstein polynomial of degree 4 over Q_2 with residue field F_4
 F4_POLYNOMIAL = {
@@ -130,3 +133,13 @@ def test_dense_degree_4096_analysis_is_fast(capsys, tmp_path):
     out = capsys.readouterr().out
     digest = "4471c4b7f5b701c0dae572dc84fc83b61338fb019ca7f70790c8be4e0c76c3c3"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_quadratic_reference_points_leave_the_binomial_cache_alone():
+    # the O(n^2) definition reads n^2/2 binomial valuations; only the
+    # O(n log n) paths may fill the process-lifetime vp_binomial cache
+    f = serialize.polynomial_from_json(make_field(2, 1, 1, 1), dense_table(2, 1024))
+    vp_binomial.cache_clear()
+    points = ramification_points(f)
+    assert len(points) == 1024
+    assert vp_binomial.cache_info().currsize == 0

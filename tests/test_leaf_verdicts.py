@@ -1,9 +1,11 @@
 """The searches' leaf verdicts against the full validity checks.
 
 The hull search decides a leaf with ``valid_ram_ok`` (memoised pairs and
-absent-exponent pieces) and the fine search with ``tame_ok`` and
-``fine_ore_violations``; ``is_valid_ram`` and ``is_valid_fine`` take their
-own routes and are the reference.  The search tests wrap the verdict
+absent-exponent pieces) and the fine search with ``fine_ore_violations``
+alone, its forced points satisfying the tame biconditional by construction;
+``is_valid_ram`` and ``is_valid_fine`` take their own routes and are the
+reference, and the fine comparison asserts that the reference finds no tame
+violation.  The search tests wrap the verdict
 function the enumerator looks up, so every leaf the search reaches is
 compared, with the search's own verdict dict.
 

@@ -5,23 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramify.binomials import B, BinomialContext
+from ramify.binomials import B, BinomialContext, vp
 from ramify.polygons import (
     FinePolygon,
     FinePolygonWithResidues,
     InvariantWithUnif,
-    PointSpec,
     RamPolygon,
-    Rel,
     decompose,
     ell_P,
     ell_fine,
-    fine_point_specs,
     lower_convex_hull,
-    ram_point_specs,
     residual_polynomials,
 )
 from ramify.residue_field import make_field
+from ramify.serialize import fine_to_json, ram_to_json
 
 
 def test_hull_spec_examples():
@@ -124,6 +121,70 @@ def test_fine_polygon_requires_points_on_hull():
         FinePolygon(2, 8, ((1, 7), (2, 5), (4, 4), (8, 0)))  # (4,4) above new hull
     with pytest.raises(ValueError):
         FinePolygon(2, 8, ((1, 7), (3, 5), (8, 0)))  # non-p-power wild abscissa
+    with pytest.raises(ValueError):
+        FinePolygon(2, 8, ((1, 7), (4, 4), (4, 4), (8, 0)))  # duplicate abscissa
+
+
+def _reference_fine_hull(p, n, points):
+    """The hull of a fine polygon on ``points``, or None where one is rejected.
+
+    The reference route: the lower convex hull, validated as a RamPolygon,
+    then every point checked to be at a p-power when wild and on the hull.
+    """
+    pts = sorted(points)
+    try:
+        hull = RamPolygon(p, n, tuple(lower_convex_hull(pts)))
+        top = p ** vp(p, n)
+        for x, J in pts:
+            if (x <= top and x != p ** vp(p, x)) or hull.value_at(x) != J:
+                return None
+    except ValueError:
+        return None
+    return hull.vertices
+
+
+def _chain_value(chain, x):
+    for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
+        if x1 <= x <= x2:
+            return Fraction(y1 * (x2 - x) + y2 * (x - x1), x2 - x1)
+    return Fraction(chain[0][1])
+
+
+@st.composite
+def fine_point_sets(draw):
+    """Points on and off the hull of a random chain, with duplicates."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 40))
+    wild = [p**s for s in range(vp(p, n) + 1)]
+    # (1, J0), some p-powers below p^(v_p(n)), then (p^(v_p(n)), 0) and (n, 0)
+    corners = {
+        x: draw(st.integers(0, 3 * n)) for x in wild[:-1] if x == 1 or draw(st.booleans())
+    }
+    corners.update({wild[-1]: 0, n: 0})
+    chain = lower_convex_hull(corners.items())
+    points = dict(chain)
+    # lattice points of the chain at any abscissa, wild ones included; a few
+    # moved off it
+    for x in draw(st.lists(st.integers(1, n), max_size=6)):
+        value = _chain_value(chain, x)
+        if value.denominator == 1:
+            points[x] = int(value) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    pts = list(points.items())
+    if draw(st.integers(0, 3)) == 0:
+        x, J = draw(st.sampled_from(pts))
+        pts.append((x, J + draw(st.sampled_from([0, 1]))))
+    return p, n, draw(st.permutations(pts))
+
+
+@given(fine_point_sets())
+@settings(max_examples=600)
+def test_fine_polygon_sweep_matches_reference_hull(case):
+    p, n, points = case
+    try:
+        hull = FinePolygon(p, n, tuple(points)).hull.vertices
+    except ValueError:
+        hull = None
+    assert hull == _reference_fine_hull(p, n, points)
 
 
 def test_fine_polygon_hull_and_tame_flags():
@@ -298,44 +359,25 @@ def test_residual_polynomial_normalizes_interior_face_monic():
 # generalized point records
 
 
-def test_point_spec_invariants():
-    K = make_field(2, 1, 1, 1)
-    with pytest.raises(ValueError):
-        PointSpec(1, 2, Rel.GE, K.fq.one)  # residue needs EQ
-    with pytest.raises(ValueError):
-        PointSpec(1, 2, Rel.EQ, K.fq.zero)  # residue must be nonzero
-    PointSpec(1, 2, Rel.EQ, K.fq.one)
-
-
 def test_ram_point_specs_cover_every_p_power():
     P = RamPolygon(2, 12, ((1, 4), (2, 2), (4, 0), (12, 0)))
-    specs = ram_point_specs(P)
-    assert [(s.x, s.rel) for s in specs] == [
-        (1, Rel.EQ),
-        (2, Rel.EQ),
-        (4, Rel.EQ),
-        (12, Rel.EQ),
-    ]
+    specs = ram_to_json(P)["point_specs"]
+    assert [(s["x"], s["rel"]) for s in specs] == [(1, "="), (2, "="), (4, "="), (12, "=")]
     P2 = RamPolygon(2, 8, ((1, 7), (8, 0)))
-    specs2 = ram_point_specs(P2)
-    assert [(s.x, s.rel, s.J) for s in specs2] == [
-        (1, Rel.EQ, 7),
-        (2, Rel.GE, 6),
-        (4, Rel.GE, 4),
-        (8, Rel.EQ, 0),
+    specs2 = ram_to_json(P2)["point_specs"]
+    assert [(s["x"], s["rel"], s["J"]) for s in specs2] == [
+        (1, "=", 7),
+        (2, ">=", 6),
+        (4, ">=", 4),
+        (8, "=", 0),
     ]
 
 
 def test_fine_point_specs_mark_exclusions():
     Ps = FinePolygon(2, 8, ((1, 7), (4, 4), (8, 0)))
-    specs = fine_point_specs(Ps)
-    assert [(s.x, s.rel) for s in specs] == [
-        (1, Rel.EQ),
-        (2, Rel.GT),
-        (4, Rel.EQ),
-        (8, Rel.EQ),
-    ]
-    assert specs[1].J == 6  # R_2 > 6 encodes R_2 > P(2) = 6
+    specs = fine_to_json(Ps)["point_specs"]
+    assert [(s["x"], s["rel"]) for s in specs] == [(1, "="), (2, ">"), (4, "="), (8, "=")]
+    assert specs[1]["J"] == 6  # R_2 > 6 encodes R_2 > P(2) = 6
 
 
 def test_invariant_with_unif_requires_nonzero_phi0(ctx_q2):

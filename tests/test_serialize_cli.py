@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -9,14 +10,16 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ramify.validity
 from ramify import cli, serialize
 from ramify.analyzer import parse_integer_polynomial
+from ramify.binomials import BinomialContext, vp
 from ramify.enumeration import enumerate_invariants
-from ramify.polygons import FinePolygon
+from ramify.polygons import FinePolygon, FinePolygonWithResidues, RamPolygon
 from ramify.residue_field import make_field
 from ramify.selftest import survey_case_problems
 from ramify.templates import template_for_invariant, truncate_krasner
@@ -51,6 +54,70 @@ def test_fine_json_marks_tame_points(ctx_q2):
     assert data["hull"] == [[1, 6], [2, 0], [6, 0]]
     rels = {spec["x"]: spec["rel"] for spec in data["point_specs"]}
     assert rels == {1: "=", 2: "=", 4: "=", 6: "="}
+
+
+def _reference_ram_records(P):
+    """(x, J, rel, rho) per p-power up to p^(v_p(n)), then (n, 0) if n is not one."""
+    vertices = dict(P.vertices)
+    top_s = vp(P.p, P.n)
+    records = []
+    for s in range(top_s + 1):
+        x = P.p**s
+        if x in vertices:
+            records.append((x, vertices[x], "=", None))
+        else:
+            records.append((x, math.ceil(P.value_at(x)), ">=", None))
+    if P.n != P.p**top_s:
+        records.append((P.n, 0, "=", None))
+    return records
+
+
+def _reference_fine_records(Pstar, residues=()):
+    """(x, J, rel, rho) per p-power up to p^(v_p(n)), then per point beyond."""
+    rho_at = {x: str(rho) for (x, _), rho in zip(Pstar.points, residues)}
+    points = dict(Pstar.points)
+    top_s = vp(Pstar.p, Pstar.n)
+    records = []
+    for s in range(top_s + 1):
+        x = Pstar.p**s
+        if x in points:
+            records.append((x, points[x], "=", rho_at.get(x)))
+        else:
+            records.append((x, math.floor(Pstar.hull.value_at(x)), ">", None))
+    for x, J in Pstar.points:
+        if x > Pstar.p**top_s:
+            records.append((x, J, "=", rho_at.get(x)))
+    return records
+
+
+def _reference_records(obj):
+    if isinstance(obj, RamPolygon):
+        return _reference_ram_records(obj)
+    if isinstance(obj, FinePolygon):
+        return _reference_fine_records(obj)
+    res = obj if isinstance(obj, FinePolygonWithResidues) else obj.res
+    return _reference_fine_records(res.polygon, res.residues)
+
+
+# (p, f, e, gamma spec, degrees)
+POINT_SPEC_CASES = [
+    (2, 1, 1, 1, range(1, 17)),
+    (3, 1, 1, 1, (9,)),
+    (2, 1, 2, 1, (8,)),
+    (2, 2, 1, "g", (8,)),
+]
+
+
+@pytest.mark.parametrize("p, f, e, gamma, degrees", POINT_SPEC_CASES)
+def test_point_specs_match_reference_records(p, f, e, gamma, degrees):
+    ctx = BinomialContext(make_field(p, f, e, gamma))
+    for n in degrees:
+        for level in ("ram", "fine", "res", "unif"):
+            for obj in enumerate_invariants(ctx, n, level)[0]:
+                records = serialize.invariant_to_json(obj)["point_specs"]
+                assert all(r["rel"] == "=" for r in records if "rho" in r)
+                found = [(r["x"], r["J"], r["rel"], r.get("rho")) for r in records]
+                assert found == _reference_records(obj), (level, obj)
 
 
 def test_template_json_round_trip(ctx_q2):
