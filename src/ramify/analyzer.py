@@ -28,7 +28,8 @@ only where a point can lie on the hull, m being v_p(n):
   (the leading term gives n*B(n, j), every other term is at least i > 0),
   and the other R_j are positive, above the horizontal face.
 
-So R is taken at p^0, ..., p^m and the tame zeros are added: O(n log_p n)
+So R is taken at p^0, ..., p^(m-1) (at p^m it is the leading term's 0) and
+the points (j, 0), j in ``polygons.tame_zeros``, are added: O(n log_p n)
 terms per polynomial, where every abscissa would take O(n^2).
 :func:`ramification_points` keeps the O(n^2) definition for callers that
 want every point.  The terms are pairwise distinct mod n, so the residue
@@ -53,9 +54,9 @@ from .polygons import (
     FinePolygonWithResidues,
     InvariantWithUnif,
     RamPolygon,
-    _piecewise_ratio,
     decompose,
-    lower_convex_hull,
+    hull_points,
+    tame_zeros,
 )
 from .residue_field import BaseField, FqElement
 
@@ -125,21 +126,6 @@ class EisensteinData:
             return row[k - 1]
         return self.base.fq.zero
 
-    def F(self, i: int) -> int | None:
-        """Valuation of coefficient i; None when the coefficient is zero."""
-        if i == self.n:
-            return 0
-        return _lead(self.digits[i])[0]
-
-    def phi(self, i: int) -> FqElement:
-        """Leading digit of coefficient i (1 for the monic leading term)."""
-        if i == self.n:
-            return self.base.fq.one
-        F, phi = _lead(self.digits[i])
-        if F is None:
-            raise ValueError(f"coefficient {i} is zero")
-        return phi
-
     def leading(self) -> tuple[tuple[int | None, FqElement | None], ...]:
         """(F_i, phi_i) for i < n in one pass, (None, None) for a zero coefficient."""
         return tuple(_lead(row) for row in self.digits)
@@ -179,13 +165,10 @@ def ramification_of(ctx: BinomialContext, signature: Sequence[int | None]) -> Fi
 
     ``signature`` holds F_0, ..., F_{n-1}, None for a zero coefficient;
     the monic leading term (F_n = 0) makes every R_j finite.  R is taken at
-    p^0, ..., p^m (m = v_p(n)), each a minimum over the present i >= p^s,
-    and the tame zeros (j, 0), p^m < j <= n with v_p(binomial(n, j)) = 0,
-    are added: O(n log_p n) terms.  No other point is on the hull.  Lemma:
-    v_p(binomial(i, j)) >= v_p(binomial(i, p^s)) for p^s <= j < p^(s+1),
-    j <= i, so R_j >= R_(p^s), while the hull strictly decreases on
-    [1, p^m] (R_j > 0 there, by Lucas).  Tame rule: beyond p^m, R_j is 0
-    exactly where the leading term n*B(n, j) is, and positive elsewhere.
+    p^0, ..., p^(m-1) (m = v_p(n)), each a minimum over the present
+    i >= p^s, and the tame zeros (j, 0) are added (p^m among them); no
+    other point is on the hull (see the module docstring).  The points
+    ``polygons.hull_points`` keeps are passed to ``FinePolygon`` as they are.
     """
     n = len(signature)
     p = ctx.base.p
@@ -193,16 +176,10 @@ def ramification_of(ctx: BinomialContext, signature: Sequence[int | None]) -> Fi
     # n*(F_i - 1) + i, the part of coefficient i's term that does not depend on j
     present = [(i, n * (Fi - 1) + i) for i, Fi in enumerate(signature) if Fi is not None]
     present.append((n, 0))
-    wild = [p**s for s in range(vp(p, n) + 1)]
+    wild = [p**s for s in range(vp(p, n))]
     points = [(x, min(ne * vp_binomial(p, i, x) + c for i, c in present if i >= x)) for x in wild]
-    points += [(j, 0) for j in range(wild[-1] + 1, n + 1) if not vp_binomial(p, n, j)]
-    hull = lower_convex_hull(points)
-    on_hull = []
-    for j, R in points:
-        N, D = _piecewise_ratio(hull, j)
-        if N == R * D:
-            on_hull.append((j, R))
-    return FinePolygon(p, n, tuple(on_hull))
+    points += [(j, 0) for j in tame_zeros(p, n)]
+    return FinePolygon(p, n, tuple(hull_points(points)))
 
 
 def _signature(f: EisensteinData) -> tuple[int | None, ...]:

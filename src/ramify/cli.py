@@ -12,8 +12,14 @@ import json
 import sys
 
 from . import serialize
-from .analyzer import SURVEY_GUARD, NotEisensteinError, parse_integer_polynomial, unif_of
-from .binomials import BinomialContext
+from .analyzer import (
+    MAX_DEGREE,
+    SURVEY_GUARD,
+    NotEisensteinError,
+    parse_integer_polynomial,
+    unif_of,
+)
+from .binomials import BinomialContext, vp
 from .enumeration import Level, enumerate_invariants
 from .residue_field import make_field
 from .selftest import DEFAULT_CASES, run_selftest
@@ -25,6 +31,11 @@ from .templates import (
     template_for_invariant,
     truncate_krasner,
 )
+
+
+# the largest J0 range n*e*v_p(n) enumerate searches: the hull search tree
+# grows fast with it (Q_2 degree 64, 384: about 75 s; degree 128, 896: no end)
+MAX_J0_RANGE = 512
 
 
 class ConfigError(ValueError):
@@ -88,9 +99,12 @@ def cmd_enumerate(args, out) -> int:
         raise ConfigError("--expand requires --truncate (templates must be finite)")
     if args.expand and args.format == "csv":
         raise ConfigError("--expand output is JSON only")
-    if args.degree < 1:
-        raise ConfigError("--degree must be positive")
+    if not 1 <= args.degree <= MAX_DEGREE:
+        raise ConfigError(f"--degree must be in [1, {MAX_DEGREE}]")
     ctx = _make_context(args)
+    J0_range = args.degree * ctx.base.e * vp(ctx.base.p, args.degree)
+    if J0_range > MAX_J0_RANGE:
+        raise ConfigError(f"J0 range n*e*v_p(n) = {J0_range} exceeds {MAX_J0_RANGE}")
     results, stats = enumerate_invariants(ctx, args.degree, Level(args.level))
 
     if args.format == "csv":

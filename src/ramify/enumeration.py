@@ -7,6 +7,10 @@ Weak validity is preserved under removing points, so a partial object that
 fails it can never be completed to a valid one and the pruning is exact:
 with pruning on or off the output set is identical.
 
+The hull search's root candidates J0 <= n * v(n) are those whose vertex
+(1, J0) passes its own conditions (``validity.admissible_ordinates``), which
+equal the Ore bound; the fine search's forced points are the tame zeros.
+
 Outputs are canonically sorted and deterministic.
 """
 
@@ -17,13 +21,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import validity
-from .binomials import BinomialContext, beta, vp, vp_binomial
+from .binomials import BinomialContext, beta, vp
 from .polygons import (
     FinePolygon,
     FinePolygonWithResidues,
     InvariantWithUnif,
     RamPolygon,
-    decompose,
+    tame_zeros,
 )
 from .residue_field import orbit_representatives, solve_power_system
 from .validity import admissible_phi0, invariant_gcd
@@ -48,18 +52,6 @@ class Level(Enum):
     FINE = "fine"
     RES = "res"
     UNIF = "unif"
-
-
-def _ore_J0_candidates(ctx: BinomialContext, n: int) -> list[int]:
-    """All J0 in [0, n*v(n)] satisfying min(n*v(b0), n*v(n)) <= J0."""
-    e, p = ctx.base.e, ctx.base.p
-    vn = e * vp(p, n)
-    out = []
-    for J0 in range(n * vn + 1):
-        _, b = decompose(J0, n)
-        if min(n * e * vp(p, b), n * vn) <= J0:
-            out.append(J0)
-    return out
 
 
 def _keeps_convex(prefix: list[tuple[int, int, int]], x3: int, y3: int) -> bool:
@@ -106,10 +98,10 @@ def enumerate_ram_polygons(
     tail = [(p_top, 0)] if p_top > 1 else []
     if n > p_top:
         tail.append((n, 0))
-    # every ordinate after the first lies below J0 <= n * v(n)
-    J_cap = n * ctx.base.e * m - 1
+    # J0 <= n * v(n), and every ordinate after the first lies below J0
+    J0_max = n * ctx.base.e * m
     ordinates = {
-        S: validity.admissible_ordinates(ctx, n, S, J_cap) if prune else range(1, J_cap + 1)
+        S: validity.admissible_ordinates(ctx, n, S, J0_max - 1) if prune else range(1, J0_max)
         for S in range(1, m)
     }
     out: list[RamPolygon] = []
@@ -136,7 +128,7 @@ def enumerate_ram_polygons(
             if _keeps_convex(prefix, x_new, J):
                 search(prefix + [(S, x_new, J)], S + 1, (S,))
 
-    for J0 in _ore_J0_candidates(ctx, n):
+    for J0 in validity.admissible_ordinates(ctx, n, 0, J0_max):
         search([(0, 1, J0)], 1, None)
     out.sort(key=lambda P: P.vertices)
     stats.results = len(out)
@@ -168,10 +160,7 @@ def enumerate_fine_polygons(
     p, n = P.p, P.n
     m = vp(p, n)
     values = P.p_power_values()
-    forced = dict(P.vertices)
-    for j in range(p**m, n + 1):
-        if vp_binomial(p, n, j) == 0:
-            forced[j] = 0
+    forced = dict(P.vertices) | dict.fromkeys(tame_zeros(p, n), 0)
     wild = P.wild_vertices()
     candidates = []
     for s in range(1, m):

@@ -15,6 +15,10 @@ Conventions used throughout:
   the validity conditions quantify over;
 * points (j, 0) with j beyond the last wild abscissa are "tame" and are
   stored explicitly (serialisations flag them).
+
+The hull rule and the tame rule live here alone: :func:`hull_points` keeps
+every point on the lower hull (vertices are its strictly convex turns, one
+turn test for every caller), and :func:`tame_zeros` gives the (j, 0) points.
 """
 
 from __future__ import annotations
@@ -28,29 +32,59 @@ from .binomials import BinomialContext, vp, vp_binomial
 from .residue_field import FqElement
 
 
-def lower_convex_hull(
-    points: Iterable[tuple[int, int | Fraction]],
-) -> list[tuple[int, int | Fraction]]:
-    """Vertices of the lower convex hull, left to right.
+_Point = tuple[int, int | Fraction]
 
-    Collinear interior points are not vertices and are dropped.  Duplicate
-    abscissas are rejected.
+
+def _turn(a: _Point, b: _Point, c: _Point) -> int | Fraction:
+    """Twice the signed area of a, b, c: positive at a strictly convex turn through b."""
+    (x1, y1), (x2, y2), (x3, y3) = a, b, c
+    return (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
+
+
+def hull_points(points: Iterable[_Point]) -> list[_Point]:
+    """Every point on the lower convex hull, collinear ones included, left to right.
+
+    A monotone chain popping only at a strictly concave turn; rejects duplicate abscissas.
     """
-    pts = sorted(points)
-    for (x1, _), (x2, _) in zip(pts, pts[1:]):
-        if x1 == x2:
-            raise ValueError(f"duplicate abscissa {x1}")
-    hull: list[tuple[int, int | Fraction]] = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # keep (x2, y2) only if the turn through it is strictly convex
-            if (x2 - x1) * (pt[1] - y1) - (pt[0] - x1) * (y2 - y1) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return hull
+    chain: list[_Point] = []
+    for pt in sorted(points):
+        # the previous point in order is always the chain's last
+        if chain and chain[-1][0] == pt[0]:
+            raise ValueError(f"duplicate abscissa {pt[0]}")
+        while len(chain) >= 2 and _turn(chain[-2], chain[-1], pt) < 0:
+            chain.pop()
+        chain.append(pt)
+    return chain
+
+
+def _vertices(chain: Sequence[_Point]) -> list[_Point]:
+    """The ends and strictly convex turns of a sorted chain; ValueError at a concave turn."""
+    vertices = list(chain[:1])
+    for a, b, c in zip(chain, chain[1:], chain[2:]):
+        turn = _turn(a, b, c)
+        if turn < 0:
+            raise ValueError(f"point {b} is not on the hull")
+        if turn > 0:
+            vertices.append(b)
+    if len(chain) > 1:
+        vertices.append(chain[-1])
+    return vertices
+
+
+def lower_convex_hull(points: Iterable[_Point]) -> list[_Point]:
+    """Vertices of the lower convex hull, left to right: the strict turns of ``hull_points``.
+
+    Collinear interior points are dropped; duplicate abscissas are rejected.
+    """
+    return _vertices(hull_points(points))
+
+
+def tame_zeros(p: int, n: int) -> list[int]:
+    """The tame rule: the j in [p^(v_p(n)), n] with binomial(n, j) a unit, where (j, 0) is a point.
+
+    p^(v_p(n)) and n are always among them.
+    """
+    return [j for j in range(p ** vp(p, n), n + 1) if not vp_binomial(p, n, j)]
 
 
 def decompose(J: int, n: int) -> tuple[int, int]:
@@ -107,8 +141,8 @@ class RamPolygon:
         for x, _ in vs[:-1]:
             if x > wild_top or x != self.p ** vp(self.p, x):
                 raise ValueError(f"interior vertex abscissa {x} is not a p-power")
-        for (x1, y1), (x2, y2), (x3, y3) in zip(vs, vs[1:], vs[2:]):
-            if (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) <= 0:
+        for a, b, c in zip(vs, vs[1:], vs[2:]):
+            if _turn(a, b, c) <= 0:
                 raise ValueError("vertices must be strictly convex")
 
     @property
@@ -159,29 +193,12 @@ class FinePolygon:
         for x, _ in pts:
             if x <= wild_top and x != p ** vp(p, x):
                 raise ValueError(f"point abscissa {x} below {wild_top} must be a p-power")
-        # with distinct sorted abscissas, every point is on the lower hull exactly
-        # when no turn is concave, and the hull's vertices are the two ends and
-        # the points where the turn is strict
-        vertices = list(pts[:1])
-        for (x1, y1), (x2, y2), (x3, y3) in zip(pts, pts[1:], pts[2:]):
-            turn = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
-            if turn < 0:
-                raise ValueError(f"point ({x2}, {y2}) is not on the hull")
-            if turn > 0:
-                vertices.append((x2, y2))
-        if len(pts) > 1:
-            vertices.append(pts[-1])
-        object.__setattr__(self, "hull", RamPolygon(p, self.n, tuple(vertices)))
+        # sorted, distinct abscissas: a point is off the hull exactly at a concave turn
+        object.__setattr__(self, "hull", RamPolygon(p, self.n, tuple(_vertices(pts))))
 
     @property
     def J0(self) -> int:
         return self.points[0][1]
-
-    def ordinate_at(self, x: int) -> int | None:
-        for px, J in self.points:
-            if px == x:
-                return J
-        return None
 
     def wild_points(self) -> list[tuple[int, int, int]]:
         """(s, p^s, J) for each point at a p-power abscissa <= p^(v_p(n))."""

@@ -26,8 +26,8 @@ a verdict that depends on (s_t, J_t, s, s_u, J_u, s_w, J_w) alone.
 ``valid_ram_ok`` memoises pairs and pieces in one dict per search.  A fine
 leaf is one engine call over every exponent, on the hull's values, with
 the strict-exclusion bound at the p-powers left without a point
-(``fine_ore_violations``); the fine search places the tame zeros itself,
-so only ``is_valid_fine`` checks the tame biconditional (``tame_ok``).
+(``fine_ore_violations``); the fine search places ``polygons.tame_zeros``
+itself, so only ``is_valid_fine`` checks the tame biconditional (``tame_ok``).
 The full ``is_valid_*`` checks keep their own routes and stay the
 reference for these verdicts.
 """
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
-from .binomials import BinomialContext, beta, vp, vp_binomial
+from .binomials import BinomialContext, beta, vp
 from .polygons import (
     FinePolygon,
     FinePolygonWithResidues,
@@ -48,6 +48,7 @@ from .polygons import (
     decompose,
     depth_bound,
     fine_depth_bound,
+    tame_zeros,
 )
 from .residue_field import FqElement, solve_power_system
 
@@ -227,13 +228,14 @@ def fine_ore_violations(
 
 
 def admissible_ordinates(ctx: BinomialContext, n: int, s: int, J_max: int) -> list[int]:
-    """The J in 1..J_max for which a vertex (p^s, J) passes its own conditions.
+    """The J in 0..J_max for which a vertex (p^s, J) passes its own conditions.
 
     These are BRange, Ore1 / Ore3 and Ore2 at s; they depend on (s, J)
-    alone, so the enumerator finds them once per exponent.
+    alone, so the enumerator finds them once per exponent.  At s = 0 and
+    J_max = n * v(n) they are the Ore bound on J0.
     """
     x = ctx.base.p**s
-    return [J for J in range(1, J_max + 1) if not _weak_violations(ctx, n, [(s, x, J)])]
+    return [J for J in range(J_max + 1) if not _weak_violations(ctx, n, [(s, x, J)])]
 
 
 def is_valid_ram(ctx: BinomialContext, P: RamPolygon) -> ValidityReport:
@@ -254,13 +256,12 @@ def tame_ok(ctx: BinomialContext, n: int, points: Mapping[int, int]) -> bool:
     """The tame biconditional on the points {x: J}.
 
     For p^(v_p(n)) <= j <= n, (j, 0) is a point exactly when binomial(n, j)
-    is a unit.
+    is a unit, that is for j in ``polygons.tame_zeros``.
     """
     p = ctx.base.p
-    return all(
-        (vp_binomial(p, n, j) == 0) == (points.get(j) == 0)
-        for j in range(p ** vp(p, n), n + 1)
-    )
+    top = p ** vp(p, n)
+    zeros = {j for j, J in points.items() if J == 0 and top <= j <= n}
+    return zeros == set(tame_zeros(p, n))
 
 
 def _tame_violations(ctx: BinomialContext, Pstar: FinePolygon) -> list[Violation]:

@@ -115,9 +115,9 @@ def test_digit_table_canonicalization(ctx_q2):
     a = EisensteinData(ctx_q2.base, 2, ((one,), ()))
     b = EisensteinData(ctx_q2.base, 2, ((one, zero), (zero, zero)))
     assert a == b
-    assert a.F(0) == 1 and a.F(1) is None and a.F(2) == 0
+    assert a.leading() == ((1, one), (None, None))
     assert a.digit(0, 1) == one and a.digit(1, 5) == zero
-    assert a.phi(2) == one
+    assert a.digit(2, 0) == one
 
 
 def test_eisenstein_data_rejections(ctx_q2):

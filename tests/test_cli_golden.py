@@ -2,8 +2,8 @@
 
 The matrix covers every ``--level``, JSON and CSV output, ``--stats``, the
 template pipeline (``--truncate``, ``--reduce``, ``--expand``), a ramified
-base field (e = 2), F_4, F_9, F_8 and F_25 with a non-trivial uniformizer
-residue (``--gamma g``), ``analyze`` on integer and on digit-table JSON input
+base field (e = 2), F_4, F_9, F_8, F_25 and F_625 with a non-trivial
+uniformizer residue (``--gamma g``), ``analyze`` on integer and on digit-table JSON input
 (dense tables of degree 64 over Q_2 and 27 over Q_3 among them, where the
 forward pass skips most abscissas), and one ``selftest`` case.  A refactor
 that keeps outputs byte-identical keeps every hash; a deliberate change of
@@ -89,6 +89,10 @@ GOLDEN = [
      ["enumerate", "--p", "5", "--f", "2", "--gamma", "g", "--degree", "10", "--level",
       "unif", "--truncate", "--reduce"],
      "ab51040f09dcecc9ac072c30197631303f90f22af522fe404afea47ddb82819d"),
+    ("unif-f625-gamma-g-5",
+     ["enumerate", "--p", "5", "--f", "4", "--gamma", "g", "--degree", "5", "--level",
+      "unif"],
+     "bb8a8beab6e2182d2947e7b633a17ff9b4fb1312543e2e7b83070a8d878c586e"),
     ("analyze-integer",
      ["analyze", "--p", "2", "x^8+2x^7+2x^6+2x^4+2"],
      "8735b180a264f1364e1844f44feacf768e11986afd485bca7f1edddfc68adf09"),

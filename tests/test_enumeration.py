@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from ramify.binomials import BinomialContext, beta
+from ramify.binomials import BinomialContext, beta, vp
 from ramify.enumeration import (
     Level,
     enumerate_fine_polygons,
@@ -11,9 +11,10 @@ from ramify.enumeration import (
     enumerate_residue_classes,
     enumerate_unif_classes,
 )
-from ramify.polygons import FinePolygon, FinePolygonWithResidues, RamPolygon
+from ramify.polygons import FinePolygon, FinePolygonWithResidues, RamPolygon, decompose
 from ramify.residue_field import make_field
 from ramify.validity import (
+    admissible_ordinates,
     admissible_phi0,
     equivalent_res,
     equivalent_with_unif,
@@ -34,6 +35,24 @@ def test_tame_degrees_have_one_polygon(p, n):
     ctx = BinomialContext(make_field(p, 1, 1, 1))
     polys, _ = enumerate_ram_polygons(ctx, n)
     assert [P.vertices for P in polys] == [((1, 0), (n, 0))]
+
+
+def _ore_J0_reference(p, e, n):
+    """All J0 in [0, n*v(n)] with min(n*v(b0), n*v(n)) <= J0, b0 the remainder of J0."""
+    vn = e * vp(p, n)
+    return [
+        J0 for J0 in range(n * vn + 1) if min(n * e * vp(p, decompose(J0, n)[1]), n * vn) <= J0
+    ]
+
+
+def test_root_ordinates_are_the_ore_bound():
+    # the hull search's roots are the root vertex's own conditions at s = 0
+    for p in (2, 3, 5, 7):
+        for e in (1, 2, 3):
+            ctx = BinomialContext(make_field(p, 1, e, 1))
+            for n in range(1, 130):
+                roots = admissible_ordinates(ctx, n, 0, n * e * vp(p, n))
+                assert roots == _ore_J0_reference(p, e, n), (p, e, n)
 
 
 def test_degree_one_is_trivial(ctx_q2):

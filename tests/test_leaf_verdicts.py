@@ -27,7 +27,7 @@ from ramify.enumeration import (
     enumerate_ram_polygons,
     enumerate_unif_classes,
 )
-from ramify.polygons import FinePolygon, InvariantWithUnif, RamPolygon
+from ramify.polygons import FinePolygon, InvariantWithUnif, RamPolygon, tame_zeros
 from ramify.residue_field import is_prime, make_field
 from ramify.validity import (
     Violation,
@@ -182,6 +182,13 @@ def test_tame_ok_reads_the_horizontal_face(ctx_q2):
     assert validity.tame_ok(ctx_q2, 6, {1: 6, 2: 0, 4: 0, 6: 0})
     assert not validity.tame_ok(ctx_q2, 6, {1: 6, 2: 0, 6: 0})
     assert not validity.tame_ok(ctx_q2, 6, {1: 6, 2: 0, 3: 0, 4: 0, 6: 0})
+    # the one tame rule against the per-j loop, p^(v_p(n)) and n included
+    assert tame_zeros(2, 6) == [2, 4, 6]
+    for p in (2, 3, 5, 7):
+        for n in range(1, 100):
+            assert tame_zeros(p, n) == sorted(_forced_tame(p, n)), (p, n)
+    for n in range(1, 100):
+        assert validity.tame_ok(ctx_q2, n, _forced_tame(2, n)), n
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from ramify.polygons import (
     decompose,
     ell_P,
     ell_fine,
+    hull_points,
     lower_convex_hull,
     residual_polynomials,
 )
@@ -25,11 +26,21 @@ def test_hull_spec_examples():
     assert lower_convex_hull([(1, 7), (2, 6), (4, 4), (8, 0)]) == [(1, 7), (8, 0)]
     assert lower_convex_hull([(1, 2), (2, 0)]) == [(1, 2), (2, 0)]
     assert lower_convex_hull([(1, 2), (2, 0), (4, 0)]) == [(1, 2), (2, 0), (4, 0)]
+    # hull_points keeps the collinear points the vertex list drops
+    collinear = [(1, 6), (2, 4), (3, 2), (4, 0), (6, 0), (8, 0)]
+    assert hull_points(collinear) == collinear
+    assert lower_convex_hull(collinear) == [(1, 6), (4, 0), (8, 0)]
+    half = [(1, Fraction(5, 2)), (2, Fraction(3, 2)), (3, Fraction(1, 2)), (4, 1)]
+    assert hull_points(half) == half
+    assert lower_convex_hull(half) == [(1, Fraction(5, 2)), (3, Fraction(1, 2)), (4, 1)]
+    assert lower_convex_hull([(1, Fraction(7, 3)), (2, 3), (3, 0)]) == [(1, Fraction(7, 3)), (3, 0)]
 
 
 def test_hull_rejects_duplicate_abscissas():
     with pytest.raises(ValueError):
         lower_convex_hull([(1, 2), (1, 3)])
+    with pytest.raises(ValueError):
+        hull_points([(1, 2), (1, 3)])
 
 
 point_sets = st.lists(
@@ -185,6 +196,19 @@ def test_fine_polygon_sweep_matches_reference_hull(case):
     except ValueError:
         hull = None
     assert hull == _reference_fine_hull(p, n, points)
+    # hull_points keeps exactly the points no chord passes strictly below
+    if len({x for x, _ in points}) == len(points):
+        on_hull = [
+            (x, J)
+            for x, J in sorted(points)
+            if all(
+                Fraction(J) <= Fraction(J1 * (x2 - x) + J2 * (x - x1), x2 - x1)
+                for x1, J1 in points
+                for x2, J2 in points
+                if x1 < x < x2
+            )
+        ]
+        assert hull_points(points) == on_hull
 
 
 def test_fine_polygon_hull_and_tame_flags():
@@ -271,7 +295,7 @@ def fraction_ell_P(ctx, P, i, s):
 
 def fraction_ell_fine(ctx, Pstar, i, s):
     x = ctx.base.p**s
-    J = Pstar.ordinate_at(x)
+    J = dict(Pstar.points).get(x)
     if J is not None:
         a, b = decompose(J, Pstar.n)
         return a - B(ctx, i, x) + 1 + (1 if i < b else 0)

@@ -299,6 +299,30 @@ def test_cli_analyze_rejects_huge_degree_or_depth_before_allocating(tmp_path):
         assert "Traceback" not in done.stderr
 
 
+def test_cli_enumerate_rejects_huge_degree_or_J0_range_before_searching():
+    # each of these ran the hull search without limit; the degree and J0-range
+    # bounds refuse them first.  The address space is capped, so a regression
+    # fails fast instead of taking memory.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    for field, degree, level, bound in (
+        (["--p", "2"], "4444", "ram", "[1, 4096]"),
+        (["--p", "2", "--e", "100000000"], "2", "ram", "exceeds 512"),
+        (["--p", "3"], "99999999", "fine", "[1, 4096]"),
+        (["--p", "2"], "128", "ram", "= 896 exceeds 512"),
+    ):
+        start = time.perf_counter()
+        done = run_process(
+            "enumerate", *field, "--degree", degree, "--level", level, preexec_fn=cap
+        )
+        assert time.perf_counter() - start < 1.0  # interpreter start-up included
+        assert done.returncode == 2, (field, degree)
+        assert bound in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+
+
 def test_cli_analyze_degree_eight(capsys):
     code, out, _ = run_cli(["analyze", "--p", "2", "x^8+2x^7+2x^6+2x^4+2"], capsys)
     assert code == 0
@@ -443,7 +467,9 @@ _FIELD = st.tuples(
 _ENUMERATE_ARGV = st.tuples(
     st.just(["enumerate"]),
     _FIELD,
-    _mostly(["1", "2", "3", "4"], ["0", "-1"]).map(lambda v: ["--degree", v]),
+    _mostly(["1", "2", "3", "4"], ["0", "-1", "4444", "99999999"]).map(
+        lambda v: ["--degree", v]
+    ),
     _mostly(["ram", "fine", "res", "unif"], ["all"]).map(lambda v: ["--level", v]),
     st.one_of(
         st.sampled_from(
