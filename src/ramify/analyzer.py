@@ -84,7 +84,9 @@ class EisensteinData:
     (the k = 0 digit of every coefficient is 0 by Eisenstein integrality,
     and the leading coefficient is implicitly 1).  Each per-coefficient
     tuple is stored with trailing zeros trimmed, so tables compare equal
-    exactly when they define the same polynomial.
+    exactly when they define the same polynomial.  A row given as a tuple
+    that is already trimmed is kept as the same object, so tables built
+    from shared rows share them.
     """
 
     base: BaseField
@@ -94,9 +96,7 @@ class EisensteinData:
     def __post_init__(self) -> None:
         if self.n < 1 or len(self.digits) != self.n:
             raise NotEisensteinError("need one digit vector per coefficient below n")
-        object.__setattr__(
-            self, "digits", tuple(_trim(vec) for vec in self.digits)
-        )
+        object.__setattr__(self, "digits", tuple(map(_trim, self.digits)))
         if not self.digits[0] or not self.digits[0][0]:
             raise NotEisensteinError("constant coefficient must have valuation 1")
 
@@ -128,7 +128,7 @@ class EisensteinData:
 
     def leading(self) -> tuple[tuple[int | None, FqElement | None], ...]:
         """(F_i, phi_i) for i < n in one pass, (None, None) for a zero coefficient."""
-        return tuple(_lead(row) for row in self.digits)
+        return tuple(leading_pair(row) for row in self.digits)
 
     def nonzero_digits(self) -> Iterable[tuple[int, int, FqElement]]:
         for i, row in enumerate(self.digits):
@@ -137,7 +137,8 @@ class EisensteinData:
                     yield i, k, d
 
 
-def _lead(row: Sequence[FqElement]) -> tuple[int | None, FqElement | None]:
+def leading_pair(row: Sequence[FqElement]) -> tuple[int | None, FqElement | None]:
+    """(F, phi) of one coefficient's digit row, (None, None) for a zero row."""
     for k, d in enumerate(row, start=1):
         if d:
             return k, d
@@ -145,6 +146,9 @@ def _lead(row: Sequence[FqElement]) -> tuple[int | None, FqElement | None]:
 
 
 def _trim(vec: Iterable[FqElement]) -> tuple[FqElement, ...]:
+    """``vec`` as a tuple without trailing zeros; a tuple already so is returned as is."""
+    if type(vec) is tuple and (not vec or vec[-1]):
+        return vec
     out = list(vec)
     while out and not out[-1]:
         out.pop()
@@ -317,26 +321,29 @@ def brute_force_survey(
     """Group every digit table of depth <= digit_bound by its fine polygon.
 
     Iterates all q^(n * digit_bound) tables (minus the non-Eisenstein ones),
-    so callers must stay inside the guard.  The fine polygon only depends on
-    the tuple of coefficient valuations, which is memoised.
+    so callers must stay inside the guard.  The tables share their rows: each
+    of the q^digit_bound trimmed rows is built once, and every table holds
+    those same tuple objects.  The fine polygon only depends on the tuple of
+    coefficient valuations, so each signature is mapped once to its group
+    list and a table costs one lookup keyed by that tuple of ints.
     """
     base = ctx.base
     if base.q ** (n * digit_bound) > SURVEY_GUARD:
         raise ValueError("survey size exceeds the iteration guard")
     vectors = list(itertools.product(list(base.fq.elements()), repeat=digit_bound))
     trimmed = [_trim(v) for v in vectors]
-    lead = [_lead(v)[0] for v in vectors]  # F of each vector, None for zero
+    lead = [leading_pair(v)[0] for v in vectors]  # F of each vector, None for zero
     const_choices = [idx for idx, v in enumerate(vectors) if v and v[0]]
     other_choices = list(range(len(vectors)))
 
-    fine_cache: dict[tuple, FinePolygon] = {}
+    groups: dict[tuple, list[EisensteinData]] = {}
     survey: dict[FinePolygon, list[EisensteinData]] = {}
     # lexicographic in (phi_0, ..., phi_{n-1}), phi_0 with a nonzero first digit
     for choice in itertools.product(const_choices, *[other_choices] * (n - 1)):
-        signature = tuple(lead[idx] for idx in choice)
-        fine = fine_cache.get(signature)
-        if fine is None:
-            fine = fine_cache[signature] = ramification_of(ctx, signature)
-        data = EisensteinData(base, n, tuple(trimmed[idx] for idx in choice))
-        survey.setdefault(fine, []).append(data)
+        signature = tuple(map(lead.__getitem__, choice))
+        group = groups.get(signature)
+        if group is None:
+            fine = ramification_of(ctx, signature)
+            group = groups[signature] = survey.setdefault(fine, [])
+        group.append(EisensteinData(base, n, tuple(map(trimmed.__getitem__, choice))))
     return survey

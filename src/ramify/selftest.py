@@ -12,11 +12,18 @@ digit table to that depth, and verifies that
   the residue-level validity tests.
 
 All checks are exact; any discrepancy is reported as a diff line.
+
+The per-table checks decompose by rows.  A template slot (i, k) with
+k <= depth reads row i alone, so a table meets its template exactly when
+each of its n rows meets that row's slots, and the residue check reads only
+each row's leading pair (F_i, phi_i).  The survey's tables share their
+q^depth row objects, so each (i, row) is decided once per fine polygon and a
+table costs n memo lookups plus one residue lookup keyed by its leading pairs.
 """
 
 from __future__ import annotations
 
-from .analyzer import EisensteinData, brute_force_survey, residues_of
+from .analyzer import EisensteinData, brute_force_survey, leading_pair, residues_of
 from .binomials import BinomialContext, vp
 from .enumeration import Level, enumerate_invariants
 from .polygons import FinePolygon, decompose
@@ -25,14 +32,6 @@ from .templates import Template, template_for_fine
 from .validity import ResidueForcedError, admissible_phi0, is_valid_fine
 
 DEFAULT_CASES: tuple[tuple[int, int, int], ...] = ((2, 2, 3), (2, 4, 5), (3, 3, 3))
-
-
-def matches_template(T: Template, f: EisensteinData, depth: int) -> bool:
-    """Digit membership below ``depth`` (the template may extend deeper)."""
-    for (i, k), allowed in T.slots.items():
-        if k <= depth and f.digit(i, k) not in allowed:
-            return False
-    return True
 
 
 def survey_case_problems(
@@ -55,29 +54,57 @@ def survey_case_problems(
 
     e, p = ctx.base.e, ctx.base.p
     vn = e * vp(p, n)
-    templates: dict[FinePolygon, Template] = {}
-    residue_cache: dict[tuple, bool] = {}
+    zero = ctx.base.fq.zero
     for fine, group in survey.items():
-        if fine in enumerated_set:
-            templates[fine] = template_for_fine(ctx, fine)
         J0 = fine.J0
         _, b0 = decompose(J0, n)
         if not min(n * e * vp(p, b0), n * vn) <= J0 <= n * vn:
             problems.append(f"Ore bound violated by leftmost ordinate {J0} of {fine.points}")
-        T = templates.get(fine)
+        row_slots = None
+        if fine in enumerated_set:
+            row_slots = _row_slots(template_for_fine(ctx, fine), bound)
+        # (i, id(row)) -> (row i meets its slots, (F_i, phi_i)).  Keyed by id:
+        # hashing a row calls each digit's __hash__; the survey keeps every
+        # row alive while this memo lives, and its tables share their rows
+        seen: dict[tuple[int, int], tuple[bool, tuple]] = {}
+        residues_ok: dict[tuple, bool] = {}
         for f in group:
-            if T is not None and not matches_template(T, f, bound):
-                problems.append(f"polynomial outside its template: {f.digits}")
+            rows = f.digits
+            inside = True
+            lead = []
+            for key in enumerate(map(id, rows)):
+                verdict = seen.get(key)
+                if verdict is None:
+                    i = key[0]
+                    ok = row_slots is None or _row_meets(rows[i], row_slots[i], zero)
+                    verdict = seen[key] = (ok, leading_pair(rows[i]))
+                inside = inside and verdict[0]
+                lead.append(verdict[1])
+            if not inside:
+                problems.append(f"polynomial outside its template: {rows}")
             # residue data depends only on each coefficient's valuation and
             # leading digit
-            key = (fine, f.leading())
-            ok = residue_cache.get(key)
+            key = tuple(lead)
+            ok = residues_ok.get(key)
             if ok is None:
-                ok = _residues_consistent(ctx, f)
-                residue_cache[key] = ok
+                ok = residues_ok[key] = _residues_consistent(ctx, f)
             if not ok:
-                problems.append(f"residue data inconsistent for: {f.digits}")
+                problems.append(f"residue data inconsistent for: {rows}")
     return problems
+
+
+def _row_slots(T: Template, depth: int) -> list[list[tuple[int, frozenset]]]:
+    """The slots (i, k) of ``T`` with k <= depth, listed per row i as (k, allowed)."""
+    row_slots: list[list[tuple[int, frozenset]]] = [[] for _ in range(T.n)]
+    for (i, k), allowed in T.slots.items():
+        if k <= depth:
+            row_slots[i].append((k, allowed))
+    return row_slots
+
+
+def _row_meets(row: tuple, slots: list[tuple[int, frozenset]], zero) -> bool:
+    """Whether the trimmed digit row has an allowed digit at every listed slot."""
+    return all((row[k - 1] if 1 <= k <= len(row) else zero) in allowed for k, allowed in slots)
 
 
 def _residues_consistent(ctx: BinomialContext, f: EisensteinData) -> bool:

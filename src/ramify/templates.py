@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .analyzer import EisensteinData
 from .binomials import BinomialContext, beta, vp
@@ -44,12 +46,19 @@ def _default_sets(fq: Fq) -> tuple[frozenset[FqElement], frozenset[FqElement]]:
 
 @dataclass(frozen=True)
 class Template:
-    """A digit-set table describing a finite or cofinite family of polynomials."""
+    """A digit-set table describing a finite or cofinite family of polynomials.
+
+    ``slots`` is a read-only view of a private copy of the mapping passed
+    in, so a template never changes after construction.
+    """
 
     base: BaseField
     n: int
-    slots: dict[tuple[int, int], frozenset[FqElement]]
+    slots: Mapping[tuple[int, int], frozenset[FqElement]]
     cutoff: int | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "slots", MappingProxyType(dict(self.slots)))
 
     def slot(self, i: int, k: int) -> frozenset[FqElement]:
         listed = self.slots.get((i, k))
@@ -58,7 +67,7 @@ class Template:
         zero, full = _default_sets(self.base.fq)
         return zero if self.cutoff is not None and k >= self.cutoff else full
 
-    def with_slots(self, updates: dict[tuple[int, int], frozenset[FqElement]]) -> "Template":
+    def with_slots(self, updates: Mapping[tuple[int, int], frozenset[FqElement]]) -> "Template":
         merged = dict(self.slots)
         merged.update(updates)
         return Template(self.base, self.n, merged, self.cutoff)

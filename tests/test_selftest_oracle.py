@@ -1,0 +1,179 @@
+"""The survey oracle decides per row what the per-table check decides per table.
+
+``survey_case_problems`` reads each template verdict off per-row verdicts and
+each residue key off per-row leading pairs.  The per-table check it replaced
+is kept here as the reference: ``matches_template`` over every slot, and the
+residue check keyed by ``(fine, f.leading())``.  Both must give the same
+problem list, line for line, on the default cases and under injected faults.
+"""
+
+import hashlib
+
+import pytest
+
+from ramify import selftest
+from ramify.analyzer import EisensteinData, brute_force_survey, residues_of
+from ramify.binomials import vp
+from ramify.enumeration import Level, enumerate_invariants
+from ramify.polygons import decompose
+from ramify.validity import ResidueForcedError, is_valid_fine
+
+
+def matches_template(T, f, depth):
+    """Digit membership below ``depth`` (the template may extend deeper)."""
+    for (i, k), allowed in T.slots.items():
+        if k <= depth and f.digit(i, k) not in allowed:
+            return False
+    return True
+
+
+def _reference_residues_consistent(ctx, f):
+    decorated = residues_of(f)
+    if not is_valid_fine(ctx, decorated.polygon).ok:
+        return False
+    try:
+        admissible = selftest.admissible_phi0(ctx, decorated)
+    except ResidueForcedError:
+        return False
+    return f.digit(0, 1) in admissible
+
+
+def reference_problems(ctx, n, bound, survey):
+    """The per-table check: every slot read per table, residues keyed by leading()."""
+    problems = []
+    enumerated, _ = enumerate_invariants(ctx, n, Level.FINE)
+    surveyed_set = set(survey)
+    enumerated_set = set(enumerated)
+    for fine in sorted(surveyed_set - enumerated_set, key=lambda f: f.points):
+        problems.append(f"surveyed but not enumerated: {fine.points}")
+    for fine in sorted(enumerated_set - surveyed_set, key=lambda f: f.points):
+        problems.append(f"enumerated but not surveyed: {fine.points}")
+    e, p = ctx.base.e, ctx.base.p
+    vn = e * vp(p, n)
+    residue_cache = {}
+    for fine, group in survey.items():
+        T = selftest.template_for_fine(ctx, fine) if fine in enumerated_set else None
+        J0 = fine.J0
+        _, b0 = decompose(J0, n)
+        if not min(n * e * vp(p, b0), n * vn) <= J0 <= n * vn:
+            problems.append(f"Ore bound violated by leftmost ordinate {J0} of {fine.points}")
+        for f in group:
+            if T is not None and not matches_template(T, f, bound):
+                problems.append(f"polynomial outside its template: {f.digits}")
+            key = (fine, f.leading())
+            ok = residue_cache.get(key)
+            if ok is None:
+                ok = residue_cache[key] = _reference_residues_consistent(ctx, f)
+            if not ok:
+                problems.append(f"residue data inconsistent for: {f.digits}")
+    return problems
+
+
+@pytest.fixture
+def default_cases(ctx_q2, ctx_q3, survey_q2_n2, survey_q2_n4, survey_q3_n3):
+    assert selftest.DEFAULT_CASES == ((2, 2, 3), (2, 4, 5), (3, 3, 3))
+    return [
+        (ctx_q2, 2, 3, survey_q2_n2),
+        (ctx_q2, 4, 5, survey_q2_n4),
+        (ctx_q3, 3, 3, survey_q3_n3),
+    ]
+
+
+def _narrow_one_slot(real, bound):
+    """template_for_fine with one digit fewer at the first row whose slot at ``bound`` has two."""
+
+    def narrowed(ctx, fine):
+        T = real(ctx, fine)
+        for i in range(T.n):
+            allowed = T.slot(i, bound)
+            if len(allowed) >= 2:
+                return T.with_slots({(i, bound): allowed - {max(allowed)}})
+        return T
+
+    return narrowed
+
+
+def _drop_one_phi0(real):
+    def dropped(ctx, decorated):
+        admissible = real(ctx, decorated)
+        return admissible - {max(admissible)} if admissible else admissible
+
+    return dropped
+
+
+def test_oracle_matches_the_per_table_reference(default_cases):
+    for ctx, n, bound, survey in default_cases:
+        problems = selftest.survey_case_problems(ctx, n, bound, survey=survey)
+        assert problems == reference_problems(ctx, n, bound, survey) == []
+
+
+@pytest.fixture
+def fault_cases(ctx_q2, ctx_q3, survey_q2_n2, survey_q3_n3):
+    # a fault reports up to every table, and each line formats its table in
+    # both checks, so degree 4 runs at depth 3 (2,048 tables), not 5
+    return [
+        (ctx_q2, 2, 3, survey_q2_n2),
+        (ctx_q2, 4, 3, brute_force_survey(ctx_q2, 4, 3)),
+        (ctx_q3, 3, 3, survey_q3_n3),
+    ]
+
+
+@pytest.mark.parametrize("fault", ["narrowed slot", "dropped phi0"])
+def test_oracle_matches_the_reference_under_a_fault(fault_cases, monkeypatch, fault):
+    if fault == "narrowed slot":
+        kind = "polynomial outside its template"
+    else:
+        kind = "residue data inconsistent"
+    for ctx, n, bound, survey in fault_cases:
+        with monkeypatch.context() as patch:
+            if fault == "narrowed slot":
+                patch.setattr(
+                    selftest, "template_for_fine",
+                    _narrow_one_slot(selftest.template_for_fine, bound),
+                )
+            else:
+                patch.setattr(
+                    selftest, "admissible_phi0", _drop_one_phi0(selftest.admissible_phi0)
+                )
+            problems = selftest.survey_case_problems(ctx, n, bound, survey=survey)
+            expected = reference_problems(ctx, n, bound, survey)
+        assert any(line.startswith(kind) for line in problems), (n, bound)
+        assert problems == expected, (n, bound)
+
+
+def test_tables_keep_a_trimmed_tuple_row_as_the_same_object(ctx_q2):
+    fq = ctx_q2.base.fq
+    zero, one = fq.zero, fq.one
+    row0, row1, empty = (one,), (zero, one), ()
+    f = EisensteinData(ctx_q2.base, 3, (row0, row1, empty))
+    assert all(kept is given for kept, given in zip(f.digits, (row0, row1, empty)))
+    # a tuple with trailing zeros and a list row are still trimmed
+    g = EisensteinData(ctx_q2.base, 3, ((one, zero), [zero, one, zero], (zero, zero)))
+    assert g.digits == ((one,), (zero, one), ())
+    assert all(type(row) is tuple for row in g.digits)
+    assert f == g and hash(f) == hash(g)
+
+
+def test_survey_tables_share_their_rows(ctx_q2, survey_q2_n4):
+    rows = {id(row) for group in survey_q2_n4.values() for f in group for row in f.digits}
+    assert len(rows) <= 2**5
+
+
+# sha256 of every group, in order, as (fine points, digit indices per table),
+# taken from the survey that looked each table's polygon up by FinePolygon
+SURVEY_DIGESTS = {
+    (2, 2, 3): "9730405a3dec2abaa635559ef56f8248129a555e54d8d56413638588cdd08596",
+    (3, 3, 3): "9f7fcd7728e416fe9089cf5b45ee7149dcf2d30711c76158b15fa7f5ce947494",
+    (2, 4, 3): "25209792cef1eb4fe7a0bc22c0103f13ae5c7a28f87e49394094153d55692737",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SURVEY_DIGESTS))
+def test_survey_keeps_its_groups_and_their_order(ctx_q2, ctx_q3, case):
+    p, n, bound = case
+    survey = brute_force_survey(ctx_q2 if p == 2 else ctx_q3, n, bound)
+    doc = repr([
+        (fine.points, [[[d.index for d in row] for row in f.digits] for f in group])
+        for fine, group in survey.items()
+    ])
+    assert hashlib.sha256(doc.encode()).hexdigest() == SURVEY_DIGESTS[case]

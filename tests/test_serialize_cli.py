@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -257,6 +258,21 @@ def test_cli_selftest_rejects_huge_case_before_forming_its_size():
     assert done.returncode == 2
     assert "exceeds the survey guard" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+# sha256 of `ramify selftest` stdout, taken before the survey shared its rows
+SELFTEST_STDOUT_SHA256 = "947df3167df6e4b818d73778a4fe029d507e48cfedd25798e993695f2a87c143"
+
+
+def test_cli_selftest_runs_under_a_192_mib_address_space_cap():
+    # the default cases survey 537,442 tables; tables that share their rows
+    # keep the run near 100 MB, where a row tuple per table needed 240-260 MB
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (192 * 2**20, 192 * 2**20))
+
+    done = run_process("selftest", preexec_fn=cap)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == SELFTEST_STDOUT_SHA256
 
 
 def test_cli_expand_rejects_huge_listing_before_expanding():

@@ -99,6 +99,23 @@ def test_expand_requires_cutoff(ctx_q2):
         cardinality(eisenstein_template(ctx_q2, 2))
 
 
+def test_template_slots_are_read_only(ctx_q2):
+    # the survey oracle memoises verdicts per template, so a slot must not
+    # change after construction, neither through T.slots nor the dict passed in
+    zero = ctx_q2.base.fq.zero
+    T = eisenstein_template(ctx_q2, 2)
+    with pytest.raises(TypeError):
+        T.slots[(1, 1)] = frozenset({zero})
+    given = {(1, 1): frozenset({zero})}
+    U = T.with_slots(given)
+    given[(1, 1)] = frozenset()
+    assert U.slot(1, 1) == {zero}
+    with pytest.raises(TypeError):
+        U.slots[(1, 1)] = frozenset()
+    assert T.slot(1, 1) == set(ctx_q2.base.fq.elements())
+    assert U == T.with_slots({(1, 1): frozenset({zero})})
+
+
 def test_empty_slot_gives_zero_cardinality(ctx_q2):
     T = truncate_krasner(eisenstein_template(ctx_q2, 2), 1)
     T = T.with_slots({(1, 1): frozenset()})
