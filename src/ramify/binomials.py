@@ -10,7 +10,7 @@ parts.  Everything is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .residue_field import BaseField, FqElement
 
@@ -51,6 +51,11 @@ class BinomialContext:
     """Bundles the base field with the binomial-residue machinery."""
 
     base: BaseField
+
+    @cached_property
+    def memo(self) -> dict:
+        """Validity verdicts by degree (see ``validity``), made on first use; reuse is safe."""
+        return {}
 
 
 def B(ctx: BinomialContext, i: int, j: int) -> int:

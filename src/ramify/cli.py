@@ -34,7 +34,7 @@ from .templates import (
 
 
 # the largest J0 range n*e*v_p(n) enumerate searches: the hull search tree
-# grows fast with it (Q_2 degree 64, 384: about 75 s; degree 128, 896: no end)
+# grows fast with it (Q_2 degree 64, 384: about 50 s; degree 128, 896: no end)
 MAX_J0_RANGE = 512
 
 

@@ -8,8 +8,8 @@ fails it can never be completed to a valid one and the pruning is exact:
 with pruning on or off the output set is identical.
 
 The hull search's root candidates J0 <= n * v(n) are those whose vertex
-(1, J0) passes its own conditions (``validity.admissible_ordinates``), which
-equal the Ore bound; the fine search's forced points are the tame zeros.
+(1, J0) passes its own conditions, which equal the Ore bound; the fine
+search's forced points are the tame zeros.
 
 Outputs are canonically sorted and deterministic.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from . import validity
 from .binomials import BinomialContext, beta, vp
@@ -62,6 +63,14 @@ def _keeps_convex(prefix: list[tuple[int, int, int]], x3: int, y3: int) -> bool:
     return (y2 - y1) * (x3 - x2) < (y3 - y2) * (x2 - x1)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def enumerate_ram_polygons(
     ctx: BinomialContext, n: int, *, prune: bool = True
 ) -> tuple[list[RamPolygon], EnumStats]:
@@ -74,19 +83,14 @@ def enumerate_ram_polygons(
     an earlier vertex non-extremal are skipped, since the vertex list of a
     polygon must stay strictly convex).
 
-    Pruning is incremental and keeps its verdicts: each root
-    [(1, J0), (p^m, 0)] gets the whole weak check, a child that adds
-    (p^S, J) is checked through its pairs with the vertices present, each
-    distinct pair once per search, and a child that adds nothing keeps its
-    parent's set, with nothing new to check.  Every visited branch has
-    passed one ``weak_ram_ok`` call, so that call's pass count is
-    ``branches_visited``.  A vertex's own conditions depend on (S, J) alone,
-    so the ordinates passing them are found once per exponent S.
-
-    A leaf's full verdict is ``valid_ram_ok``: the pair verdicts (already
-    passed when pruning) and, at each absent exponent, the memoised pieces
-    of the enclosing segment, both kept in the search's one verdict dict.
-    A ``RamPolygon`` is built only for a leaf that passes.
+    Pruning reads pair verdicts from the context's memo and calls the search
+    only for candidates that pass: an int bitmask, bit J for the ordinate J,
+    ANDed with the masks at S of (p^m, 0) and of each vertex t, the bits
+    whose pair with t passes (``validity.pairs_ok``), kept per (t, S) and
+    filled in lazily.  Each root [(1, J0), (p^m, 0)] gets the whole weak
+    check, and every visited branch passes one ``weak_ram_ok`` call, so its
+    pass count is ``branches_visited``.  A leaf's verdict is
+    ``valid_ram_ok``, built into a ``RamPolygon`` only if it passes.
     """
     if n < 1:
         raise ValueError("degree must be positive")
@@ -100,21 +104,17 @@ def enumerate_ram_polygons(
         tail.append((n, 0))
     # J0 <= n * v(n), and every ordinate after the first lies below J0
     J0_max = n * ctx.base.e * m
-    ordinates = {
-        S: validity.admissible_ordinates(ctx, n, S, J0_max - 1) if prune else range(1, J0_max)
-        for S in range(1, m)
-    }
     out: list[RamPolygon] = []
     stats = EnumStats()
-    verdicts: dict[tuple[int, int, int, int], bool] = {}
+    masks: dict[int, tuple[int, int]] = {}  # (J_t, s_t, S) -> (bits passing, bits decided)
 
     def search(prefix: list[tuple[int, int, int]], S: int, new: tuple[int, ...] | None) -> None:
         # prefix holds (s, p^s, J) per vertex; ``new`` the exponents it added
-        if prune and not validity.weak_ram_ok(ctx, n, prefix + top, new, verdicts):
+        if prune and not validity.weak_ram_ok(ctx, n, prefix + top, new):
             return
         stats.branches_visited += 1
         if S >= m:
-            if validity.valid_ram_ok(ctx, n, prefix + top, verdicts, () if prune else None):
+            if validity.valid_ram_ok(ctx, n, prefix + top, () if prune else None):
                 out.append(RamPolygon(p, n, tuple((x, J) for _, x, J in prefix) + tuple(tail)))
             return
         search(prefix, S + 1, ())
@@ -122,14 +122,23 @@ def enumerate_ram_polygons(
         _, x_last, J_last = prefix[-1]
         # candidates strictly below the chord from the last vertex to (p^m, 0)
         J_max = (J_last * (p_top - x_new) - 1) // (p_top - x_last)
-        for J in ordinates[S]:
-            if J > J_max:
-                break
+        candidates = (2 << J_max) - 2
+        for t in top + prefix if prune else ():
+            key = (t[2] * (m + 1) + t[0]) * m + S
+            ok, decided = masks.get(key, (0, 0))
+            todo = candidates & ~decided
+            if todo:
+                for J in _bits(todo):
+                    ok |= validity.pairs_ok(ctx, n, [t, (S, x_new, J)], (S,)) << J
+                masks[key] = ok, decided | todo
+            candidates &= ok
+        for J in _bits(candidates):
             if _keeps_convex(prefix, x_new, J):
                 search(prefix + [(S, x_new, J)], S + 1, (S,))
 
-    for J0 in validity.admissible_ordinates(ctx, n, 0, J0_max):
-        search([(0, 1, J0)], 1, None)
+    for J0 in range(J0_max + 1):
+        if validity.pairs_ok(ctx, n, [(0, 1, J0)], (0,)):
+            search([(0, 1, J0)], 1, None)
     out.sort(key=lambda P: P.vertices)
     stats.results = len(out)
     return out, stats
@@ -144,16 +153,12 @@ def enumerate_fine_polygons(
     the branching is over the non-vertex p-power abscissas where the hull
     passes through a lattice point.
 
-    The guard's one full check of the hull and the hull's values at the
-    p-powers hold for every branch, and the tame biconditional holds by
-    construction: on [p^m, n] the forced points are the tame zeros and the
-    hull's vertices (p^m, 0) and (n, 0), which are tame zeros too.  So the
-    root, the hull's own points, has nothing left to check; a child
-    that adds a candidate checks only the pairs the candidate forms with the
-    points present (``pairs_ok``); and a leaf makes one engine call over
-    every exponent (``fine_ore_violations``), with the strict-exclusion bound
-    at the p-powers left without a point.  A ``FinePolygon`` is built only
-    per result.
+    The guard's full check of the hull holds for every branch, and the tame
+    biconditional holds by construction: on [p^m, n] the forced points are
+    the tame zeros, (p^m, 0) and (n, 0) among them.  So the root has nothing
+    to check, a child checks the pairs its candidate forms (``pairs_ok``),
+    and a leaf is ``valid_ram_ok`` over its wild points, strict at the
+    p-powers without a point.  A ``FinePolygon`` is built only per result.
     """
     if not validity.is_valid_ram(ctx, P).ok:
         raise ValueError("fine enumeration requires a valid ramification polygon")
@@ -171,25 +176,22 @@ def enumerate_fine_polygons(
 
     out: list[FinePolygon] = []
     stats = EnumStats()
-    verdicts: dict[tuple[int, int, int, int], bool] = {}
 
-    def search(idx: int, chosen: list[tuple[int, int, int]], new: tuple[int, ...] | None) -> None:
-        # chosen holds (s, p^s, J) per candidate taken; ``new`` the exponent it
-        # added, None at the root
-        if prune and not (
-            new is None or validity.pairs_ok(ctx, n, wild + chosen, new, verdicts)
-        ):
+    def search(idx: int, chosen: list[tuple[int, int, int]], new: tuple[int, ...]) -> None:
+        # chosen holds (s, p^s, J) per candidate taken; ``new`` the exponent it added
+        if prune and not validity.pairs_ok(ctx, n, wild + chosen, new):
             return
         stats.branches_visited += 1
         if idx == len(candidates):
-            if not validity.fine_ore_violations(ctx, n, wild + chosen, values):
+            leaf = sorted(wild + chosen)
+            if validity.valid_ram_ok(ctx, n, leaf, () if prune else None, strict=True):
                 points = forced | {x: J for _, x, J in chosen}
                 out.append(FinePolygon(p, n, tuple(sorted(points.items()))))
             return
         search(idx + 1, chosen, ())
         search(idx + 1, chosen + [candidates[idx]], (candidates[idx][0],))
 
-    search(0, [], None)
+    search(0, [], ())
     out.sort(key=lambda Ps: Ps.points)
     stats.results = len(out)
     return out, stats

@@ -17,19 +17,16 @@ that position's J, so weak validity of a set is the conjunction of the
 weak validity of its pairs.  A set that passed stays valid after adding a
 point v exactly when every pair {t, v} passes.
 
-Full validity splits the same way at the leaves of a search.  It is weak
-validity plus the conditions at the absent exponents s, and there the
-polygon's value at p^s depends only on the segment (u, w) of consecutive
-present points enclosing it.  So the check at an absent s is a conjunction
-of pieces, one per present point t: Ore2 at s plus the Bounding of t at s,
-a verdict that depends on (s_t, J_t, s, s_u, J_u, s_w, J_w) alone.
-``valid_ram_ok`` memoises pairs and pieces in one dict per search.  A fine
-leaf is one engine call over every exponent, on the hull's values, with
-the strict-exclusion bound at the p-powers left without a point
-(``fine_ore_violations``); the fine search places ``polygons.tame_zeros``
-itself, so only ``is_valid_fine`` checks the tame biconditional (``tame_ok``).
-The full ``is_valid_*`` checks keep their own routes and stay the
-reference for these verdicts.
+Full validity splits the same way at the leaves of a search: weak validity
+plus, at each absent exponent s, one piece per present point t (Ore2 at s
+and the Bounding of t at s), which depends on t, s, the segment (u, w) of
+consecutive present points enclosing s, and the form of the bound there:
+ceil for a hull, strict exclusion for a fine polygon, whose present points
+lie on its hull.  ``BinomialContext.memo`` keeps every pair and piece
+verdict, so the searches and ``is_valid_ram`` decide each once per context
+and the engine runs only to name an invalid polygon's violations.  The fine
+search places ``polygons.tame_zeros`` itself, so only ``is_valid_fine``
+checks the tame biconditional (``tame_ok``).
 """
 
 from __future__ import annotations
@@ -139,20 +136,38 @@ def _weak_violations(ctx: BinomialContext, n: int, positions) -> list[Violation]
     return _condition_violations(ctx, n, positions, ell, s_values)
 
 
-def pairs_ok(
-    ctx: BinomialContext, n: int, positions, new: Collection[int], verdicts: dict
-) -> bool:
+def _memo(ctx: BinomialContext, n: int) -> tuple[int, int, dict[int, bool]]:
+    """(cap, w, verdicts) of degree n: keys pack parts <= cap = n * v(n) in w bits each.
+
+    The low 2 bits are the kind: 0 a pair, 1 a ceil piece, 2 a strict piece.
+    An ordinate J > cap fails Ore2 at its own exponent s (the bound is
+    ceil(J / n) - e * (v_p(n) - s) > 0), so no key holds one.
+    """
+    memo = ctx.memo.get(n)
+    if memo is None:
+        cap = n * ctx.base.e * vp(ctx.base.p, n)
+        memo = ctx.memo[n] = (cap, max(cap, 1).bit_length(), {})
+    return memo
+
+
+def pairs_ok(ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None) -> bool:
     """Whether a weakly valid set stays so with its vertices of exponent in ``new``.
 
-    ``positions`` lists (s, p^s, J) for the whole set.  The answer is the
-    conjunction of the weak check of every pair {t, v} with v new and t
-    present (t = v checks v alone); with nothing new it is True.  Verdicts
-    are read from and stored in ``verdicts`` under (s_t, J_t, s_v, J_v).
+    ``positions`` lists (s, p^s, J) at distinct exponents.  The answer is the
+    conjunction of the memoised weak check of every pair {t, v} with v new and
+    t present (t = v checks v alone); with ``new`` None it is weak validity.
     """
+    cap, w, verdicts = _memo(ctx, n)
     for v in positions:
-        if v[0] in new:
+        if new is None or v[0] in new:
+            if v[2] > cap:
+                return False
+            b = v[0] << w | v[2]
             for t in positions:
-                key = (t[0], t[2], v[0], v[2])
+                if t[2] > cap:
+                    return False
+                a = t[0] << w | t[2]
+                key = (a << 2 * w | b if a <= b else b << 2 * w | a) << 2
                 ok = verdicts.get(key)
                 if ok is None:
                     ok = verdicts[key] = not _weak_violations(ctx, n, [t, v])
@@ -162,84 +177,53 @@ def pairs_ok(
 
 
 def weak_ram_ok(
-    ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None, verdicts=None
+    ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None
 ) -> bool:
-    """Weak validity from raw (s, p^s, J) vertex data, cheaply.
-
-    Without ``new`` this is ``is_weakly_valid_ram`` on the polygon with
-    these wild vertices.  With ``new``, the exponents of the vertices just
-    added to a set that already passed, it is ``pairs_ok``, so the answer
-    is the same; the dict ``verdicts`` may be shared between the calls of
-    one field and degree.
-    """
+    """Weak validity from (s, p^s, J) vertex data: the engine, as ``is_weakly_valid_ram``,
+    or ``pairs_ok`` with ``new``, the exponents just added to a set that passed."""
     if new is None:
         return not _weak_violations(ctx, n, positions)
-    return pairs_ok(ctx, n, positions, new, {} if verdicts is None else verdicts)
+    return pairs_ok(ctx, n, positions, new)
 
 
 def valid_ram_ok(
-    ctx: BinomialContext, n: int, positions, verdicts: dict, new: Collection[int] | None = None
+    ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None, strict=False
 ) -> bool:
-    """Full validity of the polygon with these wild vertices, from memoised pieces.
+    """Full validity of the polygon through these wild points, from memoised pieces.
 
-    ``positions`` lists (s, p^s, J) per wild vertex in increasing s, from
-    s = 0 to v_p(n).  The verdict is ``pairs_ok`` over the pairs of the
-    vertices in ``new`` (every vertex when None; the set is known weakly
-    valid otherwise) and then the pieces at the absent exponents: for s
-    strictly between consecutive vertices u and w, and each vertex t, the
-    engine on [t] at s alone, with the value of the segment (u, w) at p^s.
-    Pieces are memoised in ``verdicts`` under (s_t, J_t, s, s_u, J_u, s_w,
-    J_w), beside the pair verdicts.
+    ``positions`` lists (s, p^s, J) per point in increasing s, from s = 0 to
+    v_p(n), each on the lower hull of them all.  The verdict is ``pairs_ok``
+    for ``new`` (all when None; the rest is known weakly valid), then for s
+    strictly between consecutive points u and w and each point t, the engine
+    on [t] at s alone, with the value of the segment (u, w) at p^s, in the
+    ceil form (``is_valid_ram``) or, ``strict``, the strict-exclusion form
+    (the Ore family of ``is_valid_fine``).
     """
-    if new is None:
-        new = [s for s, _, _ in positions]
-    if not pairs_ok(ctx, n, positions, new, verdicts):
+    if not pairs_ok(ctx, n, positions, new):
         return False
+    _, w, verdicts = _memo(ctx, n)
+    kind = 2 if strict else 1
     p = ctx.base.p
     for (s_u, x_u, J_u), (s_w, x_w, J_w) in zip(positions, positions[1:]):
+        segment = ((s_u << w | J_u) << w | s_w) << w | J_w
         for s in range(s_u + 1, s_w):
             for t in positions:
-                key = (t[0], t[2], s, s_u, J_u, s_w, J_w)
+                key = ((((t[0] << w | t[2]) << w | s) << 4 * w | segment) << 2) | kind
                 ok = verdicts.get(key)
                 if ok is None:
                     x = p**s
                     value = (J_u * (x_w - x) + J_w * (x - x_u), x_w - x_u)
-                    ell = depth_bound(ctx, n, {t[0]: (t[2], 1), s: value})
+                    ell = depth_bound(ctx, n, {t[0]: (t[2], 1), s: value}, (s,) if strict else ())
                     ok = verdicts[key] = not _condition_violations(ctx, n, [t], ell, [s])
                 if not ok:
                     return False
     return True
 
 
-def fine_ore_violations(
-    ctx: BinomialContext, n: int, positions, values: Mapping[int, tuple[int, int]]
-) -> list[Violation]:
-    """The Ore family of full fine validity, in one engine call over every exponent.
-
-    ``positions`` lists (s, p^s, J) for the attained wild points and
-    ``values`` maps each s <= v_p(n) to the hull's value N / D at p^s; an
-    exponent without a point takes the strict-exclusion bound.  The tame
-    biconditional is not checked (see ``tame_ok``).
-    """
-    s_values = range(vp(ctx.base.p, n) + 1)
-    present = {s for s, _, _ in positions}
-    ell = depth_bound(ctx, n, values, excluded=[s for s in s_values if s not in present])
-    return _condition_violations(ctx, n, positions, ell, s_values)
-
-
-def admissible_ordinates(ctx: BinomialContext, n: int, s: int, J_max: int) -> list[int]:
-    """The J in 0..J_max for which a vertex (p^s, J) passes its own conditions.
-
-    These are BRange, Ore1 / Ore3 and Ore2 at s; they depend on (s, J)
-    alone, so the enumerator finds them once per exponent.  At s = 0 and
-    J_max = n * v(n) they are the Ore bound on J0.
-    """
-    x = ctx.base.p**s
-    return [J for J in range(J_max + 1) if not _weak_violations(ctx, n, [(s, x, J)])]
-
-
 def is_valid_ram(ctx: BinomialContext, P: RamPolygon) -> ValidityReport:
-    """Full validity of a ramification polygon over the base field."""
+    """Full validity of a ramification polygon: ok from ``valid_ram_ok``, else the engine's."""
+    if valid_ram_ok(ctx, P.n, P.wild_vertices()):
+        return ValidityReport(True, ())
     s_values = range(vp(ctx.base.p, P.n) + 1)
     ell = depth_bound(ctx, P.n, P.p_power_values())
     return ValidityReport.from_violations(

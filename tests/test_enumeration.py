@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from ramify import validity
 from ramify.binomials import BinomialContext, beta, vp
 from ramify.enumeration import (
     Level,
@@ -14,7 +15,6 @@ from ramify.enumeration import (
 from ramify.polygons import FinePolygon, FinePolygonWithResidues, RamPolygon, decompose
 from ramify.residue_field import make_field
 from ramify.validity import (
-    admissible_ordinates,
     admissible_phi0,
     equivalent_res,
     equivalent_with_unif,
@@ -45,14 +45,29 @@ def _ore_J0_reference(p, e, n):
     ]
 
 
-def test_root_ordinates_are_the_ore_bound():
-    # the hull search's roots are the root vertex's own conditions at s = 0
+def test_root_ordinates_are_the_ore_bound(monkeypatch):
+    # the root vertex's own conditions at s = 0 are the Ore bound, and the
+    # hull search roots at exactly those J0
     for p in (2, 3, 5, 7):
         for e in (1, 2, 3):
             ctx = BinomialContext(make_field(p, 1, e, 1))
             for n in range(1, 130):
-                roots = admissible_ordinates(ctx, n, 0, n * e * vp(p, n))
-                assert roots == _ore_J0_reference(p, e, n), (p, e, n)
+                cap = n * e * vp(p, n)
+                own = [J0 for J0 in range(cap + 1) if validity.weak_ram_ok(ctx, n, [(0, 1, J0)])]
+                assert own == _ore_J0_reference(p, e, n), (p, e, n)
+    real = validity.weak_ram_ok
+    roots = []
+
+    def record(ctx_, n_, positions, new=None):
+        if new is None:
+            roots.append(positions[0][2])
+        return real(ctx_, n_, positions, new)
+
+    monkeypatch.setattr(validity, "weak_ram_ok", record)
+    for p, e, n in [(2, 1, 3), (2, 1, 8), (2, 1, 12), (2, 2, 8), (3, 1, 9), (5, 1, 10)]:
+        roots.clear()
+        enumerate_ram_polygons(BinomialContext(make_field(p, 1, e, 1)), n)
+        assert roots == _ore_J0_reference(p, e, n), (p, e, n)
 
 
 def test_degree_one_is_trivial(ctx_q2):
@@ -83,6 +98,55 @@ def test_pruned_equals_unpruned(p, f, e, n):
         f1, _ = enumerate_fine_polygons(ctx, P, prune=True)
         f2, _ = enumerate_fine_polygons(ctx, P, prune=False)
         assert f1 == f2
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 1, 1), (3, 1, 1, 1), (2, 1, 2, 1), (2, 2, 1, "g")])
+def test_a_context_that_served_other_work_enumerates_as_a_fresh_one(spec):
+    # the memo keeps verdicts per degree; other degrees, unpruned searches and
+    # invalid polygons, J0 beyond the Ore bound among them, must not leak
+    used = BinomialContext(make_field(*spec))
+    p, e = used.base.p, used.base.e
+    for n in range(1, p**3 + 1):
+        enumerate_invariants(used, n, "fine")
+        enumerate_ram_polygons(used, n, prune=False)
+    reports = {}
+    for n in (p * p, p**3):
+        cap = n * e * vp(p, n)
+        for J0 in range(1, 2 * cap, 3):
+            for vertices in (((1, J0), (n, 0)), ((1, J0), (p, 0), (n, 0))):
+                P = RamPolygon(p, n, vertices)
+                reports[P] = is_valid_ram(used, P)
+    assert not all(report.ok for report in reports.values())
+    fresh = BinomialContext(make_field(*spec))
+    assert fresh == used
+    assert all(is_valid_ram(fresh, P) == report for P, report in reports.items())
+    for n in (p * p, p**3):
+        for prune in (True, False):
+            hulls, stats = enumerate_ram_polygons(used, n, prune=prune)
+            assert (hulls, stats) == enumerate_ram_polygons(fresh, n, prune=prune)
+            for P in hulls:
+                fresh_fines = enumerate_fine_polygons(fresh, P, prune=prune)
+                assert enumerate_fine_polygons(used, P, prune=prune) == fresh_fines
+
+
+@pytest.mark.parametrize("spec, n", [((2, 1, 1, 1), 16), ((3, 1, 1, 1), 27), ((2, 1, 2, 1), 8)])
+def test_hull_search_is_called_only_for_candidates_that_pass(monkeypatch, spec, n):
+    # the candidate masks leave no child for weak_ram_ok to reject: only a
+    # root, which gets the whole weak check, may fail, and every pass is a
+    # visited branch
+    ctx = BinomialContext(make_field(*spec))
+    real = validity.weak_ram_ok
+    tally = {True: 0, False: 0}
+
+    def counted(ctx_, n_, positions, new=None):
+        ok = real(ctx_, n_, positions, new)
+        assert ok or new is None, positions
+        tally[ok] += 1
+        return ok
+
+    monkeypatch.setattr(validity, "weak_ram_ok", counted)
+    _, stats = enumerate_ram_polygons(ctx, n)
+    assert tally[True] == stats.branches_visited
 
 
 def test_every_output_is_valid(ctx_q2):

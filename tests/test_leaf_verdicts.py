@@ -1,18 +1,20 @@
-"""The searches' leaf verdicts against the full validity checks.
+"""The searches' leaf verdicts against test-side engine routes.
 
 The hull search decides a leaf with ``valid_ram_ok`` (memoised pairs and
-absent-exponent pieces) and the fine search with ``fine_ore_violations``
-alone, its forced points satisfying the tame biconditional by construction;
-``is_valid_ram`` and ``is_valid_fine`` take their own routes and are the
-reference, and the fine comparison asserts that the reference finds no tame
-violation.  The search tests wrap the verdict
-function the enumerator looks up, so every leaf the search reaches is
-compared, with the search's own verdict dict.
+ceil-form absent-exponent pieces) and the fine search with ``valid_ram_ok``
+in its strict form, its forced points satisfying the tame biconditional by
+construction.  ``is_valid_ram`` itself answers ok from ``valid_ram_ok``, so
+the hull reference here is the engine on the hull's values at every
+p-power (``engine_valid_ram``), and the fine reference is ``is_valid_fine``,
+which asserts that it finds no tame violation.  The search tests wrap the
+verdict function the enumerator looks up, so every leaf the search reaches
+is compared, on the search's own context.
 
-The fine leaf is compared by violation kinds, not by verdict alone: on
-every hull tried, the ceil bound at an unattained lattice point gives the
-same verdict as the strict-exclusion bound, but it misses some of the
-violations, such as Ore2 at that point.
+``fine_ore_violations``, the fine leaf's former one engine call over every
+exponent, is kept here as a reference and compared by violation kinds, not
+by verdict alone: on every hull tried, the ceil bound at an unattained
+lattice point gives the same verdict as the strict-exclusion bound, but it
+misses some of the violations, such as Ore2 at that point.
 """
 
 import itertools
@@ -27,10 +29,17 @@ from ramify.enumeration import (
     enumerate_ram_polygons,
     enumerate_unif_classes,
 )
-from ramify.polygons import FinePolygon, InvariantWithUnif, RamPolygon, tame_zeros
+from ramify.polygons import (
+    FinePolygon,
+    InvariantWithUnif,
+    RamPolygon,
+    depth_bound,
+    tame_zeros,
+)
 from ramify.residue_field import is_prime, make_field
 from ramify.validity import (
     Violation,
+    _condition_violations,
     admissible_phi0,
     equivalent_with_unif,
     is_valid_fine,
@@ -55,6 +64,26 @@ def _hull_of(p, n, positions):
     return RamPolygon(p, n, tuple(vertices))
 
 
+def engine_valid_ram(ctx, P) -> bool:
+    """Full hull validity by the engine alone, on the hull's values at every p-power."""
+    s_values = range(vp(ctx.base.p, P.n) + 1)
+    ell = depth_bound(ctx, P.n, P.p_power_values())
+    return not _condition_violations(ctx, P.n, P.wild_vertices(), ell, s_values)
+
+
+def fine_ore_violations(ctx, n, positions, values):
+    """The Ore family of full fine validity, in one engine call over every exponent.
+
+    ``positions`` lists (s, p^s, J) for the attained wild points and
+    ``values`` maps each s <= v_p(n) to the hull's value N / D at p^s; an
+    exponent without a point takes the strict-exclusion bound.
+    """
+    s_values = range(vp(ctx.base.p, n) + 1)
+    present = {s for s, _, _ in positions}
+    ell = depth_bound(ctx, n, values, excluded=[s for s in s_values if s not in present])
+    return _condition_violations(ctx, n, positions, ell, s_values)
+
+
 @pytest.mark.parametrize("prune", [True, False])
 @pytest.mark.parametrize("p, f, e, gamma, degrees", LEAF_CASES, ids=CASE_IDS)
 def test_hull_leaf_verdict_is_full_validity(monkeypatch, p, f, e, gamma, degrees, prune):
@@ -62,9 +91,10 @@ def test_hull_leaf_verdict_is_full_validity(monkeypatch, p, f, e, gamma, degrees
     real = validity.valid_ram_ok
     tally = {True: 0, False: 0}
 
-    def checked(ctx_, n, positions, verdicts, new=None):
-        ok = real(ctx_, n, positions, verdicts, new)
-        assert ok == is_valid_ram(ctx_, _hull_of(p, n, positions)).ok, positions
+    def checked(ctx_, n, positions, new=None, strict=False):
+        ok = real(ctx_, n, positions, new, strict)
+        assert not strict
+        assert ok == engine_valid_ram(ctx_, _hull_of(p, n, positions)), positions
         tally[ok] += 1
         return ok
 
@@ -73,6 +103,21 @@ def test_hull_leaf_verdict_is_full_validity(monkeypatch, p, f, e, gamma, degrees
         enumerate_ram_polygons(ctx, n, prune=prune)
     # the leaves both pass and fail, so neither side of the check is idle
     assert tally[True] and tally[False]
+
+
+def test_is_valid_ram_answers_as_the_engine_on_every_reached_hull(monkeypatch):
+    # ok from the memo, the engine's violations otherwise, on a context whose
+    # memo the searches have filled
+    ctx = BinomialContext(make_field(2, 1, 1, 1))
+    for n in (4, 8, 12, 16):
+        enumerate_ram_polygons(ctx, n)
+        tally = {True: 0, False: 0}
+        for wild in _every_hull(monkeypatch, ctx, n):
+            P = _hull_of(2, n, wild)
+            report = is_valid_ram(ctx, P)
+            assert report.ok == engine_valid_ram(ctx, P) == (not report.violations), wild
+            tally[report.ok] += 1
+        assert tally[True] and tally[False]
 
 
 def _forced_tame(p, n):
@@ -94,25 +139,29 @@ def _fine_reference(ctx, p, n, positions) -> set:
 
 @pytest.mark.parametrize("p, f, e, gamma, degrees", LEAF_CASES, ids=CASE_IDS)
 def test_fine_search_leaf_verdict_is_full_validity(monkeypatch, p, f, e, gamma, degrees):
-    # unpruned, the fine search reaches every subset of every hull's candidates
+    # in both prune modes; unpruned, the fine search reaches every subset of
+    # every hull's candidates
     ctx = BinomialContext(make_field(p, f, e, gamma))
-    real = validity.fine_ore_violations
-    leaves = 0
+    real = validity.valid_ram_ok
+    leaves = {True: 0, False: 0}
 
-    def checked(ctx_, n, positions, values):
-        nonlocal leaves
-        violations = real(ctx_, n, positions, values)
-        assert set(violations) == _fine_reference(ctx_, p, n, positions), positions
-        leaves += 1
-        return violations
+    def checked(ctx_, n, positions, new=None, strict=False):
+        ok = real(ctx_, n, positions, new, strict)
+        if strict:
+            assert ok == (not _fine_reference(ctx_, p, n, positions)), positions
+            leaves[new is None] += ok
+        return ok
 
     for n in degrees:
         hulls, _ = enumerate_ram_polygons(ctx, n)
         with monkeypatch.context() as patch:
-            patch.setattr(validity, "fine_ore_violations", checked)
+            patch.setattr(validity, "valid_ram_ok", checked)
             for P in hulls:
-                enumerate_fine_polygons(ctx, P, prune=False)
-    assert leaves
+                for prune in (True, False):
+                    enumerate_fine_polygons(ctx, P, prune=prune)
+    # every fine leaf these searches reach passes, pruned or not; the failing
+    # side is checked on every subset of every hull below
+    assert leaves[True] == leaves[False] > 0
 
 
 def _every_hull(monkeypatch, ctx, n):
@@ -120,9 +169,9 @@ def _every_hull(monkeypatch, ctx, n):
     hulls = []
     real = validity.valid_ram_ok
 
-    def record(ctx_, n_, positions, verdicts, new=None):
+    def record(ctx_, n_, positions, new=None, strict=False):
         hulls.append(list(positions))
-        return real(ctx_, n_, positions, verdicts, new)
+        return real(ctx_, n_, positions, new, strict)
 
     with monkeypatch.context() as patch:
         patch.setattr(validity, "valid_ram_ok", record)
@@ -158,23 +207,63 @@ def test_fine_leaf_verdict_on_every_subset_of_every_hull(monkeypatch, p, f, e, g
         for r in range(len(candidates) + 1):
             for chosen in itertools.combinations(candidates, r):
                 positions = sorted(wild + list(chosen))
-                violations = validity.fine_ore_violations(ctx, n, positions, values)
-                assert set(violations) == _fine_reference(ctx, p, n, positions), positions
-                tally[not violations] += 1
+                reference = _fine_reference(ctx, p, n, positions)
+                assert set(fine_ore_violations(ctx, n, positions, values)) == reference
+                ok = validity.valid_ram_ok(ctx, n, positions, strict=True)
+                assert ok == (not reference), positions
+                tally[ok] += 1
     assert tally[True] and tally[False]
 
 
-def test_hull_leaf_pieces_are_keyed_by_segment(ctx_q2):
-    # one dict, two weakly valid leaves with (2, *) absent inside different
+def test_hull_leaf_pieces_are_keyed_by_segment():
+    # one memo, two weakly valid leaves with (2, *) absent inside different
     # segments: the piece of vertex (4, 4) at s = 1 passes on the first
     # segment and fails on the second, the second leaf's only failure
-    verdicts = {}
+    ctx = BinomialContext(make_field(2, 1, 1, 1))
     valid = [(0, 1, 9), (2, 4, 4), (3, 8, 0)]
     invalid = [(0, 1, 17), (2, 4, 4), (3, 8, 0)]
-    assert is_valid_ram(ctx_q2, _hull_of(2, 8, valid)).ok
-    assert not is_valid_ram(ctx_q2, _hull_of(2, 8, invalid)).ok
-    assert validity.valid_ram_ok(ctx_q2, 8, valid, verdicts)
-    assert not validity.valid_ram_ok(ctx_q2, 8, invalid, verdicts)
+    assert engine_valid_ram(ctx, _hull_of(2, 8, valid))
+    assert not engine_valid_ram(ctx, _hull_of(2, 8, invalid))
+    assert validity.valid_ram_ok(ctx, 8, valid)
+    assert not validity.valid_ram_ok(ctx, 8, invalid)
+
+
+def _parts(body: int, w: int, count: int) -> list[int]:
+    out = []
+    for _ in range(count):
+        out.append(body & ((1 << w) - 1))
+        body >>= w
+    return out[::-1]
+
+
+@pytest.mark.parametrize("p, f, e, gamma, degrees", LEAF_CASES, ids=CASE_IDS)
+def test_every_memoised_verdict_is_the_engine_verdict_of_its_key(p, f, e, gamma, degrees):
+    # the memo's keys decoded by hand: a pair (s_t, J_t, s_v, J_v) is the
+    # engine on the two vertices; a piece (s_t, J_t, s, s_u, J_u, s_w, J_w)
+    # the engine on t at s alone, with the segment's value at p^s, in the
+    # form its kind names (1 ceil, 2 strict)
+    ctx = BinomialContext(make_field(p, f, e, gamma))
+    kinds = {0: 0, 1: 0, 2: 0}
+    for n in degrees:
+        for P in enumerate_ram_polygons(ctx, n)[0]:
+            enumerate_fine_polygons(ctx, P)
+        enumerate_ram_polygons(ctx, n, prune=False)
+        _, w, verdicts = validity._memo(ctx, n)
+        for key, ok in verdicts.items():
+            kind, body = key & 3, key >> 2
+            kinds[kind] += 1
+            if kind == 0:
+                s_t, J_t, s_v, J_v = _parts(body, w, 4)
+                positions = [(s_t, p**s_t, J_t), (s_v, p**s_v, J_v)]
+                assert ok == (not validity._weak_violations(ctx, n, positions)), positions
+                continue
+            s_t, J_t, s, s_u, J_u, s_w, J_w = _parts(body, w, 7)
+            x, x_u, x_w = p**s, p**s_u, p**s_w
+            value = (J_u * (x_w - x) + J_w * (x - x_u), x_w - x_u)
+            ell = depth_bound(ctx, n, {s_t: (J_t, 1), s: value}, (s,) if kind == 2 else ())
+            t = (s_t, p**s_t, J_t)
+            assert ok == (not _condition_violations(ctx, n, [t], ell, [s])), (kind, t, s)
+    assert all(kinds.values()), kinds
 
 
 def test_tame_ok_reads_the_horizontal_face(ctx_q2):

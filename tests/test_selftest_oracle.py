@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from ramify import selftest
+from ramify import cli, selftest
 from ramify.analyzer import EisensteinData, brute_force_survey, residues_of
 from ramify.binomials import vp
 from ramify.enumeration import Level, enumerate_invariants
@@ -139,6 +139,19 @@ def test_oracle_matches_the_reference_under_a_fault(fault_cases, monkeypatch, fa
             expected = reference_problems(ctx, n, bound, survey)
         assert any(line.startswith(kind) for line in problems), (n, bound)
         assert problems == expected, (n, bound)
+
+
+def test_selftest_prints_at_most_twenty_problem_lines_per_case(monkeypatch, capsys):
+    # dropping the only Q_2 phi0 fails the residue check of every table
+    monkeypatch.setattr(selftest, "admissible_phi0", _drop_one_phi0(selftest.admissible_phi0))
+    assert cli.main(["selftest", "--case", "2:4:3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    total = selftest.MAX_PROBLEM_LINES + int(lines[-1].split()[2])
+    assert total > selftest.MAX_PROBLEM_LINES
+    assert lines[0] == f"selftest p=2 n=4 depth=3: FAILED ({total} mismatches)"
+    assert len(lines) == 1 + selftest.MAX_PROBLEM_LINES + 1
+    assert all(line.startswith("  residue data inconsistent") for line in lines[1:-1])
+    assert lines[-1] == f"  ... and {total - selftest.MAX_PROBLEM_LINES} more"
 
 
 def test_tables_keep_a_trimmed_tuple_row_as_the_same_object(ctx_q2):

@@ -548,17 +548,29 @@ def test_cli_selftest_small_cases(capsys):
     assert out.count(": ok") == 2
 
 
-def test_selftest_detects_injected_ore2_fault(ctx_q2, survey_q2_n4, monkeypatch):
+def test_selftest_detects_injected_ore2_fault(survey_q2_n4, monkeypatch):
     # dropping the Ore 2 condition admits fine polygons no polynomial attains,
-    # e.g. [(1, 8), (4, 0)] in degree 4; the survey cross-check must object
+    # e.g. [(1, 8), (4, 0)] in degree 4; the survey cross-check must object.
+    # A fresh context: the session's one has the true verdicts in its memo
+    ctx = BinomialContext(make_field(2, 1, 1, 1))
     real = ramify.validity._condition_violations
 
     def no_ore2(*args, **kwargs):
         return [v for v in real(*args, **kwargs) if v is not Violation.ORE2]
 
     monkeypatch.setattr(ramify.validity, "_condition_violations", no_ore2)
-    problems = survey_case_problems(ctx_q2, 4, 5, survey=survey_q2_n4)
+    problems = survey_case_problems(ctx, 4, 5, survey=survey_q2_n4)
     assert any("enumerated but not surveyed" in p for p in problems)
+
+
+def test_python_dash_m_ramify_runs_the_command_line():
+    src = Path(__import__("ramify").__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "ramify", "selftest", "--case", "2:2:3"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "selftest p=2 n=2 depth=3: ok\n"
 
 
 def test_selftest_clean_on_small_case(ctx_q2, survey_q2_n2):

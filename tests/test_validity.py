@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ramify.binomials import BinomialContext, beta
+from ramify.binomials import BinomialContext, beta, vp
+from ramify.enumeration import enumerate_ram_polygons
 from ramify.polygons import (
     FinePolygon,
     FinePolygonWithResidues,
@@ -18,6 +19,7 @@ from ramify.residue_field import make_field
 from ramify.validity import (
     ResidueForcedError,
     Violation,
+    _weak_violations,
     admissible_phi0,
     equivalent_res,
     equivalent_with_unif,
@@ -27,6 +29,7 @@ from ramify.validity import (
     is_valid_with_unif,
     is_weakly_valid_fine,
     is_weakly_valid_ram,
+    pairs_ok,
     weak_ram_ok,
 )
 
@@ -107,10 +110,11 @@ def test_child_check_agrees_with_full_weak_check(case):
     assume(weak_ram_ok(ctx, n, prefix))
     child = prefix[:-1] + added + prefix[-1:]
     new = {s for s, _, _ in added}
-    verdicts = {}
-    assert weak_ram_ok(ctx, n, child, new, verdicts) == weak_ram_ok(ctx, n, child)
-    # a second check reads every pair verdict from the dict
-    assert weak_ram_ok(ctx, n, child, new, verdicts) == weak_ram_ok(ctx, n, child, new)
+    # the contexts are shared by every example, so their memos hold the
+    # verdicts of earlier ones, ordinates above the Ore bound among them
+    # the first check fills the memo, the second reads every pair verdict from it
+    for _ in range(2):
+        assert weak_ram_ok(ctx, n, child, new) == weak_ram_ok(ctx, n, child)
 
 
 def test_pair_check_of_a_lone_vertex_is_its_own_check(ctx_q2):
@@ -119,6 +123,29 @@ def test_pair_check_of_a_lone_vertex_is_its_own_check(ctx_q2):
         vertex = [(1, 2, J)]
         assert weak_ram_ok(ctx_q2, 8, vertex, {1}) == weak_ram_ok(ctx_q2, 8, vertex)
     assert weak_ram_ok(ctx_q2, 8, [(1, 2, 5)], ())
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 1, 1), (3, 1, 1, 1), (2, 1, 2, 1), (2, 2, 1, "g")])
+def test_an_ordinate_above_the_ore_bound_fails_its_own_conditions(spec):
+    # the memo decides a set holding such an ordinate without a key: Ore2
+    # fails at its own exponent
+    ctx = BinomialContext(make_field(*spec))
+    p, e = ctx.base.p, ctx.base.e
+    for n in (p, 2 * p, p**2, p**3, 3 * p**2):
+        m = vp(p, n)
+        cap = n * e * m
+        for s in range(m + 1):
+            for J in range(cap + 1, cap + 2 * n + 2):
+                v = (s, p**s, J)
+                assert Violation.ORE2 in _weak_violations(ctx, n, [v]), (n, v)
+                if s < m:
+                    top = (m, p**m, 0)
+                    assert not pairs_ok(ctx, n, [v, top])
+                    assert not pairs_ok(ctx, n, [top, v])
+                    assert not weak_ram_ok(ctx, n, [top, v], {s})
+        # and no such query leaves a verdict behind that another one reads
+        fresh = BinomialContext(make_field(*spec))
+        assert enumerate_ram_polygons(ctx, n) == enumerate_ram_polygons(fresh, n)
 
 
 def test_valid_fine_spec_examples(ctx_q2):
