@@ -30,7 +30,10 @@ only where a point can lie on the hull, m being v_p(n):
 
 So R is taken at p^0, ..., p^(m-1) (at p^m it is the leading term's 0) and
 the points (j, 0), j in ``polygons.tame_zeros``, are added: O(n log_p n)
-terms per polynomial, where every abscissa would take O(n^2).
+terms per polynomial, where every abscissa would take O(n^2).  A term less
+n*F_i depends on the degree alone: :func:`degree_rows` lays it out as one row
+per p^s on a degree's first analysis and keeps the last ``ROW_DEGREES``
+degrees' rows (n*v_p(n) ints at most each); R at p^s is one C-level min.
 :func:`ramification_points` keeps the O(n^2) definition for callers that
 want every point.  The terms are pairwise distinct mod n, so the residue
 at (j, R_j) reads phi_b directly.
@@ -46,9 +49,11 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .binomials import B, BinomialContext, beta, vp, vp_binomial
+from .binomials import B, BinomialContext, beta, vp, vp_factorial
 from .polygons import (
     FinePolygon,
     FinePolygonWithResidues,
@@ -70,6 +75,9 @@ MAX_DEPTH = 2**10
 # invariants depend only on each coefficient's leading digit, deeper digits
 # are kept so the table remains a faithful approximation of the input
 INTEGER_DIGIT_DEPTH = 8
+
+ROW_DEGREES = 16  # degrees whose rows ``degree_rows`` keeps, least recently used dropped first
+ABSENT = float("inf")  # n*F of a zero coefficient: above every term, whatever e is
 
 
 class NotEisensteinError(ValueError):
@@ -128,7 +136,8 @@ class EisensteinData:
 
     def leading(self) -> tuple[tuple[int | None, FqElement | None], ...]:
         """(F_i, phi_i) for i < n in one pass, (None, None) for a zero coefficient."""
-        return tuple(leading_pair(row) for row in self.digits)
+        zero = self.base.fq.zero
+        return tuple([leading_pair(row, zero) for row in self.digits])
 
     def nonzero_digits(self) -> Iterable[tuple[int, int, FqElement]]:
         for i, row in enumerate(self.digits):
@@ -137,12 +146,15 @@ class EisensteinData:
                     yield i, k, d
 
 
-def leading_pair(row: Sequence[FqElement]) -> tuple[int | None, FqElement | None]:
-    """(F, phi) of one coefficient's digit row, (None, None) for a zero row."""
-    for k, d in enumerate(row, start=1):
-        if d:
-            return k, d
-    return None, None
+def leading_pair(row: Sequence[FqElement], zero: FqElement) -> tuple[int | None, FqElement | None]:
+    """(F, phi) of a trimmed digit row, (None, None) for an empty one; ``zero`` is the
+    field's interned 0, compared by identity, and a trimmed row never ends in it."""
+    if not row:
+        return None, None
+    k = 0
+    while row[k] is zero:
+        k += 1
+    return k + 1, row[k]
 
 
 def _trim(vec: Iterable[FqElement]) -> tuple[FqElement, ...]:
@@ -164,46 +176,42 @@ def _term(ctx: BinomialContext, n: int, i: int, j: int, Fi: int) -> int:
     return n * (B(ctx, i, j) + Fi - 1) + i
 
 
+@lru_cache(maxsize=ROW_DEGREES)
+def degree_rows(p: int, e: int, n: int) -> tuple[tuple, tuple]:
+    """The (p^s, row) for p^s < p^(v_p(n)), and the tame zeros (j, 0), of one degree.
+
+    Immutable, as every analysis of the degree shares them.  ``row[i - p^s]`` for p^s <= i
+    <= n is coefficient i's term at p^s less n*F_i: n*e*v_p(binomial(i, p^s)) + i - n."""
+    vf = [vp_factorial(p, i) for i in range(n + 1)]
+    wild = tuple((x, tuple(n * e * (vf[i] - vf[x] - vf[i - x]) + i - n for i in range(x, n + 1)))
+                 for x in (p**s for s in range(vp(p, n))))
+    return wild, tuple((j, 0) for j in tame_zeros(p, n))
+
+
 def ramification_of(ctx: BinomialContext, signature: Sequence[int | None]) -> FinePolygon:
     """The fine polygon of the points (j, R_j), from R at the p-powers and the tame zeros.
 
-    ``signature`` holds F_0, ..., F_{n-1}, None for a zero coefficient;
-    the monic leading term (F_n = 0) makes every R_j finite.  R is taken at
-    p^0, ..., p^(m-1) (m = v_p(n)), each a minimum over the present
-    i >= p^s, and the tame zeros (j, 0) are added (p^m among them); no
-    other point is on the hull (see the module docstring).  The points
-    ``polygons.hull_points`` keeps are passed to ``FinePolygon`` as they are.
-    """
+    ``signature`` holds F_0, ..., F_{n-1}, None for a zero coefficient.  R at p^s is
+    the least row entry plus n*F_i, finite by the monic term (F_n = 0)."""
     n = len(signature)
-    p = ctx.base.p
-    ne = n * ctx.base.e
-    # n*(F_i - 1) + i, the part of coefficient i's term that does not depend on j
-    present = [(i, n * (Fi - 1) + i) for i, Fi in enumerate(signature) if Fi is not None]
-    present.append((n, 0))
-    wild = [p**s for s in range(vp(p, n))]
-    points = [(x, min(ne * vp_binomial(p, i, x) + c for i, c in present if i >= x)) for x in wild]
-    points += [(j, 0) for j in tame_zeros(p, n)]
-    return FinePolygon(p, n, tuple(hull_points(points)))
-
-
-def _signature(f: EisensteinData) -> tuple[int | None, ...]:
-    return tuple(F for F, _ in f.leading())
+    wild, tame = degree_rows(ctx.base.p, ctx.base.e, n)
+    nF = [ABSENT if F is None else n * F for F in signature] + [0]
+    points = [(x, min(map(add, row, nF[x:]))) for x, row in wild]
+    return FinePolygon(ctx.base.p, n, tuple(hull_points([*points, *tame])))
 
 
 def ramification_points(f: EisensteinData) -> list[tuple[int, int]]:
     """(j, R_j) for 1 <= j <= n by the O(n^2) definition; the leading term keeps R_j finite."""
     ctx = BinomialContext(f.base)
     n = f.n
-    terms = [(i, Fi) for i, Fi in enumerate(_signature(f)) if Fi is not None]
+    terms = [(i, Fi) for i, (Fi, _) in enumerate(f.leading()) if Fi is not None]
     terms.append((n, 0))
-    return [
-        (j, min(_term(ctx, n, i, j, Fi) for i, Fi in terms if i >= j))
-        for j in range(1, n + 1)
-    ]
+    return [(j, min(_term(ctx, n, i, j, Fi) for i, Fi in terms if i >= j))
+            for j in range(1, n + 1)]
 
 
 def fine_of(f: EisensteinData) -> FinePolygon:
-    return ramification_of(BinomialContext(f.base), _signature(f))
+    return ramification_of(BinomialContext(f.base), [F for F, _ in f.leading()])
 
 
 def polygon_of(f: EisensteinData) -> RamPolygon:
@@ -332,7 +340,7 @@ def brute_force_survey(
         raise ValueError("survey size exceeds the iteration guard")
     vectors = list(itertools.product(list(base.fq.elements()), repeat=digit_bound))
     trimmed = [_trim(v) for v in vectors]
-    lead = [leading_pair(v)[0] for v in vectors]  # F of each vector, None for zero
+    lead = [leading_pair(v, base.fq.zero)[0] for v in trimmed]  # F of each vector, None for zero
     const_choices = [idx for idx, v in enumerate(vectors) if v and v[0]]
     other_choices = list(range(len(vectors)))
 

@@ -158,7 +158,7 @@ def enumerate_fine_polygons(
     the tame zeros, (p^m, 0) and (n, 0) among them.  So the root has nothing
     to check, a child checks the pairs its candidate forms (``pairs_ok``),
     and a leaf is ``valid_ram_ok`` over its wild points, strict at the
-    p-powers without a point.  A ``FinePolygon`` is built only per result.
+    p-powers without a point.  A ``FinePolygon``, on the hull ``P``, is built only per result.
     """
     if not validity.is_valid_ram(ctx, P).ok:
         raise ValueError("fine enumeration requires a valid ramification polygon")
@@ -186,7 +186,7 @@ def enumerate_fine_polygons(
             leaf = sorted(wild + chosen)
             if validity.valid_ram_ok(ctx, n, leaf, () if prune else None, strict=True):
                 points = forced | {x: J for _, x, J in chosen}
-                out.append(FinePolygon(p, n, tuple(sorted(points.items()))))
+                out.append(FinePolygon(p, n, tuple(sorted(points.items())), P))
             return
         search(idx + 1, chosen, ())
         search(idx + 1, chosen + [candidates[idx]], (candidates[idx][0],))

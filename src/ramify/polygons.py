@@ -177,12 +177,13 @@ class FinePolygon:
 
     Every point lies on the lower convex hull of the point set, which is
     itself a structurally valid :class:`RamPolygon` (available as ``hull``).
+    A caller holding the hull may pass it, checked against the points' vertices.
     """
 
     p: int
     n: int
     points: tuple[tuple[int, int], ...]
-    hull: RamPolygon = field(init=False, compare=False, repr=False)
+    hull: RamPolygon = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         pts = tuple(sorted((int(x), int(J)) for x, J in self.points))
@@ -194,7 +195,11 @@ class FinePolygon:
             if x <= wild_top and x != p ** vp(p, x):
                 raise ValueError(f"point abscissa {x} below {wild_top} must be a p-power")
         # sorted, distinct abscissas: a point is off the hull exactly at a concave turn
-        object.__setattr__(self, "hull", RamPolygon(p, self.n, tuple(_vertices(pts))))
+        vertices = tuple(_vertices(pts))
+        if self.hull is None:
+            object.__setattr__(self, "hull", RamPolygon(p, self.n, vertices))
+        elif (self.hull.p, self.hull.n, self.hull.vertices) != (p, self.n, vertices):
+            raise ValueError(f"the given hull is not the hull of {pts}")
 
     @property
     def J0(self) -> int:

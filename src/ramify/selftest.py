@@ -11,7 +11,8 @@ digit table to that depth, and verifies that
 * the residues and uniformizer digit of every surveyed polynomial pass
   the residue-level validity tests.
 
-All checks are exact; any discrepancy is reported as a diff line.
+All checks are exact; each discrepancy is a (kind, subject) pair that
+:func:`problem_line` formats only if printed, as one fault can fail every table.
 
 The per-table checks decompose by rows.  A template slot (i, k) with
 k <= depth reads row i alone, so a table meets its template exactly when
@@ -35,23 +36,27 @@ DEFAULT_CASES: tuple[tuple[int, int, int], ...] = ((2, 2, 3), (2, 4, 5), (3, 3, 
 MAX_PROBLEM_LINES = 20  # diffs printed per case: one fault can fail every table
 
 
+def problem_line(problem: tuple[str, object]) -> str:
+    return "{} {}".format(*problem)
+
+
 def survey_case_problems(
     ctx: BinomialContext,
     n: int,
     bound: int,
     survey: dict[FinePolygon, list[EisensteinData]] | None = None,
-) -> list[str]:
-    """All mismatches for one case; empty means the case passes."""
-    problems: list[str] = []
+) -> list[tuple[str, object]]:
+    """All mismatches for one case as (kind, subject) pairs; empty means the case passes."""
+    problems: list[tuple[str, object]] = []
     if survey is None:
         survey = brute_force_survey(ctx, n, bound)
     enumerated, _ = enumerate_invariants(ctx, n, Level.FINE)
     surveyed_set = set(survey)
     enumerated_set = set(enumerated)
     for fine in sorted(surveyed_set - enumerated_set, key=lambda f: f.points):
-        problems.append(f"surveyed but not enumerated: {fine.points}")
+        problems.append(("surveyed but not enumerated:", fine.points))
     for fine in sorted(enumerated_set - surveyed_set, key=lambda f: f.points):
-        problems.append(f"enumerated but not surveyed: {fine.points}")
+        problems.append(("enumerated but not surveyed:", fine.points))
 
     e, p = ctx.base.e, ctx.base.p
     vn = e * vp(p, n)
@@ -60,7 +65,7 @@ def survey_case_problems(
         J0 = fine.J0
         _, b0 = decompose(J0, n)
         if not min(n * e * vp(p, b0), n * vn) <= J0 <= n * vn:
-            problems.append(f"Ore bound violated by leftmost ordinate {J0} of {fine.points}")
+            problems.append((f"Ore bound violated by leftmost ordinate {J0} of", fine.points))
         row_slots = None
         if fine in enumerated_set:
             row_slots = _row_slots(template_for_fine(ctx, fine), bound)
@@ -78,11 +83,11 @@ def survey_case_problems(
                 if verdict is None:
                     i = key[0]
                     ok = row_slots is None or _row_meets(rows[i], row_slots[i], zero)
-                    verdict = seen[key] = (ok, leading_pair(rows[i]))
+                    verdict = seen[key] = (ok, leading_pair(rows[i], zero))
                 inside = inside and verdict[0]
                 lead.append(verdict[1])
             if not inside:
-                problems.append(f"polynomial outside its template: {rows}")
+                problems.append(("polynomial outside its template:", rows))
             # residue data depends only on each coefficient's valuation and
             # leading digit
             key = tuple(lead)
@@ -90,7 +95,7 @@ def survey_case_problems(
             if ok is None:
                 ok = residues_ok[key] = _residues_consistent(ctx, f)
             if not ok:
-                problems.append(f"residue data inconsistent for: {rows}")
+                problems.append(("residue data inconsistent for:", rows))
     return problems
 
 
@@ -129,8 +134,8 @@ def run_selftest(
         problems = survey_case_problems(ctx, n, bound)
         status = "ok" if not problems else f"FAILED ({len(problems)} mismatches)"
         report(f"selftest p={p} n={n} depth={bound}: {status}")
-        for line in problems[:MAX_PROBLEM_LINES]:
-            report(f"  {line}")
+        for problem in problems[:MAX_PROBLEM_LINES]:
+            report(f"  {problem_line(problem)}")
         if len(problems) > MAX_PROBLEM_LINES:
             report(f"  ... and {len(problems) - MAX_PROBLEM_LINES} more")
         all_ok = all_ok and not problems

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramify import analyzer
 from ramify.analyzer import (
     EisensteinData,
     NotEisensteinError,
@@ -294,6 +295,30 @@ def test_fine_of_is_the_on_hull_part_of_every_point(p):
                 hull = RamPolygon(p, n, tuple(lower_convex_hull(points)))
                 on_hull = tuple((j, R) for j, R in points if hull.value_at(j) == R)
                 assert fine_of(f).points == on_hull, (p, e, f_, signature)
+
+
+def test_degree_rows_are_keyed_by_p_e_and_n_and_bounded():
+    # Q_2, e = 2 over Q_2 and F_4 share (p, n): F_4 may read Q_2's rows, the
+    # ramified fields may not, and e = 2^64 puts the terms beyond any fixed
+    # bound.  The degrees outnumber the rows kept, and the second sweep runs
+    # backwards, so evicted degrees are built again.  A sparse table leaves R
+    # to the monic term
+    fields = [make_field(2, 1, e, 1) for e in (1, 2, 2**64)] + [make_field(2, 2, 1, 1)]
+    degrees = list(range(1, analyzer.ROW_DEGREES + 9)) + [32, 48, 64]
+    rng = random.Random(16)
+    analyzer.degree_rows.cache_clear()
+    for n in degrees + degrees[::-1]:
+        for base in fields:
+            for sparse in (False, True):
+                top = min(base.e, 2) * n.bit_length() + 2
+                signature = [1] + [
+                    None if sparse or rng.random() < 0.2 else rng.randint(1, top)
+                    for _ in range(n - 1)
+                ]
+                f = _table_with_signature(base, signature, rng)
+                assert residues_of(f) == reference_invariants(f)[3], (base, signature)
+                assert analyzer.degree_rows.cache_info().currsize <= analyzer.ROW_DEGREES
+    assert analyzer.degree_rows.cache_info().currsize == analyzer.ROW_DEGREES
 
 
 def _vp_binomial_by_digit_sums(p, limit):

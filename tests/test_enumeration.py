@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -127,6 +128,26 @@ def test_a_context_that_served_other_work_enumerates_as_a_fresh_one(spec):
             for P in hulls:
                 fresh_fines = enumerate_fine_polygons(fresh, P, prune=prune)
                 assert enumerate_fine_polygons(used, P, prune=prune) == fresh_fines
+
+
+def test_a_cleared_context_enumerates_as_a_fresh_one():
+    # the memo is never trimmed; clearing it is the release (the frozen
+    # dataclass refuses ``del``), and a cleared context starts as a fresh one
+    used = BinomialContext(make_field(2, 1, 1, 1))
+    enumerate_invariants(used, 16, "fine")
+    assert used.memo
+    with pytest.raises(FrozenInstanceError):
+        del used.memo
+    used.memo.clear()
+    assert used.memo == {}
+    fresh = BinomialContext(make_field(2, 1, 1, 1))
+    for prune in (True, False):
+        hulls, stats = enumerate_ram_polygons(used, 16, prune=prune)
+        assert (hulls, stats) == enumerate_ram_polygons(fresh, 16, prune=prune)
+        for P in hulls:
+            assert enumerate_fine_polygons(used, P, prune=prune) == enumerate_fine_polygons(
+                fresh, P, prune=prune
+            )
 
 
 @pytest.mark.parametrize("spec, n", [((2, 1, 1, 1), 16), ((3, 1, 1, 1), 27), ((2, 1, 2, 1), 8)])

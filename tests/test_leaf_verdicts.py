@@ -164,6 +164,24 @@ def test_fine_search_leaf_verdict_is_full_validity(monkeypatch, p, f, e, gamma, 
     assert leaves[True] == leaves[False] > 0
 
 
+@pytest.mark.parametrize("p, f, e, gamma, degrees", LEAF_CASES, ids=CASE_IDS)
+def test_fine_results_keep_the_searched_hull(p, f, e, gamma, degrees):
+    # a result holds the search's hull P as is; it must be the polygon its
+    # points alone derive
+    ctx = BinomialContext(make_field(p, f, e, gamma))
+    for n in degrees:
+        hulls, _ = enumerate_ram_polygons(ctx, n)
+        for P in hulls:
+            for prune in (True, False):
+                fines, _ = enumerate_fine_polygons(ctx, P, prune=prune)
+                assert fines
+                for fine in fines:
+                    derived = FinePolygon(p, n, fine.points)
+                    assert fine == derived and fine.hull is P
+                    assert fine.hull == derived.hull
+                    assert fine.hull.vertices == derived.hull.vertices
+
+
 def _every_hull(monkeypatch, ctx, n):
     """The wild vertices of every polygon the unpruned hull search reaches."""
     hulls = []

@@ -136,6 +136,20 @@ def test_fine_polygon_requires_points_on_hull():
         FinePolygon(2, 8, ((1, 7), (4, 4), (4, 4), (8, 0)))  # duplicate abscissa
 
 
+def test_fine_polygon_keeps_a_given_hull_only_if_it_is_the_hull_of_its_points():
+    points = ((1, 10), (2, 8), (4, 4), (8, 0))
+    hull = RamPolygon(2, 8, ((1, 10), (4, 4), (8, 0)))
+    kept = FinePolygon(2, 8, points, hull)
+    assert kept.hull is hull and kept == FinePolygon(2, 8, points)
+    for other in (
+        RamPolygon(2, 8, ((1, 10), (8, 0))),
+        RamPolygon(2, 8, ((1, 11), (4, 4), (8, 0))),
+        RamPolygon(2, 16, ((1, 10), (4, 4), (16, 0))),
+    ):
+        with pytest.raises(ValueError):
+            FinePolygon(2, 8, points, other)
+
+
 def _reference_fine_hull(p, n, points):
     """The hull of a fine polygon on ``points``, or None where one is rejected.
 

@@ -137,17 +137,25 @@ def test_oracle_matches_the_reference_under_a_fault(fault_cases, monkeypatch, fa
                 )
             problems = selftest.survey_case_problems(ctx, n, bound, survey=survey)
             expected = reference_problems(ctx, n, bound, survey)
-        assert any(line.startswith(kind) for line in problems), (n, bound)
-        assert problems == expected, (n, bound)
+        lines = [selftest.problem_line(problem) for problem in problems]
+        assert any(line.startswith(kind) for line in lines), (n, bound)
+        assert lines == expected, (n, bound)
 
 
-def test_selftest_prints_at_most_twenty_problem_lines_per_case(monkeypatch, capsys):
-    # dropping the only Q_2 phi0 fails the residue check of every table
+def test_selftest_prints_at_most_twenty_problem_lines_per_case(ctx_q2, monkeypatch, capsys):
+    # dropping the only Q_2 phi0 fails the residue check of every table, and
+    # only the printed lines are formatted
+    total = sum(map(len, brute_force_survey(ctx_q2, 4, 3).values()))
     monkeypatch.setattr(selftest, "admissible_phi0", _drop_one_phi0(selftest.admissible_phi0))
+    formatted = []
+    real_line = selftest.problem_line
+    monkeypatch.setattr(
+        selftest, "problem_line", lambda problem: formatted.append(problem) or real_line(problem)
+    )
     assert cli.main(["selftest", "--case", "2:4:3"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    total = selftest.MAX_PROBLEM_LINES + int(lines[-1].split()[2])
-    assert total > selftest.MAX_PROBLEM_LINES
+    assert total == 2048 and int(lines[-1].split()[2]) == total - selftest.MAX_PROBLEM_LINES
+    assert len(formatted) == selftest.MAX_PROBLEM_LINES
     assert lines[0] == f"selftest p=2 n=4 depth=3: FAILED ({total} mismatches)"
     assert len(lines) == 1 + selftest.MAX_PROBLEM_LINES + 1
     assert all(line.startswith("  residue data inconsistent") for line in lines[1:-1])

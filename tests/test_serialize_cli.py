@@ -22,7 +22,7 @@ from ramify.binomials import BinomialContext, vp
 from ramify.enumeration import enumerate_invariants
 from ramify.polygons import FinePolygon, FinePolygonWithResidues, RamPolygon
 from ramify.residue_field import make_field
-from ramify.selftest import survey_case_problems
+from ramify.selftest import problem_line, survey_case_problems
 from ramify.templates import template_for_invariant, truncate_krasner
 from ramify.validity import Violation
 
@@ -560,7 +560,7 @@ def test_selftest_detects_injected_ore2_fault(survey_q2_n4, monkeypatch):
 
     monkeypatch.setattr(ramify.validity, "_condition_violations", no_ore2)
     problems = survey_case_problems(ctx, 4, 5, survey=survey_q2_n4)
-    assert any("enumerated but not surveyed" in p for p in problems)
+    assert any("enumerated but not surveyed" in problem_line(p) for p in problems)
 
 
 def test_python_dash_m_ramify_runs_the_command_line():
