@@ -35,8 +35,6 @@ from .polygons import (
     RamPolygon,
     ResidualPolynomial,
     decompose,
-    ell_P,
-    ell_fine,
     lower_convex_hull,
     residual_polynomials,
 )

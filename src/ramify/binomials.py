@@ -54,8 +54,9 @@ class BinomialContext:
 
     @cached_property
     def memo(self) -> dict:
-        """Validity verdicts by degree (see ``validity``), made on first use; reuse is safe.
-        Never trimmed (a Q_2 degree-64 hull search leaves 357,571 entries, a 21 MB
+        """Validity answers by degree (see ``validity``), made on first use; reuse is safe.
+        Each check keeps a shared violation tuple, one object per distinct answer.
+        Never trimmed (a Q_2 degree-64 hull search leaves 357,894 entries, a 21 MB
         dict): ``ctx.memo.clear()`` releases them, the frozen class refuses ``del``."""
         return {}
 

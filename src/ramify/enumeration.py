@@ -83,14 +83,15 @@ def enumerate_ram_polygons(
     an earlier vertex non-extremal are skipped, since the vertex list of a
     polygon must stay strictly convex).
 
-    Pruning reads pair verdicts from the context's memo and calls the search
-    only for candidates that pass: an int bitmask, bit J for the ordinate J,
-    ANDed with the masks at S of (p^m, 0) and of each vertex t, the bits
-    whose pair with t passes (``validity.pairs_ok``), kept per (t, S) and
-    filled in lazily.  Each root [(1, J0), (p^m, 0)] gets the whole weak
-    check, and every visited branch passes one ``weak_ram_ok`` call, so its
-    pass count is ``branches_visited``.  A leaf's verdict is
-    ``valid_ram_ok``, built into a ``RamPolygon`` only if it passes.
+    Pruning reads pair verdicts from the context's memo through
+    ``validity.violations`` and calls the search only for candidates that
+    pass: an int bitmask, bit J for the ordinate J, ANDed with the masks at
+    S of (p^m, 0) and of each vertex t, the bits whose pair with t passes,
+    kept per (t, S) and filled in lazily.  Each root [(1, J0), (p^m, 0)]
+    gets the whole weak check, and every visited branch passes one
+    ``weak_ram_ok`` call, so its pass count is ``branches_visited``.  A
+    leaf's verdict is ``violations`` with the ceil pieces (kind 1), built
+    into a ``RamPolygon`` only if it passes.
     """
     if n < 1:
         raise ValueError("degree must be positive")
@@ -114,7 +115,7 @@ def enumerate_ram_polygons(
             return
         stats.branches_visited += 1
         if S >= m:
-            if validity.valid_ram_ok(ctx, n, prefix + top, () if prune else None):
+            if not validity.violations(ctx, n, prefix + top, () if prune else None, kind=1):
                 out.append(RamPolygon(p, n, tuple((x, J) for _, x, J in prefix) + tuple(tail)))
             return
         search(prefix, S + 1, ())
@@ -129,7 +130,7 @@ def enumerate_ram_polygons(
             todo = candidates & ~decided
             if todo:
                 for J in _bits(todo):
-                    ok |= validity.pairs_ok(ctx, n, [t, (S, x_new, J)], (S,)) << J
+                    ok |= (not validity.violations(ctx, n, [t, (S, x_new, J)], (S,))) << J
                 masks[key] = ok, decided | todo
             candidates &= ok
         for J in _bits(candidates):
@@ -137,7 +138,7 @@ def enumerate_ram_polygons(
                 search(prefix + [(S, x_new, J)], S + 1, (S,))
 
     for J0 in range(J0_max + 1):
-        if validity.pairs_ok(ctx, n, [(0, 1, J0)], (0,)):
+        if not validity.violations(ctx, n, [(0, 1, J0)], (0,)):
             search([(0, 1, J0)], 1, None)
     out.sort(key=lambda P: P.vertices)
     stats.results = len(out)
@@ -156,9 +157,10 @@ def enumerate_fine_polygons(
     The guard's full check of the hull holds for every branch, and the tame
     biconditional holds by construction: on [p^m, n] the forced points are
     the tame zeros, (p^m, 0) and (n, 0) among them.  So the root has nothing
-    to check, a child checks the pairs its candidate forms (``pairs_ok``),
-    and a leaf is ``valid_ram_ok`` over its wild points, strict at the
-    p-powers without a point.  A ``FinePolygon``, on the hull ``P``, is built only per result.
+    to check, a child checks the pairs its candidate forms, and a leaf its
+    wild points with the strict pieces at the p-powers without a point, both
+    by ``validity.violations``.  A ``FinePolygon``, on the hull ``P``, is
+    built only per result.
     """
     if not validity.is_valid_ram(ctx, P).ok:
         raise ValueError("fine enumeration requires a valid ramification polygon")
@@ -179,12 +181,12 @@ def enumerate_fine_polygons(
 
     def search(idx: int, chosen: list[tuple[int, int, int]], new: tuple[int, ...]) -> None:
         # chosen holds (s, p^s, J) per candidate taken; ``new`` the exponent it added
-        if prune and not validity.pairs_ok(ctx, n, wild + chosen, new):
+        if prune and validity.violations(ctx, n, wild + chosen, new):
             return
         stats.branches_visited += 1
         if idx == len(candidates):
             leaf = sorted(wild + chosen)
-            if validity.valid_ram_ok(ctx, n, leaf, () if prune else None, strict=True):
+            if not validity.violations(ctx, n, leaf, () if prune else None, kind=2):
                 points = forced | {x: J for _, x, J in chosen}
                 out.append(FinePolygon(p, n, tuple(sorted(points.items())), P))
             return

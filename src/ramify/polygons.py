@@ -303,22 +303,6 @@ def fine_depth_bound(ctx: BinomialContext, Pstar: FinePolygon) -> Callable[[int,
     return depth_bound(ctx, Pstar.n, values, excluded)
 
 
-def ell_P(ctx: BinomialContext, P: RamPolygon, i: int, s: int) -> int:
-    """ceil((P(p^s) - i) / n) - B(i, p^s) + 1, for p^s <= i <= n."""
-    return depth_bound(ctx, P.n, P.p_power_values())(i, s)
-
-
-def ell_fine(ctx: BinomialContext, Pstar: FinePolygon, i: int, s: int) -> int:
-    """Digit-depth bound at (i, s) relative to a fine polygon.
-
-    Where (p^s, J) is an attained point with J = a*n + b this is
-    a - B(i, p^s) + 1 + [i < b], the hull's ``ell_P``; where p^s carries no
-    point the bound encodes strict exclusion: floor((P(p^s) - i) / n) -
-    B(i, p^s) + 2.
-    """
-    return fine_depth_bound(ctx, Pstar)(i, s)
-
-
 # ---------------------------------------------------------------------------
 # residual polynomials
 

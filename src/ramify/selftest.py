@@ -24,13 +24,13 @@ table costs n memo lookups plus one residue lookup keyed by its leading pairs.
 
 from __future__ import annotations
 
-from .analyzer import EisensteinData, brute_force_survey, leading_pair, residues_of
+from .analyzer import EisensteinData, brute_force_survey, leading_pair, unif_of
 from .binomials import BinomialContext, vp
 from .enumeration import Level, enumerate_invariants
 from .polygons import FinePolygon, decompose
 from .residue_field import make_field
 from .templates import Template, template_for_fine
-from .validity import ResidueForcedError, admissible_phi0, is_valid_fine
+from .validity import is_valid_fine, is_valid_with_unif
 
 DEFAULT_CASES: tuple[tuple[int, int, int], ...] = ((2, 2, 3), (2, 4, 5), (3, 3, 3))
 MAX_PROBLEM_LINES = 20  # diffs printed per case: one fault can fail every table
@@ -114,14 +114,8 @@ def _row_meets(row: tuple, slots: list[tuple[int, frozenset]], zero) -> bool:
 
 
 def _residues_consistent(ctx: BinomialContext, f: EisensteinData) -> bool:
-    decorated = residues_of(f)
-    if not is_valid_fine(ctx, decorated.polygon).ok:
-        return False
-    try:
-        admissible = admissible_phi0(ctx, decorated)
-    except ResidueForcedError:
-        return False
-    return f.digit(0, 1) in admissible
+    inv = unif_of(f)
+    return is_valid_fine(ctx, inv.res.polygon).ok and is_valid_with_unif(ctx, inv).ok
 
 
 def run_selftest(

@@ -22,11 +22,14 @@ plus, at each absent exponent s, one piece per present point t (Ore2 at s
 and the Bounding of t at s), which depends on t, s, the segment (u, w) of
 consecutive present points enclosing s, and the form of the bound there:
 ceil for a hull, strict exclusion for a fine polygon, whose present points
-lie on its hull.  ``BinomialContext.memo`` keeps every pair and piece
-verdict, so the searches and ``is_valid_ram`` decide each once per context
-and the engine runs only to name an invalid polygon's violations.  The fine
-search places ``polygons.tame_zeros`` itself, so only ``is_valid_fine``
-checks the tame biconditional (``tame_ok``).
+lie on its hull; a set's violations are the union of its pairs' and pieces'.
+So ``violations`` is the one route to every verdict and report: it reads
+each pair and piece from ``BinomialContext.memo``, one shared violation
+tuple per check, and runs the engine only for a check not yet decided.  The
+searches call it, ``weak_ram_ok`` is its weak verdict, and every
+``is_valid_*`` report its ``every`` form.  The fine search places
+``polygons.tame_zeros`` itself, so only the fine reports check the tame
+biconditional (``tame_ok``).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .binomials import BinomialContext, beta, vp
@@ -44,13 +48,14 @@ from .polygons import (
     RamPolygon,
     decompose,
     depth_bound,
-    fine_depth_bound,
     tame_zeros,
 )
 from .residue_field import FqElement, solve_power_system
 
 
 class Violation(Enum):
+    __hash__ = object.__hash__  # members are singletons: an identity hash, at C speed
+
     BRANGE = "BRange"
     ORE1 = "Ore1"
     ORE2 = "Ore2"
@@ -69,11 +74,8 @@ class ValidityReport:
 
     @classmethod
     def from_violations(cls, violations: Iterable[Violation]) -> "ValidityReport":
-        seen: list[Violation] = []
-        for v in violations:
-            if v not in seen:
-                seen.append(v)
-        return cls(ok=not seen, violations=tuple(seen))
+        found = _shared(frozenset(violations))
+        return cls(ok=not found, violations=found)
 
 
 class ResidueForcedError(ValueError):
@@ -136,8 +138,8 @@ def _weak_violations(ctx: BinomialContext, n: int, positions) -> list[Violation]
     return _condition_violations(ctx, n, positions, ell, s_values)
 
 
-def _memo(ctx: BinomialContext, n: int) -> tuple[int, int, dict[int, bool]]:
-    """(cap, w, verdicts) of degree n: keys pack parts <= cap = n * v(n) in w bits each.
+def _memo(ctx: BinomialContext, n: int) -> tuple[int, int, dict[int, tuple[Violation, ...]]]:
+    """(cap, w, answers) of degree n: keys pack parts <= cap = n * v(n) in w bits each.
 
     The low 2 bits are the kind: 0 a pair, 1 a ceil piece, 2 a strict piece.
     An ordinate J > cap fails Ore2 at its own exponent s (the bound is
@@ -150,90 +152,84 @@ def _memo(ctx: BinomialContext, n: int) -> tuple[int, int, dict[int, bool]]:
     return memo
 
 
-def pairs_ok(ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None) -> bool:
-    """Whether a weakly valid set stays so with its vertices of exponent in ``new``.
+@lru_cache(maxsize=None)
+def _shared(found: frozenset[Violation]) -> tuple[Violation, ...]:
+    """The violations in ``found`` in declaration order: one tuple object per answer."""
+    return tuple(v for v in Violation if v in found)
 
-    ``positions`` lists (s, p^s, J) at distinct exponents.  The answer is the
-    conjunction of the memoised weak check of every pair {t, v} with v new and
-    t present (t = v checks v alone); with ``new`` None it is weak validity.
+
+def violations(
+    ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None,
+    kind: int = 0, every: bool = False,
+) -> tuple[Violation, ...]:
+    """The violations of the points (s, p^s, J) ``positions``, from memoised pairs and pieces.
+
+    Kind 0 is weak validity: the pair {t, v} for every v of exponent in ``new``
+    (all when None; the rest is known to pass) and every t, t = v checking v
+    alone.  Kinds 1 and 2 are full validity of the polygon through the points,
+    in increasing s from 0 to v_p(n) and each on the lower hull of them all:
+    the pairs, then for s strictly between consecutive points u and w and each
+    point t, the engine on [t] at s alone, with the value of the segment (u, w)
+    at p^s, in the ceil (1) or strict-exclusion (2) form.  Returns () when all
+    pass, else the first failing check's violations, or with ``every`` all.
     """
-    cap, w, verdicts = _memo(ctx, n)
+    cap, w, memo = ctx.memo.get(n) or _memo(ctx, n)
+    out: tuple[Violation, ...] = ()
     for v in positions:
         if new is None or v[0] in new:
-            if v[2] > cap:
-                return False
             b = v[0] << w | v[2]
+            wide = v[2] > cap
             for t in positions:
-                if t[2] > cap:
-                    return False
                 a = t[0] << w | t[2]
                 key = (a << 2 * w | b if a <= b else b << 2 * w | a) << 2
-                ok = verdicts.get(key)
-                if ok is None:
-                    ok = verdicts[key] = not _weak_violations(ctx, n, [t, v])
-                if not ok:
-                    return False
-    return True
+                # no key holds an ordinate above the cap (see _memo)
+                store = {} if wide or t[2] > cap else memo
+                found = store.get(key)
+                if found is None:
+                    found = store[key] = _shared(frozenset(_weak_violations(ctx, n, [t, v])))
+                if found:
+                    if not every:
+                        return found
+                    out += found
+    if kind:
+        p = ctx.base.p
+        for (s_u, x_u, J_u), (s_w, x_w, J_w) in zip(positions, positions[1:]):
+            segment = ((s_u << w | J_u) << w | s_w) << w | J_w
+            for s in range(s_u + 1, s_w):
+                for t in positions:
+                    key = ((((t[0] << w | t[2]) << w | s) << 4 * w | segment) << 2) | kind
+                    store = {} if out else memo  # a failing report may hold such an ordinate
+                    found = store.get(key)
+                    if found is None:
+                        x = p**s
+                        value = (J_u * (x_w - x) + J_w * (x - x_u), x_w - x_u)
+                        strict = (s,) if kind == 2 else ()
+                        ell = depth_bound(ctx, n, {t[0]: (t[2], 1), s: value}, strict)
+                        found = _condition_violations(ctx, n, [t], ell, [s])
+                        found = store[key] = _shared(frozenset(found))
+                    if found:
+                        if not every:
+                            return found
+                        out += found
+    return _shared(frozenset(out)) if out else ()
 
 
 def weak_ram_ok(
     ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None
 ) -> bool:
-    """Weak validity from (s, p^s, J) vertex data: the engine, as ``is_weakly_valid_ram``,
-    or ``pairs_ok`` with ``new``, the exponents just added to a set that passed."""
-    if new is None:
-        return not _weak_violations(ctx, n, positions)
-    return pairs_ok(ctx, n, positions, new)
-
-
-def valid_ram_ok(
-    ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None, strict=False
-) -> bool:
-    """Full validity of the polygon through these wild points, from memoised pieces.
-
-    ``positions`` lists (s, p^s, J) per point in increasing s, from s = 0 to
-    v_p(n), each on the lower hull of them all.  The verdict is ``pairs_ok``
-    for ``new`` (all when None; the rest is known weakly valid), then for s
-    strictly between consecutive points u and w and each point t, the engine
-    on [t] at s alone, with the value of the segment (u, w) at p^s, in the
-    ceil form (``is_valid_ram``) or, ``strict``, the strict-exclusion form
-    (the Ore family of ``is_valid_fine``).
-    """
-    if not pairs_ok(ctx, n, positions, new):
-        return False
-    _, w, verdicts = _memo(ctx, n)
-    kind = 2 if strict else 1
-    p = ctx.base.p
-    for (s_u, x_u, J_u), (s_w, x_w, J_w) in zip(positions, positions[1:]):
-        segment = ((s_u << w | J_u) << w | s_w) << w | J_w
-        for s in range(s_u + 1, s_w):
-            for t in positions:
-                key = ((((t[0] << w | t[2]) << w | s) << 4 * w | segment) << 2) | kind
-                ok = verdicts.get(key)
-                if ok is None:
-                    x = p**s
-                    value = (J_u * (x_w - x) + J_w * (x - x_u), x_w - x_u)
-                    ell = depth_bound(ctx, n, {t[0]: (t[2], 1), s: value}, (s,) if strict else ())
-                    ok = verdicts[key] = not _condition_violations(ctx, n, [t], ell, [s])
-                if not ok:
-                    return False
-    return True
+    """Weak validity as ``violations`` decides it, the hull search's one check per branch."""
+    return not violations(ctx, n, positions, new)
 
 
 def is_valid_ram(ctx: BinomialContext, P: RamPolygon) -> ValidityReport:
-    """Full validity of a ramification polygon: ok from ``valid_ram_ok``, else the engine's."""
-    if valid_ram_ok(ctx, P.n, P.wild_vertices()):
-        return ValidityReport(True, ())
-    s_values = range(vp(ctx.base.p, P.n) + 1)
-    ell = depth_bound(ctx, P.n, P.p_power_values())
-    return ValidityReport.from_violations(
-        _condition_violations(ctx, P.n, P.wild_vertices(), ell, s_values)
-    )
+    """Full validity of a ramification polygon, every violation named."""
+    found = violations(ctx, P.n, P.wild_vertices(), kind=1, every=True)
+    return ValidityReport.from_violations(found)
 
 
 def is_weakly_valid_ram(ctx: BinomialContext, P: RamPolygon) -> ValidityReport:
     """Validity conditions quantified only over the present vertex exponents."""
-    return ValidityReport.from_violations(_weak_violations(ctx, P.n, P.wild_vertices()))
+    return ValidityReport.from_violations(violations(ctx, P.n, P.wild_vertices(), every=True))
 
 
 def tame_ok(ctx: BinomialContext, n: int, points: Mapping[int, int]) -> bool:
@@ -248,24 +244,20 @@ def tame_ok(ctx: BinomialContext, n: int, points: Mapping[int, int]) -> bool:
     return zeros == set(tame_zeros(p, n))
 
 
-def _tame_violations(ctx: BinomialContext, Pstar: FinePolygon) -> list[Violation]:
-    return [] if tame_ok(ctx, Pstar.n, dict(Pstar.points)) else [Violation.TAME]
+def _fine_report(ctx: BinomialContext, Pstar: FinePolygon, kind: int) -> ValidityReport:
+    found = violations(ctx, Pstar.n, Pstar.wild_points(), kind=kind, every=True)
+    if not tame_ok(ctx, Pstar.n, dict(Pstar.points)):
+        found += (Violation.TAME,)
+    return ValidityReport.from_violations(found)
 
 
 def is_valid_fine(ctx: BinomialContext, Pstar: FinePolygon) -> ValidityReport:
     """Full validity of a fine polygon: tame biconditional plus the Ore family."""
-    s_values = range(vp(ctx.base.p, Pstar.n) + 1)
-    ell = fine_depth_bound(ctx, Pstar)
-    violations = _tame_violations(ctx, Pstar)
-    violations += _condition_violations(ctx, Pstar.n, Pstar.wild_points(), ell, s_values)
-    return ValidityReport.from_violations(violations)
+    return _fine_report(ctx, Pstar, 2)
 
 
 def is_weakly_valid_fine(ctx: BinomialContext, Pstar: FinePolygon) -> ValidityReport:
-    # at attained positions the fine bound coincides with the position bound
-    violations = _tame_violations(ctx, Pstar)
-    violations += _weak_violations(ctx, Pstar.n, Pstar.wild_points())
-    return ValidityReport.from_violations(violations)
+    return _fine_report(ctx, Pstar, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -49,3 +49,23 @@ def test_no_module_reaches_for_a_private_name_of_a_sibling():
                 and node.value.id in siblings
             ):
                 assert not node.attr.startswith("_"), (path.name, node.lineno, node.attr)
+
+
+def test_every_verdict_reaches_the_engine_through_violations():
+    # one route to every validity verdict and report: in the package only
+    # ``validity.violations`` and the pair check it memoises name the engine,
+    # and only to call it
+    users = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if "_condition_violations" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                call = parents[node]
+                assert isinstance(call, ast.Call) and call.func is node, (path.name, node.lineno)
+                fn = call
+                while fn is not None and not isinstance(fn, ast.FunctionDef):
+                    fn = parents.get(fn)
+                assert fn is not None, (path.name, node.lineno)
+                users.add((path.stem, fn.name))
+    assert users == {("validity", "violations"), ("validity", "_weak_violations")}

@@ -1,17 +1,17 @@
-"""The searches' leaf verdicts against test-side engine routes.
+"""The searches' leaf verdicts and the reports against test-side engine routes.
 
-The hull search decides a leaf with ``valid_ram_ok`` (memoised pairs and
-ceil-form absent-exponent pieces) and the fine search with ``valid_ram_ok``
-in its strict form, its forced points satisfying the tame biconditional by
-construction.  ``is_valid_ram`` itself answers ok from ``valid_ram_ok``, so
-the hull reference here is the engine on the hull's values at every
-p-power (``engine_valid_ram``), and the fine reference is ``is_valid_fine``,
-which asserts that it finds no tame violation.  The search tests wrap the
-verdict function the enumerator looks up, so every leaf the search reaches
+The hull search decides a leaf with ``violations`` of kind 1 (memoised pairs
+and ceil-form absent-exponent pieces) and the fine search with kind 2, the
+strict form, its forced points satisfying the tame biconditional by
+construction.  ``is_valid_ram`` and ``is_valid_fine`` report from the same
+pairs and pieces, so the hull reference here is the engine on the hull's
+values at every p-power (``engine_violations``), and the fine reference is
+``fine_ore_violations``, with ``tame_ok`` asserted to hold.  The search tests
+wrap the function the enumerator looks up, so every leaf the search reaches
 is compared, on the search's own context.
 
 ``fine_ore_violations``, the fine leaf's former one engine call over every
-exponent, is kept here as a reference and compared by violation kinds, not
+exponent, is kept here as the reference and compared by violation kinds, not
 by verdict alone: on every hull tried, the ceil bound at an unattained
 lattice point gives the same verdict as the strict-exclusion bound, but it
 misses some of the violations, such as Ore2 at that point.
@@ -38,12 +38,12 @@ from ramify.polygons import (
 )
 from ramify.residue_field import is_prime, make_field
 from ramify.validity import (
-    Violation,
     _condition_violations,
     admissible_phi0,
     equivalent_with_unif,
     is_valid_fine,
     is_valid_ram,
+    is_weakly_valid_ram,
 )
 
 # (p, f, e, gamma spec, degrees)
@@ -64,11 +64,16 @@ def _hull_of(p, n, positions):
     return RamPolygon(p, n, tuple(vertices))
 
 
-def engine_valid_ram(ctx, P) -> bool:
-    """Full hull validity by the engine alone, on the hull's values at every p-power."""
+def engine_violations(ctx, P) -> set:
+    """The violations of full hull validity by the engine alone, on the hull's values
+    at every p-power."""
     s_values = range(vp(ctx.base.p, P.n) + 1)
     ell = depth_bound(ctx, P.n, P.p_power_values())
-    return not _condition_violations(ctx, P.n, P.wild_vertices(), ell, s_values)
+    return set(_condition_violations(ctx, P.n, P.wild_vertices(), ell, s_values))
+
+
+def engine_valid_ram(ctx, P) -> bool:
+    return not engine_violations(ctx, P)
 
 
 def fine_ore_violations(ctx, n, positions, values):
@@ -88,17 +93,19 @@ def fine_ore_violations(ctx, n, positions, values):
 @pytest.mark.parametrize("p, f, e, gamma, degrees", LEAF_CASES, ids=CASE_IDS)
 def test_hull_leaf_verdict_is_full_validity(monkeypatch, p, f, e, gamma, degrees, prune):
     ctx = BinomialContext(make_field(p, f, e, gamma))
-    real = validity.valid_ram_ok
+    real = validity.violations
     tally = {True: 0, False: 0}
 
-    def checked(ctx_, n, positions, new=None, strict=False):
-        ok = real(ctx_, n, positions, new, strict)
-        assert not strict
-        assert ok == engine_valid_ram(ctx_, _hull_of(p, n, positions)), positions
-        tally[ok] += 1
-        return ok
+    def checked(ctx_, n, positions, new=None, kind=0, every=False):
+        found = real(ctx_, n, positions, new, kind, every)
+        assert kind != 2
+        if kind:
+            ok = not found
+            assert ok == engine_valid_ram(ctx_, _hull_of(p, n, positions)), positions
+            tally[ok] += 1
+        return found
 
-    monkeypatch.setattr(validity, "valid_ram_ok", checked)
+    monkeypatch.setattr(validity, "violations", checked)
     for n in degrees:
         enumerate_ram_polygons(ctx, n, prune=prune)
     # the leaves both pass and fail, so neither side of the check is idle
@@ -106,8 +113,9 @@ def test_hull_leaf_verdict_is_full_validity(monkeypatch, p, f, e, gamma, degrees
 
 
 def test_is_valid_ram_answers_as_the_engine_on_every_reached_hull(monkeypatch):
-    # ok from the memo, the engine's violations otherwise, on a context whose
-    # memo the searches have filled
+    # the engine's violations, read from the pairs and pieces of a context
+    # whose memo the searches have filled; the weak report is the engine over
+    # the present exponents
     ctx = BinomialContext(make_field(2, 1, 1, 1))
     for n in (4, 8, 12, 16):
         enumerate_ram_polygons(ctx, n)
@@ -115,7 +123,10 @@ def test_is_valid_ram_answers_as_the_engine_on_every_reached_hull(monkeypatch):
         for wild in _every_hull(monkeypatch, ctx, n):
             P = _hull_of(2, n, wild)
             report = is_valid_ram(ctx, P)
-            assert report.ok == engine_valid_ram(ctx, P) == (not report.violations), wild
+            assert set(report.violations) == engine_violations(ctx, P), wild
+            assert report.ok == (not report.violations)
+            weak = is_weakly_valid_ram(ctx, P)
+            assert set(weak.violations) == set(validity._weak_violations(ctx, n, wild)), wild
             tally[report.ok] += 1
         assert tally[True] and tally[False]
 
@@ -132,9 +143,9 @@ def _fine_polygon(p, n, positions):
 def _fine_reference(ctx, p, n, positions) -> set:
     # every polygon here has its forced tame points, so the reference's
     # violations are all Ore-family ones
-    violations = set(is_valid_fine(ctx, _fine_polygon(p, n, positions)).violations)
-    assert Violation.TAME not in violations
-    return violations
+    fine = _fine_polygon(p, n, positions)
+    assert validity.tame_ok(ctx, n, dict(fine.points))
+    return set(fine_ore_violations(ctx, n, positions, fine.hull.p_power_values()))
 
 
 @pytest.mark.parametrize("p, f, e, gamma, degrees", LEAF_CASES, ids=CASE_IDS)
@@ -142,20 +153,20 @@ def test_fine_search_leaf_verdict_is_full_validity(monkeypatch, p, f, e, gamma, 
     # in both prune modes; unpruned, the fine search reaches every subset of
     # every hull's candidates
     ctx = BinomialContext(make_field(p, f, e, gamma))
-    real = validity.valid_ram_ok
+    real = validity.violations
     leaves = {True: 0, False: 0}
 
-    def checked(ctx_, n, positions, new=None, strict=False):
-        ok = real(ctx_, n, positions, new, strict)
-        if strict:
-            assert ok == (not _fine_reference(ctx_, p, n, positions)), positions
-            leaves[new is None] += ok
-        return ok
+    def checked(ctx_, n, positions, new=None, kind=0, every=False):
+        found = real(ctx_, n, positions, new, kind, every)
+        if kind == 2:
+            assert (not found) == (not _fine_reference(ctx_, p, n, positions)), positions
+            leaves[new is None] += not found
+        return found
 
     for n in degrees:
         hulls, _ = enumerate_ram_polygons(ctx, n)
         with monkeypatch.context() as patch:
-            patch.setattr(validity, "valid_ram_ok", checked)
+            patch.setattr(validity, "violations", checked)
             for P in hulls:
                 for prune in (True, False):
                     enumerate_fine_polygons(ctx, P, prune=prune)
@@ -185,14 +196,15 @@ def test_fine_results_keep_the_searched_hull(p, f, e, gamma, degrees):
 def _every_hull(monkeypatch, ctx, n):
     """The wild vertices of every polygon the unpruned hull search reaches."""
     hulls = []
-    real = validity.valid_ram_ok
+    real = validity.violations
 
-    def record(ctx_, n_, positions, new=None, strict=False):
-        hulls.append(list(positions))
-        return real(ctx_, n_, positions, new, strict)
+    def record(ctx_, n_, positions, new=None, kind=0, every=False):
+        if kind:
+            hulls.append(list(positions))
+        return real(ctx_, n_, positions, new, kind, every)
 
     with monkeypatch.context() as patch:
-        patch.setattr(validity, "valid_ram_ok", record)
+        patch.setattr(validity, "violations", record)
         enumerate_ram_polygons(ctx, n, prune=False)
     return hulls
 
@@ -227,8 +239,10 @@ def test_fine_leaf_verdict_on_every_subset_of_every_hull(monkeypatch, p, f, e, g
                 positions = sorted(wild + list(chosen))
                 reference = _fine_reference(ctx, p, n, positions)
                 assert set(fine_ore_violations(ctx, n, positions, values)) == reference
-                ok = validity.valid_ram_ok(ctx, n, positions, strict=True)
+                ok = not validity.violations(ctx, n, positions, kind=2)
                 assert ok == (not reference), positions
+                report = is_valid_fine(ctx, _fine_polygon(p, n, positions))
+                assert set(report.violations) == reference, positions
                 tally[ok] += 1
     assert tally[True] and tally[False]
 
@@ -242,8 +256,8 @@ def test_hull_leaf_pieces_are_keyed_by_segment():
     invalid = [(0, 1, 17), (2, 4, 4), (3, 8, 0)]
     assert engine_valid_ram(ctx, _hull_of(2, 8, valid))
     assert not engine_valid_ram(ctx, _hull_of(2, 8, invalid))
-    assert validity.valid_ram_ok(ctx, 8, valid)
-    assert not validity.valid_ram_ok(ctx, 8, invalid)
+    assert not validity.violations(ctx, 8, valid, kind=1)
+    assert validity.violations(ctx, 8, invalid, kind=1)
 
 
 def _parts(body: int, w: int, count: int) -> list[int]:
@@ -256,31 +270,31 @@ def _parts(body: int, w: int, count: int) -> list[int]:
 
 @pytest.mark.parametrize("p, f, e, gamma, degrees", LEAF_CASES, ids=CASE_IDS)
 def test_every_memoised_verdict_is_the_engine_verdict_of_its_key(p, f, e, gamma, degrees):
-    # the memo's keys decoded by hand: a pair (s_t, J_t, s_v, J_v) is the
-    # engine on the two vertices; a piece (s_t, J_t, s, s_u, J_u, s_w, J_w)
-    # the engine on t at s alone, with the segment's value at p^s, in the
-    # form its kind names (1 ceil, 2 strict)
+    # the memo's keys decoded by hand: a pair (s_t, J_t, s_v, J_v) holds the
+    # violations of the engine on the two vertices; a piece (s_t, J_t, s,
+    # s_u, J_u, s_w, J_w) those of the engine on t at s alone, with the
+    # segment's value at p^s, in the form its kind names (1 ceil, 2 strict)
     ctx = BinomialContext(make_field(p, f, e, gamma))
     kinds = {0: 0, 1: 0, 2: 0}
     for n in degrees:
         for P in enumerate_ram_polygons(ctx, n)[0]:
             enumerate_fine_polygons(ctx, P)
         enumerate_ram_polygons(ctx, n, prune=False)
-        _, w, verdicts = validity._memo(ctx, n)
-        for key, ok in verdicts.items():
+        _, w, answers = validity._memo(ctx, n)
+        for key, found in answers.items():
             kind, body = key & 3, key >> 2
             kinds[kind] += 1
             if kind == 0:
                 s_t, J_t, s_v, J_v = _parts(body, w, 4)
                 positions = [(s_t, p**s_t, J_t), (s_v, p**s_v, J_v)]
-                assert ok == (not validity._weak_violations(ctx, n, positions)), positions
+                assert set(found) == set(validity._weak_violations(ctx, n, positions)), positions
                 continue
             s_t, J_t, s, s_u, J_u, s_w, J_w = _parts(body, w, 7)
             x, x_u, x_w = p**s, p**s_u, p**s_w
             value = (J_u * (x_w - x) + J_w * (x - x_u), x_w - x_u)
             ell = depth_bound(ctx, n, {s_t: (J_t, 1), s: value}, (s,) if kind == 2 else ())
             t = (s_t, p**s_t, J_t)
-            assert ok == (not _condition_violations(ctx, n, [t], ell, [s])), (kind, t, s)
+            assert set(found) == set(_condition_violations(ctx, n, [t], ell, [s])), (kind, t, s)
     assert all(kinds.values()), kinds
 
 

@@ -12,14 +12,22 @@ from ramify.polygons import (
     InvariantWithUnif,
     RamPolygon,
     decompose,
-    ell_P,
-    ell_fine,
+    depth_bound,
+    fine_depth_bound,
     hull_points,
     lower_convex_hull,
     residual_polynomials,
 )
 from ramify.residue_field import make_field
 from ramify.serialize import fine_to_json, ram_to_json
+
+
+def ell_P(ctx, P, i, s):
+    return depth_bound(ctx, P.n, P.p_power_values())(i, s)
+
+
+def ell_fine(ctx, Pstar, i, s):
+    return fine_depth_bound(ctx, Pstar)(i, s)
 
 
 def test_hull_spec_examples():

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from ramify import cli, selftest
+from ramify import cli, selftest, validity
 from ramify.analyzer import EisensteinData, brute_force_survey, residues_of
 from ramify.binomials import vp
 from ramify.enumeration import Level, enumerate_invariants
@@ -32,7 +32,7 @@ def _reference_residues_consistent(ctx, f):
     if not is_valid_fine(ctx, decorated.polygon).ok:
         return False
     try:
-        admissible = selftest.admissible_phi0(ctx, decorated)
+        admissible = validity.admissible_phi0(ctx, decorated)
     except ResidueForcedError:
         return False
     return f.digit(0, 1) in admissible
@@ -133,7 +133,7 @@ def test_oracle_matches_the_reference_under_a_fault(fault_cases, monkeypatch, fa
                 )
             else:
                 patch.setattr(
-                    selftest, "admissible_phi0", _drop_one_phi0(selftest.admissible_phi0)
+                    validity, "admissible_phi0", _drop_one_phi0(validity.admissible_phi0)
                 )
             problems = selftest.survey_case_problems(ctx, n, bound, survey=survey)
             expected = reference_problems(ctx, n, bound, survey)
@@ -146,7 +146,7 @@ def test_selftest_prints_at_most_twenty_problem_lines_per_case(ctx_q2, monkeypat
     # dropping the only Q_2 phi0 fails the residue check of every table, and
     # only the printed lines are formatted
     total = sum(map(len, brute_force_survey(ctx_q2, 4, 3).values()))
-    monkeypatch.setattr(selftest, "admissible_phi0", _drop_one_phi0(selftest.admissible_phi0))
+    monkeypatch.setattr(validity, "admissible_phi0", _drop_one_phi0(validity.admissible_phi0))
     formatted = []
     real_line = selftest.problem_line
     monkeypatch.setattr(

@@ -29,7 +29,7 @@ from ramify.validity import (
     is_valid_with_unif,
     is_weakly_valid_fine,
     is_weakly_valid_ram,
-    pairs_ok,
+    violations,
     weak_ram_ok,
 )
 
@@ -140,12 +140,32 @@ def test_an_ordinate_above_the_ore_bound_fails_its_own_conditions(spec):
                 assert Violation.ORE2 in _weak_violations(ctx, n, [v]), (n, v)
                 if s < m:
                     top = (m, p**m, 0)
-                    assert not pairs_ok(ctx, n, [v, top])
-                    assert not pairs_ok(ctx, n, [top, v])
+                    assert violations(ctx, n, [v, top])
+                    assert violations(ctx, n, [top, v])
                     assert not weak_ram_ok(ctx, n, [top, v], {s})
         # and no such query leaves a verdict behind that another one reads
         fresh = BinomialContext(make_field(*spec))
         assert enumerate_ram_polygons(ctx, n) == enumerate_ram_polygons(fresh, n)
+
+
+def test_a_report_above_the_ore_bound_leaves_the_memo_as_it_was():
+    # J0 = 25 > 8 * v(8) = 24: the report names Ore2 and reaches pieces with
+    # that J, whose keys would not be unique; none is written
+    ctx = BinomialContext(make_field(2, 1, 1, 1))
+    report = is_valid_ram(ctx, RamPolygon(2, 8, ((1, 25), (8, 0))))
+    assert not report.ok and Violation.ORE2 in report.violations
+    cap, w, answers = ctx.memo[8]
+    fresh = BinomialContext(make_field(2, 1, 1, 1))
+    for prune in (True, False):
+        assert enumerate_ram_polygons(ctx, 8, prune=prune) == enumerate_ram_polygons(
+            fresh, 8, prune=prune
+        )
+    for key in answers:
+        body, count = key >> 2, 4 if key & 3 == 0 else 7
+        parts = [body >> (w * i) & ((1 << w) - 1) for i in range(count)]
+        assert max(parts) <= cap and body >> (w * count) == 0, key
+    # one tuple object per distinct answer
+    assert len({id(found) for found in answers.values()}) == len(set(answers.values()))
 
 
 def test_valid_fine_spec_examples(ctx_q2):
