@@ -14,7 +14,6 @@ from .analyzer import (
     fine_of,
     parse_integer_polynomial,
     polygon_of,
-    ramification_points,
     residues_of,
     unif_of,
 )
@@ -35,7 +34,6 @@ from .polygons import (
     RamPolygon,
     ResidualPolynomial,
     decompose,
-    lower_convex_hull,
     residual_polynomials,
 )
 from .residue_field import (

@@ -14,8 +14,8 @@ R_j = a*n + b is beta(b, j) * phi_b * (-phi0)^-(1+a), phi0 being the
 first digit of the constant coefficient.
 
 The fine polygon depends only on the valuation signature
-(F_0, ..., F_{n-1}), and :func:`ramification_of` maps a signature to it;
-every invariant of a polynomial is computed by one call.  It evaluates R_j
+(F_0, ..., F_{n-1}), and :func:`ramification_of` maps a signature to its
+plan; every invariant of a polynomial is computed by one call.  It evaluates R_j
 only where a point can lie on the hull, m being v_p(n):
 
 * lemma: for p^s <= j < p^(s+1) and j <= i,
@@ -34,9 +34,14 @@ terms per polynomial, where every abscissa would take O(n^2).  A term less
 n*F_i depends on the degree alone: :func:`degree_rows` lays it out as one row
 per p^s on a degree's first analysis and keeps the last ``ROW_DEGREES``
 degrees' rows (n*v_p(n) ints at most each); R at p^s is one C-level min.
-:func:`ramification_points` keeps the O(n^2) definition for callers that
-want every point.  The terms are pairwise distinct mod n, so the residue
-at (j, R_j) reads phi_b directly.
+The terms are pairwise distinct mod n, so the residue at (j, R_j) reads
+phi_b directly, and the rest of it depends on the polygon alone:
+:func:`polygon_plan` validates the ``FinePolygon`` once and keeps b, -(1+a),
+B(b, j) and beta(b, j) per point, keyed by (base field, n, hull points),
+for the last ``PLAN_POLYGONS`` polygons.  Per polynomial remain the leading
+pairs, the minima, the hull, one lookup and, per point, the minimizer check
+in integers (b >= j, F_b present, n*(B + F_b - 1) + b = R), one product and
+one power.
 
 This module is also the test oracle: :func:`brute_force_survey` iterates
 every digit table up to a depth bound and groups the results by fine
@@ -77,6 +82,7 @@ MAX_DEPTH = 2**10
 INTEGER_DIGIT_DEPTH = 8
 
 ROW_DEGREES = 16  # degrees whose rows ``degree_rows`` keeps, least recently used dropped first
+PLAN_POLYGONS = 4096  # fine polygons whose plans ``polygon_plan`` keeps, likewise
 ABSENT = float("inf")  # n*F of a zero coefficient: above every term, whatever e is
 
 
@@ -171,11 +177,6 @@ def _trim(vec: Iterable[FqElement]) -> tuple[FqElement, ...]:
 # invariants of a polynomial
 
 
-def _term(ctx: BinomialContext, n: int, i: int, j: int, Fi: int) -> int:
-    """n * v(binomial(i, j) * f_i) + i, the term of coefficient i in R_j."""
-    return n * (B(ctx, i, j) + Fi - 1) + i
-
-
 @lru_cache(maxsize=ROW_DEGREES)
 def degree_rows(p: int, e: int, n: int) -> tuple[tuple, tuple]:
     """The (p^s, row) for p^s < p^(v_p(n)), and the tame zeros (j, 0), of one degree.
@@ -188,30 +189,36 @@ def degree_rows(p: int, e: int, n: int) -> tuple[tuple, tuple]:
     return wild, tuple((j, 0) for j in tame_zeros(p, n))
 
 
-def ramification_of(ctx: BinomialContext, signature: Sequence[int | None]) -> FinePolygon:
-    """The fine polygon of the points (j, R_j), from R at the p-powers and the tame zeros.
+@lru_cache(maxsize=PLAN_POLYGONS)
+def polygon_plan(base: BaseField, n: int, points: tuple) -> tuple[FinePolygon, tuple]:
+    """The validated fine polygon through ``points``, and one step per point (j, R).
+
+    With R = a*n + b, the step is (j, R, b, -(1+a), B(b, j), beta(b, j)); B and beta
+    are None where b < j, where the minimizer check refuses every polynomial."""
+    ctx = BinomialContext(base)
+    steps = []
+    for j, R in points:
+        a, b = decompose(R, n)
+        known = b >= j
+        steps.append((j, R, b, -(1 + a), B(ctx, b, j) if known else None,
+                      beta(ctx, b, j) if known else None))
+    return FinePolygon(base.p, n, points), tuple(steps)
+
+
+def ramification_of(base: BaseField, signature: Sequence[int | None]) -> tuple[FinePolygon, tuple]:
+    """The plan of the hull of the points (j, R_j), from R at the p-powers and the tame zeros.
 
     ``signature`` holds F_0, ..., F_{n-1}, None for a zero coefficient.  R at p^s is
     the least row entry plus n*F_i, finite by the monic term (F_n = 0)."""
     n = len(signature)
-    wild, tame = degree_rows(ctx.base.p, ctx.base.e, n)
+    wild, tame = degree_rows(base.p, base.e, n)
     nF = [ABSENT if F is None else n * F for F in signature] + [0]
     points = [(x, min(map(add, row, nF[x:]))) for x, row in wild]
-    return FinePolygon(ctx.base.p, n, tuple(hull_points([*points, *tame])))
-
-
-def ramification_points(f: EisensteinData) -> list[tuple[int, int]]:
-    """(j, R_j) for 1 <= j <= n by the O(n^2) definition; the leading term keeps R_j finite."""
-    ctx = BinomialContext(f.base)
-    n = f.n
-    terms = [(i, Fi) for i, (Fi, _) in enumerate(f.leading()) if Fi is not None]
-    terms.append((n, 0))
-    return [(j, min(_term(ctx, n, i, j, Fi) for i, Fi in terms if i >= j))
-            for j in range(1, n + 1)]
+    return polygon_plan(base, n, tuple(hull_points([*points, *tame])))
 
 
 def fine_of(f: EisensteinData) -> FinePolygon:
-    return ramification_of(BinomialContext(f.base), [F for F, _ in f.leading()])
+    return ramification_of(f.base, [F for F, _ in f.leading()])[0]
 
 
 def polygon_of(f: EisensteinData) -> RamPolygon:
@@ -221,20 +228,18 @@ def polygon_of(f: EisensteinData) -> RamPolygon:
 
 def residues_of(f: EisensteinData) -> FinePolygonWithResidues:
     """Decorate the fine polygon of ``f`` with its leading residues."""
-    ctx = BinomialContext(f.base)
     n = f.n
     lead = f.leading() + ((0, f.base.fq.one),)
-    fine = ramification_of(ctx, [F for F, _ in lead[:n]])
+    fine, steps = ramification_of(f.base, [F for F, _ in lead[:n]])
     minus_phi0 = -lead[0][1]
     residues = []
-    for j, R in fine.points:
-        a, b = decompose(R, n)
+    for j, R, b, k, B_bj, beta_bj in steps:
         # term values are pairwise distinct mod n, so R_j is attained only
-        # at the index congruent to R_j, that is b
+        # at the index congruent to R_j, that is b; checked per polynomial
         Fb, phi_b = lead[b]
-        if b < j or Fb is None or _term(ctx, n, b, j, Fb) != R:
+        if b < j or Fb is None or n * (B_bj + Fb - 1) + b != R:
             raise AssertionError(f"minimizer at j={j} is not the expected index {b}")
-        residues.append(beta(ctx, b, j) * phi_b * minus_phi0 ** (-(1 + a)))
+        residues.append(beta_bj * phi_b * minus_phi0**k)
     return FinePolygonWithResidues(fine, tuple(residues))
 
 
@@ -351,7 +356,7 @@ def brute_force_survey(
         signature = tuple(map(lead.__getitem__, choice))
         group = groups.get(signature)
         if group is None:
-            fine = ramification_of(ctx, signature)
+            fine = ramification_of(base, signature)[0]
             group = groups[signature] = survey.setdefault(fine, [])
         group.append(EisensteinData(base, n, tuple(map(trimmed.__getitem__, choice))))
     return survey

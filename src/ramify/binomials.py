@@ -64,8 +64,8 @@ class BinomialContext:
 def B(ctx: BinomialContext, i: int, j: int) -> int:
     """Valuation of binomial(i, j) in K, i.e. e * v_p(binomial(i, j)).
 
-    Taken from the factorials, whose cache grows with i alone, so that the
-    O(n^2) ``analyzer.ramification_points`` leaves no O(n^2) cache behind.
+    Taken from the factorials, whose cache grows with i alone, so that an
+    O(n^2) sweep over every (i, j) leaves no O(n^2) cache behind.
     """
     if not 0 <= j <= i:
         raise ValueError(f"binomial({i},{j}) out of range")

@@ -71,14 +71,6 @@ def _vertices(chain: Sequence[_Point]) -> list[_Point]:
     return vertices
 
 
-def lower_convex_hull(points: Iterable[_Point]) -> list[_Point]:
-    """Vertices of the lower convex hull, left to right: the strict turns of ``hull_points``.
-
-    Collinear interior points are dropped; duplicate abscissas are rejected.
-    """
-    return _vertices(hull_points(points))
-
-
 def tame_zeros(p: int, n: int) -> list[int]:
     """The tame rule: the j in [p^(v_p(n)), n] with binomial(n, j) a unit, where (j, 0) is a point.
 

@@ -25,7 +25,6 @@ from ramify.polygons import (
     FinePolygonWithResidues,
     RamPolygon,
     decompose,
-    lower_convex_hull,
 )
 from ramify.residue_field import make_field, solve_power_system
 from ramify.selftest import survey_case_problems
@@ -42,6 +41,7 @@ from ramify.validity import (
     is_weakly_valid_fine,
     is_weakly_valid_ram,
 )
+from reference import lower_convex_hull
 
 
 def test_criterion_1_degree_16_count(ctx_q2):

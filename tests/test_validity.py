@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ramify import validity
 from ramify.binomials import BinomialContext, beta, vp
 from ramify.enumeration import enumerate_ram_polygons
 from ramify.polygons import (
@@ -13,7 +14,6 @@ from ramify.polygons import (
     InvariantWithUnif,
     RamPolygon,
     decompose,
-    lower_convex_hull,
 )
 from ramify.residue_field import make_field
 from ramify.validity import (
@@ -32,6 +32,7 @@ from ramify.validity import (
     violations,
     weak_ram_ok,
 )
+from reference import lower_convex_hull
 
 
 def test_valid_ram_spec_examples(ctx_q2):
@@ -123,6 +124,28 @@ def test_pair_check_of_a_lone_vertex_is_its_own_check(ctx_q2):
         vertex = [(1, 2, J)]
         assert weak_ram_ok(ctx_q2, 8, vertex, {1}) == weak_ram_ok(ctx_q2, 8, vertex)
     assert weak_ram_ok(ctx_q2, 8, [(1, 2, 5)], ())
+
+
+@pytest.mark.parametrize("above", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_a_k_point_check_decides_each_unordered_pair_once(monkeypatch, k, above):
+    # on an empty memo, k points make k(k+1)/2 pair checks, {v, v} among them
+    # (``every`` returns nothing early); with r of them new, the pairs of two
+    # old points are known to pass and are not checked.  Ordinates above the
+    # Ore bound are never memoised, so there a second visit would run again
+    engine, calls = validity._weak_violations, []
+    monkeypatch.setattr(
+        validity, "_weak_violations", lambda *args: calls.append(args[2]) or engine(*args)
+    )
+    n = 2**k
+    cap = n * k
+    points = [(s, 2**s, cap + 1 + s if above else n * (k - s)) for s in range(k)]
+    for r in range(k + 1):
+        calls.clear()
+        new = None if r == k else range(k - r, k)
+        violations(BinomialContext(make_field(2, 1, 1, 1)), n, points, new, every=True)
+        assert len(calls) == k * (k + 1) // 2 - (k - r) * (k - r + 1) // 2, (k, r)
+        assert len({frozenset(map(tuple, pair)) for pair in calls}) == len(calls)
 
 
 @pytest.mark.parametrize("spec", [(2, 1, 1, 1), (3, 1, 1, 1), (2, 1, 2, 1), (2, 2, 1, "g")])
