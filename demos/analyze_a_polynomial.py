@@ -5,7 +5,7 @@ table of residue digits and every invariant is an exact function of the
 coefficient valuations and leading digits.
 """
 
-from ramify import B, BinomialContext, make_field, residual_polynomials
+from ramify import BinomialContext, make_field, residual_polynomials
 from ramify.analyzer import (
     fine_of,
     parse_integer_polynomial,
@@ -13,24 +13,11 @@ from ramify.analyzer import (
     unif_of,
 )
 
-
-def ramification_points(ctx, f):
-    """Every (j, R_j), R_j the least n * v(binomial(i, j) * f_i) + i over i >= j.
-
-    The library evaluates R_j only where a point can lie on the hull; this is
-    the definition, at every abscissa."""
-    n = f.n
-    terms = [(i, F) for i, (F, _) in enumerate(f.leading()) if F is not None] + [(n, 0)]
-    return [(j, min(n * (B(ctx, i, j) + F - 1) + i for i, F in terms if i >= j))
-            for j in range(1, n + 1)]
-
-
 ctx = BinomialContext(make_field(2, 1, 1, 1))
 
 for text in ["x^8+2x^7+2x^6+2x^4+2", "x^2-2", "x^3-2"]:
     f = parse_integer_polynomial(ctx.base, text)
     print(text)
-    print(f"  attained points (j, R_j): {ramification_points(ctx, f)}")
     print(f"  hull vertices:            {list(polygon_of(f).vertices)}")
     print(f"  fine polygon:             {list(fine_of(f).points)}")
     invariant = unif_of(f)

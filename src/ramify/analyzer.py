@@ -82,7 +82,10 @@ MAX_DEPTH = 2**10
 INTEGER_DIGIT_DEPTH = 8
 
 ROW_DEGREES = 16  # degrees whose rows ``degree_rows`` keeps, least recently used dropped first
-PLAN_POLYGONS = 4096  # fine polygons whose plans ``polygon_plan`` keeps, likewise
+# fine polygons whose plans ``polygon_plan`` keeps, likewise: well above the
+# few hundred one enumeration's analyses meet; full of Q_2 degree-32 polygons
+# it holds 5.8 MiB (tracemalloc, 1.5 kB per polygon of 4.4 points)
+PLAN_POLYGONS = 4096
 ABSENT = float("inf")  # n*F of a zero coefficient: above every term, whatever e is
 
 

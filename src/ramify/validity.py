@@ -165,8 +165,8 @@ def violations(
     """The violations of the points (s, p^s, J) ``positions``, from memoised pairs and pieces.
 
     Kind 0 is weak validity: the pair {t, v} for every v of exponent in ``new``
-    (all when None; the rest is known to pass) and every t, each unordered
-    pair once, t = v checking v alone.  Kinds 1 and 2 are full validity of the
+    (all when None, each unordered pair then once; the rest is known to pass)
+    and every t, t = v checking v alone.  Kinds 1 and 2 are full validity of the
     polygon through the points, in increasing s from 0 to v_p(n) and each on
     the lower hull of them all: the pairs, then for s strictly between
     consecutive points u and w and each point t, the engine on [t] at s alone,
@@ -180,9 +180,7 @@ def violations(
         if new is None or v[0] in new:
             b = v[0] << w | v[2]
             wide = v[2] > cap
-            # each unordered pair once: a new t before v has met v as its own v
-            for t in positions[i:] if new is None else [
-                    t for k, t in enumerate(positions) if k >= i or t[0] not in new]:
+            for t in positions[i:] if new is None else positions:
                 a = t[0] << w | t[2]
                 key = (a << 2 * w | b if a <= b else b << 2 * w | a) << 2
                 # no key holds an ordinate above the cap (see _memo)
