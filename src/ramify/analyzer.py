@@ -43,20 +43,25 @@ pairs, the minima, the hull, one lookup and, per point, the minimizer check
 in integers (b >= j, F_b present, n*(B + F_b - 1) + b = R), one product and
 one power.
 
-This module is also the test oracle: :func:`brute_force_survey` iterates
-every digit table up to a depth bound and groups the results by fine
-polygon, memoised by signature for the one survey, against which the
-enumerators and templates are checked.
+This module is also the test oracle: :func:`brute_force_survey` groups
+every digit table up to a depth bound by fine polygon, against which the
+enumerators and templates are checked.  It builds no table.  In
+lexicographic order the rows of one leading valuation form an index range,
+so the tables of one valuation signature are a box, one row range per
+coefficient, and a signature costs one :func:`ramification_of` call.  A
+:class:`SurveyGroup` is sized and iterable, in lexicographic order, but not
+indexable.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .binomials import B, BinomialContext, beta, vp, vp_factorial
 from .polygons import (
@@ -331,35 +336,79 @@ def render_integer_polynomial(f: EisensteinData) -> str:
 # exhaustive survey (test oracle)
 
 
+class SurveyGroup:
+    """The surveyed digit tables of one fine polygon, as a union of boxes.
+
+    In lexicographic order (zero the least digit) the rows of one leading
+    valuation F form an index range of the shared trimmed ``rows``, so the
+    tables of one valuation signature are a box: one row range per
+    coefficient.  ``len`` counts the tables; iterating builds them, in
+    lexicographic order, as ``EisensteinData`` that share the rows.
+    """
+
+    __slots__ = ("base", "rows", "boxes")
+
+    def __init__(self, base: BaseField, rows: tuple[tuple[FqElement, ...], ...]) -> None:
+        self.base = base
+        self.rows = rows
+        self.boxes: list[tuple[range, ...]] = []
+
+    def __len__(self) -> int:
+        return sum(math.prod(map(len, box)) for box in self.boxes)
+
+    def __iter__(self) -> Iterator[EisensteinData]:
+        base, rows = self.base, self.rows
+        for choice in self.indices():
+            yield EisensteinData(base, len(choice), tuple(map(rows.__getitem__, choice)))
+
+    def indices(self) -> Iterator[tuple[int, ...]]:
+        """The row indices of each table, in lexicographic order."""
+        return _lexicographic(self.boxes, 0)
+
+
+def _lexicographic(boxes: list[tuple[range, ...]], i: int) -> Iterator[tuple[int, ...]]:
+    """The index tuples of ``boxes``, which agree before coefficient i, in order."""
+    if len(boxes) == 1:  # boxes differ somewhere, so one is left by i = n
+        yield from itertools.product(*boxes[0][i:])
+        return
+    by_range: dict[range, list] = {}
+    for box in boxes:
+        by_range.setdefault(box[i], []).append(box)
+    for span in sorted(by_range, key=lambda span: span.start):
+        for idx in span:
+            for tail in _lexicographic(by_range[span], i + 1):
+                yield (idx, *tail)
+
+
 def brute_force_survey(
     ctx: BinomialContext, n: int, digit_bound: int
-) -> dict[FinePolygon, list[EisensteinData]]:
+) -> dict[FinePolygon, SurveyGroup]:
     """Group every digit table of depth <= digit_bound by its fine polygon.
 
-    Iterates all q^(n * digit_bound) tables (minus the non-Eisenstein ones),
-    so callers must stay inside the guard.  The tables share their rows: each
-    of the q^digit_bound trimmed rows is built once, and every table holds
-    those same tuple objects.  The fine polygon only depends on the tuple of
-    coefficient valuations, so each signature is mapped once to its group
-    list and a table costs one lookup keyed by that tuple of ints.
+    Covers all q^(n * digit_bound) tables (minus the non-Eisenstein ones),
+    so callers must stay inside the guard, but builds none of them: the fine
+    polygon depends only on the valuation signature, so each signature is
+    one box of a ``SurveyGroup`` and costs one ``ramification_of`` call.
+    Polygons come in the order their first tables have lexicographically.
     """
     base = ctx.base
     if base.q ** (n * digit_bound) > SURVEY_GUARD:
         raise ValueError("survey size exceeds the iteration guard")
-    vectors = list(itertools.product(list(base.fq.elements()), repeat=digit_bound))
-    trimmed = [_trim(v) for v in vectors]
-    lead = [leading_pair(v, base.fq.zero)[0] for v in trimmed]  # F of each vector, None for zero
-    const_choices = [idx for idx, v in enumerate(vectors) if v and v[0]]
-    other_choices = list(range(len(vectors)))
+    q, d = base.q, digit_bound
+    rows = tuple(_trim(v) for v in itertools.product(list(base.fq.elements()), repeat=d))
+    # row index k has leading valuation F when q^(d-F) <= k < q^(d-F+1); the
+    # zero row is index 0.  Listed by first index, F = 1 last
+    spans = [(None, range(1))]
+    spans += [(F, range(q ** (d - F), q ** (d - F + 1))) for F in range(d, 0, -1)]
+    units = [span for span in spans if span[0] == 1]  # phi_0 has a nonzero first digit
 
-    groups: dict[tuple, list[EisensteinData]] = {}
-    survey: dict[FinePolygon, list[EisensteinData]] = {}
-    # lexicographic in (phi_0, ..., phi_{n-1}), phi_0 with a nonzero first digit
-    for choice in itertools.product(const_choices, *[other_choices] * (n - 1)):
-        signature = tuple(map(lead.__getitem__, choice))
-        group = groups.get(signature)
+    survey: dict[FinePolygon, SurveyGroup] = {}
+    # boxes in lexicographic order of their first tables
+    for box in itertools.product(units, *[spans] * (n - 1)):
+        signature, ranges = zip(*box)
+        fine = ramification_of(base, signature)[0]
+        group = survey.get(fine)
         if group is None:
-            fine = ramification_of(base, signature)[0]
-            group = groups[signature] = survey.setdefault(fine, [])
-        group.append(EisensteinData(base, n, tuple(map(trimmed.__getitem__, choice))))
+            group = survey[fine] = SurveyGroup(base, rows)
+        group.boxes.append(ranges)
     return survey

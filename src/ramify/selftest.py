@@ -1,6 +1,6 @@
 """Exhaustive cross-checks of the enumerators against the brute-force survey.
 
-Each case fixes a base field, a degree and a digit depth, iterates every
+Each case fixes a base field, a degree and a digit depth, covers every
 digit table to that depth, and verifies that
 
 * the fine polygons attained by the survey are exactly those produced by
@@ -17,14 +17,19 @@ All checks are exact; each discrepancy is a (kind, subject) pair that
 The per-table checks decompose by rows.  A template slot (i, k) with
 k <= depth reads row i alone, so a table meets its template exactly when
 each of its n rows meets that row's slots, and the residue check reads only
-each row's leading pair (F_i, phi_i).  The survey's tables share their
-q^depth row objects, so each (i, row) is decided once per fine polygon and a
-table costs n memo lookups plus one residue lookup keyed by its leading pairs.
+each row's leading pair (F_i, phi_i).  So a survey box, one row range per
+coefficient, is decided without building its tables: template membership
+once per (coefficient, row index), and the residue check once per
+combination of the leading pairs in its ranges, on one representative
+table.  Only a group with a failing box is walked table by table, in order,
+through the same verdicts, to list its faults.
 """
 
 from __future__ import annotations
 
-from .analyzer import EisensteinData, brute_force_survey, leading_pair, unif_of
+import itertools
+
+from .analyzer import EisensteinData, SurveyGroup, brute_force_survey, leading_pair, unif_of
 from .binomials import BinomialContext, vp
 from .enumeration import Level, enumerate_invariants
 from .polygons import FinePolygon, decompose
@@ -44,7 +49,7 @@ def survey_case_problems(
     ctx: BinomialContext,
     n: int,
     bound: int,
-    survey: dict[FinePolygon, list[EisensteinData]] | None = None,
+    survey: dict[FinePolygon, SurveyGroup] | None = None,
 ) -> list[tuple[str, object]]:
     """All mismatches for one case as (kind, subject) pairs; empty means the case passes."""
     problems: list[tuple[str, object]] = []
@@ -66,36 +71,32 @@ def survey_case_problems(
         _, b0 = decompose(J0, n)
         if not min(n * e * vp(p, b0), n * vn) <= J0 <= n * vn:
             problems.append((f"Ore bound violated by leftmost ordinate {J0} of", fine.points))
-        row_slots = None
+        rows = group.rows
+        meets = None  # meets[i][k]: row k meets coefficient i's slots
         if fine in enumerated_set:
             row_slots = _row_slots(template_for_fine(ctx, fine), bound)
-        # (i, id(row)) -> (row i meets its slots, (F_i, phi_i)).  Keyed by id:
-        # hashing a row calls each digit's __hash__; the survey keeps every
-        # row alive while this memo lives, and its tables share their rows
-        seen: dict[tuple[int, int], tuple[bool, tuple]] = {}
-        residues_ok: dict[tuple, bool] = {}
-        for f in group:
-            rows = f.digits
-            inside = True
-            lead = []
-            for key in enumerate(map(id, rows)):
-                verdict = seen.get(key)
-                if verdict is None:
-                    i = key[0]
-                    ok = row_slots is None or _row_meets(rows[i], row_slots[i], zero)
-                    verdict = seen[key] = (ok, leading_pair(rows[i], zero))
-                inside = inside and verdict[0]
-                lead.append(verdict[1])
-            if not inside:
-                problems.append(("polynomial outside its template:", rows))
-            # residue data depends only on each coefficient's valuation and
-            # leading digit
-            key = tuple(lead)
-            ok = residues_ok.get(key)
-            if ok is None:
-                ok = residues_ok[key] = _residues_consistent(ctx, f)
-            if not ok:
-                problems.append(("residue data inconsistent for:", rows))
+            meets = [[_row_meets(row, slots, zero) for row in rows] for slots in row_slots]
+        # the first row of each leading pair stands for every row with that pair
+        first: dict[tuple, int] = {}
+        rep = [first.setdefault(leading_pair(row, zero), k) for k, row in enumerate(rows)]
+        residues_ok: dict[tuple[int, ...], bool] = {}  # keyed by representative rows
+        failing = False
+        for box in group.boxes:
+            if meets is not None and not all(all(m[r.start:r.stop]) for m, r in zip(meets, box)):
+                failing = True
+            for key in itertools.product(*[dict.fromkeys(rep[r.start:r.stop]) for r in box]):
+                representative = EisensteinData(ctx.base, n, tuple(map(rows.__getitem__, key)))
+                residues_ok[key] = _residues_consistent(ctx, representative)
+                failing = failing or not residues_ok[key]
+        if not failing:
+            continue
+        # a failing group reports table by table, in order, from the same verdicts
+        for choice in group.indices():
+            table = tuple(map(rows.__getitem__, choice))
+            if meets is not None and not all(m[k] for m, k in zip(meets, choice)):
+                problems.append(("polynomial outside its template:", table))
+            if not residues_ok[tuple(map(rep.__getitem__, choice))]:
+                problems.append(("residue data inconsistent for:", table))
     return problems
 
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 
 import pytest
@@ -77,7 +78,7 @@ def test_cubic_over_q3(ctx_q3):
 def test_residue_at_degree_point_is_one(ctx_q2, survey_q2_n2):
     one = ctx_q2.base.fq.one
     for group in survey_q2_n2.values():
-        for f in group[:3]:
+        for f in itertools.islice(group, 3):
             decorated = residues_of(f)
             assert decorated.residue_at(f.n) == one
 
@@ -144,13 +145,35 @@ def test_survey_lists_tables_in_lexicographic_order(ctx_q2, survey_q2_n2):
         return tuple(tuple(d.index for d in row) + (0,) * (3 - len(row)) for row in f.digits)
 
     for group in survey_q2_n2.values():
-        assert group == sorted(group, key=digits)
-    firsts = [group[0] for group in survey_q2_n2.values()]
+        tables = list(group)
+        assert tables == sorted(tables, key=digits)
+    firsts = [next(iter(group)) for group in survey_q2_n2.values()]
     assert firsts == sorted(firsts, key=digits)
 
 
-def test_survey_is_freed_without_the_collector(ctx_q2):
-    # the survey holds no reference cycle, so dropping it frees every table at once
+@pytest.mark.parametrize("case, fixture", [
+    ((2, 2, 3), "survey_q2_n2"), ((2, 4, 3), None), ((2, 4, 5), "survey_q2_n4"),
+    ((3, 3, 3), "survey_q3_n3"),
+])
+def test_survey_group_sizes_count_the_tables_they_yield(request, ctx_q2, ctx_q3, case, fixture):
+    p, n, bound = case
+    ctx = ctx_q2 if p == 2 else ctx_q3
+    survey = request.getfixturevalue(fixture) if fixture else brute_force_survey(ctx, n, bound)
+    for group in survey.values():
+        assert len(group) == sum(1 for _ in group)
+    # every Eisenstein table: the constant row has a nonzero first digit
+    q = ctx.base.q
+    assert sum(map(len, survey.values())) == (q**bound - q ** (bound - 1)) * q ** (bound * (n - 1))
+
+
+def test_default_surveys_hold_the_tables_perfbench_counts(survey_q2_n2, survey_q2_n4, survey_q3_n3):
+    surveys = (survey_q2_n2, survey_q2_n4, survey_q3_n3)
+    assert sum(len(group) for survey in surveys for group in survey.values()) == 537_442
+
+
+def test_survey_builds_no_table_and_frees_iterated_ones_without_the_collector(ctx_q2):
+    # a survey holds row ranges, not tables; the tables its groups yield hold
+    # no reference cycle, so each is freed once dropped
     def tables():
         return sum(isinstance(obj, EisensteinData) for obj in gc.get_objects())
 
@@ -159,8 +182,12 @@ def test_survey_is_freed_without_the_collector(ctx_q2):
     try:
         before = tables()
         survey = brute_force_survey(ctx_q2, 4, 3)
-        assert tables() > before
-        del survey
+        assert tables() == before
+        kept = [f for group in survey.values() for f in group]
+        assert len(kept) == 2048 and tables() == before + 2048
+        del kept
+        assert tables() == before
+        assert sum(1 for group in survey.values() for _ in group) == 2048
         assert tables() == before
     finally:
         gc.enable()

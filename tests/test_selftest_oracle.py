@@ -1,13 +1,16 @@
-"""The survey oracle decides per row what the per-table check decides per table.
+"""The survey oracle decides per box what the per-table check decides per table.
 
-``survey_case_problems`` reads each template verdict off per-row verdicts and
-each residue key off per-row leading pairs.  The per-table check it replaced
-is kept here as the reference: ``matches_template`` over every slot, and the
-residue check keyed by ``(fine, f.leading())``.  Both must give the same
-problem list, line for line, on the default cases and under injected faults.
+``survey_case_problems`` decides each box of a survey group from per-row
+template verdicts and one residue check per combination of leading pairs,
+and walks only the groups with a failing box.  The per-table check it
+replaced is kept here as the reference: ``matches_template`` over every
+slot, and the residue check keyed by ``(fine, f.leading())``.  Both must
+give the same problem list, line for line, on the default cases and under
+injected faults, including faults that fail one group or one combination.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -140,6 +143,53 @@ def test_oracle_matches_the_reference_under_a_fault(fault_cases, monkeypatch, fa
         lines = [selftest.problem_line(problem) for problem in problems]
         assert any(line.startswith(kind) for line in lines), (n, bound)
         assert lines == expected, (n, bound)
+
+
+def _kinds_and_tables(lines):
+    return {tuple(line.split(": ", 1)) for line in lines}
+
+
+def test_oracle_walks_only_the_group_whose_template_fails(ctx_q2, monkeypatch):
+    # one polygon's template loses a digit, so its boxes fail and the other
+    # groups pass box by box without a walk
+    survey = brute_force_survey(ctx_q2, 4, 3)
+    real = selftest.template_for_fine
+    narrow = _narrow_one_slot(real, 3)
+    target = [fine for fine in survey if narrow(ctx_q2, fine).slots != real(ctx_q2, fine).slots][-1]
+    monkeypatch.setattr(
+        selftest, "template_for_fine",
+        lambda ctx, fine: narrow(ctx, fine) if fine == target else real(ctx, fine),
+    )
+    problems = selftest.survey_case_problems(ctx_q2, 4, 3, survey=survey)
+    lines = [selftest.problem_line(problem) for problem in problems]
+    assert lines == reference_problems(ctx_q2, 4, 3, survey)
+    inside = {("polynomial outside its template", str(f.digits)) for f in survey[target]}
+    assert lines and _kinds_and_tables(lines) <= inside
+    assert len(lines) < len(survey[target]) and len(survey) > 1
+
+
+def test_oracle_walks_only_the_tables_whose_residue_combination_fails(
+    ctx_q3, survey_q3_n3, monkeypatch
+):
+    # the phi0 of one table is dropped for that table's residues alone: other
+    # leading-digit combinations in the same boxes, and every other group, pass
+    group = max(survey_q3_n3.values(), key=len)
+    f = next(itertools.islice(group, len(group) // 2, None))
+    target, dropped = residues_of(f), f.digit(0, 1)
+    real = validity.admissible_phi0
+    monkeypatch.setattr(
+        validity, "admissible_phi0",
+        lambda ctx, decorated: real(ctx, decorated) - ({dropped} if decorated == target else set()),
+    )
+    problems = selftest.survey_case_problems(ctx_q3, 3, 3, survey=survey_q3_n3)
+    lines = [selftest.problem_line(problem) for problem in problems]
+    assert lines == reference_problems(ctx_q3, 3, 3, survey_q3_n3)
+    failing = {
+        ("residue data inconsistent for", str(g.digits))
+        for g in group if residues_of(g) == target and g.digit(0, 1) == dropped
+    }
+    assert ("residue data inconsistent for", str(f.digits)) in failing
+    assert _kinds_and_tables(lines) == failing and len(lines) == len(failing) < len(group)
 
 
 def test_selftest_prints_at_most_twenty_problem_lines_per_case(ctx_q2, monkeypatch, capsys):

@@ -265,14 +265,25 @@ SELFTEST_STDOUT_SHA256 = "947df3167df6e4b818d73778a4fe029d507e48cfedd25798e99369
 
 
 def test_cli_selftest_runs_under_a_192_mib_address_space_cap():
-    # the default cases survey 537,442 tables; tables that share their rows
-    # keep the run near 100 MB, where a row tuple per table needed 240-260 MB
+    # the default cases survey 537,442 tables, decided box by box
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (192 * 2**20, 192 * 2**20))
 
     done = run_process("selftest", preexec_fn=cap)
     assert done.returncode == 0, done.stderr[-2000:]
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == SELFTEST_STDOUT_SHA256
+
+
+def test_cli_selftest_surveys_degree_eight_under_a_192_mib_address_space_cap():
+    # Q_2 degree 8 to depth 3 spans 2^24 digit tables, exactly the survey
+    # guard, 2^23 of them Eisenstein; the survey decides them box by box and
+    # builds none, where one table object each would need about 1 GB
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (192 * 2**20, 192 * 2**20))
+
+    done = run_process("selftest", "--case", "2:8:3", preexec_fn=cap)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "selftest p=2 n=8 depth=3: ok\n"
 
 
 def test_cli_expand_rejects_huge_listing_before_expanding():
