@@ -277,7 +277,7 @@ def test_cli_selftest_runs_under_a_192_mib_address_space_cap():
 def test_cli_selftest_surveys_degree_eight_under_a_192_mib_address_space_cap():
     # Q_2 degree 8 to depth 3 spans 2^24 digit tables, exactly the survey
     # guard, 2^23 of them Eisenstein; the survey decides them box by box and
-    # builds none, where one table object each would need about 1 GB
+    # builds none, where a table object each would take on the order of 1 GB
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (192 * 2**20, 192 * 2**20))
 
