@@ -45,12 +45,12 @@ one power.
 
 This module is also the test oracle: :func:`brute_force_survey` groups
 every digit table up to a depth bound by fine polygon, against which the
-enumerators and templates are checked.  It builds no table.  In
-lexicographic order the rows of one leading valuation form an index range,
-so the tables of one valuation signature are a box, one row range per
-coefficient, and a signature costs one :func:`ramification_of` call.  A
-:class:`SurveyGroup` is sized and iterable, in lexicographic order, but not
-indexable.
+enumerators and templates are checked.  It builds no table and no row: the
+polygon depends on the valuation signature alone, so the tables of one
+signature form a box, a signature costs one :func:`ramification_of` call,
+and a :class:`SurveyGroup` holds only its signatures.  It is sized in closed
+form and iterable in lexicographic order, making rows only as it iterates,
+but not indexable.
 """
 
 from __future__ import annotations
@@ -149,26 +149,23 @@ class EisensteinData:
         return self.base.fq.zero
 
     def leading(self) -> tuple[tuple[int | None, FqElement | None], ...]:
-        """(F_i, phi_i) for i < n in one pass, (None, None) for a zero coefficient."""
-        zero = self.base.fq.zero
-        return tuple([leading_pair(row, zero) for row in self.digits])
+        """(F_i, phi_i) for i < n in one pass, (None, None) for a zero coefficient.
+
+        Rows are trimmed, so a nonempty one has a nonzero digit; ``zero`` is the
+        field's interned 0, compared by identity."""
+        zero, lead = self.base.fq.zero, []
+        for row in self.digits:
+            k = 0
+            while row and row[k] is zero:
+                k += 1
+            lead.append((k + 1, row[k]) if row else (None, None))
+        return tuple(lead)
 
     def nonzero_digits(self) -> Iterable[tuple[int, int, FqElement]]:
         for i, row in enumerate(self.digits):
             for k, d in enumerate(row, start=1):
                 if d:
                     yield i, k, d
-
-
-def leading_pair(row: Sequence[FqElement], zero: FqElement) -> tuple[int | None, FqElement | None]:
-    """(F, phi) of a trimmed digit row, (None, None) for an empty one; ``zero`` is the
-    field's interned 0, compared by identity, and a trimmed row never ends in it."""
-    if not row:
-        return None, None
-    k = 0
-    while row[k] is zero:
-        k += 1
-    return k + 1, row[k]
 
 
 def _trim(vec: Iterable[FqElement]) -> tuple[FqElement, ...]:
@@ -339,45 +336,54 @@ def render_integer_polynomial(f: EisensteinData) -> str:
 class SurveyGroup:
     """The surveyed digit tables of one fine polygon, as a union of boxes.
 
-    In lexicographic order (zero the least digit) the rows of one leading
-    valuation F form an index range of the shared trimmed ``rows``, so the
-    tables of one valuation signature are a box: one row range per
-    coefficient.  ``len`` counts the tables; iterating builds them, in
-    lexicographic order, as ``EisensteinData`` that share the rows.
+    A box is a valuation signature (F_0, ..., F_{n-1}), None for a zero
+    coefficient: the tables whose coefficient i has leading valuation F_i,
+    any of (q-1)*q^(depth-F_i) rows.  Boxes are appended in lexicographic
+    order of their first tables.  ``len`` counts the tables; iterating makes
+    the rows of each leading valuation and builds the tables from them, in
+    lexicographic order (zero the least digit), as ``EisensteinData`` that
+    share the rows of one iteration.
     """
 
-    __slots__ = ("base", "rows", "boxes")
+    __slots__ = ("base", "depth", "boxes")
 
-    def __init__(self, base: BaseField, rows: tuple[tuple[FqElement, ...], ...]) -> None:
+    def __init__(self, base: BaseField, depth: int) -> None:
         self.base = base
-        self.rows = rows
-        self.boxes: list[tuple[range, ...]] = []
+        self.depth = depth
+        self.boxes: list[tuple[int | None, ...]] = []
 
     def __len__(self) -> int:
-        return sum(math.prod(map(len, box)) for box in self.boxes)
+        q, d = self.base.q, self.depth
+        return sum(math.prod((q - 1) * q ** (d - F) for F in box if F is not None)
+                   for box in self.boxes)
 
     def __iter__(self) -> Iterator[EisensteinData]:
-        base, rows = self.base, self.rows
-        for choice in self.indices():
-            yield EisensteinData(base, len(choice), tuple(map(rows.__getitem__, choice)))
+        base, depth = self.base, self.depth
+        digits = list(base.fq.elements())  # zero first
+        rows = {None: ((),)}
+        for F in {F for box in self.boxes for F in box} - {None}:
+            lead = (base.fq.zero,) * (F - 1)
+            rows[F] = tuple(_trim((*lead, unit, *rest)) for unit in digits[1:]
+                            for rest in itertools.product(digits, repeat=depth - F))
+        for table in _lexicographic(self.boxes, 0, rows):
+            yield EisensteinData(base, len(table), table)
 
-    def indices(self) -> Iterator[tuple[int, ...]]:
-        """The row indices of each table, in lexicographic order."""
-        return _lexicographic(self.boxes, 0)
 
+def _lexicographic(boxes: list[tuple], i: int, rows: dict) -> Iterator[tuple]:
+    """The row tuples of ``boxes``, which agree before coefficient i, in order.
 
-def _lexicographic(boxes: list[tuple[range, ...]], i: int) -> Iterator[tuple[int, ...]]:
-    """The index tuples of ``boxes``, which agree before coefficient i, in order."""
+    Boxes come in lexicographic order, so grouping them by F_i keeps the order
+    of the F_i: the zero row first, then the rows of F = depth down to 1."""
     if len(boxes) == 1:  # boxes differ somewhere, so one is left by i = n
-        yield from itertools.product(*boxes[0][i:])
+        yield from itertools.product(*map(rows.__getitem__, boxes[0][i:]))
         return
-    by_range: dict[range, list] = {}
+    by_valuation: dict[int | None, list] = {}
     for box in boxes:
-        by_range.setdefault(box[i], []).append(box)
-    for span in sorted(by_range, key=lambda span: span.start):
-        for idx in span:
-            for tail in _lexicographic(by_range[span], i + 1):
-                yield (idx, *tail)
+        by_valuation.setdefault(box[i], []).append(box)
+    for F, tail_boxes in by_valuation.items():
+        for row in rows[F]:
+            for tail in _lexicographic(tail_boxes, i + 1, rows):
+                yield (row, *tail)
 
 
 def brute_force_survey(
@@ -394,21 +400,14 @@ def brute_force_survey(
     base = ctx.base
     if base.q ** (n * digit_bound) > SURVEY_GUARD:
         raise ValueError("survey size exceeds the iteration guard")
-    q, d = base.q, digit_bound
-    rows = tuple(_trim(v) for v in itertools.product(list(base.fq.elements()), repeat=d))
-    # row index k has leading valuation F when q^(d-F) <= k < q^(d-F+1); the
-    # zero row is index 0.  Listed by first index, F = 1 last
-    spans = [(None, range(1))]
-    spans += [(F, range(q ** (d - F), q ** (d - F + 1))) for F in range(d, 0, -1)]
-    units = [span for span in spans if span[0] == 1]  # phi_0 has a nonzero first digit
-
+    # leading valuations in the order of their first rows: zero, then F = depth down to 1
+    valuations = [None, *range(digit_bound, 0, -1)]
     survey: dict[FinePolygon, SurveyGroup] = {}
-    # boxes in lexicographic order of their first tables
-    for box in itertools.product(units, *[spans] * (n - 1)):
-        signature, ranges = zip(*box)
+    # phi_0 has a nonzero first digit; signatures come in lexicographic order
+    for signature in itertools.product([1], *[valuations] * (n - 1)):
         fine = ramification_of(base, signature)[0]
         group = survey.get(fine)
         if group is None:
-            group = survey[fine] = SurveyGroup(base, rows)
-        group.boxes.append(ranges)
+            group = survey[fine] = SurveyGroup(base, digit_bound)
+        group.boxes.append(signature)
     return survey

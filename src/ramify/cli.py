@@ -36,6 +36,9 @@ from .templates import (
 # the largest J0 range n*e*v_p(n) enumerate searches: the hull search tree
 # grows fast with it (Q_2 degree 64, 384: about 50 s; degree 128, 896: no end)
 MAX_J0_RANGE = 512
+# the most representative tables, one per leading-digit combination, a selftest
+# case may check: (p-1)*(1+depth*(p-1))^(n-1) (2:19:1, 2^18: about 15 s, 2 vCPUs)
+MAX_REPRESENTATIVES = 2**18
 
 
 class ConfigError(ValueError):
@@ -214,8 +217,9 @@ def cmd_selftest(args, out) -> int:
             except ValueError as exc:
                 raise ConfigError(f"bad case {text!r}: {exc}") from exc
             # p >= 2 here, so an exponent past the guard's bit length exceeds it
-            # and p^(n*depth) is formed only when small
-            if n * depth >= SURVEY_GUARD.bit_length() or p ** (n * depth) > SURVEY_GUARD:
+            # and p^(n*depth) and the representative count are formed only when small
+            if (n * depth >= SURVEY_GUARD.bit_length() or p ** (n * depth) > SURVEY_GUARD
+                    or (p - 1) * (1 + depth * (p - 1)) ** (n - 1) > MAX_REPRESENTATIVES):
                 raise ConfigError(f"case {text!r} exceeds the survey guard")
             parsed.append((p, n, depth))
         cases = tuple(parsed)

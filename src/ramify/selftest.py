@@ -14,27 +14,28 @@ digit table to that depth, and verifies that
 All checks are exact; each discrepancy is a (kind, subject) pair that
 :func:`problem_line` formats only if printed, as one fault can fail every table.
 
-The per-table checks decompose by rows.  A template slot (i, k) with
-k <= depth reads row i alone, so a table meets its template exactly when
-each of its n rows meets that row's slots, and the residue check reads only
-each row's leading pair (F_i, phi_i).  So a survey box, one row range per
-coefficient, is decided without building its tables: template membership
-once per (coefficient, row index), and the residue check once per
-combination of the leading pairs in its ranges, on one representative
-table.  Only a group with a failing box is walked table by table, in order,
-through the same verdicts, to list its faults.
+The checks are decided per survey box, a valuation signature, without
+building its tables.  Every row of leading valuation F has zero digits
+below F, a unit at F and any digit above it, so whether all of them meet
+coefficient i's template slots reads off the slots alone, once per
+(coefficient, leading valuation).  The residue check reads only each row's
+leading pair (F_i, phi_i), and its verdict is a function of the invariant:
+one representative table per combination of leading digits gives the
+invariant through ``unif_of``, and each distinct invariant is checked once.
+Only a group with a failing box is walked table by table, in order, each
+table getting its invariant again, to list its faults.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .analyzer import EisensteinData, SurveyGroup, brute_force_survey, leading_pair, unif_of
+from .analyzer import EisensteinData, SurveyGroup, brute_force_survey, unif_of
 from .binomials import BinomialContext, vp
 from .enumeration import Level, enumerate_invariants
 from .polygons import FinePolygon, decompose
 from .residue_field import make_field
-from .templates import Template, template_for_fine
+from .templates import template_for_fine
 from .validity import is_valid_fine, is_valid_with_unif
 
 DEFAULT_CASES: tuple[tuple[int, int, int], ...] = ((2, 2, 3), (2, 4, 5), (3, 3, 3))
@@ -63,60 +64,52 @@ def survey_case_problems(
     for fine in sorted(enumerated_set - surveyed_set, key=lambda f: f.points):
         problems.append(("enumerated but not surveyed:", fine.points))
 
-    e, p = ctx.base.e, ctx.base.p
+    base, fq = ctx.base, ctx.base.fq
+    e, p = base.e, base.p
     vn = e * vp(p, n)
-    zero = ctx.base.fq.zero
+    zero, units, every = frozenset([fq.zero]), frozenset(fq.units()), frozenset(fq.elements())
+
+    def digits_at(F, k):
+        """The digits at depth k of the rows of leading valuation F."""
+        return zero if F is None or F > k else units if F == k else every
+
+    valuations = (None, *range(1, bound + 1))
+    # one representative row per leading pair (F, phi): phi at depth F, zeros above
+    representatives = {F: [(fq.zero,) * (F - 1) + (phi,) for phi in fq.units()] if F else [()]
+                       for F in valuations}
+    verdicts: dict = {}  # residue verdict by InvariantWithUnif
+
+    def residues_ok(f: EisensteinData) -> bool:
+        inv = unif_of(f)
+        if inv not in verdicts:
+            verdicts[inv] = (is_valid_fine(ctx, inv.res.polygon).ok
+                             and is_valid_with_unif(ctx, inv).ok)
+        return verdicts[inv]
+
     for fine, group in survey.items():
         J0 = fine.J0
         _, b0 = decompose(J0, n)
         if not min(n * e * vp(p, b0), n * vn) <= J0 <= n * vn:
             problems.append((f"Ore bound violated by leftmost ordinate {J0} of", fine.points))
-        rows = group.rows
-        meets = None  # meets[i][k]: row k meets coefficient i's slots
+        slots = []  # (i, k, allowed) with k <= bound
         if fine in enumerated_set:
-            row_slots = _row_slots(template_for_fine(ctx, fine), bound)
-            meets = [[_row_meets(row, slots, zero) for row in rows] for slots in row_slots]
-        # the first row of each leading pair stands for every row with that pair
-        first: dict[tuple, int] = {}
-        rep = [first.setdefault(leading_pair(row, zero), k) for k, row in enumerate(rows)]
-        residues_ok: dict[tuple[int, ...], bool] = {}  # keyed by representative rows
-        failing = False
-        for box in group.boxes:
-            if meets is not None and not all(all(m[r.start:r.stop]) for m, r in zip(meets, box)):
-                failing = True
-            for key in itertools.product(*[dict.fromkeys(rep[r.start:r.stop]) for r in box]):
-                representative = EisensteinData(ctx.base, n, tuple(map(rows.__getitem__, key)))
-                residues_ok[key] = _residues_consistent(ctx, representative)
-                failing = failing or not residues_ok[key]
-        if not failing:
+            T = template_for_fine(ctx, fine)
+            slots = [(i, k, allowed) for (i, k), allowed in T.slots.items() if k <= bound]
+        # (i, F): some row of leading valuation F misses one of coefficient i's slots
+        outside = {(i, F) for i, k, allowed in slots for F in valuations
+                   if not digits_at(F, k) <= allowed}
+        fits = outside.isdisjoint(pair for box in group.boxes for pair in enumerate(box))
+        tables = (EisensteinData(base, n, rep) for box in group.boxes
+                  for rep in itertools.product(*map(representatives.__getitem__, box)))
+        if fits and all(map(residues_ok, tables)):
             continue
         # a failing group reports table by table, in order, from the same verdicts
-        for choice in group.indices():
-            table = tuple(map(rows.__getitem__, choice))
-            if meets is not None and not all(m[k] for m, k in zip(meets, choice)):
-                problems.append(("polynomial outside its template:", table))
-            if not residues_ok[tuple(map(rep.__getitem__, choice))]:
-                problems.append(("residue data inconsistent for:", table))
+        for f in group:
+            if not all(f.digit(i, k) in allowed for i, k, allowed in slots):
+                problems.append(("polynomial outside its template:", f.digits))
+            if not residues_ok(f):
+                problems.append(("residue data inconsistent for:", f.digits))
     return problems
-
-
-def _row_slots(T: Template, depth: int) -> list[list[tuple[int, frozenset]]]:
-    """The slots (i, k) of ``T`` with k <= depth, listed per row i as (k, allowed)."""
-    row_slots: list[list[tuple[int, frozenset]]] = [[] for _ in range(T.n)]
-    for (i, k), allowed in T.slots.items():
-        if k <= depth:
-            row_slots[i].append((k, allowed))
-    return row_slots
-
-
-def _row_meets(row: tuple, slots: list[tuple[int, frozenset]], zero) -> bool:
-    """Whether the trimmed digit row has an allowed digit at every listed slot."""
-    return all((row[k - 1] if 1 <= k <= len(row) else zero) in allowed for k, allowed in slots)
-
-
-def _residues_consistent(ctx: BinomialContext, f: EisensteinData) -> bool:
-    inv = unif_of(f)
-    return is_valid_fine(ctx, inv.res.polygon).ok and is_valid_with_unif(ctx, inv).ok
 
 
 def run_selftest(

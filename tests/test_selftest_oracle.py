@@ -1,12 +1,13 @@
 """The survey oracle decides per box what the per-table check decides per table.
 
-``survey_case_problems`` decides each box of a survey group from per-row
-template verdicts and one residue check per combination of leading pairs,
-and walks only the groups with a failing box.  The per-table check it
-replaced is kept here as the reference: ``matches_template`` over every
-slot, and the residue check keyed by ``(fine, f.leading())``.  Both must
-give the same problem list, line for line, on the default cases and under
-injected faults, including faults that fail one group or one combination.
+``survey_case_problems`` decides each box of a survey group, a valuation
+signature, from the template slots per (coefficient, leading valuation) and
+one residue check per distinct invariant, and walks only the groups with a
+failing box.  The per-table check it replaced is kept here as the
+reference: ``matches_template`` over every slot, and the residue check
+keyed by ``(fine, f.leading())``.  Both must give the same problem list,
+line for line, on the default cases and under injected faults, including
+faults that fail one group or one combination.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ import itertools
 import pytest
 
 from ramify import cli, selftest, validity
-from ramify.analyzer import EisensteinData, brute_force_survey, residues_of
+from ramify.analyzer import EisensteinData, brute_force_survey, residues_of, unif_of
 from ramify.binomials import vp
 from ramify.enumeration import Level, enumerate_invariants
 from ramify.polygons import decompose
@@ -192,6 +193,29 @@ def test_oracle_walks_only_the_tables_whose_residue_combination_fails(
     assert _kinds_and_tables(lines) == failing and len(lines) == len(failing) < len(group)
 
 
+@pytest.mark.parametrize("case, invariants", [((3, 3, 3), 10), ((2, 4, 3), 8)])
+def test_residue_verdicts_are_decided_once_per_invariant(
+    ctx_q2, ctx_q3, monkeypatch, case, invariants
+):
+    # one residue check per distinct InvariantWithUnif over the survey, not
+    # per box or leading-digit combination; and a passing survey walks no
+    # table, so unif_of runs once per representative table, the
+    # (p-1)*(1+depth*(p-1))^(n-1) the command line bounds
+    p, n, bound = case
+    ctx = ctx_q2 if p == 2 else ctx_q3
+    survey = brute_force_survey(ctx, n, bound)
+    distinct = {unif_of(f) for group in survey.values() for f in group}
+    calls, analyses = [], []
+    real, real_unif_of = selftest.is_valid_with_unif, selftest.unif_of
+    monkeypatch.setattr(
+        selftest, "is_valid_with_unif", lambda ctx, inv: calls.append(inv) or real(ctx, inv)
+    )
+    monkeypatch.setattr(selftest, "unif_of", lambda f: analyses.append(f) or real_unif_of(f))
+    assert selftest.survey_case_problems(ctx, n, bound, survey=survey) == []
+    assert len(calls) == len(distinct) == invariants and set(calls) == distinct
+    assert len(analyses) == (p - 1) * (1 + bound * (p - 1)) ** (n - 1)
+
+
 def test_selftest_prints_at_most_twenty_problem_lines_per_case(ctx_q2, monkeypatch, capsys):
     # dropping the only Q_2 phi0 fails the residue check of every table, and
     # only the printed lines are formatted
@@ -226,8 +250,11 @@ def test_tables_keep_a_trimmed_tuple_row_as_the_same_object(ctx_q2):
 
 
 def test_survey_tables_share_their_rows(ctx_q2, survey_q2_n4):
-    rows = {id(row) for group in survey_q2_n4.values() for f in group for row in f.digits}
-    assert len(rows) <= 2**5
+    # a group makes its rows while it iterates, each once, and every table of
+    # one iteration shares them; the dict keeps each row alive, so no id is reused
+    for group in survey_q2_n4.values():
+        rows = {id(row): row for f in group for row in f.digits}
+        assert len(rows) == len(set(rows.values())) <= 2**5
 
 
 # sha256 of every group, in order, as (fine points, digit indices per table),

@@ -241,6 +241,12 @@ def run_process(*argv, preexec_fn=None):
     )
 
 
+def cap(limit):
+    """A ``preexec_fn`` that caps the child's address space at ``limit`` bytes,
+    so a regression fails fast instead of taking memory."""
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
 def test_cli_rejects_huge_fields_before_primality():
     # trial division of an 18-digit prime, or forming 2^(10^18), would hang;
     # the q guard must reject both first.  Run as a process: exit code and
@@ -253,11 +259,14 @@ def test_cli_rejects_huge_fields_before_primality():
 
 
 def test_cli_selftest_rejects_huge_case_before_forming_its_size():
-    # 3^(10^8) takes minutes to form; the guard must reject the case first
-    done = run_process("selftest", "--case", "3:10000:10000")
-    assert done.returncode == 2
-    assert "exceeds the survey guard" in done.stderr
-    assert "Traceback" not in done.stderr
+    # 3^(10^8) takes minutes to form; the guard must reject the case first.
+    # 2:24:1 and 3:15:1 are inside 2^24 tables but need 2^23 and about 9.5M
+    # representative tables, past the 2^18 the selftest checks
+    for case in ("3:10000:10000", "2:24:1", "3:15:1"):
+        done = run_process("selftest", "--case", case, preexec_fn=cap(192 * 2**20))
+        assert done.returncode == 2, case
+        assert "exceeds the survey guard" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 # sha256 of `ramify selftest` stdout, taken before the survey shared its rows
@@ -266,10 +275,7 @@ SELFTEST_STDOUT_SHA256 = "947df3167df6e4b818d73778a4fe029d507e48cfedd25798e99369
 
 def test_cli_selftest_runs_under_a_192_mib_address_space_cap():
     # the default cases survey 537,442 tables, decided box by box
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (192 * 2**20, 192 * 2**20))
-
-    done = run_process("selftest", preexec_fn=cap)
+    done = run_process("selftest", preexec_fn=cap(192 * 2**20))
     assert done.returncode == 0, done.stderr[-2000:]
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == SELFTEST_STDOUT_SHA256
 
@@ -277,13 +283,14 @@ def test_cli_selftest_runs_under_a_192_mib_address_space_cap():
 def test_cli_selftest_surveys_degree_eight_under_a_192_mib_address_space_cap():
     # Q_2 degree 8 to depth 3 spans 2^24 digit tables, exactly the survey
     # guard, 2^23 of them Eisenstein; the survey decides them box by box and
-    # builds none, where a table object each would take on the order of 1 GB
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (192 * 2**20, 192 * 2**20))
-
-    done = run_process("selftest", "--case", "2:8:3", preexec_fn=cap)
-    assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout == "selftest p=2 n=8 depth=3: ok\n"
+    # builds none, where a table object each would take on the order of 1 GB.
+    # Degree 1 to depth 24 (Q_2) or 15 (Q_3) is one box of 2^23 or 2*3^14
+    # tables, decided without making a row of it
+    for case in ("2:8:3", "2:1:24", "3:1:15"):
+        done = run_process("selftest", "--case", case, preexec_fn=cap(192 * 2**20))
+        assert done.returncode == 0, (case, done.stderr[-2000:])
+        p, n, depth = case.split(":")
+        assert done.stdout == f"selftest p={p} n={n} depth={depth}: ok\n"
 
 
 def test_cli_expand_rejects_huge_listing_before_expanding():
@@ -310,16 +317,12 @@ def test_cli_analyze_rejects_deeply_nested_json(tmp_path):
 
 def test_cli_analyze_rejects_huge_degree_or_depth_before_allocating(tmp_path):
     # a ~100-byte document naming k = 10^9 or n = 10^12 would allocate n rows
-    # of k digits; the bounds reject it first.  The address space of the
-    # process is capped, so a regression fails fast instead of taking memory.
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
+    # of k digits; the bounds reject it first, under a capped address space
     for n, k in ((2, 10**9), (10**12, 1)):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"n": n, "digits": [{"i": 0, "k": k, "residue": "1"}]}))
         start = time.perf_counter()
-        done = run_process("analyze", "--p", "2", "--json", str(path), preexec_fn=cap)
+        done = run_process("analyze", "--p", "2", "--json", str(path), preexec_fn=cap(2**30))
         assert time.perf_counter() - start < 1.0  # interpreter start-up included
         assert done.returncode == 3, (n, k)
         assert "beyond 4096/1024" in done.stderr
@@ -328,11 +331,7 @@ def test_cli_analyze_rejects_huge_degree_or_depth_before_allocating(tmp_path):
 
 def test_cli_enumerate_rejects_huge_degree_or_J0_range_before_searching():
     # each of these ran the hull search without limit; the degree and J0-range
-    # bounds refuse them first.  The address space is capped, so a regression
-    # fails fast instead of taking memory.
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
+    # bounds refuse them first, under a capped address space
     for field, degree, level, bound in (
         (["--p", "2"], "4444", "ram", "[1, 4096]"),
         (["--p", "2", "--e", "100000000"], "2", "ram", "exceeds 512"),
@@ -341,7 +340,7 @@ def test_cli_enumerate_rejects_huge_degree_or_J0_range_before_searching():
     ):
         start = time.perf_counter()
         done = run_process(
-            "enumerate", *field, "--degree", degree, "--level", level, preexec_fn=cap
+            "enumerate", *field, "--degree", degree, "--level", level, preexec_fn=cap(2**30)
         )
         assert time.perf_counter() - start < 1.0  # interpreter start-up included
         assert done.returncode == 2, (field, degree)
