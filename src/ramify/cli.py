@@ -94,14 +94,14 @@ def _make_context(args) -> BinomialContext:
 
 
 def cmd_enumerate(args, out) -> int:
-    if args.expand and args.level not in ("fine", "unif"):
-        raise ConfigError("--expand requires --level fine or unif")
+    if args.truncate and args.level not in ("fine", "unif"):
+        raise ConfigError("--truncate requires --level fine or unif")
     if args.reduce and args.level != "unif":
         raise ConfigError("--reduce requires --level unif")
-    if args.expand and not args.truncate:
-        raise ConfigError("--expand requires --truncate (templates must be finite)")
-    if args.expand and args.format == "csv":
-        raise ConfigError("--expand output is JSON only")
+    if (args.reduce or args.expand) and not args.truncate:
+        raise ConfigError("--reduce and --expand require --truncate (templates must be finite)")
+    if args.truncate and args.format == "csv":
+        raise ConfigError("template output is JSON only")
     if not 1 <= args.degree <= MAX_DEGREE:
         raise ConfigError(f"--degree must be in [1, {MAX_DEGREE}]")
     ctx = _make_context(args)
@@ -123,7 +123,7 @@ def cmd_enumerate(args, out) -> int:
         return 0
 
     records = [serialize.invariant_to_json(obj) for obj in results]
-    if args.expand:
+    if args.truncate:
         templates = []
         for obj in results:
             if args.level == "fine":
@@ -135,19 +135,17 @@ def cmd_enumerate(args, out) -> int:
             templates.append(T)
         # count before expanding: a listing holds the product of the slot sizes
         sizes = [cardinality(T) for T in templates]
-        if sum(sizes) > SURVEY_GUARD:
+        if args.expand and sum(sizes) > SURVEY_GUARD:
             raise ConfigError(
                 f"--expand would list {sum(sizes)} polynomials, more than {SURVEY_GUARD}"
             )
         records = [
-            {
-                "invariant": record,
-                "template": serialize.template_to_json(T),
-                "cardinality": size,
-                "polynomials": [serialize.polynomial_to_json(f) for f in expand_template(T)],
-            }
+            {"invariant": record, "template": serialize.template_to_json(T), "cardinality": size}
             for record, T, size in zip(records, templates, sizes)
         ]
+        if args.expand:
+            for record, T in zip(records, templates):
+                record["polynomials"] = [serialize.polynomial_to_json(f) for f in expand_template(T)]
     doc = {
         "schema": serialize.SCHEMA_VERSION,
         "field": serialize.field_to_json(ctx.base),

@@ -84,11 +84,16 @@ GOLDEN = [
     ("unif-f8-gamma-g-8-reduce",
      ["enumerate", "--p", "2", "--f", "3", "--gamma", "g", "--degree", "8", "--level",
       "unif", "--truncate", "--reduce"],
-     "ba2f84d602675166898fcf36814faa91f9d3a82e907c0af64b25e0e98d0060ee"),
+     "ff01a19893ad72c2f59ecd0f97fbd3a2178362fddfa684b4a30c1942d5ba2815"),
     ("unif-f25-gamma-g-10-reduce",
      ["enumerate", "--p", "5", "--f", "2", "--gamma", "g", "--degree", "10", "--level",
       "unif", "--truncate", "--reduce"],
-     "ab51040f09dcecc9ac072c30197631303f90f22af522fe404afea47ddb82819d"),
+     "6559599342ea4f65b9042269741727dcf56b667c292391507a26ad5a0e5b1f16"),
+    # the classes-f9-9 benchmark document, digest and all
+    ("unif-f9-gamma-g-9-reduce",
+     ["enumerate", "--p", "3", "--f", "2", "--gamma", "g", "--degree", "9", "--level",
+      "unif", "--truncate", "--reduce"],
+     "77b9c0b49bcfa8aa0a30f3ef97874e2c4c663b8a37a6ba769e4a4a06b5f247ae"),
     ("unif-f625-gamma-g-5",
      ["enumerate", "--p", "5", "--f", "4", "--gamma", "g", "--degree", "5", "--level",
       "unif"],

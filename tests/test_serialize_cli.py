@@ -210,6 +210,31 @@ def test_cli_enumerate_expand_degree_two(capsys):
     assert sum(len(r["polynomials"]) for r in doc["results"]) == 6
 
 
+def test_cli_truncate_prints_templates_without_expand(capsys):
+    argv = ["enumerate", "--p", "2", "--degree", "4", "--level", "unif", "--truncate"]
+    docs = {}
+    for extra in ([], ["--reduce"], ["--reduce", "--expand"]):
+        code, out, _ = run_cli(argv + extra, capsys)
+        assert code == 0
+        docs[tuple(extra)] = json.loads(out)["results"]
+    plain, reduced, expanded = docs.values()
+    assert {tuple(sorted(r)) for r in plain + reduced} == {("cardinality", "invariant", "template")}
+    assert [r["invariant"] for r in plain] == [r["invariant"] for r in reduced]
+    assert sum(r["cardinality"] for r in reduced) < sum(r["cardinality"] for r in plain)
+    assert [{k: r[k] for k in r if k != "polynomials"} for r in expanded] == reduced
+    assert [len(r["polynomials"]) for r in expanded] == [r["cardinality"] for r in reduced]
+
+
+def test_cli_refuses_templates_it_cannot_print(capsys):
+    for extra in (["--level", "ram", "--truncate"], ["--level", "res", "--truncate"],
+                  ["--level", "unif", "--reduce"],
+                  ["--level", "fine", "--truncate", "--format", "csv"],
+                  ["--level", "unif", "--truncate", "--reduce", "--format", "csv"]):
+        code, out, err = run_cli(["enumerate", "--p", "2", "--degree", "4", *extra], capsys)
+        assert (code, out) == (2, ""), extra
+        assert err.startswith("error: ")
+
+
 def test_cli_config_errors(capsys):
     bad_flag_combos = [
         ["enumerate", "--p", "2", "--degree", "2", "--level", "ram", "--expand",

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from ramify import BinomialContext, make_field, templates
 from ramify.analyzer import fine_of, render_integer_polynomial
 from ramify.enumeration import (
     enumerate_fine_polygons,
@@ -18,6 +24,7 @@ from ramify.templates import (
     template_for_polygon,
     truncate_krasner,
 )
+from reference import reduce_template_reference
 
 
 def test_eisenstein_template_spec_examples(ctx_q2, ctx_q3):
@@ -228,3 +235,120 @@ def test_tame_reduced_template_is_classical(ctx_q3):
         )
         all_polys.update(render_integer_polynomial(f) for f in expand_template(T))
     assert all_polys == {"x^2+3", "x^2+6"}
+
+
+def test_truncate_krasner_refuses_to_clobber_a_forced_digit(ctx_q2):
+    # the forced unit digit of (1, 7) sits at k = 2, at the cutoff of J0 = 0
+    refused = []
+    for Ps in enumerate_invariants(ctx_q2, 4, "fine")[0]:
+        try:
+            truncate_krasner(template_for_fine(ctx_q2, Ps), 0)
+        except ValueError:
+            refused.append(Ps.points)
+    assert len(refused) == 3 and ((1, 7), (2, 4), (4, 0)) in refused
+
+
+def test_truncate_krasner_refuses_under_python_O():
+    # an assert would vanish under -O and leave a template of the wrong polygon
+    script = (
+        "from ramify import BinomialContext, make_field\n"
+        "from ramify.polygons import FinePolygon\n"
+        "from ramify.templates import template_for_fine, truncate_krasner\n"
+        "ctx = BinomialContext(make_field(2, 1, 1, 1))\n"
+        "P = FinePolygon(2, 4, ((1, 7), (2, 4), (4, 0)))\n"
+        "try:\n"
+        "    truncate_krasner(template_for_fine(ctx, P), 0)\n"
+        "except ValueError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    src = Path(templates.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "refused: cutoff would clobber a forced digit\n"
+
+
+def _truncated(ctx, inv, extra=0):
+    return truncate_krasner(template_for_invariant(ctx, inv), inv.res.polygon.J0 + extra)
+
+
+def _assert_reductions_match_reference(ctx, n, extra=0):
+    invs = enumerate_invariants(ctx, n, "unif")[0]
+    for inv in invs:
+        T = _truncated(ctx, inv, extra)
+        assert reduce_template(ctx, T, inv) == reduce_template_reference(ctx, T, inv)
+    return invs
+
+
+@pytest.mark.parametrize("p, f, e, gamma, n, classes", [
+    (3, 2, 1, "g", 9, 817),
+    (3, 1, 1, 1, 9, None),
+    (2, 2, 1, 1, 8, None),
+    (2, 1, 2, 1, 8, None),
+])
+def test_reduce_template_matches_the_reference(p, f, e, gamma, n, classes):
+    invs = _assert_reductions_match_reference(BinomialContext(make_field(p, f, e, gamma)), n)
+    assert classes is None or len(invs) == classes
+
+
+def test_full_slot_test_is_made_per_template(ctx_q2):
+    # two templates of one class share a plan; narrowing a reduction position
+    # in the second must keep that slot as narrowed, as the reference does
+    inv = next(inv for inv in enumerate_invariants(ctx_q2, 4, "unif")[0]
+               if inv.res.polygon.J0 == 7)
+    T = _truncated(ctx_q2, inv)
+    R = reduce_template(ctx_q2, T, inv)
+    position = next(pos for pos, slot in R.slots.items() if slot != T.slot(*pos))
+    narrowed = T.with_slots({position: frozenset({ctx_q2.base.fq.one})})
+    R2 = reduce_template(ctx_q2, narrowed, inv)
+    assert R2 == reduce_template_reference(ctx_q2, narrowed, inv)
+    assert R2.slot(*position) == {ctx_q2.base.fq.one} != R.slot(*position)
+
+
+def test_plan_caches_are_keyed_on_field_class_and_cutoff(ctx_q2):
+    for cache in (templates._fine_plan, templates._reduction_plan, templates._coset_set):
+        cache.cache_clear()
+    _assert_reductions_match_reference(BinomialContext(make_field(2, 2, 1, 1)), 8)
+    _assert_reductions_match_reference(ctx_q2, 8)
+    _assert_reductions_match_reference(ctx_q2, 8, extra=8)  # a cutoff one larger
+
+
+def test_plan_caches_are_bounded():
+    for cache in (templates._fine_plan, templates._reduction_plan, templates._coset_set):
+        assert cache.cache_parameters()["maxsize"] is not None
+
+
+def test_invalid_fine_polygon_is_refused_on_every_call(ctx_q2):
+    # lru_cache keeps no exception, so the second call validates again
+    bad = FinePolygon(2, 4, ((1, 6), (4, 0)))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            template_for_fine(ctx_q2, bad)
+
+
+def test_each_invariant_template_is_guarded(ctx_q2, monkeypatch):
+    calls = []
+    real = templates.is_valid_with_unif
+    monkeypatch.setattr(templates, "is_valid_with_unif",
+                        lambda ctx, inv: calls.append(inv) or real(ctx, inv))
+    inv = enumerate_invariants(ctx_q2, 4, "unif")[0][0]
+    for _ in range(3):
+        template_for_invariant(ctx_q2, inv)
+    assert calls == [inv] * 3
+
+
+def test_maps_and_cosets_are_built_once_per_class_and_scale(ctx_q2, monkeypatch):
+    Sm_calls, coset_calls = [], []
+    real_Sm, real_cosets = templates.compute_Sm, templates.additive_coset_representatives
+    monkeypatch.setattr(templates, "compute_Sm",
+                        lambda ctx, Pres, m: Sm_calls.append((Pres, m)) or real_Sm(ctx, Pres, m))
+    monkeypatch.setattr(templates, "additive_coset_representatives",
+                        lambda base, amap, scale: coset_calls.append((amap, scale))
+                        or real_cosets(base, amap, scale))
+    for cache in (templates._reduction_plan, templates._coset_set):
+        cache.cache_clear()
+    _assert_reductions_match_reference(BinomialContext(make_field(3, 2, 1, "g")), 6)
+    assert len(set(Sm_calls)) == len(Sm_calls) > 0
+    assert len(set(coset_calls)) == len(coset_calls) > 0
