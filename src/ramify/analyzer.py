@@ -36,12 +36,11 @@ per p^s on a degree's first analysis and keeps the last ``ROW_DEGREES``
 degrees' rows (n*v_p(n) ints at most each); R at p^s is one C-level min.
 The terms are pairwise distinct mod n, so the residue at (j, R_j) reads
 phi_b directly, and the rest of it depends on the polygon alone:
-:func:`polygon_plan` validates the ``FinePolygon`` once and keeps b, -(1+a),
-B(b, j) and beta(b, j) per point, keyed by (base field, n, hull points),
-for the last ``PLAN_POLYGONS`` polygons.  Per polynomial remain the leading
-pairs, the minima, the hull, one lookup and, per point, the minimizer check
-in integers (b >= j, F_b present, n*(B + F_b - 1) + b = R), one product and
-one power.
+``polygons.polygon_plan`` validates the ``FinePolygon`` once and keeps b,
+-(1+a), B(b, j) and beta(b, j) per point.  Per polynomial remain the leading
+pairs, the minima, the hull, one plan lookup and :func:`decorate`: per point
+the minimizer check in integers (b >= j, F_b present, n*(B + F_b - 1) + b = R),
+one product and one power.
 
 This module is also the test oracle: :func:`brute_force_survey` groups
 every digit table up to a depth bound by fine polygon, against which the
@@ -63,14 +62,14 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .binomials import B, BinomialContext, beta, vp, vp_factorial
+from .binomials import BinomialContext, vp, vp_factorial
 from .polygons import (
     FinePolygon,
     FinePolygonWithResidues,
     InvariantWithUnif,
     RamPolygon,
-    decompose,
     hull_points,
+    polygon_plan,
     tame_zeros,
 )
 from .residue_field import BaseField, FqElement
@@ -87,10 +86,6 @@ MAX_DEPTH = 2**10
 INTEGER_DIGIT_DEPTH = 8
 
 ROW_DEGREES = 16  # degrees whose rows ``degree_rows`` keeps, least recently used dropped first
-# fine polygons whose plans ``polygon_plan`` keeps, likewise: well above the
-# few hundred one enumeration's analyses meet; full of Q_2 degree-32 polygons
-# it holds 5.8 MiB (tracemalloc, 1.5 kB per polygon of 4.4 points)
-PLAN_POLYGONS = 4096
 ABSENT = float("inf")  # n*F of a zero coefficient: above every term, whatever e is
 
 
@@ -194,22 +189,6 @@ def degree_rows(p: int, e: int, n: int) -> tuple[tuple, tuple]:
     return wild, tuple((j, 0) for j in tame_zeros(p, n))
 
 
-@lru_cache(maxsize=PLAN_POLYGONS)
-def polygon_plan(base: BaseField, n: int, points: tuple) -> tuple[FinePolygon, tuple]:
-    """The validated fine polygon through ``points``, and one step per point (j, R).
-
-    With R = a*n + b, the step is (j, R, b, -(1+a), B(b, j), beta(b, j)); B and beta
-    are None where b < j, where the minimizer check refuses every polynomial."""
-    ctx = BinomialContext(base)
-    steps = []
-    for j, R in points:
-        a, b = decompose(R, n)
-        known = b >= j
-        steps.append((j, R, b, -(1 + a), B(ctx, b, j) if known else None,
-                      beta(ctx, b, j) if known else None))
-    return FinePolygon(base.p, n, points), tuple(steps)
-
-
 def ramification_of(base: BaseField, signature: Sequence[int | None]) -> tuple[FinePolygon, tuple]:
     """The plan of the hull of the points (j, R_j), from R at the p-powers and the tame zeros.
 
@@ -231,11 +210,11 @@ def polygon_of(f: EisensteinData) -> RamPolygon:
     return fine_of(f).hull
 
 
-def residues_of(f: EisensteinData) -> FinePolygonWithResidues:
-    """Decorate the fine polygon of ``f`` with its leading residues."""
-    n = f.n
-    lead = f.leading() + ((0, f.base.fq.one),)
-    fine, steps = ramification_of(f.base, [F for F, _ in lead[:n]])
+def decorate(fine: FinePolygon, steps: tuple, lead: Sequence) -> FinePolygonWithResidues:
+    """``fine`` decorated with the residues its plan ``steps`` gives the leading pairs ``lead``:
+    (F_i, phi_i) for i < n, (None, None) for a zero coefficient, then (0, 1) for the monic
+    term.  Each point's minimizer check confirms ``fine`` is their signature's polygon."""
+    n = fine.n
     minus_phi0 = -lead[0][1]
     residues = []
     for j, R, b, k, B_bj, beta_bj in steps:
@@ -246,6 +225,13 @@ def residues_of(f: EisensteinData) -> FinePolygonWithResidues:
             raise AssertionError(f"minimizer at j={j} is not the expected index {b}")
         residues.append(beta_bj * phi_b * minus_phi0**k)
     return FinePolygonWithResidues(fine, tuple(residues))
+
+
+def residues_of(f: EisensteinData) -> FinePolygonWithResidues:
+    """Decorate the fine polygon of ``f`` with its leading residues."""
+    lead = f.leading() + ((0, f.base.fq.one),)
+    fine, steps = ramification_of(f.base, [F for F, _ in lead[:f.n]])
+    return decorate(fine, steps, lead)
 
 
 def unif_of(f: EisensteinData) -> InvariantWithUnif:

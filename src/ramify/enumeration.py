@@ -22,12 +22,13 @@ from enum import Enum
 from typing import Iterator
 
 from . import validity
-from .binomials import BinomialContext, beta, vp
+from .binomials import BinomialContext, vp
 from .polygons import (
     FinePolygon,
     FinePolygonWithResidues,
     InvariantWithUnif,
     RamPolygon,
+    polygon_plan,
     tame_zeros,
 )
 from .residue_field import orbit_representatives, solve_power_system
@@ -204,25 +205,26 @@ def enumerate_residue_classes(
 ) -> tuple[list[FinePolygonWithResidues], EnumStats]:
     """One decorated polygon per residue-equivalence class extending ``Pstar``.
 
-    Horizontal points carry forced residues.  The remaining points are
-    decorated in order of increasing abscissa, branching only over orbit
-    representatives under the twists that fix everything assigned earlier,
-    and pruning assignments incompatible with every uniformizer residue.
+    A horizontal point's residue is forced: beta(n, x), its plan step's beta.
+    The remaining points are decorated in order of increasing abscissa,
+    branching only over orbit representatives under the twists that fix
+    everything assigned earlier, and pruning assignments incompatible with
+    every uniformizer residue.
     """
     if not validity.is_valid_fine(ctx, Pstar).ok:
         raise ValueError("residue enumeration requires a valid fine polygon")
     n = Pstar.n
     field = ctx.base
-    forced = [(s, J, beta(ctx, n, x)) for s, x, J in Pstar.wild_points() if J == 0]
-    unknowns = [(s, x, J) for s, x, J in Pstar.wild_points() if J > 0]
-    unknown_xs = {x for _, x, _ in unknowns}
+    steps = polygon_plan(field, n, Pstar.points)[1]
+    # the points with R > 0 come first, left of the horizontal face
+    unknowns = [step for step in steps if step[1]]
+    forced = tuple(step[5] for step in steps if not step[1])
 
     out: list[FinePolygonWithResidues] = []
     stats = EnumStats()
 
     def soluble(assigned: list) -> bool:
-        eqs = validity.phi0_equations(ctx, forced + assigned, n)
-        return bool(solve_power_system(field, eqs))
+        return bool(solve_power_system(field, validity.phi0_equations(n, assigned)))
 
     def search(t: int, assigned: list) -> None:
         if prune and not soluble(assigned):
@@ -231,17 +233,13 @@ def enumerate_residue_classes(
         if t == len(unknowns):
             if not prune and not soluble(assigned):
                 return
-            rho_at = {x: rho for (_, x, _), (_, _, rho) in zip(unknowns, assigned)}
-            residues = tuple(
-                rho_at[x] if x in unknown_xs else beta(ctx, n, x)
-                for x, _ in Pstar.points
-            )
+            residues = tuple(rho for _, rho in assigned) + forced
             out.append(FinePolygonWithResidues(Pstar, residues))
             return
-        s_t, _, J_t = unknowns[t]
-        constraints = [J for _, _, J in unknowns[:t]]
-        for gamma in sorted(orbit_representatives(field, J_t, constraints)):
-            search(t + 1, assigned + [(s_t, J_t, gamma)])
+        step = unknowns[t]
+        constraints = [R for _, R, *_ in unknowns[:t]]
+        for gamma in sorted(orbit_representatives(field, step[1], constraints)):
+            search(t + 1, assigned + [(step, gamma)])
 
     search(0, [])
     out.sort(key=lambda Pres: tuple(rho.coeffs for rho in Pres.residues))

@@ -19,6 +19,9 @@ Conventions used throughout:
 The hull rule and the tame rule live here alone: :func:`hull_points` keeps
 every point on the lower hull (vertices are its strictly convex turns, one
 turn test for every caller), and :func:`tame_zeros` gives the (j, 0) points.
+So does the residue relation: :func:`polygon_plan` gives each point's part of
+it once per polygon, to the analyzer, the validity tests, the searches and the
+templates alike.
 """
 
 from __future__ import annotations
@@ -26,10 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
-from .binomials import BinomialContext, vp, vp_binomial
-from .residue_field import FqElement
+from .binomials import B, BinomialContext, beta, vp, vp_binomial
+from .residue_field import BaseField, FqElement
+
+# fine polygons whose plans ``polygon_plan`` keeps, least recently used dropped first: well above
+# the few hundred one enumeration meets; full of Q_2 degree-32 polygons, 5.8 MiB (tracemalloc)
+PLAN_POLYGONS = 4096
 
 
 _Point = tuple[int, int | Fraction]
@@ -252,6 +260,28 @@ class InvariantWithUnif:
     def __post_init__(self) -> None:
         if not self.phi0:
             raise ValueError("phi0 must be nonzero")
+
+
+# ---------------------------------------------------------------------------
+# the residue relation, per point
+
+
+@lru_cache(maxsize=PLAN_POLYGONS)
+def polygon_plan(base: BaseField, n: int, points: tuple) -> tuple[FinePolygon, tuple]:
+    """The validated fine polygon through ``points``, and one step per point (j, R).
+
+    With R = a*n + b, the step is the plain tuple (j, R, b, k, B(b, j), beta(b, j)),
+    k = -(1+a): the residue at the point is rho = beta(b, j) * phi_b * (-phi0)^k,
+    phi_n = 1, and the first digit of coefficient b sits at depth -k - B(b, j).  B and
+    beta are None where b < j, which no polynomial attains (BRange fails there)."""
+    ctx = BinomialContext(base)
+    steps = []
+    for j, R in points:
+        a, b = decompose(R, n)
+        known = b >= j
+        steps.append((j, R, b, -(1 + a), B(ctx, b, j) if known else None,
+                      beta(ctx, b, j) if known else None))
+    return FinePolygon(base.p, n, points), tuple(steps)
 
 
 # ---------------------------------------------------------------------------

@@ -20,20 +20,20 @@ below F, a unit at F and any digit above it, so whether all of them meet
 coefficient i's template slots reads off the slots alone, once per
 (coefficient, leading valuation).  The residue check reads only each row's
 leading pair (F_i, phi_i), and its verdict is a function of the invariant:
-one representative table per combination of leading digits gives the
-invariant through ``unif_of``, and each distinct invariant is checked once.
-Only a group with a failing box is walked table by table, in order, each
-table getting its invariant again, to list its faults.
+``analyzer.decorate`` gives each combination of a box's leading pairs its
+invariant from the group's polygon plan, and each distinct invariant is
+checked once.  Only a group with a failing box is walked table by table, in
+order, each table getting its invariant through ``unif_of``, to list its faults.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .analyzer import EisensteinData, SurveyGroup, brute_force_survey, unif_of
+from .analyzer import SurveyGroup, brute_force_survey, decorate, unif_of
 from .binomials import BinomialContext, vp
 from .enumeration import Level, enumerate_invariants
-from .polygons import FinePolygon, decompose
+from .polygons import FinePolygon, InvariantWithUnif, decompose, polygon_plan
 from .residue_field import make_field
 from .templates import template_for_fine
 from .validity import is_valid_fine, is_valid_with_unif
@@ -74,13 +74,12 @@ def survey_case_problems(
         return zero if F is None or F > k else units if F == k else every
 
     valuations = (None, *range(1, bound + 1))
-    # one representative row per leading pair (F, phi): phi at depth F, zeros above
-    representatives = {F: [(fq.zero,) * (F - 1) + (phi,) for phi in fq.units()] if F else [()]
-                       for F in valuations}
+    # the leading pairs (F, phi) of the rows of each leading valuation
+    pairs = {F: [(F, phi) for phi in fq.units()] if F else [(None, None)] for F in valuations}
+    monic = ((0, fq.one),)
     verdicts: dict = {}  # residue verdict by InvariantWithUnif
 
-    def residues_ok(f: EisensteinData) -> bool:
-        inv = unif_of(f)
+    def residues_ok(inv: InvariantWithUnif) -> bool:
         if inv not in verdicts:
             verdicts[inv] = (is_valid_fine(ctx, inv.res.polygon).ok
                              and is_valid_with_unif(ctx, inv).ok)
@@ -99,15 +98,17 @@ def survey_case_problems(
         outside = {(i, F) for i, k, allowed in slots for F in valuations
                    if not digits_at(F, k) <= allowed}
         fits = outside.isdisjoint(pair for box in group.boxes for pair in enumerate(box))
-        tables = (EisensteinData(base, n, rep) for box in group.boxes
-                  for rep in itertools.product(*map(representatives.__getitem__, box)))
-        if fits and all(map(residues_ok, tables)):
+        steps = polygon_plan(base, n, fine.points)[1]
+        leads = (lead for box in group.boxes
+                 for lead in itertools.product(*map(pairs.__getitem__, box), monic))
+        if fits and all(residues_ok(InvariantWithUnif(decorate(fine, steps, lead), lead[0][1]))
+                        for lead in leads):
             continue
         # a failing group reports table by table, in order, from the same verdicts
         for f in group:
             if not all(f.digit(i, k) in allowed for i, k, allowed in slots):
                 problems.append(("polynomial outside its template:", f.digits))
-            if not residues_ok(f):
+            if not residues_ok(unif_of(f)):
                 problems.append(("residue data inconsistent for:", f.digits))
     return problems
 

@@ -15,10 +15,11 @@ extensions, and the uniformizer-change reduction shrinks free positions
 to coset representatives of the images of the induced additive maps.
 
 Built once and cached by base field (bounded ``lru_cache``s, never holding a
-caller's context): per fine polygon, the validated template and its pinned
-digits; per (residue class, cutoff), each m's position and S_m map; per (map,
-scale), the coset representatives.  Per invariant remain the validity guard,
-the pinned values, and the test that the template leaves each slot full.
+caller's context): per fine polygon, the validated template; per (residue
+class, cutoff), each m's position and S_m map; per (map, scale), the coset
+representatives.  Per invariant remain the validity guard, the pinned values,
+and the test that the template leaves each slot full.  The unit pins and the
+pinned values read the steps of ``polygons.polygon_plan``.
 """
 
 from __future__ import annotations
@@ -30,15 +31,15 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .analyzer import EisensteinData
-from .binomials import BinomialContext, beta, vp
+from .binomials import BinomialContext, vp
 from .polygons import (
     FinePolygon,
     FinePolygonWithResidues,
     InvariantWithUnif,
     RamPolygon,
-    decompose,
     depth_bound,
     fine_depth_bound,
+    polygon_plan,
 )
 from .residue_field import AdditiveMap, BaseField, Fq, FqElement, additive_coset_representatives
 from .validity import is_valid_fine, is_valid_ram, is_valid_with_unif
@@ -102,12 +103,11 @@ def eisenstein_template(ctx: BinomialContext, n: int) -> Template:
     return Template(ctx.base, n, slots, None)
 
 
-def _apply_depth_bounds(ctx, template, n, ell, positions) -> Template:
-    """Zero out digits below the bound and pin the forced first digits.
+def _apply_depth_bounds(ctx, n, ell, steps) -> Template:
+    """The Eisenstein template with digits below the bound zeroed and forced first digits pinned.
 
-    ``ell(i, s)`` is the depth bound; ``positions`` lists (s_t, p^(s_t), J_t)
-    for the attained p-power points, whose remainders b_t < n force the
-    digit at exactly that depth to be a unit.
+    ``ell(i, s)`` is the depth bound; each of the polygon plan's ``steps`` with
+    b < n forces the first digit of coefficient b, at depth -k - B(b, x), to be a unit.
     """
     p = ctx.base.p
     fq = ctx.base.fq
@@ -122,13 +122,12 @@ def _apply_depth_bounds(ctx, template, n, ell, positions) -> Template:
     for i, bound in lower.items():
         for k in range(1, bound):
             updates[(i, k)] = zero_set
-    for s_t, x_t, J_t in positions:
-        a_t, b_t = decompose(J_t, n)
-        if b_t < n:
-            depth = ell(b_t, s_t)
-            assert depth == lower.get(b_t, depth), "pinned digit clashes with a zero"
-            updates[(b_t, depth)] = frozenset(fq.units())
-    return template.with_slots(updates)
+    for _, _, b, k, B_bx, _ in steps:
+        if b < n:
+            depth = -k - B_bx
+            assert depth == lower.get(b, depth), "pinned digit clashes with a zero"
+            updates[(b, depth)] = frozenset(fq.units())
+    return eisenstein_template(ctx, n).with_slots(updates)
 
 
 def template_for_polygon(ctx: BinomialContext, P: RamPolygon) -> Template:
@@ -136,26 +135,17 @@ def template_for_polygon(ctx: BinomialContext, P: RamPolygon) -> Template:
     if not is_valid_ram(ctx, P).ok:
         raise ValueError("template requires a valid polygon")
     ell = depth_bound(ctx, P.n, P.p_power_values())
-    return _apply_depth_bounds(ctx, eisenstein_template(ctx, P.n), P.n, ell, P.wild_vertices())
+    return _apply_depth_bounds(ctx, P.n, ell, polygon_plan(ctx.base, P.n, P.vertices)[1])
 
 
 @lru_cache(maxsize=FINE_POLYGONS)
 def _fine_plan(base: BaseField, Pstar: FinePolygon) -> tuple[Template, tuple]:
-    """The validated template of ``Pstar``, and a pin (index, (b_t, depth), a_t + 1,
-    beta(b_t, x_t)) per forced unit digit, ``index`` into ``Pstar.points`` (led by
-    the wild points)."""
+    """The validated template of ``Pstar``, and the steps of its polygon plan."""
     ctx = BinomialContext(base)
     if not is_valid_fine(ctx, Pstar).ok:
         raise ValueError("template requires a valid fine polygon")
-    n, wild = Pstar.n, Pstar.wild_points()
-    ell = fine_depth_bound(ctx, Pstar)
-    pins = []
-    for index, (s_t, x_t, J_t) in enumerate(wild):
-        a_t, b_t = decompose(J_t, n)
-        if b_t < n:
-            pins.append((index, (b_t, ell(b_t, s_t)), a_t + 1, beta(ctx, b_t, x_t)))
-    template = _apply_depth_bounds(ctx, eisenstein_template(ctx, n), n, ell, wild)
-    return template, tuple(pins)
+    steps = polygon_plan(base, Pstar.n, Pstar.points)[1]
+    return _apply_depth_bounds(ctx, Pstar.n, fine_depth_bound(ctx, Pstar), steps), steps
 
 
 def template_for_fine(ctx: BinomialContext, Pstar: FinePolygon) -> Template:
@@ -168,17 +158,18 @@ def template_for_invariant(ctx: BinomialContext, inv: InvariantWithUnif) -> Temp
 
     The first digit of the constant coefficient becomes {phi0}, and at each
     attained point with remainder b < n the forced unit digit collapses to
-    the single value gamma_t * beta(b, p^s)^-1 * (-phi0)^(a+1).
+    phi_b = rho * beta(b, x)^-1 * (-phi0)^-k, k = -(1+a).
     """
     if not is_valid_with_unif(ctx, inv).ok:
         raise ValueError("template requires a valid uniformizer-refined invariant")
-    template, pins = _fine_plan(ctx.base, inv.res.polygon)
-    minus_phi0, residues = -inv.phi0, inv.res.residues
+    template, steps = _fine_plan(ctx.base, inv.res.polygon)
+    n, minus_phi0 = inv.res.polygon.n, -inv.phi0
     updates = {(0, 1): frozenset({inv.phi0})}
-    for index, position, power, beta_t in pins:
-        pinned = frozenset({residues[index] / beta_t * minus_phi0**power})
-        previous = updates.setdefault(position, pinned)  # two points may pin one digit
-        assert previous == pinned
+    for (_, _, b, k, B_bx, beta_bx), rho in zip(steps, inv.res.residues):
+        if b < n:
+            pinned = frozenset({rho / beta_bx * minus_phi0**-k})
+            previous = updates.setdefault((b, -k - B_bx), pinned)  # two points may pin one digit
+            assert previous == pinned
     return template.with_slots(updates)
 
 

@@ -40,7 +40,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
-from .binomials import BinomialContext, beta, vp
+from .binomials import BinomialContext, vp
 from .polygons import (
     FinePolygon,
     FinePolygonWithResidues,
@@ -48,6 +48,7 @@ from .polygons import (
     RamPolygon,
     decompose,
     depth_bound,
+    polygon_plan,
     tame_zeros,
 )
 from .residue_field import FqElement, solve_power_system
@@ -270,42 +271,33 @@ def forced_residue_violations(
 ) -> list[tuple[int, FqElement, FqElement]]:
     """Mismatches (x, expected, got) at horizontal-face points.
 
-    Every point (j, 0) must carry the residue of binomial(n, j), which is a
-    unit there by the tame condition.
+    Every point (j, 0) must carry beta(n, j), the residue of binomial(n, j),
+    which is a unit there by the tame condition: its plan step's beta.
     """
-    n = Pres.polygon.n
-    bad = []
-    for x, J, rho in Pres.items():
-        if J == 0:
-            expected = beta(ctx, n, x)
-            if rho != expected:
-                bad.append((x, expected, rho))
-    return bad
+    steps = polygon_plan(ctx.base, Pres.polygon.n, Pres.polygon.points)[1]
+    return [(j, expected, rho) for (j, R, *_, expected), rho in zip(steps, Pres.residues)
+            if R == 0 and rho != expected]
 
 
 def phi0_equations(
-    ctx: BinomialContext, points: Iterable[tuple[int, int, FqElement]], n: int
+    n: int, decorated: Iterable[tuple[tuple, FqElement]]
 ) -> list[tuple[int, FqElement]]:
-    """The power system satisfied by x = -phi0, from the decorated p-power points.
+    """The power system satisfied by x = -phi0, from (step, residue) pairs.
 
-    A point with remainder b = n pins x directly; points sharing a remainder
-    b < n constrain x through the ratio of their residues.
-    """
+    A step of ``polygons.polygon_plan`` has rho = beta * phi_b * x^k, phi_n = 1: a
+    point with b = n gives x^-k = beta / rho, and points sharing b < n give
+    x^(k0 - k) = u0 / u, where u = rho / beta."""
     eqs: list[tuple[int, FqElement]] = []
-    groups: dict[int, list[tuple[int, int, FqElement]]] = {}
-    for s_t, J_t, gamma_t in points:
-        a_t, b_t = decompose(J_t, n)
-        x_t = ctx.base.p**s_t
-        if b_t == n:
-            eqs.append((a_t + 1, beta(ctx, n, x_t) / gamma_t))
+    groups: dict[int, list[tuple[int, FqElement]]] = {}
+    for (j, _, b, k, _, beta_bj), rho in decorated:
+        if b == n:
+            eqs.append((-k, beta_bj / rho))
+        elif beta_bj is None:
+            raise ValueError(f"beta({b},{j}) out of range")
         else:
-            groups.setdefault(b_t, []).append((s_t, a_t, gamma_t))
-    for b, group in groups.items():
-        s_0, a_0, gamma_0 = group[0]
-        beta_0 = beta(ctx, b, ctx.base.p**s_0)
-        for s_r, a_r, gamma_r in group[1:]:
-            beta_r = beta(ctx, b, ctx.base.p**s_r)
-            eqs.append((a_r - a_0, (gamma_0 * beta_r) / (gamma_r * beta_0)))
+            groups.setdefault(b, []).append((k, rho / beta_bj))
+    for (k_0, u_0), *rest in groups.values():
+        eqs.extend((k_0 - k, u_0 / u) for k, u in rest)
     return eqs
 
 
@@ -324,10 +316,8 @@ def admissible_phi0(
             "forced residues violated at " + ", ".join(str(x) for x, _, _ in mismatches)
         )
     n = Pres.polygon.n
-    points = [
-        (s, J, Pres.residue_at(x)) for s, x, J in Pres.polygon.wild_points()
-    ]
-    solutions = solve_power_system(ctx.base, phi0_equations(ctx, points, n))
+    steps = polygon_plan(ctx.base, n, Pres.polygon.points)[1]
+    solutions = solve_power_system(ctx.base, phi0_equations(n, zip(steps, Pres.residues)))
     return {-x for x in solutions}
 
 

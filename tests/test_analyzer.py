@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramify import analyzer
+from ramify import analyzer, polygons
 from ramify.analyzer import (
     EisensteinData,
     NotEisensteinError,
@@ -355,7 +355,7 @@ def test_polygon_plans_are_keyed_by_field_and_bounded():
     fields = [make_field(2, 1, 1, 1), make_field(2, 1, 2, 1), make_field(2, 2, 1, 1),
               make_field(3, 2, 1, 1), make_field(3, 2, 1, "g")]
     rng = random.Random(14)
-    analyzer.polygon_plan.cache_clear()
+    polygons.polygon_plan.cache_clear()
     for n in (2, 3, 4, 6, 8, 9, 12, 16, 18, 27):
         for _ in range(6):
             signature = [1] + [
@@ -369,11 +369,11 @@ def test_polygon_plans_are_keyed_by_field_and_bounded():
     # more polygons than the bound: (1, J), (2, 0) for every J; the plans
     # kept never outnumber it, and an evicted polygon is planned again
     Q2 = fields[0]
-    for J in range(1, analyzer.PLAN_POLYGONS + 64):
-        fine, steps = analyzer.polygon_plan(Q2, 2, ((1, J), (2, 0)))
+    for J in range(1, polygons.PLAN_POLYGONS + 64):
+        fine, steps = polygons.polygon_plan(Q2, 2, ((1, J), (2, 0)))
         assert fine.points == ((1, J), (2, 0)) and len(steps) == 2
-        assert analyzer.polygon_plan.cache_info().currsize <= analyzer.PLAN_POLYGONS
-    assert analyzer.polygon_plan.cache_info().currsize == analyzer.PLAN_POLYGONS
+        assert polygons.polygon_plan.cache_info().currsize <= polygons.PLAN_POLYGONS
+    assert polygons.polygon_plan.cache_info().currsize == polygons.PLAN_POLYGONS
     f = poly(Q2, "x^8+2x^7+2x^6+2x^4+2")
     assert residues_of(f) == reference_invariants(f)[3]
 
@@ -386,20 +386,20 @@ def test_a_planned_polygon_is_neither_validated_nor_planned_again(monkeypatch):
     post_init = FinePolygon.__post_init__
     monkeypatch.setattr(FinePolygon, "__post_init__", lambda self: built.append(self) or post_init(self))
     base = make_field(2, 1, 1, 1)
-    analyzer.polygon_plan.cache_clear()
+    polygons.polygon_plan.cache_clear()
     f, g = poly(base, "x^8+2x^7+2x^6+2x^4+2"), poly(base, "x^8+6x^7+2x^6+2x^4+6")
     first = unif_of(f)
     assert len(built) == 1
     assert unif_of(f) == first and unif_of(g).res.polygon is first.res.polygon
     assert len(built) == 1
-    assert analyzer.polygon_plan.cache_info().misses == 1
+    assert polygons.polygon_plan.cache_info().misses == 1
     # x^8+2 has no f_7, which the plan of f's polygon reads at (1, 7): handing
     # its signature that cached plan must fail the minimizer check
     h = poly(base, "x^8+2")
     monkeypatch.setattr(analyzer, "hull_points", lambda points: list(first.res.polygon.points))
     with pytest.raises(AssertionError, match="minimizer at j=1"):
         residues_of(h)
-    assert analyzer.polygon_plan.cache_info().misses == 1 and len(built) == 1
+    assert polygons.polygon_plan.cache_info().misses == 1 and len(built) == 1
 
 
 def _vp_binomial_by_digit_sums(p, limit):

@@ -51,16 +51,14 @@ def test_no_module_reaches_for_a_private_name_of_a_sibling():
                 assert not node.attr.startswith("_"), (path.name, node.lineno, node.attr)
 
 
-def test_every_verdict_reaches_the_engine_through_violations():
-    # one route to every validity verdict and report: in the package only
-    # ``validity.violations`` and the pair check it memoises name the engine,
-    # and only to call it
+def _callers(name):
+    """(module, function) of each call of ``name`` in the package, which only calls it."""
     users = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            if "_condition_violations" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            if name in (getattr(node, "id", None), getattr(node, "attr", None)):
                 call = parents[node]
                 assert isinstance(call, ast.Call) and call.func is node, (path.name, node.lineno)
                 fn = call
@@ -68,4 +66,20 @@ def test_every_verdict_reaches_the_engine_through_violations():
                     fn = parents.get(fn)
                 assert fn is not None, (path.name, node.lineno)
                 users.add((path.stem, fn.name))
-    assert users == {("validity", "violations"), ("validity", "_weak_violations")}
+    return users
+
+
+def test_every_verdict_reaches_the_engine_through_violations():
+    # one route to every validity verdict and report: in the package only
+    # ``validity.violations`` and the pair check it memoises name the engine,
+    # and only to call it
+    assert _callers("_condition_violations") == {
+        ("validity", "violations"), ("validity", "_weak_violations")
+    }
+
+
+def test_only_the_polygon_plan_computes_a_binomial_residue():
+    # one home for the residue relation: the analyzer, the residue system and
+    # search, and the templates read beta(b, x) off a plan step, so only
+    # ``polygons.polygon_plan`` calls ``binomials.beta``
+    assert _callers("beta") == {("polygons", "polygon_plan")}

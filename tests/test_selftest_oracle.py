@@ -199,21 +199,26 @@ def test_residue_verdicts_are_decided_once_per_invariant(
 ):
     # one residue check per distinct InvariantWithUnif over the survey, not
     # per box or leading-digit combination; and a passing survey walks no
-    # table, so unif_of runs once per representative table, the
-    # (p-1)*(1+depth*(p-1))^(n-1) the command line bounds
+    # table, so decorate runs once per box and combination of leading pairs,
+    # the (p-1)*(1+depth*(p-1))^(n-1) the command line bounds, and unif_of never
     p, n, bound = case
     ctx = ctx_q2 if p == 2 else ctx_q3
     survey = brute_force_survey(ctx, n, bound)
     distinct = {unif_of(f) for group in survey.values() for f in group}
-    calls, analyses = [], []
-    real, real_unif_of = selftest.is_valid_with_unif, selftest.unif_of
+    calls, decorations, analyses = [], [], []
+    real, real_decorate = selftest.is_valid_with_unif, selftest.decorate
     monkeypatch.setattr(
         selftest, "is_valid_with_unif", lambda ctx, inv: calls.append(inv) or real(ctx, inv)
     )
-    monkeypatch.setattr(selftest, "unif_of", lambda f: analyses.append(f) or real_unif_of(f))
+    monkeypatch.setattr(
+        selftest, "decorate",
+        lambda fine, steps, lead: decorations.append(lead) or real_decorate(fine, steps, lead),
+    )
+    monkeypatch.setattr(selftest, "unif_of", lambda f: analyses.append(f) or unif_of(f))
     assert selftest.survey_case_problems(ctx, n, bound, survey=survey) == []
     assert len(calls) == len(distinct) == invariants and set(calls) == distinct
-    assert len(analyses) == (p - 1) * (1 + bound * (p - 1)) ** (n - 1)
+    assert len(decorations) == (p - 1) * (1 + bound * (p - 1)) ** (n - 1)
+    assert analyses == []
 
 
 def test_selftest_prints_at_most_twenty_problem_lines_per_case(ctx_q2, monkeypatch, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ramify import validity
 from ramify.binomials import BinomialContext, beta, vp
-from ramify.enumeration import enumerate_ram_polygons
+from ramify.enumeration import enumerate_ram_polygons, enumerate_unif_classes
 from ramify.polygons import (
     FinePolygon,
     FinePolygonWithResidues,
@@ -32,6 +32,7 @@ from ramify.validity import (
     violations,
     weak_ram_ok,
 )
+from ramify.templates import template_for_invariant
 from reference import lower_convex_hull
 
 
@@ -229,7 +230,7 @@ def test_validity_implies_weak_validity_small(ctx_q2):
 
 
 def test_weak_validity_preserved_under_vertex_removal(ctx_q2):
-    from ramify.enumeration import enumerate_ram_polygons
+    from ramify.enumeration import enumerate_ram_polygons, enumerate_unif_classes
 
     for n in (4, 8, 16):
         polys, _ = enumerate_ram_polygons(ctx_q2, n)
@@ -346,6 +347,27 @@ def test_admissible_phi0_reports_forced_residue_mismatch(ctx_q2):
     bad = FinePolygonWithResidues(Pstar, (K.fq.one, g, K.fq.one, K.fq.one))
     with pytest.raises(ResidueForcedError):
         admissible_phi0(ctx, bad)
+
+
+@pytest.mark.parametrize("n, points", [
+    (4, ((1, 9), (2, 5), (4, 0))),  # b = 1 < 2 at (2, 5), shared with (1, 9)
+    (4, ((1, 8), (2, 5), (4, 0))),  # the same point, its b alone
+    (4, ((1, 2), (2, 1), (4, 0))),
+    (8, ((1, 2), (4, 1), (8, 0))),  # b = 1 < 4
+])
+def test_a_hand_made_invariant_with_b_below_its_abscissa_is_a_value_error(ctx_q2, n, points):
+    # no polynomial attains a point (x, a*n + b) with b < x (BRange), so its
+    # residue relation has no beta(b, x); every residue-level entry point
+    # refuses such input with ValueError
+    one = ctx_q2.base.fq.one
+    fine = FinePolygon(2, n, points)
+    assert Violation.BRANGE in is_valid_fine(ctx_q2, fine).violations
+    Pres = FinePolygonWithResidues(fine, (one,) * len(points))
+    inv = InvariantWithUnif(Pres, one)
+    for check, arg in ((admissible_phi0, Pres), (is_valid_with_unif, inv),
+                       (template_for_invariant, inv), (enumerate_unif_classes, Pres)):
+        with pytest.raises(ValueError, match=r"beta\(1,[24]\) out of range"):
+            check(ctx_q2, arg)
 
 
 def test_is_valid_with_unif(ctx_q2):
