@@ -12,14 +12,14 @@ forced to be nonzero, and singletons where the residue decoration and the
 uniformizer residue pin digits exactly.  Truncation at the Krasner depth
 1 + 2*J0/n makes templates finite without changing the set of generated
 extensions, and the uniformizer-change reduction shrinks free positions
-to coset representatives of the images of the induced additive maps.
+to coset representatives of the images of the induced additive maps S_m,
+each built only where m is the slope of a hull face.
 
-Built once and cached by base field (bounded ``lru_cache``s, never holding a
-caller's context): per fine polygon, the validated template; per (residue
-class, cutoff), each m's position and S_m map; per (map, scale), the coset
-representatives.  Per invariant remain the validity guard, the pinned values,
-and the test that the template leaves each slot full.  The unit pins and the
-pinned values read the steps of ``polygons.polygon_plan``.
+Built once per (base field, fine polygon) and cached in a bounded
+``lru_cache`` that never holds a caller's context: the validated template
+and the steps of ``polygons.polygon_plan``, which give the unit pins and the
+pinned values.  Per invariant remain the validity guard, the pinned values
+and the reduction.
 """
 
 from __future__ import annotations
@@ -44,12 +44,9 @@ from .polygons import (
 from .residue_field import AdditiveMap, BaseField, Fq, FqElement, additive_coset_representatives
 from .validity import is_valid_fine, is_valid_ram, is_valid_with_unif
 
-# An enumeration yields one polygon's, and one class's, invariants in a row, so
-# these bounds only cap memory.  Full (tracemalloc): 14 MiB of Q_2 degree-32 fine
-# templates, 11 MiB of Q_2 degree-16 plans, 1.6 MiB of F_8 coset sets.
-FINE_POLYGONS = 1024  # fine templates and pins, per (base field, fine polygon)
-REDUCTION_PLANS = 1024  # S_m maps, per (base field, residue class, cutoff)
-COSET_SETS = 4096  # coset representatives, per (base field, map, scale)
+# An enumeration yields one polygon's invariants in a row, so this bound only
+# caps memory.  Full (tracemalloc): 14 MiB of Q_2 degree-32 fine templates.
+FINE_POLYGONS = 1024  # fine templates and plan steps, per (base field, fine polygon)
 
 
 @lru_cache(maxsize=None)
@@ -178,9 +175,12 @@ def truncate_krasner(T: Template, J0: int) -> Template:
 
     Any two Eisenstein polynomials agreeing below that depth generate the
     same extension, so this keeps the set of generated extensions intact
-    while making the template finite.
+    while making the template finite.  An already truncated template keeps
+    the lower of the two cutoffs.
     """
     cutoff = 2 + 2 * J0 // T.n
+    if T.cutoff is not None:
+        cutoff = min(cutoff, T.cutoff)
     zero, full = _default_sets(T.base.fq)
     slots = {}
     for (i, k), value in T.slots.items():
@@ -234,25 +234,6 @@ def compute_Sm(ctx: BinomialContext, Pres: FinePolygonWithResidues, m: int) -> S
     return SmData(m=m, C_m=C, c_m=c_m, d_m=d_m, map=AdditiveMap.from_function(fq, act))
 
 
-@lru_cache(maxsize=REDUCTION_PLANS)
-def _reduction_plan(base: BaseField, Pres: FinePolygonWithResidues, cutoff: int) -> tuple:
-    """((d_m, 1 + c_m), S_m map) for each m >= 1 with 1 + c_m < cutoff: C_m increases
-    with m, so the loop stops at C_m >= (cutoff - 1) * n and builds no map past it."""
-    ctx = BinomialContext(base)
-    bound = (cutoff - 1) * Pres.polygon.n
-    plan, m = [], 1
-    while min(J + m * x for x, J in Pres.polygon.points) < bound:
-        sm = compute_Sm(ctx, Pres, m)
-        plan.append(((sm.d_m, 1 + sm.c_m), sm.map))
-        m += 1
-    return tuple(plan)
-
-
-@lru_cache(maxsize=COSET_SETS)
-def _coset_set(base: BaseField, amap: AdditiveMap, scale: FqElement) -> frozenset[FqElement]:
-    return frozenset(additive_coset_representatives(base, amap, scale))
-
-
 def reduce_template(ctx: BinomialContext, T: Template, inv: InvariantWithUnif) -> Template:
     """Shrink free digits to coset representatives under uniformizer changes.
 
@@ -261,17 +242,35 @@ def reduce_template(ctx: BinomialContext, T: Template, inv: InvariantWithUnif) -
     (-phi0)^(1+c_m) * S_m(F_q), so a full set there may be replaced by coset
     representatives.  Positions already constrained (zeroed, forced units,
     or pinned singletons) are left untouched.  Distinct m reach distinct
-    positions because C_m strictly increases.
+    positions because C_m strictly increases.  Where one point (p^s, R)
+    attains C_m, S_m is u -> rho * u^(p^s), a bijection of F_q, so the slot
+    becomes {0} without a map; ``compute_Sm`` runs only where points tie.
     """
     if T.cutoff is None:
         raise ValueError("reduction requires a truncated template")
-    _, full = _default_sets(T.base.fq)
-    minus_phi0 = -inv.phi0
-    return T.with_slots({
-        (d, k): _coset_set(ctx.base, amap, minus_phi0**k)
-        for (d, k), amap in _reduction_plan(ctx.base, inv.res, T.cutoff)
-        if T.slot(d, k) == full
-    })
+    if T.n != inv.res.polygon.n:
+        raise ValueError("template and invariant differ in degree")
+    if T.base != ctx.base or inv.phi0.field is not T.base.fq:
+        raise ValueError("template, invariant and context differ in base field")
+    zero, full = _default_sets(T.base.fq)
+    minus_phi0, points = -inv.phi0, inv.res.polygon.points
+    bound = (T.cutoff - 1) * T.n
+    updates = {}
+    for m in itertools.count(1):
+        values = [J + m * x for x, J in points]
+        C = min(values)
+        if C >= bound:
+            break
+        c, d = divmod(C, T.n)
+        if T.slot(d, 1 + c) != full:
+            continue
+        if values.count(C) == 1:
+            updates[(d, 1 + c)] = zero
+        else:
+            amap = compute_Sm(ctx, inv.res, m).map
+            updates[(d, 1 + c)] = frozenset(
+                additive_coset_representatives(ctx.base, amap, minus_phi0 ** (1 + c)))
+    return T.with_slots(updates)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The package computes the same things faster: ``polygons.hull_points`` keeps every
 point on the hull, ``analyzer.ramification_of`` evaluates R_j only where a
-point can lie on it, and ``templates.reduce_template`` reads its maps from one
-plan per residue class.  The tests compare against these.
+point can lie on it, and ``templates.reduce_template`` builds an S_m map only
+where two or more points attain C_m.  The tests compare against these.
 """
 
 from ramify.analyzer import EisensteinData

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from ramify.enumeration import (
     enumerate_ram_polygons,
 )
 from ramify.polygons import FinePolygon, FinePolygonWithResidues, RamPolygon
+from ramify.residue_field import additive_coset_representatives
 from ramify.templates import (
     cardinality,
     compute_Sm,
@@ -308,16 +310,14 @@ def test_full_slot_test_is_made_per_template(ctx_q2):
 
 
 def test_plan_caches_are_keyed_on_field_class_and_cutoff(ctx_q2):
-    for cache in (templates._fine_plan, templates._reduction_plan, templates._coset_set):
-        cache.cache_clear()
+    templates._fine_plan.cache_clear()
     _assert_reductions_match_reference(BinomialContext(make_field(2, 2, 1, 1)), 8)
     _assert_reductions_match_reference(ctx_q2, 8)
     _assert_reductions_match_reference(ctx_q2, 8, extra=8)  # a cutoff one larger
 
 
 def test_plan_caches_are_bounded():
-    for cache in (templates._fine_plan, templates._reduction_plan, templates._coset_set):
-        assert cache.cache_parameters()["maxsize"] is not None
+    assert templates._fine_plan.cache_parameters()["maxsize"] is not None
 
 
 def test_invalid_fine_polygon_is_refused_on_every_call(ctx_q2):
@@ -339,16 +339,84 @@ def test_each_invariant_template_is_guarded(ctx_q2, monkeypatch):
     assert calls == [inv] * 3
 
 
-def test_maps_and_cosets_are_built_once_per_class_and_scale(ctx_q2, monkeypatch):
-    Sm_calls, coset_calls = [], []
-    real_Sm, real_cosets = templates.compute_Sm, templates.additive_coset_representatives
+def _minimum_and_ties(Pres, m):
+    values = [J + m * x for x, J in Pres.polygon.points]
+    return min(values), values.count(min(values))
+
+
+def _positions_below_cutoff(inv, cutoff):
+    """(m, C_m, number of points attaining C_m) for each m with 1 + c_m below the cutoff."""
+    n = inv.res.polygon.n
+    for m in itertools.count(1):
+        C, ties = _minimum_and_ties(inv.res, m)
+        if C >= (cutoff - 1) * n:
+            return
+        yield m, C, ties
+
+
+def test_maps_are_built_only_at_face_slopes(monkeypatch):
+    Sm_calls = []
+    real_Sm = templates.compute_Sm
     monkeypatch.setattr(templates, "compute_Sm",
                         lambda ctx, Pres, m: Sm_calls.append((Pres, m)) or real_Sm(ctx, Pres, m))
-    monkeypatch.setattr(templates, "additive_coset_representatives",
-                        lambda base, amap, scale: coset_calls.append((amap, scale))
-                        or real_cosets(base, amap, scale))
-    for cache in (templates._reduction_plan, templates._coset_set):
-        cache.cache_clear()
-    _assert_reductions_match_reference(BinomialContext(make_field(3, 2, 1, "g")), 6)
-    assert len(set(Sm_calls)) == len(Sm_calls) > 0
-    assert len(set(coset_calls)) == len(coset_calls) > 0
+    ctx = BinomialContext(make_field(3, 2, 1, "g"))
+    invs = _assert_reductions_match_reference(ctx, 6)
+    full, tied_full = frozenset(ctx.base.fq.elements()), 0
+    for inv in invs:
+        T = _truncated(ctx, inv)
+        tied_full += sum(ties > 1 and T.slot(C % T.n, 1 + C // T.n) == full
+                         for _, C, ties in _positions_below_cutoff(inv, T.cutoff))
+    assert all(_minimum_and_ties(Pres, m)[1] >= 2 for Pres, m in Sm_calls)
+    assert len(Sm_calls) == tied_full > 0
+
+
+@pytest.mark.parametrize("p, f, e, gamma, n", [
+    (2, 2, 1, 1, 8),
+    (2, 1, 2, 1, 8),
+    (3, 1, 1, 1, 9),
+    (3, 2, 1, "g", 6),
+])
+def test_a_single_minimiser_gives_the_zero_coset_set(p, f, e, gamma, n):
+    # S_m = u -> rho * u^(p^s) is onto F_q, so the reduction sets {0} without a map
+    ctx = BinomialContext(make_field(p, f, e, gamma))
+    zero = {ctx.base.fq.zero}
+    single = 0
+    for inv in enumerate_invariants(ctx, n, "unif")[0]:
+        for m, C, ties in _positions_below_cutoff(inv, _truncated(ctx, inv).cutoff):
+            if ties == 1:
+                scale = (-inv.phi0) ** (1 + C // n)
+                amap = compute_Sm(ctx, inv.res, m).map
+                assert additive_coset_representatives(ctx.base, amap, scale) == zero
+                single += 1
+    assert single > 0
+
+
+def test_truncating_a_truncated_template_keeps_the_lower_cutoff(ctx_q2):
+    inner = truncate_krasner(eisenstein_template(ctx_q2, 2), 1)
+    outer = truncate_krasner(inner, 4)
+    assert outer.cutoff == inner.cutoff == 3
+    assert outer.slot(1, 3) == {ctx_q2.base.fq.zero}
+    assert cardinality(outer) == cardinality(inner) == 8
+    assert truncate_krasner(inner, 0).cutoff == 2
+
+
+def _degree_mismatch(ctx_q2, ctx_q3):
+    inv = enumerate_invariants(ctx_q2, 8, "unif")[0][0]
+    return ctx_q2, truncate_krasner(eisenstein_template(ctx_q2, 4), inv.res.polygon.J0), inv
+
+
+def _context_mismatch(ctx_q2, ctx_q3):
+    inv = enumerate_invariants(ctx_q3, 3, "unif")[0][-1]
+    return ctx_q2, _truncated(ctx_q3, inv), inv
+
+
+def _invariant_mismatch(ctx_q2, ctx_q3):
+    inv = enumerate_invariants(ctx_q3, 3, "unif")[0][-1]
+    return ctx_q2, truncate_krasner(eisenstein_template(ctx_q2, 3), inv.res.polygon.J0), inv
+
+
+@pytest.mark.parametrize("mismatch", [_degree_mismatch, _context_mismatch, _invariant_mismatch])
+def test_reduce_refuses_a_mismatched_template(ctx_q2, ctx_q3, mismatch):
+    ctx, T, inv = mismatch(ctx_q2, ctx_q3)
+    with pytest.raises(ValueError):
+        reduce_template(ctx, T, inv)
