@@ -56,7 +56,7 @@ class BinomialContext:
     def memo(self) -> dict:
         """Validity answers by degree (see ``validity``), made on first use; reuse is safe.
         Each check keeps a shared violation tuple, one object per distinct answer.
-        Never trimmed (a Q_2 degree-64 hull search leaves 357,894 entries, a 21 MB
+        Never trimmed (a Q_2 degree-64 hull search leaves 485,145 entries, a 21 MB
         dict): ``ctx.memo.clear()`` releases them, the frozen class refuses ``del``."""
         return {}
 

@@ -91,8 +91,10 @@ def enumerate_ram_polygons(
     kept per (t, S) and filled in lazily.  Each root [(1, J0), (p^m, 0)]
     gets the whole weak check, and every visited branch passes one
     ``weak_ram_ok`` call, so its pass count is ``branches_visited``.  A
-    leaf's verdict is ``violations`` with the ceil pieces (kind 1), built
-    into a ``RamPolygon`` only if it passes.
+    leaf's verdict is ``violations`` with the ceil pieces (kind 1), which
+    keeps a pass in the memo for ``is_valid_ram``, the fine search's guard.
+    Only a leaf that passes becomes a ``RamPolygon``, built without the
+    structural checks: its vertices are convex and in place by construction.
     """
     if n < 1:
         raise ValueError("degree must be positive")
@@ -101,9 +103,9 @@ def enumerate_ram_polygons(
     p_top = p**m
     # the wild vertex (p^m, 0) every partial polygon ends with, and the tame end
     top = [(m, p_top, 0)] if p_top > 1 else []
-    tail = [(p_top, 0)] if p_top > 1 else []
+    tail = ((p_top, 0),) if p_top > 1 else ()
     if n > p_top:
-        tail.append((n, 0))
+        tail += ((n, 0),)
     # J0 <= n * v(n), and every ordinate after the first lies below J0
     J0_max = n * ctx.base.e * m
     out: list[RamPolygon] = []
@@ -117,7 +119,7 @@ def enumerate_ram_polygons(
         stats.branches_visited += 1
         if S >= m:
             if not validity.violations(ctx, n, prefix + top, () if prune else None, kind=1):
-                out.append(RamPolygon(p, n, tuple((x, J) for _, x, J in prefix) + tuple(tail)))
+                out.append(RamPolygon._built(p, n, tuple((x, J) for _, x, J in prefix) + tail))
             return
         search(prefix, S + 1, ())
         x_new = p**S
@@ -161,21 +163,22 @@ def enumerate_fine_polygons(
     to check, a child checks the pairs its candidate forms, and a leaf its
     wild points with the strict pieces at the p-powers without a point, both
     by ``validity.violations``.  A ``FinePolygon``, on the hull ``P``, is
-    built only per result.
+    built only per result, without the structural checks: its points are
+    the hull's and sorted by construction.
     """
     if not validity.is_valid_ram(ctx, P).ok:
         raise ValueError("fine enumeration requires a valid ramification polygon")
     p, n = P.p, P.n
-    m = vp(p, n)
-    values = P.p_power_values()
     forced = dict(P.vertices) | dict.fromkeys(tame_zeros(p, n), 0)
     wild = P.wild_vertices()
+    # the hull's lattice points at the p-powers strictly between its wild vertices
     candidates = []
-    for s in range(1, m):
-        x = p**s
-        N, D = values[s]
-        if x not in forced and N % D == 0:
-            candidates.append((s, x, N // D))
+    for (s_u, x_u, J_u), (s_w, x_w, J_w) in zip(wild, wild[1:]):
+        for s in range(s_u + 1, s_w):
+            x = p**s
+            N, D = J_u * (x_w - x) + J_w * (x - x_u), x_w - x_u
+            if N % D == 0:
+                candidates.append((s, x, N // D))
 
     out: list[FinePolygon] = []
     stats = EnumStats()
@@ -189,7 +192,7 @@ def enumerate_fine_polygons(
             leaf = sorted(wild + chosen)
             if not validity.violations(ctx, n, leaf, () if prune else None, kind=2):
                 points = forced | {x: J for _, x, J in chosen}
-                out.append(FinePolygon(p, n, tuple(sorted(points.items())), P))
+                out.append(FinePolygon._built(p, n, tuple(sorted(points.items())), P))
             return
         search(idx + 1, chosen, ())
         search(idx + 1, chosen + [candidates[idx]], (candidates[idx][0],))

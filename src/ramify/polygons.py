@@ -105,6 +105,14 @@ def _piecewise_ratio(vertices: Sequence[tuple[int, int]], j: int) -> tuple[int, 
     raise ValueError(f"abscissa {j} outside polygon range")
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields`` and no ``__post_init__``."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class RamPolygon:
     """A (potential) ramification polygon, stored by its vertices.
@@ -144,6 +152,12 @@ class RamPolygon:
         for a, b, c in zip(vs, vs[1:], vs[2:]):
             if _turn(a, b, c) <= 0:
                 raise ValueError("vertices must be strictly convex")
+
+    @classmethod
+    def _built(cls, p: int, n: int, vertices: tuple[tuple[int, int], ...]) -> "RamPolygon":
+        """The polygon as the hull search builds it, vertices already int, convex and in
+        place, so with no check; every other caller constructs and is checked."""
+        return _unchecked(cls, p=p, n=n, vertices=vertices)
 
     @property
     def J0(self) -> int:
@@ -200,6 +214,13 @@ class FinePolygon:
             object.__setattr__(self, "hull", RamPolygon(p, self.n, vertices))
         elif (self.hull.p, self.hull.n, self.hull.vertices) != (p, self.n, vertices):
             raise ValueError(f"the given hull is not the hull of {pts}")
+
+    @classmethod
+    def _built(cls, p: int, n: int, points: tuple[tuple[int, int], ...], hull: RamPolygon
+               ) -> "FinePolygon":
+        """The polygon as the fine search builds it, points sorted ints on ``hull``, so with
+        no check; every other caller constructs and is checked."""
+        return _unchecked(cls, p=p, n=n, points=points, hull=hull)
 
     @property
     def J0(self) -> int:
@@ -308,13 +329,17 @@ def depth_bound(
         x = p**s
         if not x <= i <= n:
             raise ValueError(f"need p^s <= i <= n, got p^s={x}, i={i}")
-        N, D = values[s]
-        B_ix = e * vp_binomial(p, i, x)
-        if s in excluded:
-            return (N - i * D) // (n * D) - B_ix + 2
-        return -((i * D - N) // (n * D)) - B_ix + 1
+        return digit_bound(p, e, n, i, x, *values[s], s in excluded)
 
     return ell
+
+
+def digit_bound(p: int, e: int, n: int, i: int, x: int, N: int, D: int, strict: bool) -> int:
+    """The one formula of ``depth_bound``: ell(i, s) at x = p^s, the value there N / D."""
+    B_ix = e * vp_binomial(p, i, x)
+    if strict:
+        return (N - i * D) // (n * D) - B_ix + 2
+    return -((i * D - N) // (n * D)) - B_ix + 1
 
 
 def fine_depth_bound(ctx: BinomialContext, Pstar: FinePolygon) -> Callable[[int, int], int]:

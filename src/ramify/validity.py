@@ -25,11 +25,19 @@ ceil for a hull, strict exclusion for a fine polygon, whose present points
 lie on its hull; a set's violations are the union of its pairs' and pieces'.
 So ``violations`` is the one route to every verdict and report: it reads
 each pair and piece from ``BinomialContext.memo``, one shared violation
-tuple per check, and runs the engine only for a check not yet decided.  The
+tuple per check, and runs the kernel only for a check not yet decided.  The
 searches call it, ``weak_ram_ok`` is its weak verdict, and every
 ``is_valid_*`` report its ``every`` form.  The fine search places
 ``polygons.tame_zeros`` itself, so only the fine reports check the tame
 biconditional (``tame_ok``).
+
+The kernel decides a check in closed form, in integers, from the one bound
+formula ``polygons.digit_bound``.  A point's own checks (``_point``) read the
+bound at its own value J; a pair adds, at each point's exponent, Ore2 and the
+other point's Bounding (``_at``), and Consistency; a piece adds Ore2 and the
+point's Bounding at the absent exponent, under the segment's value.  A hull
+that passes whole is kept too, so ``is_valid_ram`` answers a hull the search
+passed with one lookup.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping
 
 from .binomials import BinomialContext, vp
 from .polygons import (
@@ -47,7 +55,7 @@ from .polygons import (
     InvariantWithUnif,
     RamPolygon,
     decompose,
-    depth_bound,
+    digit_bound,
     polygon_plan,
     tame_zeros,
 )
@@ -83,66 +91,68 @@ class ResidueForcedError(ValueError):
     """A horizontal-face residue differs from the forced binomial residue."""
 
 
-def _condition_violations(
-    ctx: BinomialContext,
-    n: int,
-    positions: Sequence[tuple[int, int, int]],
-    ell: Callable[[int, int], int],
-    s_values: Sequence[int],
-) -> list[Violation]:
-    """Shared Ore / Consistency / Bounding engine.
+def _point(p: int, e: int, n: int, s: int, J: int) -> tuple[list[Violation], int, int | None]:
+    """The checks of the point (p^s, J) at its own value J: (violations, b, own).
 
-    ``positions`` lists (s_t, p^(s_t), J_t) for the p-power points present;
-    ``ell`` is the digit-depth bound; ``s_values`` is the exponent range the
-    universally quantified conditions run over (all of 0..v_p(n) for full
-    validity, the present exponents only for weak validity).
+    J = a*n + b.  BRange when p^s > b; for b = n, Ore1 unless ell(n, s) = 0;
+    for p^s <= b < n, own = ell(b, s), the depth the point bounds coefficient
+    b to, and Ore3 when own < 1 (own is None otherwise).
     """
-    out: list[Violation] = []
-    p = ctx.base.p
-    bounded = []
-    for s_t, x_t, J_t in positions:
-        _, b_t = decompose(J_t, n)
-        if x_t > b_t:
-            out.append(Violation.BRANGE)
-        if b_t == n:
-            if ell(n, s_t) != 0:
-                out.append(Violation.ORE1)
-        elif x_t <= b_t:
-            own = ell(b_t, s_t)
-            if own < 1:
-                out.append(Violation.ORE3)
-            bounded.append((b_t, own))
-    for s in s_values:
-        if ell(n, s) > 0:
-            out.append(Violation.ORE2)
-    by_b: dict[int, set[int]] = {}
-    for b_t, own in bounded:
-        by_b.setdefault(b_t, set()).add(own)
-        for s in s_values:
-            if p**s <= b_t and own < ell(b_t, s):
-                out.append(Violation.BOUNDING)
-                break
-    for values in by_b.values():
-        if len(values) > 1:
-            out.append(Violation.CONSISTENCY)
-    return out
+    x = p**s
+    b = decompose(J, n)[1]
+    found = [Violation.BRANGE] if x > b else []
+    own = None
+    if b == n:
+        if digit_bound(p, e, n, n, x, J, 1, False):
+            found.append(Violation.ORE1)
+    elif x <= b:
+        own = digit_bound(p, e, n, b, x, J, 1, False)
+        if own < 1:
+            found.append(Violation.ORE3)
+    return found, b, own
 
 
-def _weak_violations(ctx: BinomialContext, n: int, positions) -> list[Violation]:
-    """The engine over the present exponents only.
+def _at(p: int, e: int, n: int, b: int, own: int | None, x: int, N: int, D: int,
+        strict: bool) -> list[Violation]:
+    """Ore2 at x = p^s, the polygon's value there N / D, and the Bounding there
+    of a point bounding coefficient b to depth ``own``."""
+    found = [Violation.ORE2] if digit_bound(p, e, n, n, x, N, D, strict) > 0 else []
+    if own is not None and x <= b and own < digit_bound(p, e, n, b, x, N, D, strict):
+        found.append(Violation.BOUNDING)
+    return found
 
-    At an attained position (p^s, J) the polygon's value is J itself, so the
-    digit-depth bound at the present exponents needs no hull.
+
+def _pair(ctx: BinomialContext, n: int, t, v) -> tuple[Violation, ...]:
+    """The violations of the points t, v = (s, p^s, J), t = v for v alone.
+
+    Each point's own checks, then Ore2 and the other's Bounding at each one's
+    exponent, where the value is its J (a point's Bounding at its own value
+    holds), and Consistency when both bound one coefficient to different depths.
     """
-    s_values = [s for s, _, _ in positions]
-    ell = depth_bound(ctx, n, {s: (J, 1) for s, _, J in positions})
-    return _condition_violations(ctx, n, positions, ell, s_values)
+    p, e = ctx.base.p, ctx.base.e
+    found_t, b_t, own_t = _point(p, e, n, t[0], t[2])
+    found_v, b_v, own_v = _point(p, e, n, v[0], v[2])
+    found = found_t + found_v + _at(p, e, n, b_t, own_t, v[1], v[2], 1, False)
+    found += _at(p, e, n, b_v, own_v, t[1], t[2], 1, False)
+    if own_t is not None and own_v is not None and b_t == b_v and own_t != own_v:
+        found.append(Violation.CONSISTENCY)
+    return _shared(frozenset(found))
+
+
+def _piece(ctx: BinomialContext, n: int, t, s: int, N: int, D: int, strict: bool
+           ) -> tuple[Violation, ...]:
+    """The violations of the point t at an absent exponent s, the value there N / D:
+    t's own checks, then Ore2 and t's Bounding at s, in the ceil or strict form."""
+    p, e = ctx.base.p, ctx.base.e
+    found, b, own = _point(p, e, n, t[0], t[2])
+    return _shared(frozenset(found + _at(p, e, n, b, own, p**s, N, D, strict)))
 
 
 def _memo(ctx: BinomialContext, n: int) -> tuple[int, int, dict[int, tuple[Violation, ...]]]:
     """(cap, w, answers) of degree n: keys pack parts <= cap = n * v(n) in w bits each.
 
-    The low 2 bits are the kind: 0 a pair, 1 a ceil piece, 2 a strict piece.
+    The low 2 bits are the kind: 0 a pair, 1 a ceil piece, 2 a strict piece,
+    3 a passing hull, its wild vertices (s, J) packed in order after a 1 bit.
     An ordinate J > cap fails Ore2 at its own exponent s (the bound is
     ceil(J / n) - e * (v_p(n) - s) > 0), so no key holds one.
     """
@@ -151,6 +161,14 @@ def _memo(ctx: BinomialContext, n: int) -> tuple[int, int, dict[int, tuple[Viola
         cap = n * ctx.base.e * vp(ctx.base.p, n)
         memo = ctx.memo[n] = (cap, max(cap, 1).bit_length(), {})
     return memo
+
+
+def _hull_key(w: int, positions) -> int:
+    """The key of a passing hull through the points (s, p^s, J), every J <= cap (kind 3)."""
+    key = 1
+    for s, _, J in positions:
+        key = (key << w | s) << w | J
+    return key << 2 | 3
 
 
 @lru_cache(maxsize=None)
@@ -170,14 +188,16 @@ def violations(
     and every t, t = v checking v alone.  Kinds 1 and 2 are full validity of the
     polygon through the points, in increasing s from 0 to v_p(n) and each on
     the lower hull of them all: the pairs, then for s strictly between
-    consecutive points u and w and each point t, the engine on [t] at s alone,
+    consecutive points u and w and each point t, the piece of t at s alone,
     with the value of the segment (u, w) at p^s, in the ceil (1) or
-    strict-exclusion (2) form.  Returns () when all pass, else the first
-    failing check's violations, or with ``every`` all.
+    strict-exclusion (2) form.  A hull (kind 1) that passes is kept whole,
+    which ``is_valid_ram`` reads before any pair or piece.  Returns () when
+    all pass, else the first failing check's violations, or with ``every`` all.
     """
     cap, w, memo = ctx.memo.get(n) or _memo(ctx, n)
     out: tuple[Violation, ...] = ()
-    for i, v in enumerate(positions):
+    # with ``new`` empty every pair is known to pass
+    for i, v in enumerate(positions if new is None or new else ()):
         if new is None or v[0] in new:
             b = v[0] << w | v[2]
             wide = v[2] > cap
@@ -188,7 +208,7 @@ def violations(
                 store = {} if wide or t[2] > cap else memo
                 found = store.get(key)
                 if found is None:
-                    found = store[key] = _shared(frozenset(_weak_violations(ctx, n, [t, v])))
+                    found = store[key] = _pair(ctx, n, t, v)
                 if found:
                     if not every:
                         return found
@@ -204,16 +224,18 @@ def violations(
                     found = store.get(key)
                     if found is None:
                         x = p**s
-                        value = (J_u * (x_w - x) + J_w * (x - x_u), x_w - x_u)
-                        strict = (s,) if kind == 2 else ()
-                        ell = depth_bound(ctx, n, {t[0]: (t[2], 1), s: value}, strict)
-                        found = _condition_violations(ctx, n, [t], ell, [s])
-                        found = store[key] = _shared(frozenset(found))
+                        N = J_u * (x_w - x) + J_w * (x - x_u)
+                        found = store[key] = _piece(ctx, n, t, s, N, x_w - x_u, kind == 2)
                     if found:
                         if not every:
                             return found
                         out += found
-    return _shared(frozenset(out)) if out else ()
+    if out:
+        return _shared(frozenset(out))
+    if kind == 1:
+        # each point passed Ore2 at its own exponent, so J <= cap
+        memo[_hull_key(w, positions)] = ()
+    return ()
 
 
 def weak_ram_ok(
@@ -223,14 +245,27 @@ def weak_ram_ok(
     return not violations(ctx, n, positions, new)
 
 
+def _same_prime(ctx: BinomialContext, P: RamPolygon | FinePolygon) -> None:
+    # the memo keys name exponents s, not abscissas, so a polygon over another
+    # prime would read and write the answers of a different one
+    if P.p != ctx.base.p:
+        raise ValueError(f"polygon over p = {P.p}, context over p = {ctx.base.p}")
+
+
 def is_valid_ram(ctx: BinomialContext, P: RamPolygon) -> ValidityReport:
     """Full validity of a ramification polygon, every violation named."""
-    found = violations(ctx, P.n, P.wild_vertices(), kind=1, every=True)
-    return ValidityReport.from_violations(found)
+    _same_prime(ctx, P)
+    cap, w, memo = _memo(ctx, P.n)
+    wild = P.wild_vertices()
+    # J0 is the largest ordinate; above the cap the key is not unique
+    if P.J0 <= cap and _hull_key(w, wild) in memo:
+        return ValidityReport.from_violations(())
+    return ValidityReport.from_violations(violations(ctx, P.n, wild, kind=1, every=True))
 
 
 def is_weakly_valid_ram(ctx: BinomialContext, P: RamPolygon) -> ValidityReport:
     """Validity conditions quantified only over the present vertex exponents."""
+    _same_prime(ctx, P)
     return ValidityReport.from_violations(violations(ctx, P.n, P.wild_vertices(), every=True))
 
 
@@ -247,6 +282,7 @@ def tame_ok(ctx: BinomialContext, n: int, points: Mapping[int, int]) -> bool:
 
 
 def _fine_report(ctx: BinomialContext, Pstar: FinePolygon, kind: int) -> ValidityReport:
+    _same_prime(ctx, Pstar)
     found = violations(ctx, Pstar.n, Pstar.wild_points(), kind=kind, every=True)
     if not tame_ok(ctx, Pstar.n, dict(Pstar.points)):
         found += (Violation.TAME,)

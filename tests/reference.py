@@ -2,13 +2,16 @@
 
 The package computes the same things faster: ``polygons.hull_points`` keeps every
 point on the hull, ``analyzer.ramification_of`` evaluates R_j only where a
-point can lie on it, and ``templates.reduce_template`` builds an S_m map only
-where two or more points attain C_m.  The tests compare against these.
+point can lie on it, ``templates.reduce_template`` builds an S_m map only
+where two or more points attain C_m, and ``validity`` decides each pair and
+piece in closed form where ``condition_violations`` runs every condition over
+a depth-bound function.  The tests compare against these.
 """
 
 from ramify.analyzer import EisensteinData
-from ramify.binomials import B, BinomialContext
-from ramify.polygons import _vertices, hull_points
+from ramify.binomials import B, BinomialContext, vp
+from ramify.polygons import _vertices, decompose, depth_bound, hull_points
+from ramify.validity import Violation
 from ramify.residue_field import additive_coset_representatives
 from ramify.templates import compute_Sm
 
@@ -59,3 +62,68 @@ def reduce_template_reference(ctx, T, inv):
             updates[position] = frozenset(additive_coset_representatives(ctx.base, sm.map, scale))
         m += 1
     return T.with_slots(updates)
+
+
+def condition_violations(ctx, n, positions, ell, s_values) -> list[Violation]:
+    """The Ore / Consistency / Bounding conditions, each read off the bound ``ell``.
+
+    ``positions`` lists (s_t, p^(s_t), J_t) for the p-power points present;
+    ``ell`` is the digit-depth bound; ``s_values`` is the exponent range the
+    universally quantified conditions run over (all of 0..v_p(n) for full
+    validity, the present exponents only for weak validity).
+    """
+    out: list[Violation] = []
+    p = ctx.base.p
+    bounded = []
+    for s_t, x_t, J_t in positions:
+        _, b_t = decompose(J_t, n)
+        if x_t > b_t:
+            out.append(Violation.BRANGE)
+        if b_t == n:
+            if ell(n, s_t) != 0:
+                out.append(Violation.ORE1)
+        elif x_t <= b_t:
+            own = ell(b_t, s_t)
+            if own < 1:
+                out.append(Violation.ORE3)
+            bounded.append((b_t, own))
+    for s in s_values:
+        if ell(n, s) > 0:
+            out.append(Violation.ORE2)
+    by_b: dict[int, set[int]] = {}
+    for b_t, own in bounded:
+        by_b.setdefault(b_t, set()).add(own)
+        for s in s_values:
+            if p**s <= b_t and own < ell(b_t, s):
+                out.append(Violation.BOUNDING)
+                break
+    for values in by_b.values():
+        if len(values) > 1:
+            out.append(Violation.CONSISTENCY)
+    return out
+
+
+def weak_violations(ctx, n, positions) -> list[Violation]:
+    """``condition_violations`` over the present exponents only.
+
+    At an attained position (p^s, J) the polygon's value is J itself, so the
+    digit-depth bound at the present exponents needs no hull.
+    """
+    s_values = [s for s, _, _ in positions]
+    ell = depth_bound(ctx, n, {s: (J, 1) for s, _, J in positions})
+    return condition_violations(ctx, n, positions, ell, s_values)
+
+
+def piece_violations(ctx, n, t, s, N, D, strict) -> list[Violation]:
+    """``condition_violations`` of the point t at the exponent s alone, the value there
+    N / D, in the ceil or (``strict``) strict-exclusion form."""
+    ell = depth_bound(ctx, n, {t[0]: (t[2], 1), s: (N, D)}, (s,) if strict else ())
+    return condition_violations(ctx, n, [t], ell, [s])
+
+
+def hull_violations(ctx, P) -> set[Violation]:
+    """Full validity of the hull ``P``: ``condition_violations`` over every exponent,
+    on the hull's values at every p-power."""
+    ell = depth_bound(ctx, P.n, P.p_power_values())
+    s_values = range(vp(ctx.base.p, P.n) + 1)
+    return set(condition_violations(ctx, P.n, P.wild_vertices(), ell, s_values))

@@ -71,11 +71,10 @@ def _callers(name):
 
 def test_every_verdict_reaches_the_engine_through_violations():
     # one route to every validity verdict and report: in the package only
-    # ``validity.violations`` and the pair check it memoises name the engine,
-    # and only to call it
-    assert _callers("_condition_violations") == {
-        ("validity", "violations"), ("validity", "_weak_violations")
-    }
+    # ``validity.violations`` names the closed-form kernel's pair and piece
+    # checks, and only to call them; they alone call its point check
+    assert _callers("_pair") == _callers("_piece") == {("validity", "violations")}
+    assert _callers("_point") == {("validity", "_pair"), ("validity", "_piece")}
 
 
 def test_only_the_polygon_plan_computes_a_binomial_residue():

@@ -5,10 +5,10 @@ and ceil-form absent-exponent pieces) and the fine search with kind 2, the
 strict form, its forced points satisfying the tame biconditional by
 construction.  ``is_valid_ram`` and ``is_valid_fine`` report from the same
 pairs and pieces, so the hull reference here is the engine on the hull's
-values at every p-power (``engine_violations``), and the fine reference is
-``fine_ore_violations``, with ``tame_ok`` asserted to hold.  The search tests
-wrap the function the enumerator looks up, so every leaf the search reaches
-is compared, on the search's own context.
+values at every p-power (``reference.hull_violations``), and the fine
+reference is ``fine_ore_violations``, with ``tame_ok`` asserted to hold.  The
+search tests wrap the function the enumerator looks up, so every leaf the
+search reaches is compared, on the search's own context.
 
 ``fine_ore_violations``, the fine leaf's former one engine call over every
 exponent, is kept here as the reference and compared by violation kinds, not
@@ -38,12 +38,17 @@ from ramify.polygons import (
 )
 from ramify.residue_field import is_prime, make_field
 from ramify.validity import (
-    _condition_violations,
     admissible_phi0,
     equivalent_with_unif,
     is_valid_fine,
     is_valid_ram,
     is_weakly_valid_ram,
+)
+from reference import (
+    condition_violations,
+    hull_violations,
+    piece_violations,
+    weak_violations,
 )
 
 # (p, f, e, gamma spec, degrees)
@@ -64,16 +69,8 @@ def _hull_of(p, n, positions):
     return RamPolygon(p, n, tuple(vertices))
 
 
-def engine_violations(ctx, P) -> set:
-    """The violations of full hull validity by the engine alone, on the hull's values
-    at every p-power."""
-    s_values = range(vp(ctx.base.p, P.n) + 1)
-    ell = depth_bound(ctx, P.n, P.p_power_values())
-    return set(_condition_violations(ctx, P.n, P.wild_vertices(), ell, s_values))
-
-
 def engine_valid_ram(ctx, P) -> bool:
-    return not engine_violations(ctx, P)
+    return not hull_violations(ctx, P)
 
 
 def fine_ore_violations(ctx, n, positions, values):
@@ -86,7 +83,7 @@ def fine_ore_violations(ctx, n, positions, values):
     s_values = range(vp(ctx.base.p, n) + 1)
     present = {s for s, _, _ in positions}
     ell = depth_bound(ctx, n, values, excluded=[s for s in s_values if s not in present])
-    return _condition_violations(ctx, n, positions, ell, s_values)
+    return condition_violations(ctx, n, positions, ell, s_values)
 
 
 @pytest.mark.parametrize("prune", [True, False])
@@ -123,10 +120,10 @@ def test_is_valid_ram_answers_as_the_engine_on_every_reached_hull(monkeypatch):
         for wild in _every_hull(monkeypatch, ctx, n):
             P = _hull_of(2, n, wild)
             report = is_valid_ram(ctx, P)
-            assert set(report.violations) == engine_violations(ctx, P), wild
+            assert set(report.violations) == hull_violations(ctx, P), wild
             assert report.ok == (not report.violations)
             weak = is_weakly_valid_ram(ctx, P)
-            assert set(weak.violations) == set(validity._weak_violations(ctx, n, wild)), wild
+            assert set(weak.violations) == set(weak_violations(ctx, n, wild)), wild
             tally[report.ok] += 1
         assert tally[True] and tally[False]
 
@@ -175,20 +172,25 @@ def test_fine_search_leaf_verdict_is_full_validity(monkeypatch, p, f, e, gamma, 
     assert leaves[True] == leaves[False] > 0
 
 
-@pytest.mark.parametrize("p, f, e, gamma, degrees", LEAF_CASES, ids=CASE_IDS)
+@pytest.mark.parametrize(
+    "p, f, e, gamma, degrees", LEAF_CASES + [(2, 1, 1, 1, (32,))], ids=CASE_IDS + ["census"]
+)
 def test_fine_results_keep_the_searched_hull(p, f, e, gamma, degrees):
-    # a result holds the search's hull P as is; it must be the polygon its
-    # points alone derive
+    # the searches build their results unchecked: a hull must be the polygon
+    # checked construction makes of its vertices, and a fine result, holding
+    # the search's hull P as is, the polygon its points alone derive
     ctx = BinomialContext(make_field(p, f, e, gamma))
     for n in degrees:
-        hulls, _ = enumerate_ram_polygons(ctx, n)
-        for P in hulls:
-            for prune in (True, False):
+        for prune in (True, False) if n < 32 else (True,):
+            for P in enumerate_ram_polygons(ctx, n, prune=prune)[0]:
+                checked = RamPolygon(p, n, P.vertices)
+                assert P == checked and hash(P) == hash(checked)
+                assert P.vertices == checked.vertices
                 fines, _ = enumerate_fine_polygons(ctx, P, prune=prune)
                 assert fines
                 for fine in fines:
                     derived = FinePolygon(p, n, fine.points)
-                    assert fine == derived and fine.hull is P
+                    assert fine == derived and hash(fine) == hash(derived) and fine.hull is P
                     assert fine.hull == derived.hull
                     assert fine.hull.vertices == derived.hull.vertices
 
@@ -273,9 +275,10 @@ def test_every_memoised_verdict_is_the_engine_verdict_of_its_key(p, f, e, gamma,
     # the memo's keys decoded by hand: a pair (s_t, J_t, s_v, J_v) holds the
     # violations of the engine on the two vertices; a piece (s_t, J_t, s,
     # s_u, J_u, s_w, J_w) those of the engine on t at s alone, with the
-    # segment's value at p^s, in the form its kind names (1 ceil, 2 strict)
+    # segment's value at p^s, in the form its kind names (1 ceil, 2 strict);
+    # a hull (s, J, ...) after a 1 bit (kind 3) is a pass the engine agrees with
     ctx = BinomialContext(make_field(p, f, e, gamma))
-    kinds = {0: 0, 1: 0, 2: 0}
+    kinds = {0: 0, 1: 0, 2: 0, 3: 0}
     for n in degrees:
         for P in enumerate_ram_polygons(ctx, n)[0]:
             enumerate_fine_polygons(ctx, P)
@@ -287,14 +290,21 @@ def test_every_memoised_verdict_is_the_engine_verdict_of_its_key(p, f, e, gamma,
             if kind == 0:
                 s_t, J_t, s_v, J_v = _parts(body, w, 4)
                 positions = [(s_t, p**s_t, J_t), (s_v, p**s_v, J_v)]
-                assert set(found) == set(validity._weak_violations(ctx, n, positions)), positions
+                assert set(found) == set(weak_violations(ctx, n, positions)), positions
+                continue
+            if kind == 3:
+                count = (body.bit_length() - 1) // w
+                assert body >> count * w == 1, key
+                parts = _parts(body, w, count)
+                wild = [(s, p**s, J) for s, J in zip(parts[::2], parts[1::2])]
+                assert found == () and engine_valid_ram(ctx, _hull_of(p, n, wild)), wild
                 continue
             s_t, J_t, s, s_u, J_u, s_w, J_w = _parts(body, w, 7)
             x, x_u, x_w = p**s, p**s_u, p**s_w
-            value = (J_u * (x_w - x) + J_w * (x - x_u), x_w - x_u)
-            ell = depth_bound(ctx, n, {s_t: (J_t, 1), s: value}, (s,) if kind == 2 else ())
+            N, D = J_u * (x_w - x) + J_w * (x - x_u), x_w - x_u
             t = (s_t, p**s_t, J_t)
-            assert set(found) == set(_condition_violations(ctx, n, [t], ell, [s])), (kind, t, s)
+            reference = piece_violations(ctx, n, t, s, N, D, kind == 2)
+            assert set(found) == set(reference), (kind, t, s)
     assert all(kinds.values()), kinds
 
 

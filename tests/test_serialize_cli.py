@@ -584,16 +584,17 @@ def test_cli_selftest_small_cases(capsys):
 
 
 def test_selftest_detects_injected_ore2_fault(survey_q2_n4, monkeypatch):
-    # dropping the Ore 2 condition admits fine polygons no polynomial attains,
-    # e.g. [(1, 8), (4, 0)] in degree 4; the survey cross-check must object.
+    # dropping the Ore 2 condition from the kernel, at every exponent of pairs
+    # and pieces alike, admits fine polygons no polynomial attains, e.g.
+    # [(1, 8), (4, 0)] in degree 4; the survey cross-check must object.
     # A fresh context: the session's one has the true verdicts in its memo
     ctx = BinomialContext(make_field(2, 1, 1, 1))
-    real = ramify.validity._condition_violations
+    real = ramify.validity._at
 
     def no_ore2(*args, **kwargs):
         return [v for v in real(*args, **kwargs) if v is not Violation.ORE2]
 
-    monkeypatch.setattr(ramify.validity, "_condition_violations", no_ore2)
+    monkeypatch.setattr(ramify.validity, "_at", no_ore2)
     problems = survey_case_problems(ctx, 4, 5, survey=survey_q2_n4)
     assert any("enumerated but not surveyed" in problem_line(p) for p in problems)
 

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from ramify import validity
 from ramify.binomials import BinomialContext, beta, vp
-from ramify.enumeration import enumerate_ram_polygons, enumerate_unif_classes
+from ramify.enumeration import (
+    enumerate_fine_polygons,
+    enumerate_ram_polygons,
+    enumerate_residue_classes,
+    enumerate_unif_classes,
+)
 from ramify.polygons import (
     FinePolygon,
     FinePolygonWithResidues,
@@ -19,7 +24,7 @@ from ramify.residue_field import make_field
 from ramify.validity import (
     ResidueForcedError,
     Violation,
-    _weak_violations,
+    _memo,
     admissible_phi0,
     equivalent_res,
     equivalent_with_unif,
@@ -33,7 +38,7 @@ from ramify.validity import (
     weak_ram_ok,
 )
 from ramify.templates import template_for_invariant
-from reference import lower_convex_hull
+from reference import hull_violations, lower_convex_hull
 
 
 def test_valid_ram_spec_examples(ctx_q2):
@@ -130,14 +135,14 @@ def test_pair_check_of_a_lone_vertex_is_its_own_check(ctx_q2):
 @pytest.mark.parametrize("above", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_a_k_point_check_decides_each_unordered_pair_once(monkeypatch, k, above):
-    # on an empty memo, k points make k(k+1)/2 pair checks, {v, v} among them
-    # (``every`` returns nothing early); with one point new, the pairs of two
-    # old points are known to pass, so only its k pairs are checked.  Ordinates
-    # above the Ore bound are never memoised, so there a second visit would run
-    # again
-    engine, calls = validity._weak_violations, []
+    # on an empty memo, k points make k(k+1)/2 calls of the kernel's pair
+    # check, {v, v} among them (``every`` returns nothing early); with one point
+    # new, the pairs of two old points are known to pass, so only its k pairs
+    # are checked.  Ordinates above the Ore bound are never memoised, so there a
+    # second visit would run again
+    kernel, calls = validity._pair, []
     monkeypatch.setattr(
-        validity, "_weak_violations", lambda *args: calls.append(args[2]) or engine(*args)
+        validity, "_pair", lambda *args: calls.append(args[2:]) or kernel(*args)
     )
     n = 2**k
     cap = n * k
@@ -161,7 +166,7 @@ def test_an_ordinate_above_the_ore_bound_fails_its_own_conditions(spec):
         for s in range(m + 1):
             for J in range(cap + 1, cap + 2 * n + 2):
                 v = (s, p**s, J)
-                assert Violation.ORE2 in _weak_violations(ctx, n, [v]), (n, v)
+                assert Violation.ORE2 in violations(ctx, n, [v], every=True), (n, v)
                 if s < m:
                     top = (m, p**m, 0)
                     assert violations(ctx, n, [v, top])
@@ -185,11 +190,75 @@ def test_a_report_above_the_ore_bound_leaves_the_memo_as_it_was():
             fresh, 8, prune=prune
         )
     for key in answers:
-        body, count = key >> 2, 4 if key & 3 == 0 else 7
+        # a pair packs 4 parts, a piece 7, a passing hull its (s, J) after a 1 bit
+        body, count = key >> 2, (4, 7, 7, 0)[key & 3]
+        count = count or (body.bit_length() - 1) // w
         parts = [body >> (w * i) & ((1 << w) - 1) for i in range(count)]
-        assert max(parts) <= cap and body >> (w * count) == 0, key
+        assert max(parts) <= cap and body >> (w * count) == (key & 3 == 3), key
     # one tuple object per distinct answer
     assert len({id(found) for found in answers.values()}) == len(set(answers.values()))
+
+
+def test_a_search_leaves_every_failing_hull_its_full_report():
+    # the hull search keeps its passing leaves whole in the memo, read before
+    # any pair or piece; a hull it failed or never met still gets every
+    # violation, as on a fresh context
+    ctx = BinomialContext(make_field(2, 1, 1, 1))
+    for prune in (True, False):
+        enumerate_ram_polygons(ctx, 8, prune=prune)
+    for vertices in [
+        ((1, 17), (4, 4), (8, 0)),  # a piece fails: Bounding of (4, 4) at s = 1
+        ((1, 25), (8, 0)),  # above the Ore bound
+        ((1, 6), (8, 0)),  # Ore3 and Bounding
+        ((1, 11), (2, 8), (8, 0)),  # Ore1
+        ((1, 12), (2, 4), (4, 1), (8, 0)),  # BRange, Ore3 and Bounding
+    ]:
+        P = RamPolygon(2, 8, vertices)
+        report = is_valid_ram(ctx, P)
+        assert not report.ok and set(report.violations) == hull_violations(ctx, P), vertices
+        assert report == is_valid_ram(BinomialContext(make_field(2, 1, 1, 1)), P)
+
+
+def test_a_stored_pass_is_read_for_its_own_degree_only():
+    # Q_2 degrees 24 and 40 pack their keys alike (v(n) = 3, 7 bits a part),
+    # and some wild vertices pass in one degree and fail in the other; on one
+    # context searched in both, each degree's report is the engine's
+    ctx = BinomialContext(make_field(2, 1, 1, 1))
+    assert ctx.memo == {}
+    wild = set()
+    for n in (24, 40):
+        wild |= {P.vertices[:-1] for P in enumerate_ram_polygons(ctx, n)[0]}
+    assert _memo(ctx, 24)[:2] == (72, 7) and _memo(ctx, 40)[:2] == (120, 7)
+    differ = 0
+    for vertices in sorted(wild):
+        verdicts = []
+        for n in (24, 40):
+            P = RamPolygon(2, n, vertices + ((n, 0),))
+            report = is_valid_ram(ctx, P)
+            assert set(report.violations) == hull_violations(ctx, P), (n, vertices)
+            verdicts.append(report.ok)
+        differ += verdicts[0] != verdicts[1]
+    assert differ
+
+
+def test_a_polygon_over_another_prime_is_a_value_error(ctx_q2):
+    # the memo keys name exponents, not abscissas: a Q_2 polygon under a Q_3
+    # context used to read Q_3's answers (3 of the 4 degree-6 hulls passed) or
+    # fail inside the depth bound (every degree-24 hull); each entry point now
+    # refuses it first, even with a memo the Q_3 search has filled
+    ctx = BinomialContext(make_field(3, 1, 1, 1))
+    for n in (6, 24):
+        enumerate_ram_polygons(ctx, n)
+    hulls = [P for n in (6, 24) for P in enumerate_ram_polygons(ctx_q2, n)[0]]
+    assert len(hulls) > 4
+    fine = FinePolygon(2, 6, ((1, 1), (2, 0), (4, 0), (6, 0)))
+    checks = [(check, P) for P in hulls
+              for check in (is_valid_ram, is_weakly_valid_ram, enumerate_fine_polygons)]
+    checks += [(check, fine) for check in (is_valid_fine, is_weakly_valid_fine,
+                                           enumerate_residue_classes)]
+    for check, polygon in checks:
+        with pytest.raises(ValueError, match=r"polygon over p = 2, context over p = 3"):
+            check(ctx, polygon)
 
 
 def test_valid_fine_spec_examples(ctx_q2):
@@ -230,7 +299,12 @@ def test_validity_implies_weak_validity_small(ctx_q2):
 
 
 def test_weak_validity_preserved_under_vertex_removal(ctx_q2):
-    from ramify.enumeration import enumerate_ram_polygons, enumerate_unif_classes
+    from ramify.enumeration import (
+    enumerate_fine_polygons,
+    enumerate_ram_polygons,
+    enumerate_residue_classes,
+    enumerate_unif_classes,
+)
 
     for n in (4, 8, 16):
         polys, _ = enumerate_ram_polygons(ctx_q2, n)
