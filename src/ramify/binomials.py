@@ -55,9 +55,10 @@ class BinomialContext:
     @cached_property
     def memo(self) -> dict:
         """Validity answers by degree (see ``validity``), made on first use; reuse is safe.
-        Each check keeps a shared violation tuple, one object per distinct answer.
-        Never trimmed (a Q_2 degree-64 hull search leaves 485,145 entries, a 21 MB
-        dict): ``ctx.memo.clear()`` releases them, the frozen class refuses ``del``."""
+        Each check keeps a shared violation tuple, one object per distinct answer, and
+        each degree the points' own records per exponent.  Never trimmed (a Q_2 degree-64
+        hull search leaves 316,784 answers, a 10.5 MB dict): ``ctx.memo.clear()``
+        releases them, the frozen class refuses ``del``."""
         return {}
 
 

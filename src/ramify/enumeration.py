@@ -84,17 +84,19 @@ def enumerate_ram_polygons(
     an earlier vertex non-extremal are skipped, since the vertex list of a
     polygon must stay strictly convex).
 
-    Pruning reads pair verdicts from the context's memo through
-    ``validity.violations`` and calls the search only for candidates that
-    pass: an int bitmask, bit J for the ordinate J, ANDed with the masks at
-    S of (p^m, 0) and of each vertex t, the bits whose pair with t passes,
-    kept per (t, S) and filled in lazily.  Each root [(1, J0), (p^m, 0)]
-    gets the whole weak check, and every visited branch passes one
-    ``weak_ram_ok`` call, so its pass count is ``branches_visited``.  A
-    leaf's verdict is ``violations`` with the ceil pieces (kind 1), which
-    keeps a pass in the memo for ``is_valid_ram``, the fine search's guard.
-    Only a leaf that passes becomes a ``RamPolygon``, built without the
-    structural checks: its vertices are convex and in place by construction.
+    Pruning calls the search only for candidates that pass: an int bitmask,
+    bit J for the ordinate J, ANDed with the masks at S of (p^m, 0) and of
+    each vertex t, the bits whose pair with t passes, kept per (t, S) and
+    filled in lazily by ``validity.passing_column``.  Each root [(1, J0),
+    (p^m, 0)] gets the whole weak check.  The masks decided every pair a
+    child adds, with the prefix and with (p^m, 0), its own checks among
+    them, so its ``weak_ram_ok`` call names no new exponent and checks
+    nothing; every visited branch still passes one such call, so its pass
+    count is ``branches_visited``.  A leaf's verdict is ``violations`` with
+    the ceil pieces (kind 1), which keeps a pass in the memo for
+    ``is_valid_ram``, the fine search's guard.  Only a leaf that passes
+    becomes a ``RamPolygon``, built without the structural checks: its
+    vertices are convex and in place by construction.
     """
     if n < 1:
         raise ValueError("degree must be positive")
@@ -113,7 +115,7 @@ def enumerate_ram_polygons(
     masks: dict[int, tuple[int, int]] = {}  # (J_t, s_t, S) -> (bits passing, bits decided)
 
     def search(prefix: list[tuple[int, int, int]], S: int, new: tuple[int, ...] | None) -> None:
-        # prefix holds (s, p^s, J) per vertex; ``new`` the exponents it added
+        # prefix holds (s, p^s, J) per vertex; ``new`` is None at a root, else ()
         if prune and not validity.weak_ram_ok(ctx, n, prefix + top, new):
             return
         stats.branches_visited += 1
@@ -132,13 +134,12 @@ def enumerate_ram_polygons(
             ok, decided = masks.get(key, (0, 0))
             todo = candidates & ~decided
             if todo:
-                for J in _bits(todo):
-                    ok |= (not validity.violations(ctx, n, [t, (S, x_new, J)], (S,))) << J
+                ok |= validity.passing_column(ctx, n, t, S, todo)
                 masks[key] = ok, decided | todo
             candidates &= ok
         for J in _bits(candidates):
             if _keeps_convex(prefix, x_new, J):
-                search(prefix + [(S, x_new, J)], S + 1, (S,))
+                search(prefix + [(S, x_new, J)], S + 1, ())
 
     for J0 in range(J0_max + 1):
         if not validity.violations(ctx, n, [(0, 1, J0)], (0,)):

@@ -23,13 +23,13 @@ and the Bounding of t at s), which depends on t, s, the segment (u, w) of
 consecutive present points enclosing s, and the form of the bound there:
 ceil for a hull, strict exclusion for a fine polygon, whose present points
 lie on its hull; a set's violations are the union of its pairs' and pieces'.
-So ``violations`` is the one route to every verdict and report: it reads
-each pair and piece from ``BinomialContext.memo``, one shared violation
-tuple per check, and runs the kernel only for a check not yet decided.  The
-searches call it, ``weak_ram_ok`` is its weak verdict, and every
-``is_valid_*`` report its ``every`` form.  The fine search places
-``polygons.tame_zeros`` itself, so only the fine reports check the tame
-biconditional (``tame_ok``).
+So ``violations`` is the one route to every report and to every verdict but
+the hull search's candidate columns: it reads each pair and piece from
+``BinomialContext.memo``, one shared violation tuple per check, and runs the
+kernel only for a check not yet decided.  The searches call it,
+``weak_ram_ok`` is its weak verdict, and every ``is_valid_*`` report its
+``every`` form.  The fine search places ``polygons.tame_zeros`` itself, so
+only the fine reports check the tame biconditional (``tame_ok``).
 
 The kernel decides a check in closed form, in integers, from the one bound
 formula ``polygons.digit_bound``.  A point's own checks (``_point``) read the
@@ -38,6 +38,13 @@ other point's Bounding (``_at``), and Consistency; a piece adds Ore2 and the
 point's Bounding at the absent exponent, under the segment's value.  A hull
 that passes whole is kept too, so ``is_valid_ram`` answers a hull the search
 passed with one lookup.
+
+The hull search asks for verdicts only: which candidates J at an exponent S
+pair with a vertex t.  ``passing_column`` answers that for a whole bitmask of
+them in one pass.  A point's own checks and its Ore2 at its own exponent
+depend on (s, J) alone, so they are a table per exponent in the degree's memo
+entry; per bit it tests only each point's Bounding at the other's exponent,
+which implies Consistency.  A column writes no pair to the memo.
 """
 
 from __future__ import annotations
@@ -148,18 +155,21 @@ def _piece(ctx: BinomialContext, n: int, t, s: int, N: int, D: int, strict: bool
     return _shared(frozenset(found + _at(p, e, n, b, own, p**s, N, D, strict)))
 
 
-def _memo(ctx: BinomialContext, n: int) -> tuple[int, int, dict[int, tuple[Violation, ...]]]:
-    """(cap, w, answers) of degree n: keys pack parts <= cap = n * v(n) in w bits each.
+def _memo(ctx: BinomialContext, n: int) -> tuple[int, int, dict[int, tuple[Violation, ...]],
+                                                  dict[int, list]]:
+    """(cap, w, answers, records) of degree n: keys pack parts <= cap = n * v(n) in w bits each.
 
     The low 2 bits are the kind: 0 a pair, 1 a ceil piece, 2 a strict piece,
     3 a passing hull, its wild vertices (s, J) packed in order after a 1 bit.
     An ordinate J > cap fails Ore2 at its own exponent s (the bound is
-    ceil(J / n) - e * (v_p(n) - s) > 0), so no key holds one.
+    ceil(J / n) - e * (v_p(n) - s) > 0), so no key holds one.  ``records``
+    maps an exponent s to the own record of each point (p^s, J), J <= cap,
+    that ``passing_column`` reads.
     """
     memo = ctx.memo.get(n)
     if memo is None:
         cap = n * ctx.base.e * vp(ctx.base.p, n)
-        memo = ctx.memo[n] = (cap, max(cap, 1).bit_length(), {})
+        memo = ctx.memo[n] = (cap, max(cap, 1).bit_length(), {}, {})
     return memo
 
 
@@ -194,7 +204,7 @@ def violations(
     which ``is_valid_ram`` reads before any pair or piece.  Returns () when
     all pass, else the first failing check's violations, or with ``every`` all.
     """
-    cap, w, memo = ctx.memo.get(n) or _memo(ctx, n)
+    cap, w, memo, _ = ctx.memo.get(n) or _memo(ctx, n)
     out: tuple[Violation, ...] = ()
     # with ``new`` empty every pair is known to pass
     for i, v in enumerate(positions if new is None or new else ()):
@@ -241,8 +251,54 @@ def violations(
 def weak_ram_ok(
     ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None
 ) -> bool:
-    """Weak validity as ``violations`` decides it, the hull search's one check per branch."""
+    """Weak validity as ``violations`` decides it, the hull search's one check per branch
+    (whole at a root; a child adds no pair its candidate columns left undecided)."""
     return not violations(ctx, n, positions, new)
+
+
+def passing_column(ctx: BinomialContext, n: int, t, S: int, mask: int) -> int:
+    """The bits J of ``mask`` whose pair {t, (S, p^S, J)} passes, t = (s, p^s, J_t).
+
+    The verdict of ``_pair``, in one pass over the bits.  Each point's own
+    record, (b, own, ok), is read from the table of its exponent, built once per
+    degree and exponent: b and the depth ``own`` of ``_point``, and whether it
+    passes its own checks and Ore2 at its own exponent, where the value is its J.
+    An ordinate above the cap fails Ore2 there (see ``_memo``), so its bit is
+    never set.  Per bit only the cross terms are decided: t's Bounding at p^S
+    and the candidate's Bounding at p^s.  Consistency needs no test of its own:
+    when both bound one coefficient b, t's Bounding at p^S reads the bound of b
+    at the candidate's exponent and value, which is the candidate's own depth,
+    and the other way round, so unequal depths fail one of the two.
+    """
+    cap, _, _, records = ctx.memo.get(n) or _memo(ctx, n)
+    p, e = ctx.base.p, ctx.base.e
+    s, x_t, J_t = t
+    for r in {s, S} - records.keys():
+        x = p**r
+        table = records[r] = []
+        for J in range(cap + 1):
+            found, b, own = _point(p, e, n, r, J)
+            table.append((b, own, not found and digit_bound(p, e, n, n, x, J, 1, False) <= 0))
+    if J_t > cap:
+        return 0
+    b_t, own_t, ok_t = records[s][J_t]
+    if not ok_t:
+        return 0
+    x = p**S
+    table = records[S]
+    out = 0
+    for J in range(min(mask.bit_length(), cap + 1)):
+        if not mask >> J & 1:
+            continue
+        b, own, ok = table[J]
+        if not ok:
+            continue
+        if own_t is not None and x <= b_t and own_t < digit_bound(p, e, n, b_t, x, J, 1, False):
+            continue
+        if own is not None and x_t <= b and own < digit_bound(p, e, n, b, x_t, J_t, 1, False):
+            continue
+        out |= 1 << J
+    return out
 
 
 def _same_prime(ctx: BinomialContext, P: RamPolygon | FinePolygon) -> None:
@@ -255,7 +311,7 @@ def _same_prime(ctx: BinomialContext, P: RamPolygon | FinePolygon) -> None:
 def is_valid_ram(ctx: BinomialContext, P: RamPolygon) -> ValidityReport:
     """Full validity of a ramification polygon, every violation named."""
     _same_prime(ctx, P)
-    cap, w, memo = _memo(ctx, P.n)
+    cap, w, memo, _ = _memo(ctx, P.n)
     wild = P.wild_vertices()
     # J0 is the largest ordinate; above the cap the key is not unique
     if P.J0 <= cap and _hull_key(w, wild) in memo:

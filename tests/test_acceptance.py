@@ -52,7 +52,7 @@ def test_criterion_1_degree_16_count(ctx_q2):
     )
     elapsed = time.perf_counter() - started
     assert fine_count == 447
-    assert 1602 / 2 <= stats.branches_visited <= 1602 * 2
+    assert stats.branches_visited == 1602 and len(hulls) == 340
     assert elapsed < 10.0
     print(
         f"criterion 1: PASS - degree 16 over Q_2: 447 polygons "
@@ -69,7 +69,7 @@ def test_criterion_2_degree_32_count(ctx_q2):
     )
     elapsed = time.perf_counter() - started
     assert fine_count == 6849
-    assert 29730 / 2 <= stats.branches_visited <= 29730 * 2
+    assert stats.branches_visited == 29730 and len(hulls) == 4948
     assert elapsed < 120.0
     print(
         f"criterion 2: PASS - degree 32 over Q_2: 6849 polygons "

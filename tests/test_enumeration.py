@@ -23,6 +23,7 @@ from ramify.validity import (
     is_valid_ram,
     is_valid_with_unif,
 )
+from reference import weak_violations
 
 
 def test_degree_two_over_q2(ctx_q2):
@@ -152,15 +153,17 @@ def test_a_cleared_context_enumerates_as_a_fresh_one():
 
 @pytest.mark.parametrize("spec, n", [((2, 1, 1, 1), 16), ((3, 1, 1, 1), 27), ((2, 1, 2, 1), 8)])
 def test_hull_search_is_called_only_for_candidates_that_pass(monkeypatch, spec, n):
-    # the candidate masks leave no child for weak_ram_ok to reject: only a
-    # root, which gets the whole weak check, may fail, and every pass is a
-    # visited branch
+    # the search enters each branch through one weak_ram_ok call; a child's
+    # call checks nothing (its candidate masks decided every pair it adds),
+    # so the reference engine judges each entered branch: only a root, which
+    # gets the whole weak check, may fail, and every pass is a visited branch
     ctx = BinomialContext(make_field(*spec))
     real = validity.weak_ram_ok
     tally = {True: 0, False: 0}
 
     def counted(ctx_, n_, positions, new=None):
         ok = real(ctx_, n_, positions, new)
+        assert ok == (not weak_violations(ctx_, n_, positions)), positions
         assert ok or new is None, positions
         tally[ok] += 1
         return ok

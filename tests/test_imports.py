@@ -70,11 +70,16 @@ def _callers(name):
 
 
 def test_every_verdict_reaches_the_engine_through_violations():
-    # one route to every validity verdict and report: in the package only
-    # ``validity.violations`` names the closed-form kernel's pair and piece
-    # checks, and only to call them; they alone call its point check
+    # one route to every validity report and to every verdict but the hull
+    # search's candidate columns: in the package only ``validity.violations``
+    # names the closed-form kernel's pair and piece checks, and only to call
+    # them; they and the column check, which tables each point's own record,
+    # alone call its point check, and only the hull search calls the column
     assert _callers("_pair") == _callers("_piece") == {("validity", "violations")}
-    assert _callers("_point") == {("validity", "_pair"), ("validity", "_piece")}
+    assert _callers("_point") == {
+        ("validity", "_pair"), ("validity", "_piece"), ("validity", "passing_column")
+    }
+    assert _callers("passing_column") == {("enumeration", "search")}
 
 
 def test_only_the_polygon_plan_computes_a_binomial_residue():

@@ -10,6 +10,9 @@ coefficient; these change only where y - i is a multiple of n.  So the pieces
 compared, for every point t and every exponent s other than its own, take y at
 each such step in [0, cap] and at one value strictly between each two
 consecutive ones, in both forms: every answer a piece can give over [0, cap].
+The hull search's column check, the candidates J at an exponent S whose pair
+with a point t passes, is compared over every J <= cap at once, for every t and
+every S other than its exponent.
 """
 
 import pytest
@@ -82,3 +85,28 @@ def test_every_piece_below_the_cap_is_the_engine_verdict(spec, n):
                     seen.update(found)
     # every condition a piece checks is met failing
     assert {validity.Violation.ORE2, validity.Violation.BOUNDING} <= seen
+
+
+@pytest.mark.parametrize("spec, n", KERNEL_CASES, ids=KERNEL_IDS)
+def test_every_column_below_the_cap_is_the_engine_verdict(spec, n):
+    ctx = BinomialContext(make_field(*spec))
+    _, cap, points = _points(ctx, n)
+    # the engine's column of t at S: bit J set when {t, (S, p^S, J)} passes;
+    # each unordered pair is run once and sets its bit in both columns
+    columns = {}
+    for i, t in enumerate(points):
+        for v in points[i:]:
+            if v[0] != t[0]:
+                ok = not weak_violations(ctx, n, [t, v])
+                columns[t, v[0]] = columns.get((t, v[0]), 0) | ok << v[2]
+                columns[v, t[0]] = columns.get((v, t[0]), 0) | ok << t[2]
+    # every ordinate <= cap, one above it (never set), and every other one
+    every, alternate = (4 << cap) - 1, sum(1 << J for J in range(0, cap + 2, 2))
+    tally = {True: 0, False: 0}
+    for (t, S), expected in columns.items():
+        assert validity.passing_column(ctx, n, t, S, every) == expected, (t, S)
+        assert validity.passing_column(ctx, n, t, S, alternate) == expected & alternate, (t, S)
+        passed = bin(expected).count("1")
+        tally[True] += passed
+        tally[False] += cap + 1 - passed
+    assert tally[True] and tally[False]

@@ -283,7 +283,7 @@ def test_every_memoised_verdict_is_the_engine_verdict_of_its_key(p, f, e, gamma,
         for P in enumerate_ram_polygons(ctx, n)[0]:
             enumerate_fine_polygons(ctx, P)
         enumerate_ram_polygons(ctx, n, prune=False)
-        _, w, answers = validity._memo(ctx, n)
+        _, w, answers, _ = validity._memo(ctx, n)
         for key, found in answers.items():
             kind, body = key & 3, key >> 2
             kinds[kind] += 1

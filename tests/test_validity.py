@@ -183,7 +183,7 @@ def test_a_report_above_the_ore_bound_leaves_the_memo_as_it_was():
     ctx = BinomialContext(make_field(2, 1, 1, 1))
     report = is_valid_ram(ctx, RamPolygon(2, 8, ((1, 25), (8, 0))))
     assert not report.ok and Violation.ORE2 in report.violations
-    cap, w, answers = ctx.memo[8]
+    cap, w, answers, _ = ctx.memo[8]
     fresh = BinomialContext(make_field(2, 1, 1, 1))
     for prune in (True, False):
         assert enumerate_ram_polygons(ctx, 8, prune=prune) == enumerate_ram_polygons(
