@@ -54,11 +54,10 @@ class BinomialContext:
 
     @cached_property
     def memo(self) -> dict:
-        """Validity answers by degree (see ``validity``), made on first use; reuse is safe.
-        Each check keeps a shared violation tuple, one object per distinct answer, and
-        each degree the points' own records per exponent.  Never trimmed (a Q_2 degree-64
-        hull search leaves 316,784 answers, a 10.5 MB dict): ``ctx.memo.clear()``
-        releases them, the frozen class refuses ``del``."""
+        """Per degree (see ``validity``), made on first use; reuse is safe: the valuation
+        table B[i][s] and the hulls the hull search passed.  Never trimmed (a Q_2
+        degree-64 hull search leaves 328 table entries and 127,251 hulls, 26.5 MB with
+        their keys): ``ctx.memo.clear()`` releases them, the frozen class refuses ``del``."""
         return {}
 
 

@@ -34,7 +34,8 @@ from .templates import (
 
 
 # the largest J0 range n*e*v_p(n) enumerate searches: the hull search tree
-# grows fast with it (Q_2 degree 64, 384: about 50 s; degree 128, 896: no end)
+# grows fast with it (Q_2 degree 64, 384: 35 s at level ram, 73 s at level fine,
+# most of it the JSON, on one 2-vCPU core; degree 128, 896: no end)
 MAX_J0_RANGE = 512
 # the most leading-pair combinations a selftest case may decorate and check:
 # (p-1)*(1+depth*(p-1))^(n-1) (2:19:1, 2^18: 6.4-8.6 s, 67 MB, 2 vCPUs)

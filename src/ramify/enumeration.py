@@ -28,6 +28,7 @@ from .polygons import (
     FinePolygonWithResidues,
     InvariantWithUnif,
     RamPolygon,
+    least_ordinates,
     polygon_plan,
     tame_zeros,
 )
@@ -92,9 +93,9 @@ def enumerate_ram_polygons(
     child adds, with the prefix and with (p^m, 0), its own checks among
     them, so its ``weak_ram_ok`` call names no new exponent and checks
     nothing; every visited branch still passes one such call, so its pass
-    count is ``branches_visited``.  A leaf's verdict is ``violations`` with
-    the ceil pieces (kind 1), which keeps a pass in the memo for
-    ``is_valid_ram``, the fine search's guard.  Only a leaf that passes
+    count is ``branches_visited``.  A leaf's verdict is ``violations`` of
+    kind 1, the hull form at its absent p-powers, which keeps a pass in the
+    memo for ``is_valid_ram``, the fine search's guard.  Only a leaf that passes
     becomes a ``RamPolygon``, built without the structural checks: its
     vertices are convex and in place by construction.
     """
@@ -162,8 +163,8 @@ def enumerate_fine_polygons(
     biconditional holds by construction: on [p^m, n] the forced points are
     the tame zeros, (p^m, 0) and (n, 0) among them.  So the root has nothing
     to check, a child checks the pairs its candidate forms, and a leaf its
-    wild points with the strict pieces at the p-powers without a point, both
-    by ``validity.violations``.  A ``FinePolygon``, on the hull ``P``, is
+    wild points with the fine form at the p-powers without a point, both by
+    ``validity.violations``.  A ``FinePolygon``, on the hull ``P``, is
     built only per result, without the structural checks: its points are
     the hull's and sorted by construction.
     """
@@ -172,14 +173,9 @@ def enumerate_fine_polygons(
     p, n = P.p, P.n
     forced = dict(P.vertices) | dict.fromkeys(tame_zeros(p, n), 0)
     wild = P.wild_vertices()
-    # the hull's lattice points at the p-powers strictly between its wild vertices
-    candidates = []
-    for (s_u, x_u, J_u), (s_w, x_w, J_w) in zip(wild, wild[1:]):
-        for s in range(s_u + 1, s_w):
-            x = p**s
-            N, D = J_u * (x_w - x) + J_w * (x - x_u), x_w - x_u
-            if N % D == 0:
-                candidates.append((s, x, N // D))
+    # the hull's lattice points at the p-powers strictly between its wild vertices:
+    # where the hull's value is an integer, its ceiling and its floor plus one differ
+    candidates = [(s, x, J) for s, x, J, excluded in least_ordinates(p, wild) if J != excluded]
 
     out: list[FinePolygon] = []
     stats = EnumStats()

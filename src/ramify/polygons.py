@@ -21,7 +21,10 @@ every point on the lower hull (vertices are its strictly convex turns, one
 turn test for every caller), and :func:`tame_zeros` gives the (j, 0) points.
 So does the residue relation: :func:`polygon_plan` gives each point's part of
 it once per polygon, to the analyzer, the validity tests, the searches and the
-templates alike.
+templates alike.  And so does the polygon's value at an absent p-power, read
+only as the least ordinate a point there may take (:func:`least_ordinates`):
+by the validity checks, the templates' depth bounds, the point records and the
+fine search's lattice candidates.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .binomials import B, BinomialContext, beta, vp, vp_binomial
 from .residue_field import BaseField, FqElement
@@ -95,16 +98,6 @@ def decompose(J: int, n: int) -> tuple[int, int]:
     return (J - b) // n, b
 
 
-def _piecewise_ratio(vertices: Sequence[tuple[int, int]], j: int) -> tuple[int, int]:
-    """The polygon's value at j as an exact fraction N / D with D > 0, not reduced."""
-    for (x1, y1), (x2, y2) in zip(vertices, vertices[1:]):
-        if x1 <= j <= x2:
-            return y1 * (x2 - j) + y2 * (j - x1), x2 - x1
-    if j == vertices[0][0]:
-        return vertices[0][1], 1
-    raise ValueError(f"abscissa {j} outside polygon range")
-
-
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` with ``fields`` and no ``__post_init__``."""
     obj = object.__new__(cls)
@@ -164,18 +157,13 @@ class RamPolygon:
         return self.vertices[0][1]
 
     def value_at(self, j: int) -> Fraction:
+        """The polygon's exact value at the abscissa j."""
         if not 1 <= j <= self.n:
             raise ValueError(f"abscissa {j} outside [1, {self.n}]")
-        return Fraction(*_piecewise_ratio(self.vertices, j))
-
-    def p_power_values(self) -> dict[int, tuple[int, int]]:
-        """{s: (N, D)} with value N / D at p^s, for every p^s <= n."""
-        values = {}
-        s, x = 0, 1
-        while x <= self.n:
-            values[s] = _piecewise_ratio(self.vertices, x)
-            s, x = s + 1, x * self.p
-        return values
+        for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:]):
+            if x1 <= j <= x2:
+                return Fraction(y1 * (x2 - j) + y2 * (j - x1), x2 - x1)
+        return Fraction(self.vertices[0][1])  # the one-vertex polygon of degree 1
 
     def wild_vertices(self) -> list[tuple[int, int, int]]:
         """(s, p^s, J) for each vertex at a p-power abscissa <= p^(v_p(n))."""
@@ -306,48 +294,27 @@ def polygon_plan(base: BaseField, n: int, points: tuple) -> tuple[FinePolygon, t
 
 
 # ---------------------------------------------------------------------------
-# the digit-depth bound functions
+# the least ordinate at an absent p-power
 
 
-def depth_bound(
-    ctx: BinomialContext,
-    n: int,
-    values: Mapping[int, tuple[int, int]],
-    excluded: Container[int] = (),
-) -> Callable[[int, int], int]:
-    """The digit-depth bound ell(i, s), for p^s <= i <= n, in integers.
+def least_ordinates(p: int, positions: Sequence[tuple[int, int, int]]
+                    ) -> list[tuple[int, int, int, int]]:
+    """(s, p^s, ceil(V), floor(V) + 1) at each exponent s strictly between two
+    consecutive points (s, p^s, J), V the segment's value at p^s.
 
-    ``values`` maps each exponent s consulted to the polygon's value at p^s
-    as a fraction N / D with D > 0, taken once per polygon.  The bound is
-    ceil((N/D - i) / n) - B(i, p^s) + 1 = -((i*D - N) // (n*D)) - B + 1, or,
-    for s in ``excluded`` (p^s carries no point), the strict-exclusion form
-    floor((N/D - i) / n) - B(i, p^s) + 2 = (N - i*D) // (n*D) - B + 2.
+    They are the least ordinate a point at p^s may take on a hull, where the
+    position is open, and on a fine polygon, where it is excluded; they differ
+    exactly where V is an integer.  The depth bounds, the validity checks, the
+    point records and the fine search read a polygon's value at a p-power only so.
     """
-    p, e = ctx.base.p, ctx.base.e
-
-    def ell(i: int, s: int) -> int:
-        x = p**s
-        if not x <= i <= n:
-            raise ValueError(f"need p^s <= i <= n, got p^s={x}, i={i}")
-        return digit_bound(p, e, n, i, x, *values[s], s in excluded)
-
-    return ell
-
-
-def digit_bound(p: int, e: int, n: int, i: int, x: int, N: int, D: int, strict: bool) -> int:
-    """The one formula of ``depth_bound``: ell(i, s) at x = p^s, the value there N / D."""
-    B_ix = e * vp_binomial(p, i, x)
-    if strict:
-        return (N - i * D) // (n * D) - B_ix + 2
-    return -((i * D - N) // (n * D)) - B_ix + 1
-
-
-def fine_depth_bound(ctx: BinomialContext, Pstar: FinePolygon) -> Callable[[int, int], int]:
-    """``depth_bound`` of the hull, excluding the p-powers without a point."""
-    values = Pstar.hull.p_power_values()
-    attained = {x for x, _ in Pstar.points}
-    excluded = {s for s in values if Pstar.p**s not in attained}
-    return depth_bound(ctx, Pstar.n, values, excluded)
+    out = []
+    for (s_u, x_u, J_u), (s_w, x_w, J_w) in zip(positions, positions[1:]):
+        D = x_w - x_u
+        for s in range(s_u + 1, s_w):
+            x = p**s
+            N = J_u * (x_w - x) + J_w * (x - x_u)
+            out.append((s, x, -(-N // D), N // D + 1))
+    return out
 
 
 # ---------------------------------------------------------------------------

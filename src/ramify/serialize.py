@@ -15,7 +15,13 @@ from typing import Any
 
 from .analyzer import EisensteinData, NotEisensteinError
 from .binomials import vp
-from .polygons import FinePolygon, FinePolygonWithResidues, InvariantWithUnif, RamPolygon
+from .polygons import (
+    FinePolygon,
+    FinePolygonWithResidues,
+    InvariantWithUnif,
+    RamPolygon,
+    least_ordinates,
+)
 from .residue_field import BaseField, make_field
 from .templates import Template
 
@@ -47,15 +53,15 @@ def _point_specs(points, hull: RamPolygon, rel: str, residues=()) -> list[dict[s
     """
     attained = dict(points)
     rho_at = {x: str(rho) for x, rho in zip(attained, residues)}
-    positions = [hull.p**s for s in range(vp(hull.p, hull.n) + 1)]
-    positions += [x for x in attained if x > positions[-1]]
-    values = hull.p_power_values()
+    p, top = hull.p, hull.p ** vp(hull.p, hull.n)
+    wild = [(vp(p, x), x, J) for x, J in points if x <= top]
+    # ">=" ceil(V) where the position is open, ">" floor(V) where it is excluded
+    bounds = {x: (up if rel == ">=" else excluded - 1)
+              for _, x, up, excluded in least_ordinates(p, wild)}
     records = []
-    # only p-power positions can lack a point, so s is their exponent where read
-    for s, x in enumerate(positions):
-        if x not in attained:
-            N, D = values[s]
-            records.append({"x": x, "J": N // D if rel == ">" else -(-N // D), "rel": rel})
+    for x in sorted(attained.keys() | bounds.keys()):
+        if x in bounds:
+            records.append({"x": x, "J": bounds[x], "rel": rel})
             continue
         record = {"x": x, "J": attained[x], "rel": "="}
         if x in rho_at:

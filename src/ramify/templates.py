@@ -37,12 +37,11 @@ from .polygons import (
     FinePolygonWithResidues,
     InvariantWithUnif,
     RamPolygon,
-    depth_bound,
-    fine_depth_bound,
+    least_ordinates,
     polygon_plan,
 )
 from .residue_field import AdditiveMap, BaseField, Fq, FqElement, additive_coset_representatives
-from .validity import is_valid_fine, is_valid_ram, is_valid_with_unif
+from .validity import is_valid_fine, is_valid_ram, is_valid_with_unif, valuation_table
 
 # An enumeration yields one polygon's invariants in a row, so this bound only
 # caps memory.  Full (tracemalloc): 14 MiB of Q_2 degree-32 fine templates.
@@ -100,19 +99,21 @@ def eisenstein_template(ctx: BinomialContext, n: int) -> Template:
     return Template(ctx.base, n, slots, None)
 
 
-def _apply_depth_bounds(ctx, n, ell, steps) -> Template:
+def _apply_depth_bounds(ctx, n, ordinates, steps) -> Template:
     """The Eisenstein template with digits below the bound zeroed and forced first digits pinned.
 
-    ``ell(i, s)`` is the depth bound; each of the polygon plan's ``steps`` with
-    b < n forces the first digit of coefficient b, at depth -k - B(b, x), to be a unit.
+    ``ordinates`` holds (s, p^s, L) at every exponent s <= v_p(n), the polygon's
+    least ordinate at p^s: coefficient i >= p^s is bounded to depth
+    ceil((L - i) / n) + 1 - B[i][s] there.  Each of the polygon plan's ``steps``
+    with b < n forces the first digit of coefficient b, at depth -k - B(b, x), to be a unit.
     """
-    p = ctx.base.p
+    table = valuation_table(ctx, n)
     fq = ctx.base.fq
     zero_set = frozenset({fq.zero})
     lower = {}
-    for s in range(vp(p, n) + 1):
-        for i in range(p**s, n):
-            bound = ell(i, s)
+    for s, x, L in ordinates:
+        for i in range(x, n):
+            bound = 1 - (i - L) // n - table[i][s]
             if bound > lower.get(i, 1):
                 lower[i] = bound
     updates: dict[tuple[int, int], frozenset[FqElement]] = {}
@@ -131,8 +132,9 @@ def template_for_polygon(ctx: BinomialContext, P: RamPolygon) -> Template:
     """The template of exactly the Eisenstein polynomials with polygon ``P``."""
     if not is_valid_ram(ctx, P).ok:
         raise ValueError("template requires a valid polygon")
-    ell = depth_bound(ctx, P.n, P.p_power_values())
-    return _apply_depth_bounds(ctx, P.n, ell, polygon_plan(ctx.base, P.n, P.vertices)[1])
+    wild = P.wild_vertices()
+    ordinates = wild + [(s, x, L) for s, x, L, _ in least_ordinates(P.p, wild)]
+    return _apply_depth_bounds(ctx, P.n, ordinates, polygon_plan(ctx.base, P.n, P.vertices)[1])
 
 
 @lru_cache(maxsize=FINE_POLYGONS)
@@ -142,7 +144,9 @@ def _fine_plan(base: BaseField, Pstar: FinePolygon) -> tuple[Template, tuple]:
     if not is_valid_fine(ctx, Pstar).ok:
         raise ValueError("template requires a valid fine polygon")
     steps = polygon_plan(base, Pstar.n, Pstar.points)[1]
-    return _apply_depth_bounds(ctx, Pstar.n, fine_depth_bound(ctx, Pstar), steps), steps
+    wild = Pstar.wild_points()
+    ordinates = wild + [(s, x, L) for s, x, _, L in least_ordinates(Pstar.p, wild)]
+    return _apply_depth_bounds(ctx, Pstar.n, ordinates, steps), steps
 
 
 def template_for_fine(ctx: BinomialContext, Pstar: FinePolygon) -> Template:

@@ -12,39 +12,23 @@ Weak validity quantifies the same conditions only over the exponents of
 positions actually present; it is preserved when points are removed, which
 is what makes branch-and-prune enumeration sound.  Each condition involves
 one or two positions (BRange, Ore1 / Ore3 and Ore2 one, Bounding and
-Consistency two), and the depth bound at a present exponent reads only
-that position's J, so weak validity of a set is the conjunction of the
-weak validity of its pairs.  A set that passed stays valid after adding a
-point v exactly when every pair {t, v} passes.
+Consistency two), so weak validity of a set is the conjunction of the weak
+validity of its pairs, and a set that passed stays valid after adding a
+point v exactly when every pair {t, v} passes.  Full validity adds, at each
+absent exponent s, Ore2 there and each point's Bounding there.
 
-Full validity splits the same way at the leaves of a search: weak validity
-plus, at each absent exponent s, one piece per present point t (Ore2 at s
-and the Bounding of t at s), which depends on t, s, the segment (u, w) of
-consecutive present points enclosing s, and the form of the bound there:
-ceil for a hull, strict exclusion for a fine polygon, whose present points
-lie on its hull; a set's violations are the union of its pairs' and pieces'.
-So ``violations`` is the one route to every report and to every verdict but
-the hull search's candidate columns: it reads each pair and piece from
-``BinomialContext.memo``, one shared violation tuple per check, and runs the
-kernel only for a check not yet decided.  The searches call it,
-``weak_ram_ok`` is its weak verdict, and every ``is_valid_*`` report its
-``every`` form.  The fine search places ``polygons.tame_zeros`` itself, so
-only the fine reports check the tame biconditional (``tame_ok``).
-
-The kernel decides a check in closed form, in integers, from the one bound
-formula ``polygons.digit_bound``.  A point's own checks (``_point``) read the
-bound at its own value J; a pair adds, at each point's exponent, Ore2 and the
-other point's Bounding (``_at``), and Consistency; a piece adds Ore2 and the
-point's Bounding at the absent exponent, under the segment's value.  A hull
-that passes whole is kept too, so ``is_valid_ram`` answers a hull the search
-passed with one lookup.
-
-The hull search asks for verdicts only: which candidates J at an exponent S
-pair with a vertex t.  ``passing_column`` answers that for a whole bitmask of
-them in one pass.  A point's own checks and its Ore2 at its own exponent
-depend on (s, J) alone, so they are a table per exponent in the degree's memo
-entry; per bit it tests only each point's Bounding at the other's exponent,
-which implies Consistency.  A column writes no pair to the memo.
+Every condition reads the bound at coefficient i and exponent s only
+through one integer per p-power, the polygon's least ordinate L there (a
+point's own J, or ``polygons.least_ordinates`` at an absent p-power: ceil
+of the value on a hull, its floor plus one on a fine polygon):
+ell(i, s) = ceil((L - i) / n) + 1 - B[i][s], B[i][s] = e * v_p(binomial(i,
+p^s)) from the degree's ``valuation_table``.  With J = a*n + b, 1 <= b <= n,
+a point's own depth is a + 1 - B[b][s] and its Ore quantity a + 1 - B[n][s].
+So ``violations`` decides each check in closed form, in integers, for any
+ordinate, and is the one route to every report; ``passing_column`` decides
+the hull search's candidate columns from the same formulas.  The degree's
+memo entry holds the table and the hulls the hull search passed, which
+``is_valid_ram`` answers with one lookup: the fine search's guard.
 """
 
 from __future__ import annotations
@@ -52,17 +36,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
-from .binomials import BinomialContext, vp
+from .binomials import BinomialContext, vp, vp_factorial
 from .polygons import (
     FinePolygon,
     FinePolygonWithResidues,
     InvariantWithUnif,
     RamPolygon,
-    decompose,
-    digit_bound,
+    least_ordinates,
     polygon_plan,
     tame_zeros,
 )
@@ -70,8 +52,6 @@ from .residue_field import FqElement, solve_power_system
 
 
 class Violation(Enum):
-    __hash__ = object.__hash__  # members are singletons: an identity hash, at C speed
-
     BRANGE = "BRange"
     ORE1 = "Ore1"
     ORE2 = "Ore2"
@@ -90,162 +70,100 @@ class ValidityReport:
 
     @classmethod
     def from_violations(cls, violations: Iterable[Violation]) -> "ValidityReport":
-        found = _shared(frozenset(violations))
-        return cls(ok=not found, violations=found)
+        found = list(violations)  # tested by identity: an Enum member hashes in Python
+        return cls(ok=not found, violations=tuple(v for v in Violation if v in found))
 
 
 class ResidueForcedError(ValueError):
     """A horizontal-face residue differs from the forced binomial residue."""
 
 
-def _point(p: int, e: int, n: int, s: int, J: int) -> tuple[list[Violation], int, int | None]:
-    """The checks of the point (p^s, J) at its own value J: (violations, b, own).
-
-    J = a*n + b.  BRange when p^s > b; for b = n, Ore1 unless ell(n, s) = 0;
-    for p^s <= b < n, own = ell(b, s), the depth the point bounds coefficient
-    b to, and Ore3 when own < 1 (own is None otherwise).
-    """
-    x = p**s
-    b = decompose(J, n)[1]
-    found = [Violation.BRANGE] if x > b else []
-    own = None
-    if b == n:
-        if digit_bound(p, e, n, n, x, J, 1, False):
-            found.append(Violation.ORE1)
-    elif x <= b:
-        own = digit_bound(p, e, n, b, x, J, 1, False)
-        if own < 1:
-            found.append(Violation.ORE3)
-    return found, b, own
+def _entry(ctx: BinomialContext, n: int) -> tuple[list[list[int]], set]:
+    """The memo entry of degree n: (``valuation_table``, the hulls the hull search passed)."""
+    entry = ctx.memo.get(n)
+    if entry is None:
+        p, e = ctx.base.p, ctx.base.e
+        powers = [p**s for s in range(vp(p, n) + 1)]
+        table = [[e * (vp_factorial(p, i) - vp_factorial(p, x) - vp_factorial(p, i - x))
+                  for x in powers if x <= i] for i in range(n + 1)]
+        entry = ctx.memo[n] = (table, set())
+    return entry
 
 
-def _at(p: int, e: int, n: int, b: int, own: int | None, x: int, N: int, D: int,
-        strict: bool) -> list[Violation]:
-    """Ore2 at x = p^s, the polygon's value there N / D, and the Bounding there
-    of a point bounding coefficient b to depth ``own``."""
-    found = [Violation.ORE2] if digit_bound(p, e, n, n, x, N, D, strict) > 0 else []
-    if own is not None and x <= b and own < digit_bound(p, e, n, b, x, N, D, strict):
-        found.append(Violation.BOUNDING)
-    return found
+def valuation_table(ctx: BinomialContext, n: int) -> list[list[int]]:
+    """B[i][s] = e * v_p(binomial(i, p^s)) for i <= n and p^s <= i, s <= v_p(n), once per degree."""
+    return _entry(ctx, n)[0]
 
 
-def _pair(ctx: BinomialContext, n: int, t, v) -> tuple[Violation, ...]:
-    """The violations of the points t, v = (s, p^s, J), t = v for v alone.
-
-    Each point's own checks, then Ore2 and the other's Bounding at each one's
-    exponent, where the value is its J (a point's Bounding at its own value
-    holds), and Consistency when both bound one coefficient to different depths.
-    """
-    p, e = ctx.base.p, ctx.base.e
-    found_t, b_t, own_t = _point(p, e, n, t[0], t[2])
-    found_v, b_v, own_v = _point(p, e, n, v[0], v[2])
-    found = found_t + found_v + _at(p, e, n, b_t, own_t, v[1], v[2], 1, False)
-    found += _at(p, e, n, b_v, own_v, t[1], t[2], 1, False)
-    if own_t is not None and own_v is not None and b_t == b_v and own_t != own_v:
-        found.append(Violation.CONSISTENCY)
-    return _shared(frozenset(found))
-
-
-def _piece(ctx: BinomialContext, n: int, t, s: int, N: int, D: int, strict: bool
-           ) -> tuple[Violation, ...]:
-    """The violations of the point t at an absent exponent s, the value there N / D:
-    t's own checks, then Ore2 and t's Bounding at s, in the ceil or strict form."""
-    p, e = ctx.base.p, ctx.base.e
-    found, b, own = _point(p, e, n, t[0], t[2])
-    return _shared(frozenset(found + _at(p, e, n, b, own, p**s, N, D, strict)))
-
-
-def _memo(ctx: BinomialContext, n: int) -> tuple[int, int, dict[int, tuple[Violation, ...]],
-                                                  dict[int, list]]:
-    """(cap, w, answers, records) of degree n: keys pack parts <= cap = n * v(n) in w bits each.
-
-    The low 2 bits are the kind: 0 a pair, 1 a ceil piece, 2 a strict piece,
-    3 a passing hull, its wild vertices (s, J) packed in order after a 1 bit.
-    An ordinate J > cap fails Ore2 at its own exponent s (the bound is
-    ceil(J / n) - e * (v_p(n) - s) > 0), so no key holds one.  ``records``
-    maps an exponent s to the own record of each point (p^s, J), J <= cap,
-    that ``passing_column`` reads.
-    """
-    memo = ctx.memo.get(n)
-    if memo is None:
-        cap = n * ctx.base.e * vp(ctx.base.p, n)
-        memo = ctx.memo[n] = (cap, max(cap, 1).bit_length(), {}, {})
-    return memo
-
-
-def _hull_key(w: int, positions) -> int:
-    """The key of a passing hull through the points (s, p^s, J), every J <= cap (kind 3)."""
-    key = 1
-    for s, _, J in positions:
-        key = (key << w | s) << w | J
-    return key << 2 | 3
-
-
-@lru_cache(maxsize=None)
-def _shared(found: frozenset[Violation]) -> tuple[Violation, ...]:
-    """The violations in ``found`` in declaration order: one tuple object per answer."""
-    return tuple(v for v in Violation if v in found)
+def _found(table: list[list[int]], n: int, p: int, positions, new, kind: int
+           ) -> Iterator[Violation]:
+    """The violations of ``violations``, one per failing check, in no fixed order."""
+    top = table[n]
+    points = []  # (s, x, J, b, own): own is the depth coefficient b is bounded to, where it binds
+    for s, x, J in positions:
+        a, b = divmod(J - 1, n)
+        b += 1
+        own = a + 1 - table[b][s] if x <= b < n else None
+        points.append((s, x, J, b, own))
+        if new is None or s in new:
+            ore = a + 1 - top[s]  # ell(n, s) at J, as a + 1 = ceil(J / n)
+            if x > b:
+                yield Violation.BRANGE
+            if b == n and ore:
+                yield Violation.ORE1
+            if own is not None and own < 1:
+                yield Violation.ORE3
+            if ore > 0:
+                yield Violation.ORE2
+    for i, t in enumerate(points if new is None or new else ()):
+        for v in points[i + 1:]:
+            if new is not None and t[0] not in new and v[0] not in new:
+                continue
+            for (s, x, J, _, _), (_, _, _, b, own) in ((t, v), (v, t)):
+                if own is not None and x <= b and own < 1 - (b - J) // n - table[b][s]:
+                    yield Violation.BOUNDING
+            if t[4] is not None and v[4] is not None and t[3] == v[3] and t[4] != v[4]:
+                yield Violation.CONSISTENCY
+    for r, x, *forms in least_ordinates(p, positions) if kind else ():
+        L = forms[kind - 1]  # the hull's (1) or the fine polygon's (2) least ordinate
+        if -(-L // n) > top[r]:
+            yield Violation.ORE2
+        for _, _, _, b, own in points:
+            if own is not None and x <= b and own < 1 - (b - L) // n - table[b][r]:
+                yield Violation.BOUNDING
 
 
 def violations(
     ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None,
     kind: int = 0, every: bool = False,
 ) -> tuple[Violation, ...]:
-    """The violations of the points (s, p^s, J) ``positions``, from memoised pairs and pieces.
+    """The violations of the points (s, p^s, J) ``positions``, in closed form.
 
-    Kind 0 is weak validity: the pair {t, v} for every v of exponent in ``new``
-    (all when None, each unordered pair then once; the rest is known to pass)
-    and every t, t = v checking v alone.  Kinds 1 and 2 are full validity of the
-    polygon through the points, in increasing s from 0 to v_p(n) and each on
-    the lower hull of them all: the pairs, then for s strictly between
-    consecutive points u and w and each point t, the piece of t at s alone,
-    with the value of the segment (u, w) at p^s, in the ceil (1) or
-    strict-exclusion (2) form.  A hull (kind 1) that passes is kept whole,
-    which ``is_valid_ram`` reads before any pair or piece.  Returns () when
-    all pass, else the first failing check's violations, or with ``every`` all.
+    Kind 0 is weak validity, the checks a point of exponent in ``new`` takes
+    part in (every point when None; the rest is known to pass): its own checks
+    and Ore2 at its exponent, and with each other point each one's Bounding at
+    the other's exponent and Consistency.  With ``new`` empty it checks
+    nothing.  Kinds 1 and 2 are full validity of the polygon through the
+    points, in increasing s from 0 to v_p(n) and each on the lower hull of
+    them all: they add, at each absent exponent, Ore2 and each point's
+    Bounding at the least ordinate there, in the hull (1) or fine (2) form.
+    A hull (kind 1) that passes is kept in the memo, which ``is_valid_ram``
+    reads first.  Returns () when all pass, else the first violation found, or
+    with ``every`` all of them in declaration order.
     """
-    cap, w, memo, _ = ctx.memo.get(n) or _memo(ctx, n)
-    out: tuple[Violation, ...] = ()
-    # with ``new`` empty every pair is known to pass
-    for i, v in enumerate(positions if new is None or new else ()):
-        if new is None or v[0] in new:
-            b = v[0] << w | v[2]
-            wide = v[2] > cap
-            for t in positions[i:] if new is None else positions:
-                a = t[0] << w | t[2]
-                key = (a << 2 * w | b if a <= b else b << 2 * w | a) << 2
-                # no key holds an ordinate above the cap (see _memo)
-                store = {} if wide or t[2] > cap else memo
-                found = store.get(key)
-                if found is None:
-                    found = store[key] = _pair(ctx, n, t, v)
-                if found:
-                    if not every:
-                        return found
-                    out += found
-    if kind:
-        p = ctx.base.p
-        for (s_u, x_u, J_u), (s_w, x_w, J_w) in zip(positions, positions[1:]):
-            segment = ((s_u << w | J_u) << w | s_w) << w | J_w
-            for s in range(s_u + 1, s_w):
-                for t in positions:
-                    key = ((((t[0] << w | t[2]) << w | s) << 4 * w | segment) << 2) | kind
-                    store = {} if out else memo  # a failing report may hold such an ordinate
-                    found = store.get(key)
-                    if found is None:
-                        x = p**s
-                        N = J_u * (x_w - x) + J_w * (x - x_u)
-                        found = store[key] = _piece(ctx, n, t, s, N, x_w - x_u, kind == 2)
-                    if found:
-                        if not every:
-                            return found
-                        out += found
-    if out:
-        return _shared(frozenset(out))
-    if kind == 1:
-        # each point passed Ore2 at its own exponent, so J <= cap
-        memo[_hull_key(w, positions)] = ()
-    return ()
+    if not (kind or new is None or new):
+        return ()  # no pair is new and no absent p-power asked for: nothing to check
+    table, passed = _entry(ctx, n)
+    found = _found(table, n, ctx.base.p, positions, new, kind)
+    if every:
+        found = list(found)
+        out = tuple(v for v in Violation if v in found)
+    else:
+        first = next(found, None)
+        out = () if first is None else (first,)
+    if kind == 1 and not out:
+        passed.add(tuple(positions))
+    return out
 
 
 def weak_ram_ok(
@@ -259,51 +177,46 @@ def weak_ram_ok(
 def passing_column(ctx: BinomialContext, n: int, t, S: int, mask: int) -> int:
     """The bits J of ``mask`` whose pair {t, (S, p^S, J)} passes, t = (s, p^s, J_t).
 
-    The verdict of ``_pair``, in one pass over the bits.  Each point's own
-    record, (b, own, ok), is read from the table of its exponent, built once per
-    degree and exponent: b and the depth ``own`` of ``_point``, and whether it
-    passes its own checks and Ore2 at its own exponent, where the value is its J.
-    An ordinate above the cap fails Ore2 there (see ``_memo``), so its bit is
-    never set.  Per bit only the cross terms are decided: t's Bounding at p^S
-    and the candidate's Bounding at p^s.  Consistency needs no test of its own:
-    when both bound one coefficient b, t's Bounding at p^S reads the bound of b
-    at the candidate's exponent and value, which is the candidate's own depth,
-    and the other way round, so unequal depths fail one of the two.
+    The verdict of ``violations`` on the pair, in one pass over the bits: t's
+    own checks once, then per bit the candidate's own checks and Ore2 at S,
+    t's Bounding at p^S and the candidate's Bounding at p^s.  Consistency
+    needs no test of its own: when both bound one coefficient b, t's Bounding
+    at p^S reads the bound of b at the candidate's exponent and ordinate,
+    which is the candidate's own depth, and the other way round, so unequal
+    depths fail one of the two.
     """
-    cap, _, _, records = ctx.memo.get(n) or _memo(ctx, n)
-    p, e = ctx.base.p, ctx.base.e
+    table = _entry(ctx, n)[0]
     s, x_t, J_t = t
-    for r in {s, S} - records.keys():
-        x = p**r
-        table = records[r] = []
-        for J in range(cap + 1):
-            found, b, own = _point(p, e, n, r, J)
-            table.append((b, own, not found and digit_bound(p, e, n, n, x, J, 1, False) <= 0))
-    if J_t > cap:
+    if any(_found(table, n, ctx.base.p, [t], None, 0)):
         return 0
-    b_t, own_t, ok_t = records[s][J_t]
-    if not ok_t:
-        return 0
-    x = p**S
-    table = records[S]
+    a_t, b_t = divmod(J_t - 1, n)
+    b_t += 1
+    own_t = a_t + 1 - table[b_t][s] if b_t < n else None
+    x, top = ctx.base.p**S, table[n][S]
     out = 0
-    for J in range(min(mask.bit_length(), cap + 1)):
-        if not mask >> J & 1:
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        J = bit.bit_length() - 1
+        a, b = divmod(J - 1, n)
+        b += 1
+        if x > b or a + 1 > top:
             continue
-        b, own, ok = table[J]
-        if not ok:
+        if b < n:
+            own = a + 1 - table[b][S]
+            if own < 1 or x_t <= b and own < 1 - (b - J_t) // n - table[b][s]:
+                continue
+        elif a + 1 != top:
             continue
-        if own_t is not None and x <= b_t and own_t < digit_bound(p, e, n, b_t, x, J, 1, False):
+        if own_t is not None and x <= b_t and own_t < 1 - (b_t - J) // n - table[b_t][S]:
             continue
-        if own is not None and x_t <= b and own < digit_bound(p, e, n, b, x_t, J_t, 1, False):
-            continue
-        out |= 1 << J
+        out |= bit
     return out
 
 
 def _same_prime(ctx: BinomialContext, P: RamPolygon | FinePolygon) -> None:
-    # the memo keys name exponents s, not abscissas, so a polygon over another
-    # prime would read and write the answers of a different one
+    # the table and the kept hulls name exponents s, not abscissas, so a polygon
+    # over another prime would read the answers of a different one
     if P.p != ctx.base.p:
         raise ValueError(f"polygon over p = {P.p}, context over p = {ctx.base.p}")
 
@@ -311,11 +224,9 @@ def _same_prime(ctx: BinomialContext, P: RamPolygon | FinePolygon) -> None:
 def is_valid_ram(ctx: BinomialContext, P: RamPolygon) -> ValidityReport:
     """Full validity of a ramification polygon, every violation named."""
     _same_prime(ctx, P)
-    cap, w, memo, _ = _memo(ctx, P.n)
     wild = P.wild_vertices()
-    # J0 is the largest ordinate; above the cap the key is not unique
-    if P.J0 <= cap and _hull_key(w, wild) in memo:
-        return ValidityReport.from_violations(())
+    if tuple(wild) in _entry(ctx, P.n)[1]:
+        return ValidityReport(ok=True, violations=())
     return ValidityReport.from_violations(violations(ctx, P.n, wild, kind=1, every=True))
 
 

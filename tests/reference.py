@@ -3,14 +3,16 @@
 The package computes the same things faster: ``polygons.hull_points`` keeps every
 point on the hull, ``analyzer.ramification_of`` evaluates R_j only where a
 point can lie on it, ``templates.reduce_template`` builds an S_m map only
-where two or more points attain C_m, and ``validity`` decides each pair and
-piece in closed form where ``condition_violations`` runs every condition over
-a depth-bound function.  The tests compare against these.
+where two or more points attain C_m, and ``validity`` decides each check in
+closed form over one integer per p-power where ``condition_violations`` runs
+every condition over the rational depth bound ``depth_bound``.  The tests
+compare against these.
 """
 
 from ramify.analyzer import EisensteinData
 from ramify.binomials import B, BinomialContext, vp
-from ramify.polygons import _vertices, decompose, depth_bound, hull_points
+from ramify.binomials import vp_binomial
+from ramify.polygons import _vertices, decompose, hull_points
 from ramify.validity import Violation
 from ramify.residue_field import additive_coset_representatives
 from ramify.templates import compute_Sm
@@ -62,6 +64,56 @@ def reduce_template_reference(ctx, T, inv):
             updates[position] = frozenset(additive_coset_representatives(ctx.base, sm.map, scale))
         m += 1
     return T.with_slots(updates)
+
+
+def p_power_values(P) -> dict[int, tuple[int, int]]:
+    """{s: (N, D)} with the hull ``P``'s value N / D at p^s, D > 0, for every p^s <= n."""
+    values = {}
+    s, x = 0, 1
+    while x <= P.n:
+        for (x1, y1), (x2, y2) in zip(P.vertices, P.vertices[1:]):
+            if x1 <= x <= x2:
+                values[s] = y1 * (x2 - x) + y2 * (x - x1), x2 - x1
+                break
+        else:
+            values[s] = P.vertices[0][1], 1
+        s, x = s + 1, x * P.p
+    return values
+
+
+def digit_bound(p, e, n, i, x, N, D, strict) -> int:
+    """ell(i, s) at x = p^s, the polygon's value there N / D, in the ceil or strict form."""
+    B_ix = e * vp_binomial(p, i, x)
+    if strict:
+        return (N - i * D) // (n * D) - B_ix + 2
+    return -((i * D - N) // (n * D)) - B_ix + 1
+
+
+def depth_bound(ctx, n, values, excluded=()):
+    """The digit-depth bound ell(i, s), for p^s <= i <= n, from the rational values.
+
+    ``values`` maps each exponent s consulted to the polygon's value at p^s
+    as a fraction N / D with D > 0.  The bound is ceil((N/D - i) / n) - B(i, p^s) + 1,
+    or, for s in ``excluded`` (p^s carries no point), the strict-exclusion form
+    floor((N/D - i) / n) - B(i, p^s) + 2.
+    """
+    p, e = ctx.base.p, ctx.base.e
+
+    def ell(i, s):
+        x = p**s
+        if not x <= i <= n:
+            raise ValueError(f"need p^s <= i <= n, got p^s={x}, i={i}")
+        return digit_bound(p, e, n, i, x, *values[s], s in excluded)
+
+    return ell
+
+
+def fine_depth_bound(ctx, Pstar):
+    """``depth_bound`` of the fine polygon's hull, excluding the p-powers without a point."""
+    values = p_power_values(Pstar.hull)
+    attained = {x for x, _ in Pstar.points}
+    excluded = {s for s in values if Pstar.p**s not in attained}
+    return depth_bound(ctx, Pstar.n, values, excluded)
 
 
 def condition_violations(ctx, n, positions, ell, s_values) -> list[Violation]:
@@ -124,6 +176,6 @@ def piece_violations(ctx, n, t, s, N, D, strict) -> list[Violation]:
 def hull_violations(ctx, P) -> set[Violation]:
     """Full validity of the hull ``P``: ``condition_violations`` over every exponent,
     on the hull's values at every p-power."""
-    ell = depth_bound(ctx, P.n, P.p_power_values())
+    ell = depth_bound(ctx, P.n, p_power_values(P))
     s_values = range(vp(ctx.base.p, P.n) + 1)
     return set(condition_violations(ctx, P.n, P.wild_vertices(), ell, s_values))

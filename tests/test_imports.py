@@ -70,16 +70,25 @@ def _callers(name):
 
 
 def test_every_verdict_reaches_the_engine_through_violations():
-    # one route to every validity report and to every verdict but the hull
-    # search's candidate columns: in the package only ``validity.violations``
-    # names the closed-form kernel's pair and piece checks, and only to call
-    # them; they and the column check, which tables each point's own record,
-    # alone call its point check, and only the hull search calls the column
-    assert _callers("_pair") == _callers("_piece") == {("validity", "violations")}
-    assert _callers("_point") == {
-        ("validity", "_pair"), ("validity", "_piece"), ("validity", "passing_column")
-    }
+    # one closed-form evaluation decides every validity report and every
+    # search verdict: ``violations``, and the hull search's candidate columns,
+    # which only the hull search asks for
+    assert _callers("_found") == {("validity", "violations"), ("validity", "passing_column")}
     assert _callers("passing_column") == {("enumeration", "search")}
+    # only ``polygons.least_ordinates`` rounds a polygon's value at a p-power,
+    # for the checks, the depth bounds, the point records and the fine
+    # search's lattice candidates; the exact ``value_at`` has no caller here
+    assert _callers("least_ordinates") == {
+        ("validity", "_found"),
+        ("templates", "template_for_polygon"),
+        ("templates", "_fine_plan"),
+        ("serialize", "_point_specs"),
+        ("enumeration", "enumerate_fine_polygons"),
+    }
+    assert _callers("value_at") == set()
+    # only validity and templates read the degree's valuation table
+    readers = _callers("valuation_table") | _callers("_entry")
+    assert {module for module, _ in readers} == {"validity", "templates"}
 
 
 def test_only_the_polygon_plan_computes_a_binomial_residue():

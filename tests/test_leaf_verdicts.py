@@ -1,10 +1,10 @@
 """The searches' leaf verdicts and the reports against test-side engine routes.
 
-The hull search decides a leaf with ``violations`` of kind 1 (memoised pairs
-and ceil-form absent-exponent pieces) and the fine search with kind 2, the
-strict form, its forced points satisfying the tame biconditional by
-construction.  ``is_valid_ram`` and ``is_valid_fine`` report from the same
-pairs and pieces, so the hull reference here is the engine on the hull's
+The hull search decides a leaf with ``violations`` of kind 1 (the hull's
+least ordinate, ceil(V), at each absent p-power) and the fine search with
+kind 2 (the fine form, floor(V) + 1), its forced points satisfying the tame
+biconditional by construction.  ``is_valid_ram`` and ``is_valid_fine`` report
+from the same checks, so the hull reference here is the engine on the hull's
 values at every p-power (``reference.hull_violations``), and the fine
 reference is ``fine_ore_violations``, with ``tame_ok`` asserted to hold.  The
 search tests wrap the function the enumerator looks up, so every leaf the
@@ -33,11 +33,11 @@ from ramify.polygons import (
     FinePolygon,
     InvariantWithUnif,
     RamPolygon,
-    depth_bound,
     tame_zeros,
 )
 from ramify.residue_field import is_prime, make_field
 from ramify.validity import (
+    Violation,
     admissible_phi0,
     equivalent_with_unif,
     is_valid_fine,
@@ -46,8 +46,9 @@ from ramify.validity import (
 )
 from reference import (
     condition_violations,
+    depth_bound,
     hull_violations,
-    piece_violations,
+    p_power_values,
     weak_violations,
 )
 
@@ -110,8 +111,8 @@ def test_hull_leaf_verdict_is_full_validity(monkeypatch, p, f, e, gamma, degrees
 
 
 def test_is_valid_ram_answers_as_the_engine_on_every_reached_hull(monkeypatch):
-    # the engine's violations, read from the pairs and pieces of a context
-    # whose memo the searches have filled; the weak report is the engine over
+    # the engine's violations, on a context whose memo the searches have
+    # filled with the hulls they passed; the weak report is the engine over
     # the present exponents
     ctx = BinomialContext(make_field(2, 1, 1, 1))
     for n in (4, 8, 12, 16):
@@ -142,7 +143,7 @@ def _fine_reference(ctx, p, n, positions) -> set:
     # violations are all Ore-family ones
     fine = _fine_polygon(p, n, positions)
     assert validity.tame_ok(ctx, n, dict(fine.points))
-    return set(fine_ore_violations(ctx, n, positions, fine.hull.p_power_values()))
+    return set(fine_ore_violations(ctx, n, positions, p_power_values(fine.hull)))
 
 
 @pytest.mark.parametrize("p, f, e, gamma, degrees", LEAF_CASES, ids=CASE_IDS)
@@ -229,7 +230,7 @@ def test_fine_leaf_verdict_on_every_subset_of_every_hull(monkeypatch, p, f, e, g
     m = vp(p, n)
     tally = {True: 0, False: 0}
     for wild in _every_hull(monkeypatch, ctx, n):
-        values = _hull_of(p, n, wild).p_power_values()
+        values = p_power_values(_hull_of(p, n, wild))
         present = {s for s, _, _ in wild}
         candidates = [
             (s, p**s, values[s][0] // values[s][1])
@@ -249,63 +250,42 @@ def test_fine_leaf_verdict_on_every_subset_of_every_hull(monkeypatch, p, f, e, g
     assert tally[True] and tally[False]
 
 
-def test_hull_leaf_pieces_are_keyed_by_segment():
-    # one memo, two weakly valid leaves with (2, *) absent inside different
-    # segments: the piece of vertex (4, 4) at s = 1 passes on the first
-    # segment and fails on the second, the second leaf's only failure
+def test_hull_leaf_verdict_reads_the_enclosing_segment():
+    # two weakly valid leaves with (2, *) absent inside different segments:
+    # the Bounding of vertex (4, 4) at s = 1 holds under the first segment's
+    # least ordinate there and fails under the second's, the second leaf's
+    # only failure
     ctx = BinomialContext(make_field(2, 1, 1, 1))
     valid = [(0, 1, 9), (2, 4, 4), (3, 8, 0)]
     invalid = [(0, 1, 17), (2, 4, 4), (3, 8, 0)]
     assert engine_valid_ram(ctx, _hull_of(2, 8, valid))
     assert not engine_valid_ram(ctx, _hull_of(2, 8, invalid))
     assert not validity.violations(ctx, 8, valid, kind=1)
-    assert validity.violations(ctx, 8, invalid, kind=1)
-
-
-def _parts(body: int, w: int, count: int) -> list[int]:
-    out = []
-    for _ in range(count):
-        out.append(body & ((1 << w) - 1))
-        body >>= w
-    return out[::-1]
+    assert validity.violations(ctx, 8, invalid, kind=1, every=True) == (Violation.BOUNDING,)
+    assert hull_violations(ctx, _hull_of(2, 8, invalid)) == {Violation.BOUNDING}
 
 
 @pytest.mark.parametrize("p, f, e, gamma, degrees", LEAF_CASES, ids=CASE_IDS)
 def test_every_memoised_verdict_is_the_engine_verdict_of_its_key(p, f, e, gamma, degrees):
-    # the memo's keys decoded by hand: a pair (s_t, J_t, s_v, J_v) holds the
-    # violations of the engine on the two vertices; a piece (s_t, J_t, s,
-    # s_u, J_u, s_w, J_w) those of the engine on t at s alone, with the
-    # segment's value at p^s, in the form its kind names (1 ceil, 2 strict);
-    # a hull (s, J, ...) after a 1 bit (kind 3) is a pass the engine agrees with
+    # a degree's memo entry holds the valuation table, each entry
+    # e * v_p(binomial(i, p^s)), and the hulls the hull search passed, keyed
+    # by their wild vertices: after the searches, pruned and not, and the fine
+    # searches, every kept hull is one the engine passes, and they are the
+    # search's results
     ctx = BinomialContext(make_field(p, f, e, gamma))
-    kinds = {0: 0, 1: 0, 2: 0, 3: 0}
     for n in degrees:
-        for P in enumerate_ram_polygons(ctx, n)[0]:
+        hulls = enumerate_ram_polygons(ctx, n)[0]
+        for P in hulls:
             enumerate_fine_polygons(ctx, P)
         enumerate_ram_polygons(ctx, n, prune=False)
-        _, w, answers, _ = validity._memo(ctx, n)
-        for key, found in answers.items():
-            kind, body = key & 3, key >> 2
-            kinds[kind] += 1
-            if kind == 0:
-                s_t, J_t, s_v, J_v = _parts(body, w, 4)
-                positions = [(s_t, p**s_t, J_t), (s_v, p**s_v, J_v)]
-                assert set(found) == set(weak_violations(ctx, n, positions)), positions
-                continue
-            if kind == 3:
-                count = (body.bit_length() - 1) // w
-                assert body >> count * w == 1, key
-                parts = _parts(body, w, count)
-                wild = [(s, p**s, J) for s, J in zip(parts[::2], parts[1::2])]
-                assert found == () and engine_valid_ram(ctx, _hull_of(p, n, wild)), wild
-                continue
-            s_t, J_t, s, s_u, J_u, s_w, J_w = _parts(body, w, 7)
-            x, x_u, x_w = p**s, p**s_u, p**s_w
-            N, D = J_u * (x_w - x) + J_w * (x - x_u), x_w - x_u
-            t = (s_t, p**s_t, J_t)
-            reference = piece_violations(ctx, n, t, s, N, D, kind == 2)
-            assert set(found) == set(reference), (kind, t, s)
-    assert all(kinds.values()), kinds
+        table, passed = ctx.memo[n]
+        m = vp(p, n)
+        assert len(table) == n + 1
+        for i, row in enumerate(table):
+            assert row == [e * vp_binomial(p, i, p**s) for s in range(m + 1) if p**s <= i], (n, i)
+        assert passed == {tuple(P.wild_vertices()) for P in hulls}
+        for wild in passed:
+            assert engine_valid_ram(ctx, _hull_of(p, n, list(wild))), wild
 
 
 def test_tame_ok_reads_the_horizontal_face(ctx_q2):

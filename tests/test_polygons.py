@@ -12,22 +12,36 @@ from ramify.polygons import (
     InvariantWithUnif,
     RamPolygon,
     decompose,
-    depth_bound,
-    fine_depth_bound,
     hull_points,
+    least_ordinates,
     residual_polynomials,
 )
 from ramify.residue_field import make_field
 from ramify.serialize import fine_to_json, ram_to_json
-from reference import lower_convex_hull
+from ramify.validity import valuation_table
+from reference import depth_bound, lower_convex_hull
+
+
+def _ordinates(ctx, wild, strict):
+    """The polygon's ordinate at each p^s, s <= v_p(n): a point's own, else the least one."""
+    absent = [(s, x, excluded if strict else up) for s, x, up, excluded in
+              least_ordinates(ctx.base.p, wild)]
+    return {s: L for s, _, L in wild + absent}
+
+
+def _ell(ctx, n, ordinates, i, s):
+    """The integer depth bound ceil((L - i) / n) + 1 - B[i][s], L the ordinate at p^s."""
+    if not ctx.base.p**s <= i <= n:
+        raise ValueError(f"need p^s <= i <= n, got s={s}, i={i}")
+    return 1 - (i - ordinates[s]) // n - valuation_table(ctx, n)[i][s]
 
 
 def ell_P(ctx, P, i, s):
-    return depth_bound(ctx, P.n, P.p_power_values())(i, s)
+    return _ell(ctx, P.n, _ordinates(ctx, P.wild_vertices(), False), i, s)
 
 
 def ell_fine(ctx, Pstar, i, s):
-    return fine_depth_bound(ctx, Pstar)(i, s)
+    return _ell(ctx, Pstar.n, _ordinates(ctx, Pstar.wild_points(), True), i, s)
 
 
 def test_hull_spec_examples():
@@ -325,16 +339,52 @@ def fraction_ell_fine(ctx, Pstar, i, s):
     return math.floor(Fraction(hull_val - i, Pstar.n)) - B(ctx, i, x) + 2
 
 
+# (field spec (p, f, e, gamma), degree)
+LEMMA_CASES = [((2, 1, 1, 1), n) for n in range(1, 33)]
+LEMMA_CASES += [((3, 1, 1, 1), n) for n in range(1, 28)]
+LEMMA_CASES += [((2, 1, 2, 1), 8), ((2, 2, 1, "g"), 8)]
+
+
 def test_integer_bounds_equal_fraction_formulas(ctx_q2, ctx_q3, ram16):
     from ramify.enumeration import enumerate_fine_polygons, enumerate_ram_polygons
 
+    # the lemma: the bound at coefficient i reads the value V at p^s only
+    # through ceil((V - i) / n) or floor((V - i) / n), which step where V - i
+    # is a multiple of n; at each step, just either side of it and midway to
+    # the next, the integer bound at ceil(V) is the rational ceil form and at
+    # floor(V) + 1 the strict form
+    checked = 0
+    for spec, n in LEMMA_CASES:
+        ctx = BinomialContext(make_field(*spec))
+        p = ctx.base.p
+        table = valuation_table(ctx, n)
+        top = n * ctx.base.e * vp(p, n) + n
+        for s in range(vp(p, n) + 1):
+            for i in range(p**s, n + 1):
+                steps = range(i % n, top + 1, n)
+                values = [(y, 1) for y in steps] + [(2 * y + d, 2) for y in steps for d in (-1, 1)]
+                values += [(y + z, 2) for y, z in zip(steps, steps[1:])]
+                for N, D in values:
+                    if N < 0:
+                        continue
+                    ceil_form = depth_bound(ctx, n, {s: (N, D)})(i, s)
+                    strict_form = depth_bound(ctx, n, {s: (N, D)}, {s})(i, s)
+                    assert 1 - (i - -(-N // D)) // n - table[i][s] == ceil_form, (n, i, s, N, D)
+                    assert 1 - (i - (N // D + 1)) // n - table[i][s] == strict_form, (n, i, s, N, D)
+                    checked += 1
+    assert checked > 10_000
+
+    # and on polygons, where ``least_ordinates`` gives ceil(V) and floor(V) + 1
     cases = [(ctx_q2, P) for n in range(1, 16) for P in enumerate_ram_polygons(ctx_q2, n)[0]]
     cases += [(ctx_q2, P) for P in ram16[0]]
     cases += [(ctx_q3, P) for P in enumerate_ram_polygons(ctx_q3, 9)[0]]
+    for spec in [(2, 1, 2, 1), (2, 2, 1, "g")]:
+        ctx = BinomialContext(make_field(*spec))
+        cases += [(ctx, P) for P in enumerate_ram_polygons(ctx, 8)[0]]
     checked = 0
     for ctx, P in cases:
         p, n = ctx.base.p, P.n
-        pairs = [(i, s) for s in range(n.bit_length()) if p**s <= n for i in range(p**s, n + 1)]
+        pairs = [(i, s) for s in range(vp(p, n) + 1) for i in range(p**s, n + 1)]
         for i, s in pairs:
             assert ell_P(ctx, P, i, s) == fraction_ell_P(ctx, P, i, s)
         for Pstar in enumerate_fine_polygons(ctx, P)[0]:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ramify.selftest
 import ramify.validity
 from ramify import cli, serialize
 from ramify.analyzer import parse_integer_polynomial
@@ -584,18 +585,24 @@ def test_cli_selftest_small_cases(capsys):
 
 
 def test_selftest_detects_injected_ore2_fault(survey_q2_n4, monkeypatch):
-    # dropping the Ore 2 condition from the kernel, at every exponent of pairs
-    # and pieces alike, admits fine polygons no polynomial attains, e.g.
-    # [(1, 8), (4, 0)] in degree 4; the survey cross-check must object.
-    # A fresh context: the session's one has the true verdicts in its memo
+    # a kernel that dropped the Ore 2 condition would admit fine polygons no
+    # polynomial attains, e.g. [(1, 8), (4, 0)] in degree 4, whose segment
+    # gives p^1 the least ordinate 6 with ceil(6 / 4) - B(4, 2) = 1 > 0; with
+    # that polygon among what the selftest enumerates, the survey cross-check
+    # must object
     ctx = BinomialContext(make_field(2, 1, 1, 1))
-    real = ramify.validity._at
+    faulty = FinePolygon(2, 4, ((1, 8), (4, 0)))
+    report = ramify.validity.is_valid_fine(ctx, faulty)
+    assert report.violations == (Violation.ORE2,)
+    real = ramify.selftest.enumerate_invariants
 
-    def no_ore2(*args, **kwargs):
-        return [v for v in real(*args, **kwargs) if v is not Violation.ORE2]
+    def with_fault(ctx_, n, level):
+        found, stats = real(ctx_, n, level)
+        return found + [faulty], stats
 
-    monkeypatch.setattr(ramify.validity, "_at", no_ore2)
+    monkeypatch.setattr(ramify.selftest, "enumerate_invariants", with_fault)
     problems = survey_case_problems(ctx, 4, 5, survey=survey_q2_n4)
+    assert ("enumerated but not surveyed:", faulty.points) in problems
     assert any("enumerated but not surveyed" in problem_line(p) for p in problems)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +25,6 @@ from ramify.residue_field import make_field
 from ramify.validity import (
     ResidueForcedError,
     Violation,
-    _memo,
     admissible_phi0,
     equivalent_res,
     equivalent_with_unif,
@@ -38,7 +38,7 @@ from ramify.validity import (
     weak_ram_ok,
 )
 from ramify.templates import template_for_invariant
-from reference import hull_violations, lower_convex_hull
+from reference import hull_violations, lower_convex_hull, weak_violations
 
 
 def test_valid_ram_spec_examples(ctx_q2):
@@ -117,9 +117,8 @@ def test_child_check_agrees_with_full_weak_check(case):
     assume(weak_ram_ok(ctx, n, prefix))
     child = prefix[:-1] + added + prefix[-1:]
     new = {s for s, _, _ in added}
-    # the contexts are shared by every example, so their memos hold the
-    # verdicts of earlier ones, ordinates above the Ore bound among them
-    # the first check fills the memo, the second reads every pair verdict from it
+    # the contexts are shared by every example, ordinates above the Ore bound
+    # among them; a second check answers as the first
     for _ in range(2):
         assert weak_ram_ok(ctx, n, child, new) == weak_ram_ok(ctx, n, child)
 
@@ -134,30 +133,37 @@ def test_pair_check_of_a_lone_vertex_is_its_own_check(ctx_q2):
 
 @pytest.mark.parametrize("above", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
-def test_a_k_point_check_decides_each_unordered_pair_once(monkeypatch, k, above):
-    # on an empty memo, k points make k(k+1)/2 calls of the kernel's pair
-    # check, {v, v} among them (``every`` returns nothing early); with one point
-    # new, the pairs of two old points are known to pass, so only its k pairs
-    # are checked.  Ordinates above the Ore bound are never memoised, so there a
-    # second visit would run again
-    kernel, calls = validity._pair, []
-    monkeypatch.setattr(
-        validity, "_pair", lambda *args: calls.append(args[2:]) or kernel(*args)
-    )
+def test_a_k_point_check_decides_each_unordered_pair_once(k, above):
+    # weak validity of k points is the union of the checks of each point
+    # alone and of each unordered pair; with one point new, the rest is known
+    # to pass, so only its own checks and its checks with each of the k - 1
+    # others count.  Ordinates above the Ore bound are decided by the same
+    # closed forms
+    ctx = BinomialContext(make_field(2, 1, 1, 1))
     n = 2**k
     cap = n * k
-    points = [(s, 2**s, cap + 1 + s if above else n * (k - s)) for s in range(k)]
-    for new, expected in [(None, k * (k + 1) // 2), ((k - 1,), k)]:
-        calls.clear()
-        violations(BinomialContext(make_field(2, 1, 1, 1)), n, points, new, every=True)
-        assert len(calls) == expected, (k, new)
-        assert len({frozenset(map(tuple, pair)) for pair in calls}) == len(calls)
+    rng = random.Random(k * 2 + above)
+    for _ in range(50):
+        low = cap + 1 if above else 0
+        points = [(s, 2**s, rng.randrange(low, low + cap + 1)) for s in range(k)]
+        alone = [{*violations(ctx, n, [t], every=True)} for t in points]
+        pairs = {(i, j): {*violations(ctx, n, [points[i], points[j]], every=True)}
+                 for i in range(k) for j in range(i + 1, k)}
+        found = set(violations(ctx, n, points, every=True))
+        assert found == set().union(*alone, *pairs.values()), points
+        assert found == set(weak_violations(ctx, n, points)), points
+        # the checks of two points are each one's Bounding at the other's
+        # exponent and Consistency; the rest are one point's own
+        cross = {Violation.BOUNDING, Violation.CONSISTENCY}
+        new = set(violations(ctx, n, points, (k - 1,), every=True))
+        assert new == alone[-1].union(*(v & cross for (i, j), v in pairs.items() if j == k - 1))
+        assert bool(violations(ctx, n, points, (k - 1,))) == bool(new)
 
 
 @pytest.mark.parametrize("spec", [(2, 1, 1, 1), (3, 1, 1, 1), (2, 1, 2, 1), (2, 2, 1, "g")])
 def test_an_ordinate_above_the_ore_bound_fails_its_own_conditions(spec):
-    # the memo decides a set holding such an ordinate without a key: Ore2
-    # fails at its own exponent
+    # the closed forms hold for any ordinate: above the Ore bound Ore2 fails
+    # at the point's own exponent, ceil(J / n) > e * v_p(n) >= B(n, p^s)
     ctx = BinomialContext(make_field(*spec))
     p, e = ctx.base.p, ctx.base.e
     for n in (p, 2 * p, p**2, p**3, 3 * p**2):
@@ -178,31 +184,30 @@ def test_an_ordinate_above_the_ore_bound_fails_its_own_conditions(spec):
 
 
 def test_a_report_above_the_ore_bound_leaves_the_memo_as_it_was():
-    # J0 = 25 > 8 * v(8) = 24: the report names Ore2 and reaches pieces with
-    # that J, whose keys would not be unique; none is written
+    # J0 > 8 * v(8) = 24: the report names the reference's violations, Ore2
+    # among them, keeps no hull and builds nothing that grows with J0
     ctx = BinomialContext(make_field(2, 1, 1, 1))
-    report = is_valid_ram(ctx, RamPolygon(2, 8, ((1, 25), (8, 0))))
-    assert not report.ok and Violation.ORE2 in report.violations
-    cap, w, answers, _ = ctx.memo[8]
+    for J0 in (25, 10**6, 10**40):
+        P = RamPolygon(2, 8, ((1, J0), (8, 0)))
+        tracemalloc.start()
+        report = is_valid_ram(ctx, P)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert not report.ok and Violation.ORE2 in report.violations
+        assert set(report.violations) == hull_violations(ctx, P), J0
+        assert peak < 64 * 1024, (J0, peak)
+        assert ctx.memo[8][1] == set()
     fresh = BinomialContext(make_field(2, 1, 1, 1))
     for prune in (True, False):
         assert enumerate_ram_polygons(ctx, 8, prune=prune) == enumerate_ram_polygons(
             fresh, 8, prune=prune
         )
-    for key in answers:
-        # a pair packs 4 parts, a piece 7, a passing hull its (s, J) after a 1 bit
-        body, count = key >> 2, (4, 7, 7, 0)[key & 3]
-        count = count or (body.bit_length() - 1) // w
-        parts = [body >> (w * i) & ((1 << w) - 1) for i in range(count)]
-        assert max(parts) <= cap and body >> (w * count) == (key & 3 == 3), key
-    # one tuple object per distinct answer
-    assert len({id(found) for found in answers.values()}) == len(set(answers.values()))
 
 
 def test_a_search_leaves_every_failing_hull_its_full_report():
-    # the hull search keeps its passing leaves whole in the memo, read before
-    # any pair or piece; a hull it failed or never met still gets every
-    # violation, as on a fresh context
+    # the hull search keeps the hulls it passed in the memo, read before any
+    # check; a hull it failed or never met still gets every violation, as on
+    # a fresh context
     ctx = BinomialContext(make_field(2, 1, 1, 1))
     for prune in (True, False):
         enumerate_ram_polygons(ctx, 8, prune=prune)
@@ -220,15 +225,18 @@ def test_a_search_leaves_every_failing_hull_its_full_report():
 
 
 def test_a_stored_pass_is_read_for_its_own_degree_only():
-    # Q_2 degrees 24 and 40 pack their keys alike (v(n) = 3, 7 bits a part),
-    # and some wild vertices pass in one degree and fail in the other; on one
-    # context searched in both, each degree's report is the engine's
+    # each degree's memo entry keeps exactly the hulls its search passed, by
+    # their wild vertices (s, p^s, J); Q_2 degrees 24 and 40 share v(n) = 3,
+    # and some wild vertices pass in one degree and fail in the other.  On one
+    # context searched in both, each degree's report is the engine's, and no
+    # failing hull is kept
     ctx = BinomialContext(make_field(2, 1, 1, 1))
     assert ctx.memo == {}
     wild = set()
     for n in (24, 40):
-        wild |= {P.vertices[:-1] for P in enumerate_ram_polygons(ctx, n)[0]}
-    assert _memo(ctx, 24)[:2] == (72, 7) and _memo(ctx, 40)[:2] == (120, 7)
+        hulls = enumerate_ram_polygons(ctx, n)[0]
+        assert ctx.memo[n][1] == {tuple(P.wild_vertices()) for P in hulls}
+        wild |= {P.vertices[:-1] for P in hulls}
     differ = 0
     for vertices in sorted(wild):
         verdicts = []
@@ -236,16 +244,18 @@ def test_a_stored_pass_is_read_for_its_own_degree_only():
             P = RamPolygon(2, n, vertices + ((n, 0),))
             report = is_valid_ram(ctx, P)
             assert set(report.violations) == hull_violations(ctx, P), (n, vertices)
+            assert report.ok == (tuple(P.wild_vertices()) in ctx.memo[n][1]), (n, vertices)
             verdicts.append(report.ok)
         differ += verdicts[0] != verdicts[1]
     assert differ
 
 
 def test_a_polygon_over_another_prime_is_a_value_error(ctx_q2):
-    # the memo keys name exponents, not abscissas: a Q_2 polygon under a Q_3
-    # context used to read Q_3's answers (3 of the 4 degree-6 hulls passed) or
-    # fail inside the depth bound (every degree-24 hull); each entry point now
-    # refuses it first, even with a memo the Q_3 search has filled
+    # the valuation table and the kept hulls name exponents, not abscissas: a
+    # Q_2 polygon under a Q_3 context used to read Q_3's answers (3 of the 4
+    # degree-6 hulls passed) or fail inside the depth bound (every degree-24
+    # hull); each entry point refuses it first, even with a memo the Q_3
+    # search has filled
     ctx = BinomialContext(make_field(3, 1, 1, 1))
     for n in (6, 24):
         enumerate_ram_polygons(ctx, n)
