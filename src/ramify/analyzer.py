@@ -31,9 +31,9 @@ only where a point can lie on the hull, m being v_p(n):
 So R is taken at p^0, ..., p^(m-1) (at p^m it is the leading term's 0) and
 the points (j, 0), j in ``polygons.tame_zeros``, are added: O(n log_p n)
 terms per polynomial, where every abscissa would take O(n^2).  A term less
-n*F_i depends on the degree alone: :func:`degree_rows` lays it out as one row
-per p^s on a degree's first analysis and keeps the last ``ROW_DEGREES``
-degrees' rows (n*v_p(n) ints at most each); R at p^s is one C-level min.
+n*F_i depends on the degree alone: :func:`degree_rows` reads it off
+``binomials.valuation_table`` as one row per p^s on a degree's first analysis and
+keeps the last ``ROW_DEGREES`` degrees' rows; R at p^s is one C-level min.
 The terms are pairwise distinct mod n, so the residue at (j, R_j) reads
 phi_b directly, and the rest of it depends on the polygon alone:
 ``polygons.polygon_plan`` validates the ``FinePolygon`` once and keeps b,
@@ -62,7 +62,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .binomials import BinomialContext, vp, vp_factorial
+from .binomials import ROW_DEGREES, BinomialContext, valuation_table, vp
 from .polygons import (
     FinePolygon,
     FinePolygonWithResidues,
@@ -85,7 +85,6 @@ MAX_DEPTH = 2**10
 # are kept so the table remains a faithful approximation of the input
 INTEGER_DIGIT_DEPTH = 8
 
-ROW_DEGREES = 16  # degrees whose rows ``degree_rows`` keeps, least recently used dropped first
 ABSENT = float("inf")  # n*F of a zero coefficient: above every term, whatever e is
 
 
@@ -182,10 +181,10 @@ def degree_rows(p: int, e: int, n: int) -> tuple[tuple, tuple]:
     """The (p^s, row) for p^s < p^(v_p(n)), and the tame zeros (j, 0), of one degree.
 
     Immutable, as every analysis of the degree shares them.  ``row[i - p^s]`` for p^s <= i
-    <= n is coefficient i's term at p^s less n*F_i: n*e*v_p(binomial(i, p^s)) + i - n."""
-    vf = [vp_factorial(p, i) for i in range(n + 1)]
-    wild = tuple((x, tuple(n * e * (vf[i] - vf[x] - vf[i - x]) + i - n for i in range(x, n + 1)))
-                 for x in (p**s for s in range(vp(p, n))))
+    <= n is coefficient i's term at p^s less n*F_i: n*B[i][s] + i - n, B the valuation table."""
+    table = valuation_table(p, e, n)
+    wild = tuple((p**s, tuple(n * row[s] + i - n for i, row in enumerate(table[p**s:], p**s)))
+                 for s in range(vp(p, n)))
     return wild, tuple((j, 0) for j in tame_zeros(p, n))
 
 

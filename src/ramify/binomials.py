@@ -14,6 +14,8 @@ from functools import cached_property, lru_cache
 
 from .residue_field import BaseField, FqElement
 
+ROW_DEGREES = 16  # degrees whose valuation tables and analyzer rows are kept, LRU dropped first
+
 
 def vp(p: int, m: int) -> int:
     """p-adic valuation of a nonzero integer."""
@@ -39,8 +41,9 @@ def vp_factorial(p: int, k: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
 def vp_binomial(p: int, i: int, j: int) -> int:
+    """v_p(binomial(i, j)) from the factorials, whose cache grows with i alone, so that an
+    O(n^2) sweep over every (i, j) leaves no O(n^2) cache behind."""
     if not 0 <= j <= i:
         raise ValueError(f"binomial({i},{j}) out of range")
     return vp_factorial(p, i) - vp_factorial(p, j) - vp_factorial(p, i - j)
@@ -54,23 +57,25 @@ class BinomialContext:
 
     @cached_property
     def memo(self) -> dict:
-        """Per degree (see ``validity``), made on first use; reuse is safe: the valuation
-        table B[i][s] and the hulls the hull search passed.  Never trimmed (a Q_2
-        degree-64 hull search leaves 328 table entries and 127,251 hulls, 26.5 MB with
-        their keys): ``ctx.memo.clear()`` releases them, the frozen class refuses ``del``."""
+        """Per degree n, made on first use: the vertex tuples of the hulls the hull search
+        passed, owned by ``validity.passed_hulls``.  Never trimmed (Q_2 degree 64 leaves a
+        4.2 MB set of 127,251 results' own tuples, 46 MB with them): ``ctx.memo.clear()``
+        releases them, the frozen class refuses ``del``."""
         return {}
 
 
 def B(ctx: BinomialContext, i: int, j: int) -> int:
-    """Valuation of binomial(i, j) in K, i.e. e * v_p(binomial(i, j)).
+    """Valuation of binomial(i, j) in K, i.e. e * v_p(binomial(i, j))."""
+    return ctx.base.e * vp_binomial(ctx.base.p, i, j)
 
-    Taken from the factorials, whose cache grows with i alone, so that an
-    O(n^2) sweep over every (i, j) leaves no O(n^2) cache behind.
-    """
-    if not 0 <= j <= i:
-        raise ValueError(f"binomial({i},{j}) out of range")
-    p = ctx.base.p
-    return ctx.base.e * (vp_factorial(p, i) - vp_factorial(p, j) - vp_factorial(p, i - j))
+
+@lru_cache(maxsize=ROW_DEGREES)
+def valuation_table(p: int, e: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """B[i][s] = e * v_p(binomial(i, p^s)) for i <= n and p^s <= i, s <= v_p(n): the one table
+    of a degree's binomial valuations, which the validity checks, the templates' depth
+    bounds and the analyzer's rows share, so immutable."""
+    powers = [p**s for s in range(vp(p, n) + 1)]
+    return tuple(tuple(e * vp_binomial(p, i, x) for x in powers if x <= i) for i in range(n + 1))
 
 
 @lru_cache(maxsize=None)

@@ -94,10 +94,10 @@ def enumerate_ram_polygons(
     them, so its ``weak_ram_ok`` call names no new exponent and checks
     nothing; every visited branch still passes one such call, so its pass
     count is ``branches_visited``.  A leaf's verdict is ``violations`` of
-    kind 1, the hull form at its absent p-powers, which keeps a pass in the
-    memo for ``is_valid_ram``, the fine search's guard.  Only a leaf that passes
-    becomes a ``RamPolygon``, built without the structural checks: its
-    vertices are convex and in place by construction.
+    kind 1, the hull form at its absent p-powers.  Only a leaf that passes
+    becomes a ``RamPolygon``, built without the structural checks (its
+    vertices are convex and in place by construction), and its own ``vertices``
+    go into ``validity.passed_hulls`` for ``is_valid_ram``, the fine search's guard.
     """
     if n < 1:
         raise ValueError("degree must be positive")
@@ -112,6 +112,7 @@ def enumerate_ram_polygons(
     # J0 <= n * v(n), and every ordinate after the first lies below J0
     J0_max = n * ctx.base.e * m
     out: list[RamPolygon] = []
+    passed = validity.passed_hulls(ctx, n)
     stats = EnumStats()
     masks: dict[int, tuple[int, int]] = {}  # (J_t, s_t, S) -> (bits passing, bits decided)
 
@@ -123,6 +124,7 @@ def enumerate_ram_polygons(
         if S >= m:
             if not validity.violations(ctx, n, prefix + top, () if prune else None, kind=1):
                 out.append(RamPolygon._built(p, n, tuple((x, J) for _, x, J in prefix) + tail))
+                passed.add(out[-1].vertices)
             return
         search(prefix, S + 1, ())
         x_new = p**S

@@ -12,7 +12,7 @@ Conventions used throughout:
 * the ordinate J of a point decomposes as J = a*n + b with 1 <= b <= n
   (so J = 0 gives a = -1, b = n); see :func:`decompose`;
 * points at abscissa p^s with s <= v_p(n) are the "wild" positions that
-  the validity conditions quantify over;
+  the validity conditions quantify over, as (s, p^s, J) by :func:`wild_positions`;
 * points (j, 0) with j beyond the last wild abscissa are "tame" and are
   stored explicitly (serialisations flag them).
 
@@ -88,6 +88,12 @@ def tame_zeros(p: int, n: int) -> list[int]:
     p^(v_p(n)) and n are always among them.
     """
     return [j for j in range(p ** vp(p, n), n + 1) if not vp_binomial(p, n, j)]
+
+
+def wild_positions(p: int, n: int, points: Iterable[_Point]) -> list[tuple[int, int, int]]:
+    """(s, p^s, J) for each point (x, J) at a p-power abscissa x <= p^(v_p(n))."""
+    top = p ** vp(p, n)
+    return [(vp(p, x), x, J) for x, J in points if x <= top]
 
 
 def decompose(J: int, n: int) -> tuple[int, int]:
@@ -167,10 +173,7 @@ class RamPolygon:
 
     def wild_vertices(self) -> list[tuple[int, int, int]]:
         """(s, p^s, J) for each vertex at a p-power abscissa <= p^(v_p(n))."""
-        top = self.p ** vp(self.p, self.n)
-        return [
-            (vp(self.p, x), x, J) for x, J in self.vertices if x <= top
-        ]
+        return wild_positions(self.p, self.n, self.vertices)
 
 
 @dataclass(frozen=True)
@@ -216,8 +219,7 @@ class FinePolygon:
 
     def wild_points(self) -> list[tuple[int, int, int]]:
         """(s, p^s, J) for each point at a p-power abscissa <= p^(v_p(n))."""
-        top = self.p ** vp(self.p, self.n)
-        return [(vp(self.p, x), x, J) for x, J in self.points if x <= top]
+        return wild_positions(self.p, self.n, self.points)
 
     def tame_abscissas(self) -> list[int]:
         """Abscissas of the stored points on the horizontal face beyond p^(v_p(n))."""

@@ -14,13 +14,13 @@ from __future__ import annotations
 from typing import Any
 
 from .analyzer import EisensteinData, NotEisensteinError
-from .binomials import vp
 from .polygons import (
     FinePolygon,
     FinePolygonWithResidues,
     InvariantWithUnif,
     RamPolygon,
     least_ordinates,
+    wild_positions,
 )
 from .residue_field import BaseField, make_field
 from .templates import Template
@@ -53,11 +53,10 @@ def _point_specs(points, hull: RamPolygon, rel: str, residues=()) -> list[dict[s
     """
     attained = dict(points)
     rho_at = {x: str(rho) for x, rho in zip(attained, residues)}
-    p, top = hull.p, hull.p ** vp(hull.p, hull.n)
-    wild = [(vp(p, x), x, J) for x, J in points if x <= top]
+    wild = wild_positions(hull.p, hull.n, points)
     # ">=" ceil(V) where the position is open, ">" floor(V) where it is excluded
     bounds = {x: (up if rel == ">=" else excluded - 1)
-              for _, x, up, excluded in least_ordinates(p, wild)}
+              for _, x, up, excluded in least_ordinates(hull.p, wild)}
     records = []
     for x in sorted(attained.keys() | bounds.keys()):
         if x in bounds:

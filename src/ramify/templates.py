@@ -31,7 +31,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .analyzer import EisensteinData
-from .binomials import BinomialContext, vp
+from .binomials import BinomialContext, valuation_table, vp
 from .polygons import (
     FinePolygon,
     FinePolygonWithResidues,
@@ -41,7 +41,7 @@ from .polygons import (
     polygon_plan,
 )
 from .residue_field import AdditiveMap, BaseField, Fq, FqElement, additive_coset_representatives
-from .validity import is_valid_fine, is_valid_ram, is_valid_with_unif, valuation_table
+from .validity import is_valid_fine, is_valid_ram, is_valid_with_unif
 
 # An enumeration yields one polygon's invariants in a row, so this bound only
 # caps memory.  Full (tracemalloc): 14 MiB of Q_2 degree-32 fine templates.
@@ -107,7 +107,7 @@ def _apply_depth_bounds(ctx, n, ordinates, steps) -> Template:
     ceil((L - i) / n) + 1 - B[i][s] there.  Each of the polygon plan's ``steps``
     with b < n forces the first digit of coefficient b, at depth -k - B(b, x), to be a unit.
     """
-    table = valuation_table(ctx, n)
+    table = valuation_table(ctx.base.p, ctx.base.e, n)
     fq = ctx.base.fq
     zero_set = frozenset({fq.zero})
     lower = {}

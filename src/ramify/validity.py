@@ -22,13 +22,13 @@ through one integer per p-power, the polygon's least ordinate L there (a
 point's own J, or ``polygons.least_ordinates`` at an absent p-power: ceil
 of the value on a hull, its floor plus one on a fine polygon):
 ell(i, s) = ceil((L - i) / n) + 1 - B[i][s], B[i][s] = e * v_p(binomial(i,
-p^s)) from the degree's ``valuation_table``.  With J = a*n + b, 1 <= b <= n,
+p^s)) from ``binomials.valuation_table``.  With J = a*n + b, 1 <= b <= n,
 a point's own depth is a + 1 - B[b][s] and its Ore quantity a + 1 - B[n][s].
 So ``violations`` decides each check in closed form, in integers, for any
 ordinate, and is the one route to every report; ``passing_column`` decides
-the hull search's candidate columns from the same formulas.  The degree's
-memo entry holds the table and the hulls the hull search passed, which
-``is_valid_ram`` answers with one lookup: the fine search's guard.
+the hull search's candidate columns from the same formulas; both are pure.
+The memo keeps per degree only ``passed_hulls``, the hull search's results'
+own vertex tuples, which ``is_valid_ram``, the fine search's guard, looks up first.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, Iterator, Mapping
 
-from .binomials import BinomialContext, vp, vp_factorial
+from .binomials import BinomialContext, valuation_table, vp
 from .polygons import (
     FinePolygon,
     FinePolygonWithResidues,
@@ -70,32 +70,23 @@ class ValidityReport:
 
     @classmethod
     def from_violations(cls, violations: Iterable[Violation]) -> "ValidityReport":
-        found = list(violations)  # tested by identity: an Enum member hashes in Python
-        return cls(ok=not found, violations=tuple(v for v in Violation if v in found))
+        """The report of ``violations``, given distinct and in declaration order."""
+        found = tuple(violations)
+        return cls(ok=not found, violations=found)
 
 
 class ResidueForcedError(ValueError):
     """A horizontal-face residue differs from the forced binomial residue."""
 
 
-def _entry(ctx: BinomialContext, n: int) -> tuple[list[list[int]], set]:
-    """The memo entry of degree n: (``valuation_table``, the hulls the hull search passed)."""
-    entry = ctx.memo.get(n)
-    if entry is None:
-        p, e = ctx.base.p, ctx.base.e
-        powers = [p**s for s in range(vp(p, n) + 1)]
-        table = [[e * (vp_factorial(p, i) - vp_factorial(p, x) - vp_factorial(p, i - x))
-                  for x in powers if x <= i] for i in range(n + 1)]
-        entry = ctx.memo[n] = (table, set())
-    return entry
+def passed_hulls(ctx: BinomialContext, n: int) -> set:
+    """The vertex tuples of the degree-n hulls a hull search on ``ctx`` passed: ``ctx.memo[n]``.
+
+    The hull search adds each result's own ``vertices``; ``is_valid_ram`` reads them."""
+    return ctx.memo.setdefault(n, set())
 
 
-def valuation_table(ctx: BinomialContext, n: int) -> list[list[int]]:
-    """B[i][s] = e * v_p(binomial(i, p^s)) for i <= n and p^s <= i, s <= v_p(n), once per degree."""
-    return _entry(ctx, n)[0]
-
-
-def _found(table: list[list[int]], n: int, p: int, positions, new, kind: int
+def _found(table: tuple[tuple[int, ...], ...], n: int, p: int, positions, new, kind: int
            ) -> Iterator[Violation]:
     """The violations of ``violations``, one per failing check, in no fixed order."""
     top = table[n]
@@ -147,23 +138,18 @@ def violations(
     points, in increasing s from 0 to v_p(n) and each on the lower hull of
     them all: they add, at each absent exponent, Ore2 and each point's
     Bounding at the least ordinate there, in the hull (1) or fine (2) form.
-    A hull (kind 1) that passes is kept in the memo, which ``is_valid_ram``
-    reads first.  Returns () when all pass, else the first violation found, or
-    with ``every`` all of them in declaration order.
+    Writes nothing.  Returns () when all pass, else the first violation found,
+    or with ``every`` all of them in declaration order.
     """
     if not (kind or new is None or new):
         return ()  # no pair is new and no absent p-power asked for: nothing to check
-    table, passed = _entry(ctx, n)
-    found = _found(table, n, ctx.base.p, positions, new, kind)
+    p = ctx.base.p
+    found = _found(valuation_table(p, ctx.base.e, n), n, p, positions, new, kind)
     if every:
         found = list(found)
-        out = tuple(v for v in Violation if v in found)
-    else:
-        first = next(found, None)
-        out = () if first is None else (first,)
-    if kind == 1 and not out:
-        passed.add(tuple(positions))
-    return out
+        return tuple(v for v in Violation if v in found)
+    first = next(found, None)
+    return () if first is None else (first,)
 
 
 def weak_ram_ok(
@@ -185,7 +171,7 @@ def passing_column(ctx: BinomialContext, n: int, t, S: int, mask: int) -> int:
     which is the candidate's own depth, and the other way round, so unequal
     depths fail one of the two.
     """
-    table = _entry(ctx, n)[0]
+    table = valuation_table(ctx.base.p, ctx.base.e, n)
     s, x_t, J_t = t
     if any(_found(table, n, ctx.base.p, [t], None, 0)):
         return 0
@@ -215,18 +201,18 @@ def passing_column(ctx: BinomialContext, n: int, t, S: int, mask: int) -> int:
 
 
 def _same_prime(ctx: BinomialContext, P: RamPolygon | FinePolygon) -> None:
-    # the table and the kept hulls name exponents s, not abscissas, so a polygon
-    # over another prime would read the answers of a different one
+    # the checks name exponents s, not abscissas, so a polygon over another
+    # prime would read the valuations of a different one
     if P.p != ctx.base.p:
         raise ValueError(f"polygon over p = {P.p}, context over p = {ctx.base.p}")
 
 
 def is_valid_ram(ctx: BinomialContext, P: RamPolygon) -> ValidityReport:
-    """Full validity of a ramification polygon, every violation named."""
+    """Full validity of a ramification polygon, every violation named; a passed hull by lookup."""
     _same_prime(ctx, P)
-    wild = P.wild_vertices()
-    if tuple(wild) in _entry(ctx, P.n)[1]:
+    if P.vertices in passed_hulls(ctx, P.n):
         return ValidityReport(ok=True, violations=())
+    wild = P.wild_vertices()
     return ValidityReport.from_violations(violations(ctx, P.n, wild, kind=1, every=True))
 
 
@@ -252,7 +238,7 @@ def _fine_report(ctx: BinomialContext, Pstar: FinePolygon, kind: int) -> Validit
     _same_prime(ctx, Pstar)
     found = violations(ctx, Pstar.n, Pstar.wild_points(), kind=kind, every=True)
     if not tame_ok(ctx, Pstar.n, dict(Pstar.points)):
-        found += (Violation.TAME,)
+        found += (Violation.TAME,)  # after the Ore family in declaration order
     return ValidityReport.from_violations(found)
 
 

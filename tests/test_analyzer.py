@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramify import analyzer, polygons
+from ramify import analyzer, binomials, polygons
 from ramify.analyzer import (
     EisensteinData,
     NotEisensteinError,
@@ -328,11 +328,14 @@ def test_degree_rows_are_keyed_by_p_e_and_n_and_bounded():
     # ramified fields may not, and e = 2^64 puts the terms beyond any fixed
     # bound.  The degrees outnumber the rows kept, and the second sweep runs
     # backwards, so evicted degrees are built again.  A sparse table leaves R
-    # to the monic term
+    # to the monic term.  The valuation tables the rows are read from are
+    # bounded by the same constant
     fields = [make_field(2, 1, e, 1) for e in (1, 2, 2**64)] + [make_field(2, 2, 1, 1)]
-    degrees = list(range(1, analyzer.ROW_DEGREES + 9)) + [32, 48, 64]
+    degrees = list(range(1, binomials.ROW_DEGREES + 9)) + [32, 48, 64]
     rng = random.Random(16)
-    analyzer.degree_rows.cache_clear()
+    caches = (analyzer.degree_rows, binomials.valuation_table)
+    for cache in caches:
+        cache.cache_clear()
     for n in degrees + degrees[::-1]:
         for base in fields:
             for sparse in (False, True):
@@ -343,8 +346,10 @@ def test_degree_rows_are_keyed_by_p_e_and_n_and_bounded():
                 ]
                 f = _table_with_signature(base, signature, rng)
                 assert residues_of(f) == reference_invariants(f)[3], (base, signature)
-                assert analyzer.degree_rows.cache_info().currsize <= analyzer.ROW_DEGREES
-    assert analyzer.degree_rows.cache_info().currsize == analyzer.ROW_DEGREES
+                for cache in caches:
+                    assert cache.cache_info().currsize <= binomials.ROW_DEGREES
+    for cache in caches:
+        assert cache.cache_info().currsize == binomials.ROW_DEGREES
 
 
 def test_polygon_plans_are_keyed_by_field_and_bounded():

@@ -16,8 +16,7 @@ import time
 
 import pytest
 
-from ramify import cli, serialize
-from ramify.binomials import vp_binomial
+from ramify import binomials, cli, serialize
 from ramify.residue_field import make_field
 from reference import ramification_points
 
@@ -145,10 +144,16 @@ def test_dense_degree_4096_analysis_is_fast(capsys, tmp_path):
 
 
 def test_quadratic_reference_points_leave_the_binomial_cache_alone():
-    # the O(n^2) definition reads n^2/2 binomial valuations; only the
-    # O(n log n) paths may fill the process-lifetime vp_binomial cache
+    # the O(n^2) definition reads n^2/2 binomial valuations, which leave no
+    # O(n^2) cache behind: every process-lifetime cache of ``binomials``
+    # holds at most one entry per k <= n
     f = serialize.polynomial_from_json(make_field(2, 1, 1, 1), dense_table(2, 1024))
-    vp_binomial.cache_clear()
+    caches = [obj for obj in vars(binomials).values() if hasattr(obj, "cache_info")]
+    assert binomials.vp_factorial in caches and binomials.valuation_table in caches
+    for cache in caches:
+        cache.cache_clear()
     points = ramification_points(f)
     assert len(points) == 1024
-    assert vp_binomial.cache_info().currsize == 0
+    assert binomials.vp_factorial.cache_info().currsize > 1000
+    for cache in caches:
+        assert cache.cache_info().currsize <= 1024 + 1, cache

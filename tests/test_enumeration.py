@@ -104,8 +104,8 @@ def test_pruned_equals_unpruned(p, f, e, n):
 
 @pytest.mark.parametrize("spec", [(2, 1, 1, 1), (3, 1, 1, 1), (2, 1, 2, 1), (2, 2, 1, "g")])
 def test_a_context_that_served_other_work_enumerates_as_a_fresh_one(spec):
-    # the memo keeps, per degree, the valuation table and the hulls the search
-    # passed; other degrees, unpruned searches and invalid polygons, J0
+    # the memo keeps, per degree, the vertices of the hulls the search passed;
+    # other degrees, unpruned searches and invalid polygons, J0
     # beyond the Ore bound among them, must not leak
     used = BinomialContext(make_field(*spec))
     p, e = used.base.p, used.base.e

@@ -51,22 +51,28 @@ def test_no_module_reaches_for_a_private_name_of_a_sibling():
                 assert not node.attr.startswith("_"), (path.name, node.lineno, node.attr)
 
 
-def _callers(name):
-    """(module, function) of each call of ``name`` in the package, which only calls it."""
+def _users(name, calls=False):
+    """(module, function) of each use of ``name`` in the package, as a variable or an
+    attribute; with ``calls``, each use must be a call."""
     users = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
             if name in (getattr(node, "id", None), getattr(node, "attr", None)):
-                call = parents[node]
-                assert isinstance(call, ast.Call) and call.func is node, (path.name, node.lineno)
-                fn = call
+                fn = parents[node]
+                assert not calls or isinstance(fn, ast.Call) and fn.func is node, (
+                    path.name, node.lineno)
                 while fn is not None and not isinstance(fn, ast.FunctionDef):
                     fn = parents.get(fn)
                 assert fn is not None, (path.name, node.lineno)
                 users.add((path.stem, fn.name))
     return users
+
+
+def _callers(name):
+    """(module, function) of each call of ``name`` in the package, which only calls it."""
+    return _users(name, calls=True)
 
 
 def test_every_verdict_reaches_the_engine_through_violations():
@@ -86,9 +92,24 @@ def test_every_verdict_reaches_the_engine_through_violations():
         ("enumeration", "enumerate_fine_polygons"),
     }
     assert _callers("value_at") == set()
-    # only validity and templates read the degree's valuation table
-    readers = _callers("valuation_table") | _callers("_entry")
-    assert {module for module, _ in readers} == {"validity", "templates"}
+    # one helper lists a polygon's wild positions (s, p^s, J)
+    assert _callers("wild_positions") == {
+        ("polygons", "wild_vertices"), ("polygons", "wild_points"), ("serialize", "_point_specs")
+    }
+
+
+def test_each_degree_table_and_memo_has_one_route():
+    # one table of a degree's binomial valuations: only ``binomials`` takes
+    # the difference of factorial valuations, in ``vp_binomial``, and the
+    # table's readers are the checks, the depth bounds and the analyzer's rows
+    assert _callers("vp_factorial") == {("binomials", "vp_binomial")}
+    readers = {module for module, _ in _callers("valuation_table")}
+    assert readers == {"validity", "templates", "analyzer"}
+    # the context's memo is the passed-hull set, behind one accessor
+    assert _users("memo") == {("validity", "passed_hulls")}
+    assert _callers("passed_hulls") == {
+        ("validity", "is_valid_ram"), ("enumeration", "enumerate_ram_polygons")
+    }
 
 
 def test_only_the_polygon_plan_computes_a_binomial_residue():

@@ -22,7 +22,7 @@ import itertools
 import pytest
 
 from ramify import validity
-from ramify.binomials import BinomialContext, vp, vp_binomial
+from ramify.binomials import BinomialContext, valuation_table, vp, vp_binomial
 from ramify.enumeration import (
     enumerate_fine_polygons,
     enumerate_invariants,
@@ -267,25 +267,26 @@ def test_hull_leaf_verdict_reads_the_enclosing_segment():
 
 @pytest.mark.parametrize("p, f, e, gamma, degrees", LEAF_CASES, ids=CASE_IDS)
 def test_every_memoised_verdict_is_the_engine_verdict_of_its_key(p, f, e, gamma, degrees):
-    # a degree's memo entry holds the valuation table, each entry
-    # e * v_p(binomial(i, p^s)), and the hulls the hull search passed, keyed
-    # by their wild vertices: after the searches, pruned and not, and the fine
-    # searches, every kept hull is one the engine passes, and they are the
-    # search's results
+    # a degree's memo entry is the set of the hulls the hull search passed,
+    # keyed by their vertices, and the degree's valuation table holds each
+    # e * v_p(binomial(i, p^s)): after the searches, pruned and not, and the
+    # fine searches, every kept hull is one the engine passes, and they are
+    # the search's results
     ctx = BinomialContext(make_field(p, f, e, gamma))
     for n in degrees:
         hulls = enumerate_ram_polygons(ctx, n)[0]
         for P in hulls:
             enumerate_fine_polygons(ctx, P)
         enumerate_ram_polygons(ctx, n, prune=False)
-        table, passed = ctx.memo[n]
+        table = valuation_table(p, e, n)
         m = vp(p, n)
         assert len(table) == n + 1
         for i, row in enumerate(table):
-            assert row == [e * vp_binomial(p, i, p**s) for s in range(m + 1) if p**s <= i], (n, i)
-        assert passed == {tuple(P.wild_vertices()) for P in hulls}
-        for wild in passed:
-            assert engine_valid_ram(ctx, _hull_of(p, n, list(wild))), wild
+            expected = tuple(e * vp_binomial(p, i, p**s) for s in range(m + 1) if p**s <= i)
+            assert row == expected, (n, i)
+        assert ctx.memo[n] == validity.passed_hulls(ctx, n) == {P.vertices for P in hulls}
+        for vertices in ctx.memo[n]:
+            assert engine_valid_ram(ctx, RamPolygon(p, n, vertices)), vertices
 
 
 def test_tame_ok_reads_the_horizontal_face(ctx_q2):

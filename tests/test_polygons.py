@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramify.binomials import B, BinomialContext, vp
+from ramify.binomials import B, BinomialContext, valuation_table, vp
 from ramify.polygons import (
     FinePolygon,
     FinePolygonWithResidues,
@@ -18,7 +18,6 @@ from ramify.polygons import (
 )
 from ramify.residue_field import make_field
 from ramify.serialize import fine_to_json, ram_to_json
-from ramify.validity import valuation_table
 from reference import depth_bound, lower_convex_hull
 
 
@@ -33,7 +32,7 @@ def _ell(ctx, n, ordinates, i, s):
     """The integer depth bound ceil((L - i) / n) + 1 - B[i][s], L the ordinate at p^s."""
     if not ctx.base.p**s <= i <= n:
         raise ValueError(f"need p^s <= i <= n, got s={s}, i={i}")
-    return 1 - (i - ordinates[s]) // n - valuation_table(ctx, n)[i][s]
+    return 1 - (i - ordinates[s]) // n - valuation_table(ctx.base.p, ctx.base.e, n)[i][s]
 
 
 def ell_P(ctx, P, i, s):
@@ -357,7 +356,7 @@ def test_integer_bounds_equal_fraction_formulas(ctx_q2, ctx_q3, ram16):
     for spec, n in LEMMA_CASES:
         ctx = BinomialContext(make_field(*spec))
         p = ctx.base.p
-        table = valuation_table(ctx, n)
+        table = valuation_table(p, ctx.base.e, n)
         top = n * ctx.base.e * vp(p, n) + n
         for s in range(vp(p, n) + 1):
             for i in range(p**s, n + 1):

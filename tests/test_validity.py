@@ -34,6 +34,7 @@ from ramify.validity import (
     is_valid_with_unif,
     is_weakly_valid_fine,
     is_weakly_valid_ram,
+    passed_hulls,
     violations,
     weak_ram_ok,
 )
@@ -185,8 +186,12 @@ def test_an_ordinate_above_the_ore_bound_fails_its_own_conditions(spec):
 
 def test_a_report_above_the_ore_bound_leaves_the_memo_as_it_was():
     # J0 > 8 * v(8) = 24: the report names the reference's violations, Ore2
-    # among them, keeps no hull and builds nothing that grows with J0
+    # among them, keeps no hull and builds nothing that grows with J0; the
+    # memo the search filled is left as it was
     ctx = BinomialContext(make_field(2, 1, 1, 1))
+    enumerate_ram_polygons(ctx, 8)
+    before = {n: set(passed) for n, passed in ctx.memo.items()}
+    assert before[8]
     for J0 in (25, 10**6, 10**40):
         P = RamPolygon(2, 8, ((1, J0), (8, 0)))
         tracemalloc.start()
@@ -196,7 +201,7 @@ def test_a_report_above_the_ore_bound_leaves_the_memo_as_it_was():
         assert not report.ok and Violation.ORE2 in report.violations
         assert set(report.violations) == hull_violations(ctx, P), J0
         assert peak < 64 * 1024, (J0, peak)
-        assert ctx.memo[8][1] == set()
+        assert ctx.memo == before
     fresh = BinomialContext(make_field(2, 1, 1, 1))
     for prune in (True, False):
         assert enumerate_ram_polygons(ctx, 8, prune=prune) == enumerate_ram_polygons(
@@ -225,18 +230,22 @@ def test_a_search_leaves_every_failing_hull_its_full_report():
 
 
 def test_a_stored_pass_is_read_for_its_own_degree_only():
-    # each degree's memo entry keeps exactly the hulls its search passed, by
-    # their wild vertices (s, p^s, J); Q_2 degrees 24 and 40 share v(n) = 3,
-    # and some wild vertices pass in one degree and fail in the other.  On one
-    # context searched in both, each degree's report is the engine's, and no
-    # failing hull is kept
+    # each degree's memo entry is exactly the set of the hulls its search
+    # passed, keyed by the very vertex tuples the results hold; Q_2 degrees 24
+    # and 40 share v(n) = 3, and some wild vertices pass in one degree and fail
+    # in the other.  On one context searched in both, each degree's report is
+    # the engine's, and no failing hull is kept
     ctx = BinomialContext(make_field(2, 1, 1, 1))
     assert ctx.memo == {}
     wild = set()
     for n in (24, 40):
         hulls = enumerate_ram_polygons(ctx, n)[0]
-        assert ctx.memo[n][1] == {tuple(P.wild_vertices()) for P in hulls}
+        assert ctx.memo[n] is passed_hulls(ctx, n)
+        assert ctx.memo[n] == {P.vertices for P in hulls}
+        kept = {id(vertices) for vertices in ctx.memo[n]}
+        assert kept == {id(P.vertices) for P in hulls}
         wild |= {P.vertices[:-1] for P in hulls}
+    assert set(ctx.memo) == {24, 40}
     differ = 0
     for vertices in sorted(wild):
         verdicts = []
@@ -244,10 +253,51 @@ def test_a_stored_pass_is_read_for_its_own_degree_only():
             P = RamPolygon(2, n, vertices + ((n, 0),))
             report = is_valid_ram(ctx, P)
             assert set(report.violations) == hull_violations(ctx, P), (n, vertices)
-            assert report.ok == (tuple(P.wild_vertices()) in ctx.memo[n][1]), (n, vertices)
+            assert report.ok == (P.vertices in passed_hulls(ctx, n)), (n, vertices)
             verdicts.append(report.ok)
         differ += verdicts[0] != verdicts[1]
     assert differ
+
+
+def test_no_violations_query_writes_to_the_memo():
+    # ``violations`` is pure at every kind, passing or failing, with and
+    # without ``every`` and ``new``: the memo is the hull search's alone, on a
+    # fresh context as on one the searches have filled
+    fresh = BinomialContext(make_field(2, 1, 1, 1))
+    used = BinomialContext(make_field(2, 1, 1, 1))
+    hulls = enumerate_ram_polygons(used, 8)[0]
+    fines = [Ps for P in hulls for Ps in enumerate_fine_polygons(used, P)[0]]
+    queries = [P.wild_vertices() for P in hulls] + [Ps.wild_points() for Ps in fines]
+    queries += [[(0, 1, 17), (2, 4, 4), (3, 8, 0)], [(0, 1, 25), (3, 8, 0)], [(0, 1, 6)]]
+    assert any(violations(used, 8, q, kind=1) for q in queries)
+    for ctx in (fresh, used):
+        before = {n: set(passed) for n, passed in ctx.memo.items()}
+        for positions in queries:
+            for kind in (0, 1, 2):
+                for every in (False, True):
+                    for new in (None, (), (0,)):
+                        violations(ctx, 8, positions, new, kind, every)
+        assert ctx.memo == before
+    assert fresh.memo == {}
+
+
+def test_a_hull_equal_to_a_search_result_is_answered_from_the_set(monkeypatch):
+    # a caller's own RamPolygon equal to a search result is found by its
+    # vertices before any check or wild-vertex list is built, and gets the
+    # report a fresh context computes
+    ctx = BinomialContext(make_field(2, 1, 1, 1))
+    hulls = enumerate_ram_polygons(ctx, 16)[0]
+    mine = [RamPolygon(2, 16, tuple(map(tuple, map(list, P.vertices)))) for P in hulls]
+    expected = [is_valid_ram(BinomialContext(make_field(2, 1, 1, 1)), P) for P in mine]
+    assert all(report.ok for report in expected)
+    assert all(P == Q and P.vertices is not Q.vertices for P, Q in zip(mine, hulls))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("answered without the passed set")
+
+    monkeypatch.setattr(validity, "violations", refuse)
+    monkeypatch.setattr(RamPolygon, "wild_vertices", refuse)
+    assert [is_valid_ram(ctx, P) for P in mine] == expected
 
 
 def test_a_polygon_over_another_prime_is_a_value_error(ctx_q2):
