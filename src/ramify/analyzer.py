@@ -180,8 +180,9 @@ def _trim(vec: Iterable[FqElement]) -> tuple[FqElement, ...]:
 def degree_rows(p: int, e: int, n: int) -> tuple[tuple, tuple]:
     """The (p^s, row) for p^s < p^(v_p(n)), and the tame zeros (j, 0), of one degree.
 
-    Immutable, as every analysis of the degree shares them.  ``row[i - p^s]`` for p^s <= i
-    <= n is coefficient i's term at p^s less n*F_i: n*B[i][s] + i - n, B the valuation table."""
+    Immutable, as every analysis of the degree and the fine search's polygons share them.
+    ``row[i - p^s]`` for p^s <= i <= n is coefficient i's term at p^s less n*F_i:
+    n*B[i][s] + i - n, B the valuation table."""
     table = valuation_table(p, e, n)
     wild = tuple((p**s, tuple(n * row[s] + i - n for i, row in enumerate(table[p**s:], p**s)))
                  for s in range(vp(p, n)))

@@ -59,7 +59,7 @@ class BinomialContext:
     def memo(self) -> dict:
         """Per degree n, made on first use: the vertex tuples of the hulls the hull search
         passed, owned by ``validity.passed_hulls``.  Never trimmed (Q_2 degree 64 leaves a
-        4.2 MB set of 127,251 results' own tuples, 46 MB with them): ``ctx.memo.clear()``
+        4.2 MB set of 127,251 results' own tuples, 14.8 MB with them): ``ctx.memo.clear()``
         releases them, the frozen class refuses ``del``."""
         return {}
 
@@ -73,9 +73,12 @@ def B(ctx: BinomialContext, i: int, j: int) -> int:
 def valuation_table(p: int, e: int, n: int) -> tuple[tuple[int, ...], ...]:
     """B[i][s] = e * v_p(binomial(i, p^s)) for i <= n and p^s <= i, s <= v_p(n): the one table
     of a degree's binomial valuations, which the validity checks, the templates' depth
-    bounds and the analyzer's rows share, so immutable."""
+    bounds and the analyzer's rows share, so immutable.  Every entry differences one list
+    of v_p(k!), k <= n."""
     powers = [p**s for s in range(vp(p, n) + 1)]
-    return tuple(tuple(e * vp_binomial(p, i, x) for x in powers if x <= i) for i in range(n + 1))
+    vf = [vp_factorial(p, k) for k in range(n + 1)]
+    return tuple(tuple(e * (vf[i] - vf[x] - vf[i - x]) for x in powers if x <= i)
+                 for i in range(n + 1))
 
 
 @lru_cache(maxsize=None)

@@ -22,6 +22,7 @@ from enum import Enum
 from typing import Iterator
 
 from . import validity
+from .analyzer import degree_rows
 from .binomials import BinomialContext, vp
 from .polygons import (
     FinePolygon,
@@ -30,7 +31,6 @@ from .polygons import (
     RamPolygon,
     least_ordinates,
     polygon_plan,
-    tame_zeros,
 )
 from .residue_field import orbit_representatives, solve_power_system
 from .validity import admissible_phi0, invariant_gcd
@@ -98,6 +98,7 @@ def enumerate_ram_polygons(
     becomes a ``RamPolygon``, built without the structural checks (its
     vertices are convex and in place by construction), and its own ``vertices``
     go into ``validity.passed_hulls`` for ``is_valid_ram``, the fine search's guard.
+    The results share one (x, J) object per distinct vertex and one tail.
     """
     if n < 1:
         raise ValueError("degree must be positive")
@@ -115,6 +116,7 @@ def enumerate_ram_polygons(
     passed = validity.passed_hulls(ctx, n)
     stats = EnumStats()
     masks: dict[int, tuple[int, int]] = {}  # (J_t, s_t, S) -> (bits passing, bits decided)
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one (x, J) object per distinct vertex
 
     def search(prefix: list[tuple[int, int, int]], S: int, new: tuple[int, ...] | None) -> None:
         # prefix holds (s, p^s, J) per vertex; ``new`` is None at a root, else ()
@@ -123,7 +125,11 @@ def enumerate_ram_polygons(
         stats.branches_visited += 1
         if S >= m:
             if not validity.violations(ctx, n, prefix + top, () if prune else None, kind=1):
-                out.append(RamPolygon._built(p, n, tuple((x, J) for _, x, J in prefix) + tail))
+                vertices = []
+                for _, x, J in prefix:
+                    pair = (x, J)
+                    vertices.append(pairs.setdefault(pair, pair))
+                out.append(RamPolygon._built(p, n, tuple(vertices) + tail))
                 passed.add(out[-1].vertices)
             return
         search(prefix, S + 1, ())
@@ -168,16 +174,27 @@ def enumerate_fine_polygons(
     wild points with the fine form at the p-powers without a point, both by
     ``validity.violations``.  A ``FinePolygon``, on the hull ``P``, is
     built only per result, without the structural checks: its points are
-    the hull's and sorted by construction.
+    the hull's and sorted by construction.  Its points share the hull's own
+    (x, J) objects and end with the degree's one tuple of tame points.
+
+    Where the hull passes through no lattice point there is nothing to choose:
+    the leaf's fine form is the hull form the guard just passed, so with
+    pruning the one fine polygon, the hull's points and the tame zeros, is
+    returned as the search's one visited branch.
     """
     if not validity.is_valid_ram(ctx, P).ok:
         raise ValueError("fine enumeration requires a valid ramification polygon")
     p, n = P.p, P.n
-    forced = dict(P.vertices) | dict.fromkeys(tame_zeros(p, n), 0)
     wild = P.wild_vertices()
+    # the tame points (j, 0) from (p^m, 0) to (n, 0), one tuple per degree
+    tame = degree_rows(p, ctx.base.e, n)[1]
     # the hull's lattice points at the p-powers strictly between its wild vertices:
     # where the hull's value is an integer, its ceiling and its floor plus one differ
     candidates = [(s, x, J) for s, x, J, excluded in least_ordinates(p, wild) if J != excluded]
+    if prune and not candidates:
+        return [FinePolygon._built(p, n, P.vertices[: len(wild) - 1] + tame, P)], EnumStats(1, 1)
+    # each point's (x, J) object, the hull's own at its vertices
+    pairs = dict(zip(wild, P.vertices)) | {c: c[1:] for c in candidates}
 
     out: list[FinePolygon] = []
     stats = EnumStats()
@@ -190,8 +207,9 @@ def enumerate_fine_polygons(
         if idx == len(candidates):
             leaf = sorted(wild + chosen)
             if not validity.violations(ctx, n, leaf, () if prune else None, kind=2):
-                points = forced | {x: J for _, x, J in chosen}
-                out.append(FinePolygon._built(p, n, tuple(sorted(points.items())), P))
+                # the last wild point is (p^m, 0), where the tame points begin
+                points = tuple([pairs[t] for t in leaf[:-1]]) + tame
+                out.append(FinePolygon._built(p, n, points, P))
             return
         search(idx + 1, chosen, ())
         search(idx + 1, chosen + [candidates[idx]], (candidates[idx][0],))

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .binomials import B, BinomialContext, beta, vp, vp_binomial
+from .binomials import ROW_DEGREES, B, BinomialContext, beta, vp, vp_binomial
 from .residue_field import BaseField, FqElement
 
 # fine polygons whose plans ``polygon_plan`` keeps, least recently used dropped first: well above
@@ -82,12 +82,13 @@ def _vertices(chain: Sequence[_Point]) -> list[_Point]:
     return vertices
 
 
-def tame_zeros(p: int, n: int) -> list[int]:
+@lru_cache(maxsize=ROW_DEGREES)
+def tame_zeros(p: int, n: int) -> tuple[int, ...]:
     """The tame rule: the j in [p^(v_p(n)), n] with binomial(n, j) a unit, where (j, 0) is a point.
 
-    p^(v_p(n)) and n are always among them.
+    p^(v_p(n)) and n are always among them.  One tuple per (p, n), shared by every caller.
     """
-    return [j for j in range(p ** vp(p, n), n + 1) if not vp_binomial(p, n, j)]
+    return tuple(j for j in range(p ** vp(p, n), n + 1) if not vp_binomial(p, n, j))
 
 
 def wild_positions(p: int, n: int, points: Iterable[_Point]) -> list[tuple[int, int, int]]:
@@ -299,16 +300,26 @@ def polygon_plan(base: BaseField, n: int, points: tuple) -> tuple[FinePolygon, t
 # the least ordinate at an absent p-power
 
 
-def least_ordinates(p: int, positions: Sequence[tuple[int, int, int]]
+def least_ordinates(p: int, positions: Sequence[tuple[int, ...]]
                     ) -> list[tuple[int, int, int, int]]:
     """(s, p^s, ceil(V), floor(V) + 1) at each exponent s strictly between two
     consecutive points (s, p^s, J), V the segment's value at p^s.
 
-    They are the least ordinate a point at p^s may take on a hull, where the
-    position is open, and on a fine polygon, where it is excluded; they differ
-    exactly where V is an integer.  The depth bounds, the validity checks, the
-    point records and the fine search read a polygon's value at a p-power only so.
+    The points may also be (x, J) pairs, x = p^s, from abscissa 1 on: s is then
+    counted, as the point records read a polygon's own points.  The records are
+    the least ordinate a point at p^s may take on a hull, where the position is
+    open, and on a fine polygon, where it is excluded; they differ exactly where
+    V is an integer.  The depth bounds, the validity checks, the point records
+    and the fine search read a polygon's value at a p-power only so.
     """
+    if positions and len(positions[0]) == 2:
+        named, s, power = [], 0, 1
+        for x, J in positions:
+            while power < x:
+                power *= p
+                s += 1
+            named.append((s, x, J))
+        positions = named
     out = []
     for (s_u, x_u, J_u), (s_w, x_w, J_w) in zip(positions, positions[1:]):
         D = x_w - x_u

@@ -5,22 +5,31 @@ version, so output files are self-describing and reproducible: polygons
 are arrays of [x, J] pairs, residues are element strings (comma-separated
 coefficient vectors), and tame points are flagged by listing their
 abscissas.  The generalized point records are written straight from the
-polygon: the attained, open or excluded relation per p-power position,
-then every point beyond the last one.
+polygon, in one pass over its points: the attained, open or excluded
+relation per p-power position, then every point beyond the last one.
+
+Polygon records are read-only.  Their arrays are tuples, which JSON writes
+as it writes lists: ``vertices``, ``points`` and ``hull`` are the polygon's
+own tuples, ``tame`` is one tuple for every record with the same tame
+abscissas, and ``point_specs`` is a tuple of dicts holding only ints and
+strs.  A census keeps thousands of records alive, and every container a
+record adds that the cyclic garbage collector tracks is one more survivor
+its full collections walk; such dicts, and tuples of ints, are not tracked.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any
 
 from .analyzer import EisensteinData, NotEisensteinError
+from .binomials import ROW_DEGREES, vp
 from .polygons import (
     FinePolygon,
     FinePolygonWithResidues,
     InvariantWithUnif,
     RamPolygon,
     least_ordinates,
-    wild_positions,
 )
 from .residue_field import BaseField, make_field
 from .templates import Template
@@ -42,38 +51,42 @@ def field_from_json(data: dict[str, Any]) -> BaseField:
     return make_field(int(data["p"]), int(data["f"]), int(data["e"]), data["gamma"])
 
 
-def _point_specs(points, hull: RamPolygon, rel: str, residues=()) -> list[dict[str, Any]]:
+def _point_specs(p: int, n: int, points, rel: str, residues=()) -> tuple[dict[str, Any], ...]:
     """The point records of a polygon's attained ``points`` (a hull's are its vertices).
 
     One record per p-power position up to p^(v_p(n)): "=" where a point is
     attained, otherwise the hull's value there, rounded up under ">=" (the
     position is left open) or down under ">" (it is excluded); then one "="
     record per point beyond p^(v_p(n)).  ``residues``, one per point, decorate
-    the "=" records.
+    the "=" records.  The absent positions lie between the points up to
+    (p^(v_p(n)), 0), in order, so one pass merges them in.
     """
-    attained = dict(points)
-    rho_at = {x: str(rho) for x, rho in zip(attained, residues)}
-    wild = wild_positions(hull.p, hull.n, points)
-    # ">=" ceil(V) where the position is open, ">" floor(V) where it is excluded
-    bounds = {x: (up if rel == ">=" else excluded - 1)
-              for _, x, up, excluded in least_ordinates(hull.p, wild)}
+    top = p ** vp(p, n)
+    bounds = least_ordinates(p, points[: points.index((top, 0)) + 1])
     records = []
-    for x in sorted(attained.keys() | bounds.keys()):
-        if x in bounds:
-            records.append({"x": x, "J": bounds[x], "rel": rel})
-            continue
-        record = {"x": x, "J": attained[x], "rel": "="}
-        if x in rho_at:
-            record["rho"] = rho_at[x]
+    g = 0
+    for i, (x, J) in enumerate(points):
+        while g < len(bounds) and bounds[g][1] < x:
+            # ">=" ceil(V) where the position is open, ">" floor(V) where it is excluded
+            _, x_b, up, excluded = bounds[g]
+            records.append({"x": x_b, "J": up if rel == ">=" else excluded - 1, "rel": rel})
+            g += 1
+        record = {"x": x, "J": J, "rel": "="}
+        if residues:
+            record["rho"] = str(residues[i])
         records.append(record)
-    return records
+    return tuple(records)
+
+
+# the tame abscissas of the records of one degree, one tuple for equal ones
+_shared_tame = lru_cache(maxsize=ROW_DEGREES)(tuple)
 
 
 def ram_to_json(P: RamPolygon) -> dict[str, Any]:
     return {
         "n": P.n,
-        "vertices": [[x, J] for x, J in P.vertices],
-        "point_specs": _point_specs(P.vertices, P, ">="),
+        "vertices": P.vertices,
+        "point_specs": _point_specs(P.p, P.n, P.vertices, ">="),
     }
 
 
@@ -84,10 +97,10 @@ def ram_from_json(base: BaseField, data: dict[str, Any]) -> RamPolygon:
 def fine_to_json(Pstar: FinePolygon) -> dict[str, Any]:
     return {
         "n": Pstar.n,
-        "points": [[x, J] for x, J in Pstar.points],
-        "tame": Pstar.tame_abscissas(),
-        "hull": [[x, J] for x, J in Pstar.hull.vertices],
-        "point_specs": _point_specs(Pstar.points, Pstar.hull, ">"),
+        "points": Pstar.points,
+        "tame": _shared_tame(tuple(Pstar.tame_abscissas())),
+        "hull": Pstar.hull.vertices,
+        "point_specs": _point_specs(Pstar.p, Pstar.n, Pstar.points, ">"),
     }
 
 
@@ -99,10 +112,10 @@ def res_to_json(Pres: FinePolygonWithResidues) -> dict[str, Any]:
     Pstar = Pres.polygon
     return {
         "n": Pstar.n,
-        "points": [[x, J, str(rho)] for x, J, rho in Pres.items()],
-        "tame": Pstar.tame_abscissas(),
-        "hull": [[x, J] for x, J in Pstar.hull.vertices],
-        "point_specs": _point_specs(Pstar.points, Pstar.hull, ">", Pres.residues),
+        "points": tuple((x, J, str(rho)) for x, J, rho in Pres.items()),
+        "tame": _shared_tame(tuple(Pstar.tame_abscissas())),
+        "hull": Pstar.hull.vertices,
+        "point_specs": _point_specs(Pstar.p, Pstar.n, Pstar.points, ">", Pres.residues),
     }
 
 

@@ -13,7 +13,14 @@ from ramify.enumeration import (
     enumerate_residue_classes,
     enumerate_unif_classes,
 )
-from ramify.polygons import FinePolygon, FinePolygonWithResidues, RamPolygon, decompose
+from ramify.polygons import (
+    FinePolygon,
+    FinePolygonWithResidues,
+    RamPolygon,
+    decompose,
+    least_ordinates,
+    tame_zeros,
+)
 from ramify.residue_field import make_field
 from ramify.validity import (
     admissible_phi0,
@@ -24,6 +31,7 @@ from ramify.validity import (
     is_valid_with_unif,
 )
 from reference import weak_violations
+from test_serialize_cli import POINT_SPEC_CASES
 
 
 def test_degree_two_over_q2(ctx_q2):
@@ -100,6 +108,65 @@ def test_pruned_equals_unpruned(p, f, e, n):
         f1, _ = enumerate_fine_polygons(ctx, P, prune=True)
         f2, _ = enumerate_fine_polygons(ctx, P, prune=False)
         assert f1 == f2
+
+
+@pytest.mark.parametrize(
+    "p, f, e, gamma, degrees", POINT_SPEC_CASES + [(2, 1, 1, 1, (32,))],
+    ids=[str(case[:4]) for case in POINT_SPEC_CASES] + ["census"],
+)
+def test_a_hull_through_no_lattice_point_is_not_searched(monkeypatch, p, f, e, gamma, degrees):
+    # with pruning, a hull whose least ordinates leave no lattice candidate gets
+    # its one fine polygon as one visited branch, with no leaf check; pruned
+    # still equals unpruned
+    ctx = BinomialContext(make_field(p, f, e, gamma))
+    real = validity.violations
+    leaf_checks = []
+
+    def counted(ctx_, n, positions, new=None, kind=0, every=False):
+        leaf_checks.append(kind)
+        return real(ctx_, n, positions, new, kind, every)
+
+    monkeypatch.setattr(validity, "violations", counted)
+    for n in degrees:
+        visited = skipped = 0
+        for P in enumerate_ram_polygons(ctx, n)[0]:
+            leaf_checks.clear()
+            fines, stats = enumerate_fine_polygons(ctx, P)
+            searched = 2 in leaf_checks
+            assert fines == enumerate_fine_polygons(ctx, P, prune=False)[0], P
+            assert stats.results == len(fines)
+            assert all(Ps.hull is P for Ps in fines)
+            visited += stats.branches_visited
+            if all(up == excluded for *_, up, excluded in least_ordinates(p, P.wild_vertices())):
+                assert stats.branches_visited == len(fines) == 1 and not searched, P
+                skipped += 1
+            else:
+                assert searched, P
+        assert skipped
+        if (p, f, e, n) == (2, 1, 1, 32):
+            # the census: 3,681 of its 4,948 hulls have no candidate
+            assert (visited, skipped) == (8750, 3681)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_search_results_share_their_pairs(ctx_q2, n):
+    # one (x, J) object per distinct hull vertex across a search's results; a
+    # fine polygon reuses its hull's and the degree's one tuple of tame points
+    hulls, _ = enumerate_ram_polygons(ctx_q2, n)
+    shared = {}
+    for P in hulls:
+        for pair in P.vertices:
+            assert shared.setdefault(pair, pair) is pair, (P, pair)
+    tame = None
+    for P in hulls:
+        for Ps in enumerate_fine_polygons(ctx_q2, P)[0]:
+            own = {id(pair) for pair in P.vertices}
+            # the hull's vertices with J > 0 lie left of (p^m, 0), where the tame points begin
+            assert all(id(pair) in own for pair in Ps.points if pair[1] and pair in P.vertices)
+            tail = Ps.points[-len(tame_zeros(2, n)):]
+            tame = tame or tail
+            assert all(a is b for a, b in zip(tail, tame))
+    assert [x for x, _ in tame] == list(tame_zeros(2, n))
 
 
 @pytest.mark.parametrize("spec", [(2, 1, 1, 1), (3, 1, 1, 1), (2, 1, 2, 1), (2, 2, 1, "g")])

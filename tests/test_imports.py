@@ -93,16 +93,17 @@ def test_every_verdict_reaches_the_engine_through_violations():
     }
     assert _callers("value_at") == set()
     # one helper lists a polygon's wild positions (s, p^s, J)
-    assert _callers("wild_positions") == {
-        ("polygons", "wild_vertices"), ("polygons", "wild_points"), ("serialize", "_point_specs")
-    }
+    assert _callers("wild_positions") == {("polygons", "wild_vertices"), ("polygons", "wild_points")}
 
 
 def test_each_degree_table_and_memo_has_one_route():
     # one table of a degree's binomial valuations: only ``binomials`` takes
-    # the difference of factorial valuations, in ``vp_binomial``, and the
-    # table's readers are the checks, the depth bounds and the analyzer's rows
-    assert _callers("vp_factorial") == {("binomials", "vp_binomial")}
+    # the difference of factorial valuations, in ``vp_binomial`` and, over one
+    # list per degree, in ``valuation_table``, and the table's readers are the
+    # checks, the depth bounds and the analyzer's rows
+    assert _callers("vp_factorial") == {
+        ("binomials", "vp_binomial"), ("binomials", "valuation_table")
+    }
     readers = {module for module, _ in _callers("valuation_table")}
     assert readers == {"validity", "templates", "analyzer"}
     # the context's memo is the passed-hull set, behind one accessor

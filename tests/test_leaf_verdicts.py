@@ -153,12 +153,14 @@ def test_fine_search_leaf_verdict_is_full_validity(monkeypatch, p, f, e, gamma, 
     ctx = BinomialContext(make_field(p, f, e, gamma))
     real = validity.violations
     leaves = {True: 0, False: 0}
+    fine_checks = [0]
 
     def checked(ctx_, n, positions, new=None, kind=0, every=False):
         found = real(ctx_, n, positions, new, kind, every)
         if kind == 2:
             assert (not found) == (not _fine_reference(ctx_, p, n, positions)), positions
             leaves[new is None] += not found
+            fine_checks[0] += 1
         return found
 
     for n in degrees:
@@ -167,7 +169,14 @@ def test_fine_search_leaf_verdict_is_full_validity(monkeypatch, p, f, e, gamma, 
             patch.setattr(validity, "violations", checked)
             for P in hulls:
                 for prune in (True, False):
-                    enumerate_fine_polygons(ctx, P, prune=prune)
+                    before = fine_checks[0]
+                    fines, _ = enumerate_fine_polygons(ctx, P, prune=prune)
+                    if fine_checks[0] == before:
+                        # a hull through no lattice point, its one leaf decided by the
+                        # guard's hull form: the fine form's verdict must be the same
+                        assert prune and len(fines) == 1, P
+                        assert not _fine_reference(ctx, p, n, fines[0].wild_points()), P
+                        leaves[False] += 1
     # every fine leaf these searches reach passes, pruned or not; the failing
     # side is checked on every subset of every hull below
     assert leaves[True] == leaves[False] > 0
@@ -295,10 +304,12 @@ def test_tame_ok_reads_the_horizontal_face(ctx_q2):
     assert not validity.tame_ok(ctx_q2, 6, {1: 6, 2: 0, 6: 0})
     assert not validity.tame_ok(ctx_q2, 6, {1: 6, 2: 0, 3: 0, 4: 0, 6: 0})
     # the one tame rule against the per-j loop, p^(v_p(n)) and n included
-    assert tame_zeros(2, 6) == [2, 4, 6]
+    assert tame_zeros(2, 6) == (2, 4, 6)
     for p in (2, 3, 5, 7):
         for n in range(1, 100):
-            assert tame_zeros(p, n) == sorted(_forced_tame(p, n)), (p, n)
+            assert tame_zeros(p, n) == tuple(sorted(_forced_tame(p, n))), (p, n)
+            # one tuple per (p, n), which every caller shares
+            assert tame_zeros(p, n) is tame_zeros(p, n)
     for n in range(1, 100):
         assert validity.tame_ok(ctx_q2, n, _forced_tame(2, n)), n
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -51,11 +52,37 @@ def test_invariant_json_round_trips(ctx_q2, ctx_q3):
 
 def test_fine_json_marks_tame_points(ctx_q2):
     Ps = FinePolygon(2, 6, ((1, 6), (2, 0), (4, 0), (6, 0)))
-    data = serialize.fine_to_json(Ps)
+    # the record's arrays are tuples, which JSON writes as lists: read it as written
+    data = json.loads(json.dumps(serialize.fine_to_json(Ps)))
     assert data["tame"] == [4, 6]
     assert data["hull"] == [[1, 6], [2, 0], [6, 0]]
     rels = {spec["x"]: spec["rel"] for spec in data["point_specs"]}
     assert rels == {1: "=", 2: "=", 4: "=", 6: "="}
+
+
+@pytest.mark.parametrize("spec, n", [((2, 1, 1, 1), 12), ((3, 1, 1, 1), 6), ((2, 2, 1, "g"), 6)])
+def test_polygon_records_share_the_polygons_tuples(spec, n):
+    # a record adds no array the polygon holds already, and no container the
+    # cyclic collector tracks beyond itself and its point-record tuple
+    ctx = BinomialContext(make_field(*spec))
+    for P in enumerate_invariants(ctx, n, "ram")[0]:
+        assert serialize.ram_to_json(P)["vertices"] is P.vertices
+    fines = enumerate_invariants(ctx, n, "fine")[0]
+    records = [serialize.fine_to_json(Ps) for Ps in fines]
+    assert len(records) > 1 and records[0]["tame"]
+    for Ps, data in zip(fines, records):
+        assert data["points"] is Ps.points and data["hull"] is Ps.hull.vertices
+        assert data["tame"] is records[0]["tame"] == tuple(Ps.tame_abscissas())
+    unifs = enumerate_invariants(ctx, n, "unif")[0]
+    for data in records + [serialize.unif_to_json(inv) for inv in unifs]:
+        assert type(data["point_specs"]) is tuple
+        for record in data["point_specs"]:
+            assert all(type(value) in (int, str) for value in record.values()), record
+            assert not gc.is_tracked(record)
+    for inv in unifs:
+        data = serialize.unif_to_json(inv)
+        assert data["hull"] is inv.res.polygon.hull.vertices
+        assert data["tame"] is records[0]["tame"]
 
 
 def _reference_ram_records(P):
