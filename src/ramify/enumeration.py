@@ -192,7 +192,8 @@ def enumerate_fine_polygons(
     # where the hull's value is an integer, its ceiling and its floor plus one differ
     candidates = [(s, x, J) for s, x, J, excluded in least_ordinates(p, wild) if J != excluded]
     if prune and not candidates:
-        return [FinePolygon._built(p, n, P.vertices[: len(wild) - 1] + tame, P)], EnumStats(1, 1)
+        points = P.vertices[: len(wild) - 1] + tame
+        return [FinePolygon._built(p, n, points, P)], EnumStats(branches_visited=1, results=1)
     # each point's (x, J) object, the hull's own at its vertices
     pairs = dict(zip(wild, P.vertices)) | {c: c[1:] for c in candidates}
 
