@@ -213,7 +213,8 @@ def polygon_of(f: EisensteinData) -> RamPolygon:
 def decorate(fine: FinePolygon, steps: tuple, lead: Sequence) -> FinePolygonWithResidues:
     """``fine`` decorated with the residues its plan ``steps`` gives the leading pairs ``lead``:
     (F_i, phi_i) for i < n, (None, None) for a zero coefficient, then (0, 1) for the monic
-    term.  Each point's minimizer check confirms ``fine`` is their signature's polygon."""
+    term.  ``lead`` may be any indexable by coefficient; only 0 and each step's b are read.
+    Each point's minimizer check confirms ``fine`` is their signature's polygon."""
     n = fine.n
     minus_phi0 = -lead[0][1]
     residues = []

@@ -37,9 +37,9 @@ from .templates import (
 # grows fast with it (Q_2 degree 64, 384: 35 s at level ram, 73 s at level fine,
 # most of it the JSON, on one 2-vCPU core; degree 128, 896: no end)
 MAX_J0_RANGE = 512
-# the most leading-pair combinations a selftest case may decorate and check:
-# (p-1)*(1+depth*(p-1))^(n-1) (2:19:1, 2^18: 6.4-8.6 s, 67 MB, 2 vCPUs)
-MAX_REPRESENTATIVES = 2**18
+# the most valuation signatures a selftest case may survey, one polygon computation
+# each: (1+depth)^(n-1) (2:19:1, 2^18: 1.7-2.5 s, 67 MB, 2 vCPUs)
+MAX_SURVEY_SIGNATURES = 2**18
 
 
 class ConfigError(ValueError):
@@ -216,9 +216,9 @@ def cmd_selftest(args, out) -> int:
             except ValueError as exc:
                 raise ConfigError(f"bad case {text!r}: {exc}") from exc
             # p >= 2 here, so an exponent past the guard's bit length exceeds it
-            # and p^(n*depth) and the combination count are formed only when small
+            # and p^(n*depth) and the signature count are formed only when small
             if (n * depth >= SURVEY_GUARD.bit_length() or p ** (n * depth) > SURVEY_GUARD
-                    or (p - 1) * (1 + depth * (p - 1)) ** (n - 1) > MAX_REPRESENTATIVES):
+                    or (1 + depth) ** (n - 1) > MAX_SURVEY_SIGNATURES):
                 raise ConfigError(f"case {text!r} exceeds the survey guard")
             parsed.append((p, n, depth))
         cases = tuple(parsed)

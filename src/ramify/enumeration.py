@@ -16,7 +16,6 @@ Outputs are canonically sorted and deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -274,25 +273,20 @@ def enumerate_unif_classes(
     """One representative per equivalence class of admissible phi0 values.
 
     phi0 and phi0' are equivalent when phi0' / phi0 = delta^n for a delta
-    with delta^g = 1, g the gcd of the ordinates (``equivalent_with_unif``).
-    Those deltas form the subgroup of order c = gcd(q-1, g), so the logs of
-    the quotients are the multiples of h = gcd(q-1, n*(q-1)/c) and the
-    classes are those of log phi0 modulo h.  One pass in increasing order
-    keeps the least admissible phi0 of each class.
+    with delta^g = 1, g the gcd of the ordinates (``equivalent_with_unif``),
+    and ``orbit_representatives`` gives the least element of each class.
+    The admissible set is a union of classes: n times each equation's
+    exponent is R (b = n) or R - R_0 (points sharing b < n), a multiple of
+    g, so x*delta^n solves whatever x solves.  So the least admissible phi0
+    of each admissible class is its representative.
     """
     stats = EnumStats()
-    admissible = sorted(admissible_phi0(ctx, Pres))
+    admissible = admissible_phi0(ctx, Pres)
     stats.branches_visited = len(admissible)
-    order = ctx.base.fq.order
-    c = math.gcd(order, invariant_gcd(Pres))
-    h = math.gcd(order, Pres.polygon.n * (order // c))
-    reps: dict[int, InvariantWithUnif] = {}
-    for phi0 in admissible:
-        key = phi0._logarithm() % h
-        if key not in reps:
-            reps[key] = InvariantWithUnif(Pres, phi0)
-    stats.results = len(reps)
-    return list(reps.values()), stats
+    reps = orbit_representatives(ctx.base, Pres.polygon.n, [invariant_gcd(Pres)])
+    found = [InvariantWithUnif(Pres, phi0) for phi0 in sorted(admissible & reps)]
+    stats.results = len(found)
+    return found, stats
 
 
 def enumerate_invariants(

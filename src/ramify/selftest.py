@@ -14,16 +14,17 @@ digit table to that depth, and verifies that
 All checks are exact; each discrepancy is a (kind, subject) pair that
 :func:`problem_line` formats only if printed, as one fault can fail every table.
 
-The checks are decided per survey box, a valuation signature, without
-building its tables.  Every row of leading valuation F has zero digits
-below F, a unit at F and any digit above it, so whether all of them meet
-coefficient i's template slots reads off the slots alone, once per
-(coefficient, leading valuation).  The residue check reads only each row's
-leading pair (F_i, phi_i), and its verdict is a function of the invariant:
-``analyzer.decorate`` gives each combination of a box's leading pairs its
-invariant from the group's polygon plan, and each distinct invariant is
-checked once.  Only a group with a failing box is walked table by table, in
-order, each table getting its invariant through ``unif_of``, to list its faults.
+The checks are decided per survey group, the boxes (valuation signatures)
+of one fine polygon, without building a table.  Every row of leading
+valuation F has zero digits below F, a unit at F and any digit above it, so
+whether all of them meet coefficient i's template slots reads off the slots
+alone, once per (coefficient, leading valuation).  The residues read phi_0
+and, per point (j, R_j), the leading digit phi_b of its minimizer b, whose
+valuation n*(B(b, j) + F_b - 1) + b = R_j fixes: every box of the group has
+the same F_b there.  So ``analyzer.decorate`` gives each choice of those
+units its invariant from the group's polygon plan, once, and each is
+checked.  Only a failing group is walked table by table, in order, each
+table getting its invariant through ``unif_of``, to list its faults.
 """
 
 from __future__ import annotations
@@ -74,17 +75,6 @@ def survey_case_problems(
         return zero if F is None or F > k else units if F == k else every
 
     valuations = (None, *range(1, bound + 1))
-    # the leading pairs (F, phi) of the rows of each leading valuation
-    pairs = {F: [(F, phi) for phi in fq.units()] if F else [(None, None)] for F in valuations}
-    monic = ((0, fq.one),)
-    verdicts: dict = {}  # residue verdict by InvariantWithUnif
-
-    def residues_ok(inv: InvariantWithUnif) -> bool:
-        if inv not in verdicts:
-            verdicts[inv] = (is_valid_fine(ctx, inv.res.polygon).ok
-                             and is_valid_with_unif(ctx, inv).ok)
-        return verdicts[inv]
-
     for fine, group in survey.items():
         J0 = fine.J0
         _, b0 = decompose(J0, n)
@@ -99,16 +89,26 @@ def survey_case_problems(
                    if not digits_at(F, k) <= allowed}
         fits = outside.isdisjoint(pair for box in group.boxes for pair in enumerate(box))
         steps = polygon_plan(base, n, fine.points)[1]
-        leads = (lead for box in group.boxes
-                 for lead in itertools.product(*map(pairs.__getitem__, box), monic))
-        if fits and all(residues_ok(InvariantWithUnif(decorate(fine, steps, lead), lead[0][1]))
-                        for lead in leads):
+        # the residues read phi_0 and each point's minimizer phi_b, whose F_b the plan fixes
+        read = sorted({0, *(b for _, _, b, *_ in steps if b < n)})
+        first = group.boxes[0]
+        if any(box[b] != first[b] for box in group.boxes for b in read):
+            raise AssertionError(f"the boxes of {fine.points} differ at a minimizer")
+
+        def unif_ok(phis: tuple) -> bool:
+            lead = {b: (first[b], phi) for b, phi in zip(read, phis)}
+            lead[n] = (0, fq.one)
+            inv = InvariantWithUnif(decorate(fine, steps, lead), phis[0])
+            return is_valid_with_unif(ctx, inv).ok
+
+        fine_ok = is_valid_fine(ctx, fine).ok
+        if fits and fine_ok and all(map(unif_ok, itertools.product(fq.units(), repeat=len(read)))):
             continue
-        # a failing group reports table by table, in order, from the same verdicts
+        # a failing group reports table by table, in order
         for f in group:
             if not all(f.digit(i, k) in allowed for i, k, allowed in slots):
                 problems.append(("polynomial outside its template:", f.digits))
-            if not residues_ok(unif_of(f)):
+            if not (fine_ok and is_valid_with_unif(ctx, unif_of(f)).ok):
                 problems.append(("residue data inconsistent for:", f.digits))
     return problems
 

@@ -1,13 +1,13 @@
-"""The survey oracle decides per box what the per-table check decides per table.
+"""The survey oracle decides per group what the per-table check decides per table.
 
-``survey_case_problems`` decides each box of a survey group, a valuation
-signature, from the template slots per (coefficient, leading valuation) and
-one residue check per distinct invariant, and walks only the groups with a
-failing box.  The per-table check it replaced is kept here as the
-reference: ``matches_template`` over every slot, and the residue check
-keyed by ``(fine, f.leading())``.  Both must give the same problem list,
-line for line, on the default cases and under injected faults, including
-faults that fail one group or one combination.
+``survey_case_problems`` decides each survey group, the boxes (valuation
+signatures) of one fine polygon, from the template slots per (coefficient,
+leading valuation) and one residue check per choice of the units its
+polygon plan reads, and walks only the failing groups.  The per-table check
+it replaced is kept here as the reference: ``matches_template`` over every
+slot, and the residue check keyed by ``(fine, f.leading())``.  Both must
+give the same problem list, line for line, on the default cases and under
+injected faults, including faults that fail one group or one combination.
 """
 
 import hashlib
@@ -19,7 +19,7 @@ from ramify import cli, selftest, validity
 from ramify.analyzer import EisensteinData, brute_force_survey, residues_of, unif_of
 from ramify.binomials import vp
 from ramify.enumeration import Level, enumerate_invariants
-from ramify.polygons import decompose
+from ramify.polygons import decompose, polygon_plan
 from ramify.validity import ResidueForcedError, is_valid_fine
 
 
@@ -193,14 +193,54 @@ def test_oracle_walks_only_the_tables_whose_residue_combination_fails(
     assert _kinds_and_tables(lines) == failing and len(lines) == len(failing) < len(group)
 
 
+def _read(base, n, fine):
+    """The coefficients whose units the residues read: 0 and each plan step's b < n."""
+    return {0} | {b for _, _, b, *_ in polygon_plan(base, n, fine.points)[1] if b < n}
+
+
+def _boxes_agree_at_minimizers(base, n, fine, boxes):
+    """Every box has the same F_b, not None, at each plan step's b < n."""
+    read = _read(base, n, fine)
+    values = {tuple(box[b] for b in read) for box in boxes}
+    return len(values) == 1 and None not in next(iter(values))
+
+
+@pytest.mark.parametrize("case", [(2, 2, 3), (2, 4, 5), (3, 3, 3), (2, 8, 3), (3, 7, 2)])
+def test_the_boxes_of_a_group_agree_at_its_minimizers(ctx_q2, ctx_q3, case):
+    # n*(B(b, j) + F_b - 1) + b = R_j fixes F_b, so the first box's units stand
+    # for the group's; a box of another polygon that differs there breaks this
+    p, n, bound = case
+    ctx = ctx_q2 if p == 2 else ctx_q3
+    survey = brute_force_survey(ctx, n, bound)
+    for fine, group in survey.items():
+        assert _boxes_agree_at_minimizers(ctx.base, n, fine, group.boxes), fine.points
+    # 3:7:2 is tame, one polygon
+    assert len(survey) == 1 or any(
+        not _boxes_agree_at_minimizers(ctx.base, n, fine, [group.boxes[0], other.boxes[0]])
+        for fine, group in survey.items() for other in survey.values()
+    )
+
+
+def test_oracle_refuses_a_group_that_mixes_boxes(ctx_q2):
+    # a box of another polygon, put in a group, fails the minimizer check
+    survey = brute_force_survey(ctx_q2, 4, 3)
+    group, box = next(
+        (group, other.boxes[0]) for fine, group in survey.items() for other in survey.values()
+        if not _boxes_agree_at_minimizers(ctx_q2.base, 4, fine, [group.boxes[0], other.boxes[0]])
+    )
+    group.boxes.append(box)
+    with pytest.raises(AssertionError, match="minimizer"):
+        selftest.survey_case_problems(ctx_q2, 4, 3, survey=survey)
+
+
 @pytest.mark.parametrize("case, invariants", [((3, 3, 3), 10), ((2, 4, 3), 8)])
 def test_residue_verdicts_are_decided_once_per_invariant(
     ctx_q2, ctx_q3, monkeypatch, case, invariants
 ):
     # one residue check per distinct InvariantWithUnif over the survey, not
-    # per box or leading-digit combination; and a passing survey walks no
-    # table, so decorate runs once per box and combination of leading pairs,
-    # the (p-1)*(1+depth*(p-1))^(n-1) the command line bounds, and unif_of never
+    # per box or leading-digit combination: a group decorates once per choice
+    # of the units its plan reads, (q-1)^|read|, and a passing survey walks
+    # no table, so unif_of never runs
     p, n, bound = case
     ctx = ctx_q2 if p == 2 else ctx_q3
     survey = brute_force_survey(ctx, n, bound)
@@ -217,7 +257,8 @@ def test_residue_verdicts_are_decided_once_per_invariant(
     monkeypatch.setattr(selftest, "unif_of", lambda f: analyses.append(f) or unif_of(f))
     assert selftest.survey_case_problems(ctx, n, bound, survey=survey) == []
     assert len(calls) == len(distinct) == invariants and set(calls) == distinct
-    assert len(decorations) == (p - 1) * (1 + bound * (p - 1)) ** (n - 1)
+    reads = [_read(ctx.base, n, fine) for fine in survey]
+    assert len(decorations) == sum((p - 1) ** len(read) for read in reads) == invariants
     assert analyses == []
 
 

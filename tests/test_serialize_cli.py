@@ -313,9 +313,9 @@ def test_cli_rejects_huge_fields_before_primality():
 
 def test_cli_selftest_rejects_huge_case_before_forming_its_size():
     # 3^(10^8) takes minutes to form; the guard must reject the case first.
-    # 2:24:1 and 3:15:1 are inside 2^24 tables but need 2^23 and about 9.5M
-    # representative tables, past the 2^18 the selftest checks
-    for case in ("3:10000:10000", "2:24:1", "3:15:1"):
+    # 2:24:1 is inside 2^24 tables but has 2^23 valuation signatures, past
+    # the 2^18 the selftest surveys
+    for case in ("3:10000:10000", "2:24:1"):
         done = run_process("selftest", "--case", case, preexec_fn=cap(192 * 2**20))
         assert done.returncode == 2, case
         assert "exceeds the survey guard" in done.stderr
@@ -338,8 +338,10 @@ def test_cli_selftest_surveys_degree_eight_under_a_192_mib_address_space_cap():
     # guard, 2^23 of them Eisenstein; the survey decides them box by box and
     # builds none, where a table object each would take on the order of 1 GB.
     # Degree 1 to depth 24 (Q_2) or 15 (Q_3) is one box of 2^23 or 2*3^14
-    # tables, decided without making a row of it
-    for case in ("2:8:3", "2:1:24", "3:1:15"):
+    # tables, decided without making a row of it.  2:12:2 (3^11 signatures),
+    # 2:19:1 (2^18, at the signature guard) and 3:15:1 (2^14) are the grid at
+    # the guards
+    for case in ("2:8:3", "2:1:24", "3:1:15", "2:12:2", "2:19:1", "3:15:1"):
         done = run_process("selftest", "--case", case, preexec_fn=cap(192 * 2**20))
         assert done.returncode == 0, (case, done.stderr[-2000:])
         p, n, depth = case.split(":")
