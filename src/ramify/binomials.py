@@ -10,7 +10,7 @@ parts.  Everything is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .residue_field import BaseField, FqElement
 
@@ -51,17 +51,11 @@ def vp_binomial(p: int, i: int, j: int) -> int:
 
 @dataclass(frozen=True)
 class BinomialContext:
-    """Bundles the base field with the binomial-residue machinery."""
+    """The base field every search and check reads; it holds no state of its own, as a
+    hull the hull search proved carries its proof (``RamPolygon``), so a context serves
+    any number of degrees and calls as a fresh one would."""
 
     base: BaseField
-
-    @cached_property
-    def memo(self) -> dict:
-        """Per degree n, made on first use: the vertex tuples of the hulls the hull search
-        passed, owned by ``validity.passed_hulls``.  Never trimmed (Q_2 degree 64 leaves a
-        4.2 MB set of 127,251 results' own tuples, 14.8 MB with them): ``ctx.memo.clear()``
-        releases them, the frozen class refuses ``del``."""
-        return {}
 
 
 def B(ctx: BinomialContext, i: int, j: int) -> int:

@@ -34,11 +34,12 @@ from .templates import (
 
 
 # the largest J0 range n*e*v_p(n) enumerate searches: the hull search tree
-# grows fast with it (Q_2 degree 64, 384: 35 s at level ram, 73 s at level fine,
-# most of it the JSON, on one 2-vCPU core; degree 128, 896: no end)
+# grows fast with it (Q_2 degree 64, 384: 11-17 s CPU and 250 MB max RSS at level
+# ram, 20-27 s and 370 MB at level fine, most of it the JSON, in one process on a
+# 2-vCPU VM; degree 128, 896: no end)
 MAX_J0_RANGE = 512
 # the most valuation signatures a selftest case may survey, one polygon computation
-# each: (1+depth)^(n-1) (2:19:1, 2^18: 1.7-2.5 s, 67 MB, 2 vCPUs)
+# each: (1+depth)^(n-1) (2:19:1, 2^18: 1.2-1.8 s, 67 MB, 2 vCPUs)
 MAX_SURVEY_SIGNATURES = 2**18
 
 

@@ -11,7 +11,10 @@ The hull search's root candidates J0 <= n * v(n) are those whose vertex
 (1, J0) passes its own conditions, which equal the Ore bound; the fine
 search's forced points are the tame zeros.
 
-Outputs are canonically sorted and deterministic.
+Outputs are deterministic and come in canonical order by construction: each
+search decides its positions in increasing abscissa, and at each tries a
+point, in increasing ordinate or residue, before it leaves the position
+empty, so it meets its results in the sorted order of their points.
 """
 
 from __future__ import annotations
@@ -78,7 +81,8 @@ def enumerate_ram_polygons(
     """All valid ramification polygons of degree n over the base field.
 
     Branches first over the leftmost ordinate J0 within the Ore bound, then
-    over adding or not adding a vertex at each remaining p-power abscissa;
+    over adding a vertex, in increasing ordinate, or then none at each
+    remaining p-power abscissa, so the results come sorted by vertices;
     candidate ordinates at p^S run over the integers strictly between 0 and
     the current partial polygon's value there (candidates that would make
     an earlier vertex non-extremal are skipped, since the vertex list of a
@@ -95,8 +99,8 @@ def enumerate_ram_polygons(
     count is ``branches_visited``.  A leaf's verdict is ``violations`` of
     kind 1, the hull form at its absent p-powers.  Only a leaf that passes
     becomes a ``RamPolygon``, built without the structural checks (its
-    vertices are convex and in place by construction), and its own ``vertices``
-    go into ``validity.passed_hulls`` for ``is_valid_ram``, the fine search's guard.
+    vertices are convex and in place by construction) and carrying the e it
+    was proved over, which ``is_valid_ram``, the fine search's guard, reads.
     The results share one (x, J) object per distinct vertex and one tail.
     """
     if n < 1:
@@ -112,7 +116,6 @@ def enumerate_ram_polygons(
     # J0 <= n * v(n), and every ordinate after the first lies below J0
     J0_max = n * ctx.base.e * m
     out: list[RamPolygon] = []
-    passed = validity.passed_hulls(ctx, n)
     stats = EnumStats()
     masks: dict[int, tuple[int, int]] = {}  # (J_t, s_t, S) -> (bits passing, bits decided)
     pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one (x, J) object per distinct vertex
@@ -128,10 +131,8 @@ def enumerate_ram_polygons(
                 for _, x, J in prefix:
                     pair = (x, J)
                     vertices.append(pairs.setdefault(pair, pair))
-                out.append(RamPolygon._built(p, n, tuple(vertices) + tail))
-                passed.add(out[-1].vertices)
+                out.append(RamPolygon._built(p, n, tuple(vertices) + tail, ctx.base.e))
             return
-        search(prefix, S + 1, ())
         x_new = p**S
         _, x_last, J_last = prefix[-1]
         # candidates strictly below the chord from the last vertex to (p^m, 0)
@@ -148,11 +149,11 @@ def enumerate_ram_polygons(
         for J in _bits(candidates):
             if _keeps_convex(prefix, x_new, J):
                 search(prefix + [(S, x_new, J)], S + 1, ())
+        search(prefix, S + 1, ())
 
     for J0 in range(J0_max + 1):
         if not validity.violations(ctx, n, [(0, 1, J0)], (0,)):
             search([(0, 1, J0)], 1, None)
-    out.sort(key=lambda P: P.vertices)
     stats.results = len(out)
     return out, stats
 
@@ -171,10 +172,11 @@ def enumerate_fine_polygons(
     the tame zeros, (p^m, 0) and (n, 0) among them.  So the root has nothing
     to check, a child checks the pairs its candidate forms, and a leaf its
     wild points with the fine form at the p-powers without a point, both by
-    ``validity.violations``.  A ``FinePolygon``, on the hull ``P``, is
-    built only per result, without the structural checks: its points are
-    the hull's and sorted by construction.  Its points share the hull's own
-    (x, J) objects and end with the degree's one tuple of tame points.
+    ``validity.violations``.  Each candidate is taken before it is left
+    out, so the results come sorted by points.  A ``FinePolygon``, on the
+    hull ``P``, is built only per result, without the structural checks: its
+    points are the hull's and sorted by construction.  Its points share the
+    hull's own (x, J) objects and end with the degree's one tuple of tame points.
 
     Where the hull passes through no lattice point there is nothing to choose:
     the leaf's fine form is the hull form the guard just passed, so with
@@ -211,11 +213,10 @@ def enumerate_fine_polygons(
                 points = tuple([pairs[t] for t in leaf[:-1]]) + tame
                 out.append(FinePolygon._built(p, n, points, P))
             return
-        search(idx + 1, chosen, ())
         search(idx + 1, chosen + [candidates[idx]], (candidates[idx][0],))
+        search(idx + 1, chosen, ())
 
     search(0, [], ())
-    out.sort(key=lambda Ps: Ps.points)
     stats.results = len(out)
     return out, stats
 
@@ -227,9 +228,10 @@ def enumerate_residue_classes(
 
     A horizontal point's residue is forced: beta(n, x), its plan step's beta.
     The remaining points are decorated in order of increasing abscissa,
-    branching only over orbit representatives under the twists that fix
-    everything assigned earlier, and pruning assignments incompatible with
-    every uniformizer residue.
+    branching only over orbit representatives, in increasing order, under the
+    twists that fix everything assigned earlier, and pruning assignments
+    incompatible with every uniformizer residue; so the results come sorted
+    by residues.
     """
     if not validity.is_valid_fine(ctx, Pstar).ok:
         raise ValueError("residue enumeration requires a valid fine polygon")
@@ -262,7 +264,6 @@ def enumerate_residue_classes(
             search(t + 1, assigned + [(step, gamma)])
 
     search(0, [])
-    out.sort(key=lambda Pres: tuple(rho.coeffs for rho in Pres.residues))
     stats.results = len(out)
     return out, stats
 

@@ -92,9 +92,18 @@ def tame_zeros(p: int, n: int) -> tuple[int, ...]:
 
 
 def wild_positions(p: int, n: int, points: Iterable[_Point]) -> list[tuple[int, int, int]]:
-    """(s, p^s, J) for each point (x, J) at a p-power abscissa x <= p^(v_p(n))."""
+    """(s, p^s, J) for each point (x, J) at a p-power abscissa x <= p^(v_p(n)); a polygon's
+    points come sorted, so s is counted up as x grows."""
     top = p ** vp(p, n)
-    return [(vp(p, x), x, J) for x, J in points if x <= top]
+    out, s, power = [], 0, 1
+    for x, J in points:
+        if x > top:
+            break
+        while power < x:
+            power *= p
+            s += 1
+        out.append((s, x, J))
+    return out
 
 
 def decompose(J: int, n: int) -> tuple[int, int]:
@@ -120,12 +129,16 @@ class RamPolygon:
     Structural requirements checked at construction: the first vertex is
     at abscissa 1, there is a vertex (p^(v_p(n)), 0), the last vertex is
     (n, 0), every other vertex sits at a power of p, and slopes strictly
-    increase left to right.
+    increase left to right.  A hull search result also carries the
+    ramification index e over which the search proved it valid; a polygon
+    from any other path, the constructor, a reader or ``dataclasses.replace``,
+    carries None.
     """
 
     p: int
     n: int
     vertices: tuple[tuple[int, int], ...]
+    _proved_e: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -154,10 +167,12 @@ class RamPolygon:
                 raise ValueError("vertices must be strictly convex")
 
     @classmethod
-    def _built(cls, p: int, n: int, vertices: tuple[tuple[int, int], ...]) -> "RamPolygon":
+    def _built(cls, p: int, n: int, vertices: tuple[tuple[int, int], ...], e: int
+               ) -> "RamPolygon":
         """The polygon as the hull search builds it, vertices already int, convex and in
-        place, so with no check; every other caller constructs and is checked."""
-        return _unchecked(cls, p=p, n=n, vertices=vertices)
+        place, so with no check, and proved valid over e; every other caller constructs
+        and is checked."""
+        return _unchecked(cls, p=p, n=n, vertices=vertices, _proved_e=e)
 
     @property
     def J0(self) -> int:
@@ -300,26 +315,17 @@ def polygon_plan(base: BaseField, n: int, points: tuple) -> tuple[FinePolygon, t
 # the least ordinate at an absent p-power
 
 
-def least_ordinates(p: int, positions: Sequence[tuple[int, ...]]
+def least_ordinates(p: int, positions: Sequence[tuple[int, int, int]]
                     ) -> list[tuple[int, int, int, int]]:
     """(s, p^s, ceil(V), floor(V) + 1) at each exponent s strictly between two
     consecutive points (s, p^s, J), V the segment's value at p^s.
 
-    The points may also be (x, J) pairs, x = p^s, from abscissa 1 on: s is then
-    counted, as the point records read a polygon's own points.  The records are
-    the least ordinate a point at p^s may take on a hull, where the position is
-    open, and on a fine polygon, where it is excluded; they differ exactly where
-    V is an integer.  The depth bounds, the validity checks, the point records
-    and the fine search read a polygon's value at a p-power only so.
+    The records are the least ordinate a point at p^s may take on a hull, where
+    the position is open, and on a fine polygon, where it is excluded; they
+    differ exactly where V is an integer.  The depth bounds, the validity
+    checks, the point records and the fine search read a polygon's value at a
+    p-power only so.
     """
-    if positions and len(positions[0]) == 2:
-        named, s, power = [], 0, 1
-        for x, J in positions:
-            while power < x:
-                power *= p
-                s += 1
-            named.append((s, x, J))
-        positions = named
     out = []
     for (s_u, x_u, J_u), (s_w, x_w, J_w) in zip(positions, positions[1:]):
         D = x_w - x_u

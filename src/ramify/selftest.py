@@ -84,10 +84,13 @@ def survey_case_problems(
         if fine in enumerated_set:
             T = template_for_fine(ctx, fine)
             slots = [(i, k, allowed) for (i, k), allowed in T.slots.items() if k <= bound]
-        # (i, F): some row of leading valuation F misses one of coefficient i's slots
-        outside = {(i, F) for i, k, allowed in slots for F in valuations
-                   if not digits_at(F, k) <= allowed}
-        fits = outside.isdisjoint(pair for box in group.boxes for pair in enumerate(box))
+        # per coefficient i, the F for which some row of leading valuation F misses a slot of i
+        outside: dict[int, set] = {}
+        for i, k, allowed in slots:
+            for F in valuations:
+                if not digits_at(F, k) <= allowed:
+                    outside.setdefault(i, set()).add(F)
+        fits = not any(box[i] in Fs for box in group.boxes for i, Fs in outside.items())
         steps = polygon_plan(base, n, fine.points)[1]
         # the residues read phi_0 and each point's minimizer phi_b, whose F_b the plan fixes
         read = sorted({0, *(b for _, _, b, *_ in steps if b < n)})

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Any
 
 from .analyzer import EisensteinData, NotEisensteinError
-from .binomials import ROW_DEGREES, vp
+from .binomials import ROW_DEGREES
 from .polygons import (
     FinePolygon,
     FinePolygonWithResidues,
@@ -51,18 +51,18 @@ def field_from_json(data: dict[str, Any]) -> BaseField:
     return make_field(int(data["p"]), int(data["f"]), int(data["e"]), data["gamma"])
 
 
-def _point_specs(p: int, n: int, points, rel: str, residues=()) -> tuple[dict[str, Any], ...]:
-    """The point records of a polygon's attained ``points`` (a hull's are its vertices).
+def _point_specs(p: int, points, wild, rel: str, residues=()) -> tuple[dict[str, Any], ...]:
+    """The point records of a polygon's attained ``points`` (a hull's are its vertices),
+    ``wild`` the (s, p^s, J) of those up to p^(v_p(n)).
 
     One record per p-power position up to p^(v_p(n)): "=" where a point is
     attained, otherwise the hull's value there, rounded up under ">=" (the
     position is left open) or down under ">" (it is excluded); then one "="
     record per point beyond p^(v_p(n)).  ``residues``, one per point, decorate
-    the "=" records.  The absent positions lie between the points up to
-    (p^(v_p(n)), 0), in order, so one pass merges them in.
+    the "=" records.  The absent positions lie between the wild points, in
+    order, so one pass merges them in.
     """
-    top = p ** vp(p, n)
-    bounds = least_ordinates(p, points[: points.index((top, 0)) + 1])
+    bounds = least_ordinates(p, wild)
     records = []
     g = 0
     for i, (x, J) in enumerate(points):
@@ -86,7 +86,7 @@ def ram_to_json(P: RamPolygon) -> dict[str, Any]:
     return {
         "n": P.n,
         "vertices": P.vertices,
-        "point_specs": _point_specs(P.p, P.n, P.vertices, ">="),
+        "point_specs": _point_specs(P.p, P.vertices, P.wild_vertices(), ">="),
     }
 
 
@@ -100,7 +100,7 @@ def fine_to_json(Pstar: FinePolygon) -> dict[str, Any]:
         "points": Pstar.points,
         "tame": _shared_tame(tuple(Pstar.tame_abscissas())),
         "hull": Pstar.hull.vertices,
-        "point_specs": _point_specs(Pstar.p, Pstar.n, Pstar.points, ">"),
+        "point_specs": _point_specs(Pstar.p, Pstar.points, Pstar.wild_points(), ">"),
     }
 
 
@@ -115,7 +115,7 @@ def res_to_json(Pres: FinePolygonWithResidues) -> dict[str, Any]:
         "points": tuple((x, J, str(rho)) for x, J, rho in Pres.items()),
         "tame": _shared_tame(tuple(Pstar.tame_abscissas())),
         "hull": Pstar.hull.vertices,
-        "point_specs": _point_specs(Pstar.p, Pstar.n, Pstar.points, ">", Pres.residues),
+        "point_specs": _point_specs(Pstar.p, Pstar.points, Pstar.wild_points(), ">", Pres.residues),
     }
 
 

@@ -27,8 +27,8 @@ a point's own depth is a + 1 - B[b][s] and its Ore quantity a + 1 - B[n][s].
 So ``violations`` decides each check in closed form, in integers, for any
 ordinate, and is the one route to every report; ``passing_column`` decides
 the hull search's candidate columns from the same formulas; both are pure.
-The memo keeps per degree only ``passed_hulls``, the hull search's results'
-own vertex tuples, which ``is_valid_ram``, the fine search's guard, looks up first.
+A hull search result carries the e over which it was proved valid, which
+``is_valid_ram``, the fine search's guard, reads first.
 """
 
 from __future__ import annotations
@@ -77,13 +77,6 @@ class ValidityReport:
 
 class ResidueForcedError(ValueError):
     """A horizontal-face residue differs from the forced binomial residue."""
-
-
-def passed_hulls(ctx: BinomialContext, n: int) -> set:
-    """The vertex tuples of the degree-n hulls a hull search on ``ctx`` passed: ``ctx.memo[n]``.
-
-    The hull search adds each result's own ``vertices``; ``is_valid_ram`` reads them."""
-    return ctx.memo.setdefault(n, set())
 
 
 def _found(table: tuple[tuple[int, ...], ...], n: int, p: int, positions, new, kind: int
@@ -208,9 +201,10 @@ def _same_prime(ctx: BinomialContext, P: RamPolygon | FinePolygon) -> None:
 
 
 def is_valid_ram(ctx: BinomialContext, P: RamPolygon) -> ValidityReport:
-    """Full validity of a ramification polygon, every violation named; a passed hull by lookup."""
+    """Full validity of a ramification polygon, every violation named.  Validity reads only
+    (p, e, n), so a hull the hull search proved over the context's e passes unchecked."""
     _same_prime(ctx, P)
-    if P.vertices in passed_hulls(ctx, P.n):
+    if P._proved_e == ctx.base.e:
         return ValidityReport(ok=True, violations=())
     wild = P.wild_vertices()
     return ValidityReport.from_violations(violations(ctx, P.n, wild, kind=1, every=True))

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -171,9 +170,9 @@ def test_search_results_share_their_pairs(ctx_q2, n):
 
 @pytest.mark.parametrize("spec", [(2, 1, 1, 1), (3, 1, 1, 1), (2, 1, 2, 1), (2, 2, 1, "g")])
 def test_a_context_that_served_other_work_enumerates_as_a_fresh_one(spec):
-    # the memo keeps, per degree, the vertices of the hulls the search passed;
-    # other degrees, unpruned searches and invalid polygons, J0
-    # beyond the Ore bound among them, must not leak
+    # the context keeps nothing between calls: other degrees, unpruned
+    # searches and invalid polygons, J0 beyond the Ore bound among them,
+    # must not leak
     used = BinomialContext(make_field(*spec))
     p, e = used.base.p, used.base.e
     for n in range(1, p**3 + 1):
@@ -199,16 +198,12 @@ def test_a_context_that_served_other_work_enumerates_as_a_fresh_one(spec):
                 assert enumerate_fine_polygons(used, P, prune=prune) == fresh_fines
 
 
-def test_a_cleared_context_enumerates_as_a_fresh_one():
-    # the memo is never trimmed; clearing it is the release (the frozen
-    # dataclass refuses ``del``), and a cleared context starts as a fresh one
+def test_a_reused_context_enumerates_as_a_fresh_one():
+    # a context holds its base field and nothing else, before and after a
+    # walk, so a reused one enumerates as a fresh one
     used = BinomialContext(make_field(2, 1, 1, 1))
     enumerate_invariants(used, 16, "fine")
-    assert used.memo
-    with pytest.raises(FrozenInstanceError):
-        del used.memo
-    used.memo.clear()
-    assert used.memo == {}
+    assert vars(used) == {"base": used.base}
     fresh = BinomialContext(make_field(2, 1, 1, 1))
     for prune in (True, False):
         hulls, stats = enumerate_ram_polygons(used, 16, prune=prune)
@@ -379,6 +374,48 @@ def test_enumerate_invariants_counts(ctx_q2, ctx_q3):
         ((1, 2), (3, 0)),
         ((1, 3), (3, 0)),
     ]
+
+
+# (field, degree): the branches the hull, fine and residue searches visit
+# pruned, and unpruned where n <= 16; the residue level is walked where n <= 9
+ORDER_CASES = [
+    ((2, 1, 1, 1), 32, {True: (29730, 8750, 0)}),
+    ((3, 1, 1, 1), 27, {True: (1131, 562, 0)}),
+    ((2, 2, 1, "g"), 16, {True: (1602, 554, 0), False: (202027, 554, 0)}),
+    ((2, 1, 2, 1), 16, {True: (7077, 3097, 0), False: (2613867, 3097, 0)}),
+    ((3, 1, 1, 1), 9, {True: (46, 28, 106), False: (135, 28, 108)}),
+    ((2, 2, 1, "g"), 8, {True: (137, 57, 398), False: (1297, 57, 434)}),
+]
+
+
+@pytest.mark.parametrize("spec, n, branches", ORDER_CASES,
+                         ids=[f"{spec[0]}^{spec[1]}-e{spec[2]}-{n}" for spec, n, _ in ORDER_CASES])
+def test_every_level_comes_in_canonical_order(spec, n, branches):
+    # the searches sort nothing afterwards: hulls come sorted by vertices,
+    # each hull's fine polygons by points and each fine polygon's residue
+    # classes by residue coefficients, so each level's list is sorted by its
+    # parents' keys and then its own; pruning changes no list
+    ctx = BinomialContext(make_field(*spec))
+    walks = []
+    for prune, expected in branches.items():
+        hulls, stats = enumerate_ram_polygons(ctx, n, prune=prune)
+        visited = [stats.branches_visited, 0, 0]
+        fines, classes = [], []
+        for P in hulls:
+            found, stats = enumerate_fine_polygons(ctx, P, prune=prune)
+            visited[1] += stats.branches_visited
+            fines += [(P.vertices, Ps.points, Ps) for Ps in found]
+        for *keys, Ps in fines if n <= 9 else ():
+            found, stats = enumerate_residue_classes(ctx, Ps, prune=prune)
+            visited[2] += stats.branches_visited
+            classes += [(*keys, tuple(rho.coeffs for rho in Pres.residues)) for Pres in found]
+        fines = [keys for *keys, _ in fines]
+        walk = ([P.vertices for P in hulls], fines, classes)
+        assert all(keys == sorted(keys) for keys in walk), prune
+        assert tuple(visited) == expected, prune
+        walks.append(walk)
+    assert all(walk == walks[0] for walk in walks)
+    assert walks[0][1] and (n > 9 or walks[0][2])
 
 
 def test_enumeration_deterministic_across_runs(ctx_q2):

@@ -1,10 +1,12 @@
 """The package imports the standard library and itself, nothing else."""
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
 import ramify
+from ramify.binomials import BinomialContext
 
 SOURCES = sorted(Path(ramify.__file__).parent.glob("*.py"))
 
@@ -96,7 +98,23 @@ def test_every_verdict_reaches_the_engine_through_violations():
     assert _callers("wild_positions") == {("polygons", "wild_vertices"), ("polygons", "wild_points")}
 
 
-def test_each_degree_table_and_memo_has_one_route():
+def _attribute_sites(name):
+    """(module, enclosing functions outer to inner, receiver) of each ``receiver.name``."""
+    sites = set()
+
+    def visit(node, module, chain):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == name:
+                sites.add((module, chain, ast.unparse(child.value)))
+            inner = chain + (child.name,) if isinstance(child, ast.FunctionDef) else chain
+            visit(child, module, inner)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), str(path)), path.stem, ())
+    return sites
+
+
+def test_each_degree_table_has_one_route_and_each_proof_one_writer():
     # one table of a degree's binomial valuations: only ``binomials`` takes
     # the difference of factorial valuations, in ``vp_binomial`` and, over one
     # list per degree, in ``valuation_table``, and the table's readers are the
@@ -106,11 +124,14 @@ def test_each_degree_table_and_memo_has_one_route():
     }
     readers = {module for module, _ in _callers("valuation_table")}
     assert readers == {"validity", "templates", "analyzer"}
-    # the context's memo is the passed-hull set, behind one accessor
-    assert _users("memo") == {("validity", "passed_hulls")}
-    assert _callers("passed_hulls") == {
-        ("validity", "is_valid_ram"), ("enumeration", "enumerate_ram_polygons")
+    # a context holds only its base field and no module reads a memo: a hull
+    # carries its own proof, which only the hull search's leaves write
+    assert _users("memo") == set()
+    assert [field.name for field in dataclasses.fields(BinomialContext)] == ["base"]
+    assert {site for site in _attribute_sites("_built") if site[2] == "RamPolygon"} == {
+        ("enumeration", ("enumerate_ram_polygons", "search"), "RamPolygon")
     }
+    assert {site[2] for site in _attribute_sites("_built")} == {"RamPolygon", "FinePolygon"}
 
 
 def test_only_the_polygon_plan_computes_a_binomial_residue():

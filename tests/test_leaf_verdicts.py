@@ -111,9 +111,9 @@ def test_hull_leaf_verdict_is_full_validity(monkeypatch, p, f, e, gamma, degrees
 
 
 def test_is_valid_ram_answers_as_the_engine_on_every_reached_hull(monkeypatch):
-    # the engine's violations, on a context whose memo the searches have
-    # filled with the hulls they passed; the weak report is the engine over
-    # the present exponents
+    # the engine's violations, on a context the searches have used, for
+    # polygons constructed here; the weak report is the engine over the
+    # present exponents
     ctx = BinomialContext(make_field(2, 1, 1, 1))
     for n in (4, 8, 12, 16):
         enumerate_ram_polygons(ctx, n)
@@ -276,26 +276,28 @@ def test_hull_leaf_verdict_reads_the_enclosing_segment():
 
 @pytest.mark.parametrize("p, f, e, gamma, degrees", LEAF_CASES, ids=CASE_IDS)
 def test_every_memoised_verdict_is_the_engine_verdict_of_its_key(p, f, e, gamma, degrees):
-    # a degree's memo entry is the set of the hulls the hull search passed,
-    # keyed by their vertices, and the degree's valuation table holds each
-    # e * v_p(binomial(i, p^s)): after the searches, pruned and not, and the
-    # fine searches, every kept hull is one the engine passes, and they are
-    # the search's results
+    # the memoised verdict is the proof a hull search result carries, the e
+    # of the context that passed it, and its key the hull itself; every
+    # result, pruned and not, carries one, and the degree's valuation table
+    # holds each e * v_p(binomial(i, p^s)): after the searches and the fine
+    # searches, every proved hull is one the full check and the engine pass
     ctx = BinomialContext(make_field(p, f, e, gamma))
     for n in degrees:
         hulls = enumerate_ram_polygons(ctx, n)[0]
         for P in hulls:
             enumerate_fine_polygons(ctx, P)
-        enumerate_ram_polygons(ctx, n, prune=False)
+        unpruned = enumerate_ram_polygons(ctx, n, prune=False)[0]
+        assert unpruned == hulls
+        assert all(P._proved_e == e for P in hulls + unpruned)
         table = valuation_table(p, e, n)
         m = vp(p, n)
         assert len(table) == n + 1
         for i, row in enumerate(table):
             expected = tuple(e * vp_binomial(p, i, p**s) for s in range(m + 1) if p**s <= i)
             assert row == expected, (n, i)
-        assert ctx.memo[n] == validity.passed_hulls(ctx, n) == {P.vertices for P in hulls}
-        for vertices in ctx.memo[n]:
-            assert engine_valid_ram(ctx, RamPolygon(p, n, vertices)), vertices
+        for P in hulls:
+            assert not validity.violations(ctx, n, P.wild_vertices(), kind=1), P
+            assert engine_valid_ram(ctx, RamPolygon(p, n, P.vertices)), P
 
 
 def test_tame_ok_reads_the_horizontal_face(ctx_q2):

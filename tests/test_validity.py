@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -22,6 +24,7 @@ from ramify.polygons import (
     decompose,
 )
 from ramify.residue_field import make_field
+from ramify.serialize import ram_from_json, ram_to_json
 from ramify.validity import (
     ResidueForcedError,
     Violation,
@@ -34,7 +37,6 @@ from ramify.validity import (
     is_valid_with_unif,
     is_weakly_valid_fine,
     is_weakly_valid_ram,
-    passed_hulls,
     violations,
     weak_ram_ok,
 )
@@ -184,14 +186,19 @@ def test_an_ordinate_above_the_ore_bound_fails_its_own_conditions(spec):
         assert enumerate_ram_polygons(ctx, n) == enumerate_ram_polygons(fresh, n)
 
 
-def test_a_report_above_the_ore_bound_leaves_the_memo_as_it_was():
+def _state(ctx, hulls):
+    """The context's fields and each hull's, proof included, as plain values."""
+    return dict(vars(ctx)), [dict(vars(P)) for P in hulls]
+
+
+def test_a_report_above_the_ore_bound_leaves_context_and_hulls_as_they_were():
     # J0 > 8 * v(8) = 24: the report names the reference's violations, Ore2
-    # among them, keeps no hull and builds nothing that grows with J0; the
-    # memo the search filled is left as it was
+    # among them, and builds nothing that grows with J0; the context and the
+    # hulls the search proved are left as they were
     ctx = BinomialContext(make_field(2, 1, 1, 1))
-    enumerate_ram_polygons(ctx, 8)
-    before = {n: set(passed) for n, passed in ctx.memo.items()}
-    assert before[8]
+    hulls = enumerate_ram_polygons(ctx, 8)[0]
+    before = _state(ctx, hulls)
+    assert all(P._proved_e == 1 for P in hulls)
     for J0 in (25, 10**6, 10**40):
         P = RamPolygon(2, 8, ((1, J0), (8, 0)))
         tracemalloc.start()
@@ -201,7 +208,7 @@ def test_a_report_above_the_ore_bound_leaves_the_memo_as_it_was():
         assert not report.ok and Violation.ORE2 in report.violations
         assert set(report.violations) == hull_violations(ctx, P), J0
         assert peak < 64 * 1024, (J0, peak)
-        assert ctx.memo == before
+        assert _state(ctx, hulls) == before
     fresh = BinomialContext(make_field(2, 1, 1, 1))
     for prune in (True, False):
         assert enumerate_ram_polygons(ctx, 8, prune=prune) == enumerate_ram_polygons(
@@ -210,9 +217,8 @@ def test_a_report_above_the_ore_bound_leaves_the_memo_as_it_was():
 
 
 def test_a_search_leaves_every_failing_hull_its_full_report():
-    # the hull search keeps the hulls it passed in the memo, read before any
-    # check; a hull it failed or never met still gets every violation, as on
-    # a fresh context
+    # only the hull search's own results carry its proof; a hull it failed
+    # or never met still gets every violation, as on a fresh context
     ctx = BinomialContext(make_field(2, 1, 1, 1))
     for prune in (True, False):
         enumerate_ram_polygons(ctx, 8, prune=prune)
@@ -230,39 +236,39 @@ def test_a_search_leaves_every_failing_hull_its_full_report():
 
 
 def test_a_stored_pass_is_read_for_its_own_degree_only():
-    # each degree's memo entry is exactly the set of the hulls its search
-    # passed, keyed by the very vertex tuples the results hold; Q_2 degrees 24
-    # and 40 share v(n) = 3, and some wild vertices pass in one degree and fail
-    # in the other.  On one context searched in both, each degree's report is
-    # the engine's, and no failing hull is kept
+    # a search result carries the e of the context that proved it, and its
+    # degree is its own; Q_2 degrees 24 and 40 share v(n) = 3, and some wild
+    # vertices pass in one degree and fail in the other.  The same vertices in
+    # the other degree, constructed, carry no proof: each degree's report is
+    # the engine's, passing exactly the search's results
     ctx = BinomialContext(make_field(2, 1, 1, 1))
-    assert ctx.memo == {}
-    wild = set()
+    found, wild = {}, set()
     for n in (24, 40):
         hulls = enumerate_ram_polygons(ctx, n)[0]
-        assert ctx.memo[n] is passed_hulls(ctx, n)
-        assert ctx.memo[n] == {P.vertices for P in hulls}
-        kept = {id(vertices) for vertices in ctx.memo[n]}
-        assert kept == {id(P.vertices) for P in hulls}
+        assert all(P._proved_e == 1 for P in hulls)
+        found[n] = {P.vertices for P in hulls}
         wild |= {P.vertices[:-1] for P in hulls}
-    assert set(ctx.memo) == {24, 40}
+    for e in (2, 3):
+        hulls = enumerate_ram_polygons(BinomialContext(make_field(2, 1, e, 1)), 24)[0]
+        assert hulls and all(P._proved_e == e for P in hulls)
     differ = 0
     for vertices in sorted(wild):
         verdicts = []
         for n in (24, 40):
             P = RamPolygon(2, n, vertices + ((n, 0),))
+            assert P._proved_e is None
             report = is_valid_ram(ctx, P)
             assert set(report.violations) == hull_violations(ctx, P), (n, vertices)
-            assert report.ok == (P.vertices in passed_hulls(ctx, n)), (n, vertices)
+            assert report.ok == (P.vertices in found[n]), (n, vertices)
             verdicts.append(report.ok)
         differ += verdicts[0] != verdicts[1]
     assert differ
 
 
-def test_no_violations_query_writes_to_the_memo():
+def test_no_violations_query_writes_to_context_or_hulls():
     # ``violations`` is pure at every kind, passing or failing, with and
-    # without ``every`` and ``new``: the memo is the hull search's alone, on a
-    # fresh context as on one the searches have filled
+    # without ``every`` and ``new``, on a fresh context as on one the
+    # searches have used, and leaves the proved hulls as they were
     fresh = BinomialContext(make_field(2, 1, 1, 1))
     used = BinomialContext(make_field(2, 1, 1, 1))
     hulls = enumerate_ram_polygons(used, 8)[0]
@@ -271,41 +277,61 @@ def test_no_violations_query_writes_to_the_memo():
     queries += [[(0, 1, 17), (2, 4, 4), (3, 8, 0)], [(0, 1, 25), (3, 8, 0)], [(0, 1, 6)]]
     assert any(violations(used, 8, q, kind=1) for q in queries)
     for ctx in (fresh, used):
-        before = {n: set(passed) for n, passed in ctx.memo.items()}
+        before = _state(ctx, hulls)
         for positions in queries:
             for kind in (0, 1, 2):
                 for every in (False, True):
                     for new in (None, (), (0,)):
                         violations(ctx, 8, positions, new, kind, every)
-        assert ctx.memo == before
-    assert fresh.memo == {}
+        assert _state(ctx, hulls) == before
+    assert vars(fresh) == vars(used) == {"base": used.base}
 
 
-def test_a_hull_equal_to_a_search_result_is_answered_from_the_set(monkeypatch):
-    # a caller's own RamPolygon equal to a search result is found by its
-    # vertices before any check or wild-vertex list is built, and gets the
-    # report a fresh context computes
+def test_a_hull_equal_to_a_search_result_gets_the_full_check(monkeypatch):
+    # only the search's own results carry its proof: an equal hull from the
+    # constructor, the JSON reader or ``dataclasses.replace`` carries none and
+    # is checked in full, with the result's verdict
     ctx = BinomialContext(make_field(2, 1, 1, 1))
     hulls = enumerate_ram_polygons(ctx, 16)[0]
     mine = [RamPolygon(2, 16, tuple(map(tuple, map(list, P.vertices)))) for P in hulls]
-    expected = [is_valid_ram(BinomialContext(make_field(2, 1, 1, 1)), P) for P in mine]
-    assert all(report.ok for report in expected)
-    assert all(P == Q and P.vertices is not Q.vertices for P, Q in zip(mine, hulls))
+    mine += [ram_from_json(ctx.base, json.loads(json.dumps(ram_to_json(P)))) for P in hulls]
+    mine += [dataclasses.replace(P) for P in hulls]
+    assert mine == hulls * 3
+    assert all(P._proved_e is None for P in mine)
+    checked = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("answered without the passed set")
+    def counted(*args, **kwargs):
+        checked.append(args[2])
+        return violations(*args, **kwargs)
 
-    monkeypatch.setattr(validity, "violations", refuse)
-    monkeypatch.setattr(RamPolygon, "wild_vertices", refuse)
-    assert [is_valid_ram(ctx, P) for P in mine] == expected
+    monkeypatch.setattr(validity, "violations", counted)
+    assert all(is_valid_ram(ctx, P).ok for P in hulls) and not checked
+    reports = [is_valid_ram(ctx, P) for P in mine]
+    assert all(report.ok for report in reports)
+    assert checked == [P.wild_vertices() for P in mine]
+
+
+def test_a_hull_proved_over_one_e_is_checked_in_full_over_another():
+    # the proof names the e it holds for: the Q_2 degree-16 hulls searched
+    # over e = 1 that are invalid over e = 2 are refused by the fine search
+    # under an e = 2 context, and every one gets the e = 2 verdict
+    hulls = enumerate_ram_polygons(BinomialContext(make_field(2, 1, 1, 1)), 16)[0]
+    ctx = BinomialContext(make_field(2, 1, 2, 1))
+    invalid = [P for P in hulls if violations(ctx, 16, P.wild_vertices(), kind=1)]
+    assert 0 < len(invalid) < len(hulls)
+    for P in hulls:
+        assert is_valid_ram(ctx, P) == is_valid_ram(ctx, RamPolygon(2, 16, P.vertices))
+    for P in invalid:
+        with pytest.raises(ValueError, match="requires a valid ramification polygon"):
+            enumerate_fine_polygons(ctx, P)
 
 
 def test_a_polygon_over_another_prime_is_a_value_error(ctx_q2):
-    # the valuation table and the kept hulls name exponents, not abscissas: a
-    # Q_2 polygon under a Q_3 context used to read Q_3's answers (3 of the 4
-    # degree-6 hulls passed) or fail inside the depth bound (every degree-24
-    # hull); each entry point refuses it first, even with a memo the Q_3
-    # search has filled
+    # the valuation table names exponents, not abscissas: a Q_2 polygon under
+    # a Q_3 context used to read Q_3's answers (3 of the 4 degree-6 hulls
+    # passed) or fail inside the depth bound (every degree-24 hull); each
+    # entry point refuses it first, even a Q_2 search result, whose proof
+    # over e = 1 is the Q_3 context's e too
     ctx = BinomialContext(make_field(3, 1, 1, 1))
     for n in (6, 24):
         enumerate_ram_polygons(ctx, n)
