@@ -29,7 +29,7 @@ only where a point can lie on the hull, m being v_p(n):
   and the other R_j are positive, above the horizontal face.
 
 So R is taken at p^0, ..., p^(m-1) (at p^m it is the leading term's 0) and
-the points (j, 0), j in ``polygons.tame_zeros``, are added: O(n log_p n)
+the points (j, 0) of ``polygons.tame_zeros`` are added: O(n log_p n)
 terms per polynomial, where every abscissa would take O(n^2).  A term less
 n*F_i depends on the degree alone: :func:`degree_rows` reads it off
 ``binomials.valuation_table`` as one row per p^s on a degree's first analysis and
@@ -180,13 +180,13 @@ def _trim(vec: Iterable[FqElement]) -> tuple[FqElement, ...]:
 def degree_rows(p: int, e: int, n: int) -> tuple[tuple, tuple]:
     """The (p^s, row) for p^s < p^(v_p(n)), and the tame zeros (j, 0), of one degree.
 
-    Immutable, as every analysis of the degree and the fine search's polygons share them.
+    Immutable, as every analysis of the degree shares them.
     ``row[i - p^s]`` for p^s <= i <= n is coefficient i's term at p^s less n*F_i:
     n*B[i][s] + i - n, B the valuation table."""
     table = valuation_table(p, e, n)
     wild = tuple((p**s, tuple(n * row[s] + i - n for i, row in enumerate(table[p**s:], p**s)))
                  for s in range(vp(p, n)))
-    return wild, tuple((j, 0) for j in tame_zeros(p, n))
+    return wild, tame_zeros(p, n)
 
 
 def ramification_of(base: BaseField, signature: Sequence[int | None]) -> tuple[FinePolygon, tuple]:

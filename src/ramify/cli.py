@@ -1,7 +1,7 @@
 """Command-line front end: enumerate invariants, analyze polynomials, selftest.
 
-Exit codes: 0 success, 1 selftest mismatch, 2 configuration error,
-3 malformed or non-Eisenstein polynomial input.
+Exit codes: 0 success, 1 selftest mismatch, 2 configuration error or out
+of memory, 3 malformed or non-Eisenstein polynomial input.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .templates import (
 
 
 # the largest J0 range n*e*v_p(n) enumerate searches: the hull search tree
-# grows fast with it (Q_2 degree 64, 384: 11-17 s CPU and 250 MB max RSS at level
-# ram, 20-27 s and 370 MB at level fine, most of it the JSON, in one process on a
+# grows fast with it (Q_2 degree 64, 384: 28-34 s CPU and 242 MB max RSS at level
+# ram, 56-59 s and 369 MB at level fine, most of it the JSON, in one process on a
 # 2-vCPU VM; degree 128, 896: no end)
 MAX_J0_RANGE = 512
 # the most valuation signatures a selftest case may survey, one polygon computation
@@ -119,7 +119,7 @@ def cmd_enumerate(args, out) -> int:
             writer.writerow(serialize.invariant_to_csv_row(args.level, index, obj))
         if args.stats:
             print(
-                f"branches_visited={stats.branches_visited} results={stats.results}",
+                f"branches_visited={stats.branches_visited} results={len(results)}",
                 file=sys.stderr,
             )
         return 0
@@ -159,7 +159,7 @@ def cmd_enumerate(args, out) -> int:
     if args.stats:
         doc["stats"] = {
             "branches_visited": stats.branches_visited,
-            "results": stats.results,
+            "results": len(results),
         }
     json.dump(doc, out, indent=2, sort_keys=True)
     out.write("\n")
@@ -244,6 +244,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # a listing too large for this process's memory; exit 1 means a selftest mismatch
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -5,7 +5,9 @@ soon as the partial object fails weak validity (or, for residues, as soon
 as no uniformizer residue is compatible with the residues assigned so far).
 Weak validity is preserved under removing points, so a partial object that
 fails it can never be completed to a valid one and the pruning is exact:
-with pruning on or off the output set is identical.
+with pruning on or off the output set is identical.  Weak validity of a
+set is that of its pairs, so both polygon searches test a child by one
+route, ``validity.passing_column``: each pair the child's point adds.
 
 The hull search's root candidates J0 <= n * v(n) are those whose vertex
 (1, J0) passes its own conditions, which equal the Ore bound; the fine
@@ -24,7 +26,6 @@ from enum import Enum
 from typing import Iterator
 
 from . import validity
-from .analyzer import degree_rows
 from .binomials import BinomialContext, vp
 from .polygons import (
     FinePolygon,
@@ -33,6 +34,7 @@ from .polygons import (
     RamPolygon,
     least_ordinates,
     polygon_plan,
+    tame_zeros,
 )
 from .residue_field import orbit_representatives, solve_power_system
 from .validity import admissible_phi0, invariant_gcd
@@ -49,7 +51,6 @@ class EnumStats:
     """
 
     branches_visited: int = 0
-    results: int = 0
 
 
 class Level(Enum):
@@ -57,14 +58,6 @@ class Level(Enum):
     FINE = "fine"
     RES = "res"
     UNIF = "unif"
-
-
-def _keeps_convex(prefix: list[tuple[int, int, int]], x3: int, y3: int) -> bool:
-    # the candidate below the current hull can only break convexity on its left
-    if len(prefix) < 2:
-        return True
-    (_, x1, y1), (_, x2, y2) = prefix[-2], prefix[-1]
-    return (y2 - y1) * (x3 - x2) < (y3 - y2) * (x2 - x1)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -82,11 +75,11 @@ def enumerate_ram_polygons(
 
     Branches first over the leftmost ordinate J0 within the Ore bound, then
     over adding a vertex, in increasing ordinate, or then none at each
-    remaining p-power abscissa, so the results come sorted by vertices;
-    candidate ordinates at p^S run over the integers strictly between 0 and
-    the current partial polygon's value there (candidates that would make
-    an earlier vertex non-extremal are skipped, since the vertex list of a
-    polygon must stay strictly convex).
+    remaining p-power abscissa, so the results come sorted by vertices.
+    Candidate ordinates at p^S are the integers strictly above the last
+    segment's extension there (at least 1), so the vertex list stays strictly
+    convex, and strictly below the chord from the last vertex to (p^m, 0),
+    so every partial polygon ends convex at (p^m, 0): J_min .. J_max.
 
     Pruning calls the search only for candidates that pass: an int bitmask,
     bit J for the ordinate J, ANDed with the masks at S of (p^m, 0) and of
@@ -94,7 +87,7 @@ def enumerate_ram_polygons(
     filled in lazily by ``validity.passing_column``.  Each root [(1, J0),
     (p^m, 0)] gets the whole weak check.  The masks decided every pair a
     child adds, with the prefix and with (p^m, 0), its own checks among
-    them, so its ``weak_ram_ok`` call names no new exponent and checks
+    them, so its ``weak_ram_ok`` call passes ``weak=False`` and checks
     nothing; every visited branch still passes one such call, so its pass
     count is ``branches_visited``.  A leaf's verdict is ``violations`` of
     kind 1, the hull form at its absent p-powers.  Only a leaf that passes
@@ -120,13 +113,13 @@ def enumerate_ram_polygons(
     masks: dict[int, tuple[int, int]] = {}  # (J_t, s_t, S) -> (bits passing, bits decided)
     pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one (x, J) object per distinct vertex
 
-    def search(prefix: list[tuple[int, int, int]], S: int, new: tuple[int, ...] | None) -> None:
-        # prefix holds (s, p^s, J) per vertex; ``new`` is None at a root, else ()
-        if prune and not validity.weak_ram_ok(ctx, n, prefix + top, new):
+    def search(prefix: list[tuple[int, int, int]], S: int, weak: bool) -> None:
+        # prefix holds (s, p^s, J) per vertex; ``weak`` at a root only
+        if prune and not validity.weak_ram_ok(ctx, n, prefix + top, weak):
             return
         stats.branches_visited += 1
         if S >= m:
-            if not validity.violations(ctx, n, prefix + top, () if prune else None, kind=1):
+            if not validity.violations(ctx, n, prefix + top, not prune, kind=1):
                 vertices = []
                 for _, x, J in prefix:
                     pair = (x, J)
@@ -135,9 +128,14 @@ def enumerate_ram_polygons(
             return
         x_new = p**S
         _, x_last, J_last = prefix[-1]
-        # candidates strictly below the chord from the last vertex to (p^m, 0)
+        # candidates strictly above the last segment's extension and strictly
+        # below the chord from the last vertex to (p^m, 0)
+        J_min = 1
+        if len(prefix) > 1:
+            _, x_prev, J_prev = prefix[-2]
+            J_min = max(1, J_last + (J_last - J_prev) * (x_new - x_last) // (x_last - x_prev) + 1)
         J_max = (J_last * (p_top - x_new) - 1) // (p_top - x_last)
-        candidates = (2 << J_max) - 2
+        candidates = (2 << J_max) - (1 << J_min)
         for t in top + prefix if prune else ():
             key = (t[2] * (m + 1) + t[0]) * m + S
             ok, decided = masks.get(key, (0, 0))
@@ -147,14 +145,12 @@ def enumerate_ram_polygons(
                 masks[key] = ok, decided | todo
             candidates &= ok
         for J in _bits(candidates):
-            if _keeps_convex(prefix, x_new, J):
-                search(prefix + [(S, x_new, J)], S + 1, ())
-        search(prefix, S + 1, ())
+            search(prefix + [(S, x_new, J)], S + 1, False)
+        search(prefix, S + 1, False)
 
     for J0 in range(J0_max + 1):
-        if not validity.violations(ctx, n, [(0, 1, J0)], (0,)):
-            search([(0, 1, J0)], 1, None)
-    stats.results = len(out)
+        if not validity.violations(ctx, n, [(0, 1, J0)]):
+            search([(0, 1, J0)], 1, True)
     return out, stats
 
 
@@ -170,13 +166,16 @@ def enumerate_fine_polygons(
     The guard's full check of the hull holds for every branch, and the tame
     biconditional holds by construction: on [p^m, n] the forced points are
     the tame zeros, (p^m, 0) and (n, 0) among them.  So the root has nothing
-    to check, a child checks the pairs its candidate forms, and a leaf its
-    wild points with the fine form at the p-powers without a point, both by
-    ``validity.violations``.  Each candidate is taken before it is left
-    out, so the results come sorted by points.  A ``FinePolygon``, on the
-    hull ``P``, is built only per result, without the structural checks: its
-    points are the hull's and sorted by construction.  Its points share the
-    hull's own (x, J) objects and end with the degree's one tuple of tame points.
+    to check, and with pruning a candidate (s, p^s, J) is taken only where
+    its bit J passes ``validity.passing_column`` of every point present, the
+    hull's wild vertices and the candidates taken, as in the hull search.  A
+    leaf's verdict is ``validity.violations`` of kind 2, the fine form at the
+    p-powers without a point (its pairs too when unpruned).  Each candidate
+    is taken before it is left out, so the results come sorted by points.  A
+    ``FinePolygon``, on the hull ``P``, is built only per result, without the
+    structural checks: its points are the hull's and sorted by construction.
+    Its points share the hull's own (x, J) objects and end with the degree's
+    one tuple of tame points, ``polygons.tame_zeros``.
 
     Where the hull passes through no lattice point there is nothing to choose:
     the leaf's fine form is the hull form the guard just passed, so with
@@ -188,36 +187,35 @@ def enumerate_fine_polygons(
     p, n = P.p, P.n
     wild = P.wild_vertices()
     # the tame points (j, 0) from (p^m, 0) to (n, 0), one tuple per degree
-    tame = degree_rows(p, ctx.base.e, n)[1]
+    tame = tame_zeros(p, n)
     # the hull's lattice points at the p-powers strictly between its wild vertices:
     # where the hull's value is an integer, its ceiling and its floor plus one differ
     candidates = [(s, x, J) for s, x, J, excluded in least_ordinates(p, wild) if J != excluded]
     if prune and not candidates:
         points = P.vertices[: len(wild) - 1] + tame
-        return [FinePolygon._built(p, n, points, P)], EnumStats(branches_visited=1, results=1)
+        return [FinePolygon._built(p, n, points, P)], EnumStats(branches_visited=1)
     # each point's (x, J) object, the hull's own at its vertices
     pairs = dict(zip(wild, P.vertices)) | {c: c[1:] for c in candidates}
 
     out: list[FinePolygon] = []
     stats = EnumStats()
 
-    def search(idx: int, chosen: list[tuple[int, int, int]], new: tuple[int, ...]) -> None:
-        # chosen holds (s, p^s, J) per candidate taken; ``new`` the exponent it added
-        if prune and validity.violations(ctx, n, wild + chosen, new):
-            return
+    def search(idx: int, chosen: list[tuple[int, int, int]]) -> None:
+        # chosen holds (s, p^s, J) per candidate taken
         stats.branches_visited += 1
         if idx == len(candidates):
             leaf = sorted(wild + chosen)
-            if not validity.violations(ctx, n, leaf, () if prune else None, kind=2):
+            if not validity.violations(ctx, n, leaf, not prune, kind=2):
                 # the last wild point is (p^m, 0), where the tame points begin
                 points = tuple([pairs[t] for t in leaf[:-1]]) + tame
                 out.append(FinePolygon._built(p, n, points, P))
             return
-        search(idx + 1, chosen + [candidates[idx]], (candidates[idx][0],))
-        search(idx + 1, chosen, ())
+        s, _, J = candidates[idx]
+        if not prune or all(validity.passing_column(ctx, n, t, s, 1 << J) for t in wild + chosen):
+            search(idx + 1, chosen + [candidates[idx]])
+        search(idx + 1, chosen)
 
-    search(0, [], ())
-    stats.results = len(out)
+    search(0, [])
     return out, stats
 
 
@@ -264,7 +262,6 @@ def enumerate_residue_classes(
             search(t + 1, assigned + [(step, gamma)])
 
     search(0, [])
-    stats.results = len(out)
     return out, stats
 
 
@@ -286,7 +283,6 @@ def enumerate_unif_classes(
     stats.branches_visited = len(admissible)
     reps = orbit_representatives(ctx.base, Pres.polygon.n, [invariant_gcd(Pres)])
     found = [InvariantWithUnif(Pres, phi0) for phi0 in sorted(admissible & reps)]
-    stats.results = len(found)
     return found, stats
 
 
@@ -309,5 +305,4 @@ def enumerate_invariants(
             refined, stats = refine(ctx, obj)
             total.branches_visited += stats.branches_visited
             found.extend(refined)
-    total.results = len(found)
     return found, total

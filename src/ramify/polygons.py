@@ -18,13 +18,14 @@ Conventions used throughout:
 
 The hull rule and the tame rule live here alone: :func:`hull_points` keeps
 every point on the lower hull (vertices are its strictly convex turns, one
-turn test for every caller), and :func:`tame_zeros` gives the (j, 0) points.
-So does the residue relation: :func:`polygon_plan` gives each point's part of
-it once per polygon, to the analyzer, the validity tests, the searches and the
-templates alike.  And so does the polygon's value at an absent p-power, read
-only as the least ordinate a point there may take (:func:`least_ordinates`):
-by the validity checks, the templates' depth bounds, the point records and the
-fine search's lattice candidates.
+turn test for every caller), and :func:`tame_zeros` gives the (j, 0) points,
+one tuple per degree.  So does the residue relation: :func:`polygon_plan`
+gives each point's part of it once per polygon, to the analyzer, the
+validity tests, the searches and the templates alike.  And so does the
+polygon's value at an absent p-power, read only as the least ordinate a
+point there may take (:func:`least_ordinates`): by the validity checks, the
+templates' depth bounds, the point records and the fine search's lattice
+candidates.
 """
 
 from __future__ import annotations
@@ -83,12 +84,13 @@ def _vertices(chain: Sequence[_Point]) -> list[_Point]:
 
 
 @lru_cache(maxsize=ROW_DEGREES)
-def tame_zeros(p: int, n: int) -> tuple[int, ...]:
-    """The tame rule: the j in [p^(v_p(n)), n] with binomial(n, j) a unit, where (j, 0) is a point.
+def tame_zeros(p: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The tame rule: the points (j, 0), j in [p^(v_p(n)), n] with binomial(n, j) a unit.
 
-    p^(v_p(n)) and n are always among them.  One tuple per (p, n), shared by every caller.
+    (p^(v_p(n)), 0) and (n, 0) are always among them.  One tuple per (p, n), shared by
+    every caller, so the fine polygons and analyses of a degree share its tame points.
     """
-    return tuple(j for j in range(p ** vp(p, n), n + 1) if not vp_binomial(p, n, j))
+    return tuple((j, 0) for j in range(p ** vp(p, n), n + 1) if not vp_binomial(p, n, j))
 
 
 def wild_positions(p: int, n: int, points: Iterable[_Point]) -> list[tuple[int, int, int]]:
@@ -198,13 +200,13 @@ class FinePolygon:
 
     Every point lies on the lower convex hull of the point set, which is
     itself a structurally valid :class:`RamPolygon` (available as ``hull``).
-    A caller holding the hull may pass it, checked against the points' vertices.
     """
 
     p: int
     n: int
     points: tuple[tuple[int, int], ...]
-    hull: RamPolygon = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+    hull: RamPolygon = field(  # type: ignore[assignment]
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = tuple(sorted((int(x), int(J)) for x, J in self.points))
@@ -216,11 +218,7 @@ class FinePolygon:
             if x <= wild_top and x != p ** vp(p, x):
                 raise ValueError(f"point abscissa {x} below {wild_top} must be a p-power")
         # sorted, distinct abscissas: a point is off the hull exactly at a concave turn
-        vertices = tuple(_vertices(pts))
-        if self.hull is None:
-            object.__setattr__(self, "hull", RamPolygon(p, self.n, vertices))
-        elif (self.hull.p, self.hull.n, self.hull.vertices) != (p, self.n, vertices):
-            raise ValueError(f"the given hull is not the hull of {pts}")
+        object.__setattr__(self, "hull", RamPolygon(p, self.n, tuple(_vertices(pts))))
 
     @classmethod
     def _built(cls, p: int, n: int, points: tuple[tuple[int, int], ...], hull: RamPolygon

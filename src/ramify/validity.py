@@ -14,8 +14,9 @@ is what makes branch-and-prune enumeration sound.  Each condition involves
 one or two positions (BRange, Ore1 / Ore3 and Ore2 one, Bounding and
 Consistency two), so weak validity of a set is the conjunction of the weak
 validity of its pairs, and a set that passed stays valid after adding a
-point v exactly when every pair {t, v} passes.  Full validity adds, at each
-absent exponent s, Ore2 there and each point's Bounding there.
+point v exactly when every pair {t, v} passes: ``passing_column`` decides
+those pairs, and both searches take a child only through it.  Full validity
+adds, at each absent exponent s, Ore2 there and each point's Bounding there.
 
 Every condition reads the bound at coefficient i and exponent s only
 through one integer per p-power, the polygon's least ordinate L there (a
@@ -26,7 +27,7 @@ p^s)) from ``binomials.valuation_table``.  With J = a*n + b, 1 <= b <= n,
 a point's own depth is a + 1 - B[b][s] and its Ore quantity a + 1 - B[n][s].
 So ``violations`` decides each check in closed form, in integers, for any
 ordinate, and is the one route to every report; ``passing_column`` decides
-the hull search's candidate columns from the same formulas; both are pure.
+the searches' candidate columns from the same formulas; both are pure.
 A hull search result carries the e over which it was proved valid, which
 ``is_valid_ram``, the fine search's guard, reads first.
 """
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .binomials import BinomialContext, valuation_table, vp
 from .polygons import (
@@ -79,7 +80,7 @@ class ResidueForcedError(ValueError):
     """A horizontal-face residue differs from the forced binomial residue."""
 
 
-def _found(table: tuple[tuple[int, ...], ...], n: int, p: int, positions, new, kind: int
+def _found(table: tuple[tuple[int, ...], ...], n: int, p: int, positions, weak: bool, kind: int
            ) -> Iterator[Violation]:
     """The violations of ``violations``, one per failing check, in no fixed order."""
     top = table[n]
@@ -89,7 +90,7 @@ def _found(table: tuple[tuple[int, ...], ...], n: int, p: int, positions, new, k
         b += 1
         own = a + 1 - table[b][s] if x <= b < n else None
         points.append((s, x, J, b, own))
-        if new is None or s in new:
+        if weak:
             ore = a + 1 - top[s]  # ell(n, s) at J, as a + 1 = ceil(J / n)
             if x > b:
                 yield Violation.BRANGE
@@ -99,10 +100,8 @@ def _found(table: tuple[tuple[int, ...], ...], n: int, p: int, positions, new, k
                 yield Violation.ORE3
             if ore > 0:
                 yield Violation.ORE2
-    for i, t in enumerate(points if new is None or new else ()):
+    for i, t in enumerate(points if weak else ()):
         for v in points[i + 1:]:
-            if new is not None and t[0] not in new and v[0] not in new:
-                continue
             for (s, x, J, _, _), (_, _, _, b, own) in ((t, v), (v, t)):
                 if own is not None and x <= b and own < 1 - (b - J) // n - table[b][s]:
                     yield Violation.BOUNDING
@@ -118,26 +117,26 @@ def _found(table: tuple[tuple[int, ...], ...], n: int, p: int, positions, new, k
 
 
 def violations(
-    ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None,
+    ctx: BinomialContext, n: int, positions, weak: bool = True,
     kind: int = 0, every: bool = False,
 ) -> tuple[Violation, ...]:
     """The violations of the points (s, p^s, J) ``positions``, in closed form.
 
-    Kind 0 is weak validity, the checks a point of exponent in ``new`` takes
-    part in (every point when None; the rest is known to pass): its own checks
-    and Ore2 at its exponent, and with each other point each one's Bounding at
-    the other's exponent and Consistency.  With ``new`` empty it checks
-    nothing.  Kinds 1 and 2 are full validity of the polygon through the
-    points, in increasing s from 0 to v_p(n) and each on the lower hull of
-    them all: they add, at each absent exponent, Ore2 and each point's
-    Bounding at the least ordinate there, in the hull (1) or fine (2) form.
-    Writes nothing.  Returns () when all pass, else the first violation found,
-    or with ``every`` all of them in declaration order.
+    Kind 0 is weak validity: with ``weak``, each point's own checks and Ore2
+    at its exponent, and with each other point each one's Bounding at the
+    other's exponent and Consistency; without, nothing (a search passes False
+    where its candidate columns already decided those checks).  Kinds 1 and 2
+    are full validity of the polygon through the points, in increasing s
+    from 0 to v_p(n) and each on the lower hull of them all: they add, at
+    each absent exponent, Ore2 and each point's Bounding at the least
+    ordinate there, in the hull (1) or fine (2) form.  Writes nothing.
+    Returns () when all pass, else the first violation found, or with
+    ``every`` all of them in declaration order.
     """
-    if not (kind or new is None or new):
-        return ()  # no pair is new and no absent p-power asked for: nothing to check
+    if not (kind or weak):
+        return ()  # no pair and no absent p-power asked for: nothing to check
     p = ctx.base.p
-    found = _found(valuation_table(p, ctx.base.e, n), n, p, positions, new, kind)
+    found = _found(valuation_table(p, ctx.base.e, n), n, p, positions, weak, kind)
     if every:
         found = list(found)
         return tuple(v for v in Violation if v in found)
@@ -145,29 +144,27 @@ def violations(
     return () if first is None else (first,)
 
 
-def weak_ram_ok(
-    ctx: BinomialContext, n: int, positions, new: Collection[int] | None = None
-) -> bool:
+def weak_ram_ok(ctx: BinomialContext, n: int, positions, weak: bool = True) -> bool:
     """Weak validity as ``violations`` decides it, the hull search's one check per branch
-    (whole at a root; a child adds no pair its candidate columns left undecided)."""
-    return not violations(ctx, n, positions, new)
+    (whole at a root; a child's candidate columns decided every pair it adds)."""
+    return not violations(ctx, n, positions, weak)
 
 
 def passing_column(ctx: BinomialContext, n: int, t, S: int, mask: int) -> int:
     """The bits J of ``mask`` whose pair {t, (S, p^S, J)} passes, t = (s, p^s, J_t).
 
-    The verdict of ``violations`` on the pair, in one pass over the bits: t's
-    own checks once, then per bit the candidate's own checks and Ore2 at S,
-    t's Bounding at p^S and the candidate's Bounding at p^s.  Consistency
-    needs no test of its own: when both bound one coefficient b, t's Bounding
-    at p^S reads the bound of b at the candidate's exponent and ordinate,
-    which is the candidate's own depth, and the other way round, so unequal
-    depths fail one of the two.
+    ``t`` must pass its own checks, as every point both searches pass does (a
+    root, (p^m, 0), a hull vertex, or a candidate that passed a column); then
+    this is the verdict of ``violations`` on the pair, in one pass over the
+    bits: per bit the candidate's own checks and Ore2 at S, t's Bounding at
+    p^S and the candidate's Bounding at p^s.  Consistency needs no test of
+    its own: when both bound one coefficient b, t's Bounding at p^S reads the
+    bound of b at the candidate's exponent and ordinate, which is the
+    candidate's own depth, and the other way round, so unequal depths fail
+    one of the two.
     """
     table = valuation_table(ctx.base.p, ctx.base.e, n)
     s, x_t, J_t = t
-    if any(_found(table, n, ctx.base.p, [t], None, 0)):
-        return 0
     a_t, b_t = divmod(J_t - 1, n)
     b_t += 1
     own_t = a_t + 1 - table[b_t][s] if b_t < n else None
@@ -220,12 +217,12 @@ def tame_ok(ctx: BinomialContext, n: int, points: Mapping[int, int]) -> bool:
     """The tame biconditional on the points {x: J}.
 
     For p^(v_p(n)) <= j <= n, (j, 0) is a point exactly when binomial(n, j)
-    is a unit, that is for j in ``polygons.tame_zeros``.
+    is a unit, that is when it is in ``polygons.tame_zeros``.
     """
     p = ctx.base.p
     top = p ** vp(p, n)
     zeros = {j for j, J in points.items() if J == 0 and top <= j <= n}
-    return zeros == set(tame_zeros(p, n))
+    return zeros == {j for j, _ in tame_zeros(p, n)}
 
 
 def _fine_report(ctx: BinomialContext, Pstar: FinePolygon, kind: int) -> ValidityReport:

@@ -29,14 +29,13 @@ from ramify.validity import (
     is_valid_ram,
     is_valid_with_unif,
 )
-from reference import weak_violations
+from reference import hull_violations, weak_violations
 from test_serialize_cli import POINT_SPEC_CASES
 
 
 def test_degree_two_over_q2(ctx_q2):
-    polys, stats = enumerate_ram_polygons(ctx_q2, 2)
+    polys, _ = enumerate_ram_polygons(ctx_q2, 2)
     assert [P.vertices for P in polys] == [((1, 1), (2, 0)), ((1, 2), (2, 0))]
-    assert stats.results == 2
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 5), (3, 4), (5, 6), (2, 15)])
@@ -67,10 +66,10 @@ def test_root_ordinates_are_the_ore_bound(monkeypatch):
     real = validity.weak_ram_ok
     roots = []
 
-    def record(ctx_, n_, positions, new=None):
-        if new is None:
+    def record(ctx_, n_, positions, weak=True):
+        if weak:
             roots.append(positions[0][2])
-        return real(ctx_, n_, positions, new)
+        return real(ctx_, n_, positions, weak)
 
     monkeypatch.setattr(validity, "weak_ram_ok", record)
     for p, e, n in [(2, 1, 3), (2, 1, 8), (2, 1, 12), (2, 2, 8), (3, 1, 9), (5, 1, 10)]:
@@ -109,6 +108,53 @@ def test_pruned_equals_unpruned(p, f, e, n):
         assert f1 == f2
 
 
+def _vertex_lists(p, n, cap):
+    """Every vertex list at p-powers with strictly decreasing ordinates: (1, J0),
+    0 <= J0 <= cap, then a vertex (p^s, J), 0 < J below the last, or none at each
+    0 < s < v_p(n), then (p^m, 0) and (n, 0); a vertex before none."""
+    m = vp(p, n)
+    tail = ((p**m, 0),) + (((n, 0),) if n > p**m else ())
+
+    def extend(prefix, s):
+        if s == m:
+            yield prefix + tail
+            return
+        for J in range(1, prefix[-1][1]):
+            yield from extend(prefix + ((p**s, J),), s + 1)
+        yield from extend(prefix, s + 1)
+
+    for J0 in range(cap + 1):
+        yield from extend(((1, J0),), 1)
+
+
+@pytest.mark.parametrize(
+    "spec, n, counts",
+    [
+        ((2, 1, 1, 1), 8, (1200, 39)),
+        ((2, 2, 1, "g"), 8, (1200, 39)),
+        ((2, 1, 2, 1), 8, (8269, 139)),
+        ((3, 1, 1, 1), 9, (136, 24)),
+        ((2, 1, 1, 1), 12, (208, 28)),
+    ],
+)
+def test_hull_search_equals_the_valid_vertex_lists(spec, n, counts):
+    # an oracle that shares no candidate range with the search: every vertex
+    # list up to the Ore bound that the checked constructor accepts (convex,
+    # in place) and the reference engine passes in full, in canonical order
+    ctx = BinomialContext(make_field(*spec))
+    p = ctx.base.p
+    polygons = []
+    for vertices in _vertex_lists(p, n, n * ctx.base.e * vp(p, n)):
+        try:
+            polygons.append(RamPolygon(p, n, vertices))
+        except ValueError:
+            continue
+    valid = [P for P in polygons if not hull_violations(ctx, P)]
+    assert (len(polygons), len(valid)) == counts
+    assert enumerate_ram_polygons(ctx, n)[0] == valid
+    assert enumerate_ram_polygons(ctx, n, prune=False)[0] == valid
+
+
 @pytest.mark.parametrize(
     "p, f, e, gamma, degrees", POINT_SPEC_CASES + [(2, 1, 1, 1, (32,))],
     ids=[str(case[:4]) for case in POINT_SPEC_CASES] + ["census"],
@@ -121,9 +167,9 @@ def test_a_hull_through_no_lattice_point_is_not_searched(monkeypatch, p, f, e, g
     real = validity.violations
     leaf_checks = []
 
-    def counted(ctx_, n, positions, new=None, kind=0, every=False):
+    def counted(ctx_, n, positions, weak=True, kind=0, every=False):
         leaf_checks.append(kind)
-        return real(ctx_, n, positions, new, kind, every)
+        return real(ctx_, n, positions, weak, kind, every)
 
     monkeypatch.setattr(validity, "violations", counted)
     for n in degrees:
@@ -133,7 +179,6 @@ def test_a_hull_through_no_lattice_point_is_not_searched(monkeypatch, p, f, e, g
             fines, stats = enumerate_fine_polygons(ctx, P)
             searched = 2 in leaf_checks
             assert fines == enumerate_fine_polygons(ctx, P, prune=False)[0], P
-            assert stats.results == len(fines)
             assert all(Ps.hull is P for Ps in fines)
             visited += stats.branches_visited
             if all(up == excluded for *_, up, excluded in least_ordinates(p, P.wild_vertices())):
@@ -165,7 +210,9 @@ def test_search_results_share_their_pairs(ctx_q2, n):
             tail = Ps.points[-len(tame_zeros(2, n)):]
             tame = tame or tail
             assert all(a is b for a, b in zip(tail, tame))
-    assert [x for x, _ in tame] == list(tame_zeros(2, n))
+    # the degree's one tuple of tame points, ``polygons.tame_zeros``
+    assert all(a is b for a, b in zip(tame, tame_zeros(2, n)))
+    assert tame == tame_zeros(2, n)
 
 
 @pytest.mark.parametrize("spec", [(2, 1, 1, 1), (3, 1, 1, 1), (2, 1, 2, 1), (2, 2, 1, "g")])
@@ -224,10 +271,10 @@ def test_hull_search_is_called_only_for_candidates_that_pass(monkeypatch, spec, 
     real = validity.weak_ram_ok
     tally = {True: 0, False: 0}
 
-    def counted(ctx_, n_, positions, new=None):
-        ok = real(ctx_, n_, positions, new)
+    def counted(ctx_, n_, positions, weak=True):
+        ok = real(ctx_, n_, positions, weak)
         assert ok == (not weak_violations(ctx_, n_, positions)), positions
-        assert ok or new is None, positions
+        assert ok or weak, positions
         tally[ok] += 1
         return ok
 
@@ -427,4 +474,4 @@ def test_enumeration_deterministic_across_runs(ctx_q2):
 
 def test_stats_count_results(ctx_q2):
     polys, stats = enumerate_ram_polygons(ctx_q2, 4)
-    assert stats.results == len(polys) <= stats.branches_visited
+    assert len(polys) <= stats.branches_visited

@@ -79,10 +79,21 @@ def _callers(name):
 
 def test_every_verdict_reaches_the_engine_through_violations():
     # one closed-form evaluation decides every validity report and every
-    # search verdict: ``violations``, and the hull search's candidate columns,
-    # which only the hull search asks for
-    assert _callers("_found") == {("validity", "violations"), ("validity", "passing_column")}
+    # search verdict: ``violations``; its formulas, one column of candidates
+    # at a time, are ``passing_column``, the one child test of both searches
+    assert _callers("_found") == {("validity", "violations")}
+    assert _attribute_sites("passing_column") == {
+        ("enumeration", ("enumerate_ram_polygons", "search"), "validity"),
+        ("enumeration", ("enumerate_fine_polygons", "search"), "validity"),
+    }
     assert _callers("passing_column") == {("enumeration", "search")}
+    # no search calls ``violations`` on a child: only the hull search's roots
+    # (1, J0), outside the recursion, and each search's leaves, by kind
+    assert _violations_calls() == {
+        (("enumerate_ram_polygons",), ()),
+        (("enumerate_ram_polygons", "search"), ("kind",)),
+        (("enumerate_fine_polygons", "search"), ("kind",)),
+    }
     # only ``polygons.least_ordinates`` rounds a polygon's value at a p-power,
     # for the checks, the depth bounds, the point records and the fine
     # search's lattice candidates; the exact ``value_at`` has no caller here
@@ -96,6 +107,23 @@ def test_every_verdict_reaches_the_engine_through_violations():
     assert _callers("value_at") == set()
     # one helper lists a polygon's wild positions (s, p^s, J)
     assert _callers("wild_positions") == {("polygons", "wild_vertices"), ("polygons", "wild_points")}
+
+
+def _violations_calls():
+    """(enclosing functions outer to inner, keyword names) of each call of
+    ``validity.violations`` in ``enumeration``."""
+    calls = set()
+
+    def visit(node, chain):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "violations"):
+                calls.add((chain, tuple(sorted(kw.arg for kw in child.keywords))))
+            visit(child, chain + (child.name,) if isinstance(child, ast.FunctionDef) else chain)
+
+    path = next(path for path in SOURCES if path.stem == "enumeration")
+    visit(ast.parse(path.read_text(), str(path)), ())
+    return calls
 
 
 def _attribute_sites(name):
@@ -132,6 +160,17 @@ def test_each_degree_table_has_one_route_and_each_proof_one_writer():
         ("enumeration", ("enumerate_ram_polygons", "search"), "RamPolygon")
     }
     assert {site[2] for site in _attribute_sites("_built")} == {"RamPolygon", "FinePolygon"}
+
+
+def test_the_searches_and_checks_import_neither_analyzer_nor_templates():
+    # the searches and the checks read the tame points and the residue
+    # relation from ``polygons``; the analyzer and the templates build on them
+    for path in SOURCES:
+        if path.stem in ("enumeration", "validity"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    modules = [node.module] if node.module else [a.name for a in node.names]
+                    assert not {"analyzer", "templates"} & set(modules), (path.name, node.lineno)
 
 
 def test_only_the_polygon_plan_computes_a_binomial_residue():

@@ -13,15 +13,17 @@ absent, and each value y at such a step in [0, cap] and strictly between two
 consecutive ones, in both forms, points through t are placed with s absent
 and the least ordinate of y there (``_configuration``), and the kernel's
 full report on them is compared with the reference's pairs and pieces.  The
-hull search's column check, the candidates J at an exponent S whose pair
-with a point t passes, is compared over every J <= cap at once, for every t
-and every S other than its exponent.
+searches' column check, the candidates J at an exponent S whose pair with a
+point t passes, is compared over every J <= cap at once, for every t that
+passes alone and every S other than its exponent; the searches ask for no
+other t.
 """
 
 import pytest
 
 from ramify import validity
 from ramify.binomials import BinomialContext, vp
+from ramify.enumeration import enumerate_fine_polygons, enumerate_ram_polygons
 from ramify.polygons import decompose
 from ramify.residue_field import make_field
 from reference import piece_violations, weak_violations
@@ -139,18 +141,23 @@ def test_every_piece_below_the_cap_is_the_engine_verdict(spec, n):
 
 
 @pytest.mark.parametrize("spec, n", KERNEL_CASES, ids=KERNEL_IDS)
-def test_every_column_below_the_cap_is_the_engine_verdict(spec, n):
+def test_every_column_below_the_cap_is_the_engine_verdict(monkeypatch, spec, n):
     ctx = BinomialContext(make_field(*spec))
     _, cap, points = _points(ctx, n)
-    # the engine's column of t at S: bit J set when {t, (S, p^S, J)} passes;
-    # each unordered pair is run once and sets its bit in both columns
+    # a column is asked for only of a point t that passes alone: the engine's
+    # column of t at S has bit J set when {t, (S, p^S, J)} passes; each
+    # unordered pair is run once and sets its bit in the columns of the points
+    # that pass alone
+    alone = {t for t in points if not weak_violations(ctx, n, [t])}
     columns = {}
     for i, t in enumerate(points):
         for v in points[i:]:
             if v[0] != t[0]:
                 ok = not weak_violations(ctx, n, [t, v])
-                columns[t, v[0]] = columns.get((t, v[0]), 0) | ok << v[2]
-                columns[v, t[0]] = columns.get((v, t[0]), 0) | ok << t[2]
+                if t in alone:
+                    columns[t, v[0]] = columns.get((t, v[0]), 0) | ok << v[2]
+                if v in alone:
+                    columns[v, t[0]] = columns.get((v, t[0]), 0) | ok << t[2]
     # every ordinate <= cap, one above it (never set), and every other one
     every, alternate = (4 << cap) - 1, sum(1 << J for J in range(0, cap + 2, 2))
     tally = {True: 0, False: 0}
@@ -161,3 +168,15 @@ def test_every_column_below_the_cap_is_the_engine_verdict(spec, n):
         tally[True] += passed
         tally[False] += cap + 1 - passed
     assert tally[True] and tally[False]
+    # and neither search asks for the column of any other point
+    real, asked = validity.passing_column, []
+
+    def checked(ctx_, n_, t, S, mask):
+        assert not weak_violations(ctx_, n_, [t]), t
+        asked.append(S != t[0])
+        return real(ctx_, n_, t, S, mask)
+
+    monkeypatch.setattr(validity, "passing_column", checked)
+    for P in enumerate_ram_polygons(ctx, n)[0]:
+        enumerate_fine_polygons(ctx, P)
+    assert asked and all(asked)

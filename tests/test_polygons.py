@@ -157,18 +157,16 @@ def test_fine_polygon_requires_points_on_hull():
         FinePolygon(2, 8, ((1, 7), (4, 4), (4, 4), (8, 0)))  # duplicate abscissa
 
 
-def test_fine_polygon_keeps_a_given_hull_only_if_it_is_the_hull_of_its_points():
+def test_fine_polygon_derives_its_own_hull():
+    # the constructor takes no hull: it derives the checked RamPolygon of the
+    # points' vertices, which is no part of equality, hashing or repr
     points = ((1, 10), (2, 8), (4, 4), (8, 0))
-    hull = RamPolygon(2, 8, ((1, 10), (4, 4), (8, 0)))
-    kept = FinePolygon(2, 8, points, hull)
-    assert kept.hull is hull and kept == FinePolygon(2, 8, points)
-    for other in (
-        RamPolygon(2, 8, ((1, 10), (8, 0))),
-        RamPolygon(2, 8, ((1, 11), (4, 4), (8, 0))),
-        RamPolygon(2, 16, ((1, 10), (4, 4), (16, 0))),
-    ):
-        with pytest.raises(ValueError):
-            FinePolygon(2, 8, points, other)
+    fine = FinePolygon(2, 8, points)
+    assert fine.hull == RamPolygon(2, 8, ((1, 10), (4, 4), (8, 0)))
+    assert "hull" not in repr(fine)
+    for args, kwargs in (((fine.hull,), {}), ((), {"hull": fine.hull})):
+        with pytest.raises(TypeError):
+            FinePolygon(2, 8, points, *args, **kwargs)
 
 
 def _reference_fine_hull(p, n, points):

@@ -311,6 +311,17 @@ def test_cli_rejects_huge_fields_before_primality():
         assert "Traceback" not in done.stderr
 
 
+def test_cli_listing_that_exhausts_memory_exits_2():
+    # the F_9 degree-3 listing passes the 2^24 guard but not a 256 MiB address
+    # space: it ends with the configuration code, not a traceback and exit 1,
+    # the selftest-mismatch code, and prints no partial document
+    done = run_process("enumerate", "--p", "3", "--f", "2", "--degree", "3", "--level", "fine",
+                       "--truncate", "--expand", preexec_fn=cap(256 * 2**20))
+    assert done.returncode == 2
+    assert done.stderr == "error: out of memory\n"
+    assert done.stdout == ""
+
+
 def test_cli_selftest_rejects_huge_case_before_forming_its_size():
     # 3^(10^8) takes minutes to form; the guard must reject the case first.
     # 2:24:1 is inside 2^24 tables but has 2^23 valuation signatures, past

@@ -113,35 +113,51 @@ def prefix_and_child(draw):
     return ctx, n, prefix, added
 
 
+def _columns_pass(ctx, n, prefix, added):
+    """Whether each added point's bit passes the column of every prefix point and of
+    every point added before it, as the searches take a child."""
+    present = list(prefix)
+    for s, x, J in added:
+        # every point in ``present`` passed alone: the prefix is weakly valid,
+        # and an added point passed at least one column
+        if not all(validity.passing_column(ctx, n, t, s, 1 << J) for t in present):
+            return False
+        present.append((s, x, J))
+    return True
+
+
 @given(prefix_and_child())
 @settings(max_examples=400, deadline=None)
 def test_child_check_agrees_with_full_weak_check(case):
     ctx, n, prefix, added = case
     assume(weak_ram_ok(ctx, n, prefix))
     child = prefix[:-1] + added + prefix[-1:]
-    new = {s for s, _, _ in added}
     # the contexts are shared by every example, ordinates above the Ore bound
-    # among them; a second check answers as the first
-    for _ in range(2):
-        assert weak_ram_ok(ctx, n, child, new) == weak_ram_ok(ctx, n, child)
+    # among them
+    assert _columns_pass(ctx, n, prefix, added) == weak_ram_ok(ctx, n, child)
+    assert _columns_pass(ctx, n, prefix, added) == (not weak_violations(ctx, n, child))
 
 
 def test_pair_check_of_a_lone_vertex_is_its_own_check(ctx_q2):
-    # with nothing else present the pair {v, v} carries v's own conditions
+    # with nothing else present the check of a vertex is its own conditions,
+    # and without ``weak`` nothing is checked
+    tally = {True: 0, False: 0}
     for J in range(1, 40):
         vertex = [(1, 2, J)]
-        assert weak_ram_ok(ctx_q2, 8, vertex, {1}) == weak_ram_ok(ctx_q2, 8, vertex)
-    assert weak_ram_ok(ctx_q2, 8, [(1, 2, 5)], ())
+        found = violations(ctx_q2, 8, vertex, every=True)
+        assert set(found) == set(weak_violations(ctx_q2, 8, vertex)), J
+        assert weak_ram_ok(ctx_q2, 8, vertex) == (not found)
+        assert violations(ctx_q2, 8, vertex, False) == ()
+        tally[not found] += 1
+    assert tally[True] and tally[False]
 
 
 @pytest.mark.parametrize("above", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_a_k_point_check_decides_each_unordered_pair_once(k, above):
     # weak validity of k points is the union of the checks of each point
-    # alone and of each unordered pair; with one point new, the rest is known
-    # to pass, so only its own checks and its checks with each of the k - 1
-    # others count.  Ordinates above the Ore bound are decided by the same
-    # closed forms
+    # alone and of each unordered pair.  Ordinates above the Ore bound are
+    # decided by the same closed forms
     ctx = BinomialContext(make_field(2, 1, 1, 1))
     n = 2**k
     cap = n * k
@@ -155,12 +171,7 @@ def test_a_k_point_check_decides_each_unordered_pair_once(k, above):
         found = set(violations(ctx, n, points, every=True))
         assert found == set().union(*alone, *pairs.values()), points
         assert found == set(weak_violations(ctx, n, points)), points
-        # the checks of two points are each one's Bounding at the other's
-        # exponent and Consistency; the rest are one point's own
-        cross = {Violation.BOUNDING, Violation.CONSISTENCY}
-        new = set(violations(ctx, n, points, (k - 1,), every=True))
-        assert new == alone[-1].union(*(v & cross for (i, j), v in pairs.items() if j == k - 1))
-        assert bool(violations(ctx, n, points, (k - 1,))) == bool(new)
+        assert bool(violations(ctx, n, points)) == bool(found)
 
 
 @pytest.mark.parametrize("spec", [(2, 1, 1, 1), (3, 1, 1, 1), (2, 1, 2, 1), (2, 2, 1, "g")])
@@ -180,7 +191,7 @@ def test_an_ordinate_above_the_ore_bound_fails_its_own_conditions(spec):
                     top = (m, p**m, 0)
                     assert violations(ctx, n, [v, top])
                     assert violations(ctx, n, [top, v])
-                    assert not weak_ram_ok(ctx, n, [top, v], {s})
+                    assert not validity.passing_column(ctx, n, top, s, 1 << J)
         # and no such query leaves a verdict behind that another one reads
         fresh = BinomialContext(make_field(*spec))
         assert enumerate_ram_polygons(ctx, n) == enumerate_ram_polygons(fresh, n)
@@ -267,7 +278,7 @@ def test_a_stored_pass_is_read_for_its_own_degree_only():
 
 def test_no_violations_query_writes_to_context_or_hulls():
     # ``violations`` is pure at every kind, passing or failing, with and
-    # without ``every`` and ``new``, on a fresh context as on one the
+    # without ``every`` and ``weak``, on a fresh context as on one the
     # searches have used, and leaves the proved hulls as they were
     fresh = BinomialContext(make_field(2, 1, 1, 1))
     used = BinomialContext(make_field(2, 1, 1, 1))
@@ -281,8 +292,8 @@ def test_no_violations_query_writes_to_context_or_hulls():
         for positions in queries:
             for kind in (0, 1, 2):
                 for every in (False, True):
-                    for new in (None, (), (0,)):
-                        violations(ctx, 8, positions, new, kind, every)
+                    for weak in (True, False):
+                        violations(ctx, 8, positions, weak, kind, every)
         assert _state(ctx, hulls) == before
     assert vars(fresh) == vars(used) == {"base": used.base}
 
