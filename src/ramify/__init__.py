@@ -59,7 +59,6 @@ from .templates import (
     truncate_krasner,
 )
 from .validity import (
-    ResidueForcedError,
     ValidityReport,
     Violation,
     admissible_phi0,

@@ -84,13 +84,15 @@ def enumerate_ram_polygons(
     Pruning calls the search only for candidates that pass: an int bitmask,
     bit J for the ordinate J, ANDed with the masks at S of (p^m, 0) and of
     each vertex t, the bits whose pair with t passes, kept per (t, S) and
-    filled in lazily by ``validity.passing_column``.  Each root [(1, J0),
-    (p^m, 0)] gets the whole weak check.  The masks decided every pair a
-    child adds, with the prefix and with (p^m, 0), its own checks among
-    them, so its ``weak_ram_ok`` call passes ``weak=False`` and checks
-    nothing; every visited branch still passes one such call, so its pass
-    count is ``branches_visited``.  A leaf's verdict is ``violations`` of
-    kind 1, the hull form at its absent p-powers.  Only a leaf that passes
+    filled in lazily by ``validity.passing_column``.  A root (1, J0) that
+    passes its own checks passes with (p^m, 0) too: (p^m, 0) passes its own
+    (B[n][m] = 0) and binds no coefficient below n, and the root's Bounding
+    at p^m, own >= 1 - B[b][m], follows from Ore3, own >= 1.  The masks
+    decided every pair a child adds, with the prefix and with (p^m, 0), its
+    own checks among them.  So every branch is weakly valid when entered,
+    its ``weak_ram_ok`` call passes ``weak=False`` and checks nothing, and
+    the count of those calls is ``branches_visited``.  A leaf's verdict is
+    ``violations`` of kind 1, the hull form at its absent p-powers.  Only a leaf that passes
     becomes a ``RamPolygon``, built without the structural checks (its
     vertices are convex and in place by construction) and carrying the e it
     was proved over, which ``is_valid_ram``, the fine search's guard, reads.
@@ -113,9 +115,9 @@ def enumerate_ram_polygons(
     masks: dict[int, tuple[int, int]] = {}  # (J_t, s_t, S) -> (bits passing, bits decided)
     pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one (x, J) object per distinct vertex
 
-    def search(prefix: list[tuple[int, int, int]], S: int, weak: bool) -> None:
-        # prefix holds (s, p^s, J) per vertex; ``weak`` at a root only
-        if prune and not validity.weak_ram_ok(ctx, n, prefix + top, weak):
+    def search(prefix: list[tuple[int, int, int]], S: int) -> None:
+        # prefix holds (s, p^s, J) per vertex
+        if prune and not validity.weak_ram_ok(ctx, n, prefix + top, False):
             return
         stats.branches_visited += 1
         if S >= m:
@@ -145,12 +147,12 @@ def enumerate_ram_polygons(
                 masks[key] = ok, decided | todo
             candidates &= ok
         for J in _bits(candidates):
-            search(prefix + [(S, x_new, J)], S + 1, False)
-        search(prefix, S + 1, False)
+            search(prefix + [(S, x_new, J)], S + 1)
+        search(prefix, S + 1)
 
     for J0 in range(J0_max + 1):
         if not validity.violations(ctx, n, [(0, 1, J0)]):
-            search([(0, 1, J0)], 1, True)
+            search([(0, 1, J0)], 1)
     return out, stats
 
 
@@ -276,7 +278,8 @@ def enumerate_unif_classes(
     The admissible set is a union of classes: n times each equation's
     exponent is R (b = n) or R - R_0 (points sharing b < n), a multiple of
     g, so x*delta^n solves whatever x solves.  So the least admissible phi0
-    of each admissible class is its representative.
+    of each admissible class is its representative.  A decoration with a
+    wrong forced residue admits no phi0 and gets [].
     """
     stats = EnumStats()
     admissible = admissible_phi0(ctx, Pres)

@@ -30,6 +30,11 @@ ordinate, and is the one route to every report; ``passing_column`` decides
 the searches' candidate columns from the same formulas; both are pure.
 A hull search result carries the e over which it was proved valid, which
 ``is_valid_ram``, the fine search's guard, reads first.
+
+The residue levels have one statement likewise: ``phi0_equations``, the power
+system in x = -phi0 that a decoration imposes, forced horizontal-face
+residues among its equations.  ``admissible_phi0`` solves it;
+``is_valid_with_unif`` evaluates it at one phi0.
 """
 
 from __future__ import annotations
@@ -74,10 +79,6 @@ class ValidityReport:
         """The report of ``violations``, given distinct and in declaration order."""
         found = tuple(violations)
         return cls(ok=not found, violations=found)
-
-
-class ResidueForcedError(ValueError):
-    """A horizontal-face residue differs from the forced binomial residue."""
 
 
 def _found(table: tuple[tuple[int, ...], ...], n: int, p: int, positions, weak: bool, kind: int
@@ -246,19 +247,6 @@ def is_weakly_valid_fine(ctx: BinomialContext, Pstar: FinePolygon) -> ValidityRe
 # residue solubility
 
 
-def forced_residue_violations(
-    ctx: BinomialContext, Pres: FinePolygonWithResidues
-) -> list[tuple[int, FqElement, FqElement]]:
-    """Mismatches (x, expected, got) at horizontal-face points.
-
-    Every point (j, 0) must carry beta(n, j), the residue of binomial(n, j),
-    which is a unit there by the tame condition: its plan step's beta.
-    """
-    steps = polygon_plan(ctx.base, Pres.polygon.n, Pres.polygon.points)[1]
-    return [(j, expected, rho) for (j, R, *_, expected), rho in zip(steps, Pres.residues)
-            if R == 0 and rho != expected]
-
-
 def phi0_equations(
     n: int, decorated: Iterable[tuple[tuple, FqElement]]
 ) -> list[tuple[int, FqElement]]:
@@ -266,7 +254,11 @@ def phi0_equations(
 
     A step of ``polygons.polygon_plan`` has rho = beta * phi_b * x^k, phi_n = 1: a
     point with b = n gives x^-k = beta / rho, and points sharing b < n give
-    x^(k0 - k) = u0 / u, where u = rho / beta."""
+    x^(k0 - k) = u0 / u, where u = rho / beta.  A horizontal-face point (j, 0)
+    has b = n and k = 0, so its equation x^0 = beta(n, j) / rho holds exactly
+    when rho is the forced binomial residue; no other equation has exponent 0,
+    as points sharing b < n have distinct ordinates.  Raises ``ValueError`` at a
+    point with b < j, where beta is undefined."""
     eqs: list[tuple[int, FqElement]] = []
     groups: dict[int, list[tuple[int, FqElement]]] = {}
     for (j, _, b, k, _, beta_bj), rho in decorated:
@@ -284,17 +276,9 @@ def phi0_equations(
 def admissible_phi0(
     ctx: BinomialContext, Pres: FinePolygonWithResidues
 ) -> set[FqElement]:
-    """All phi0 in F_q^x for which some Eisenstein polynomial realises ``Pres``.
-
-    Raises :class:`ResidueForcedError` when a horizontal-face residue is not
-    the forced binomial residue; otherwise translates the solubility
-    conditions into a power system in -phi0 and solves it.
-    """
-    mismatches = forced_residue_violations(ctx, Pres)
-    if mismatches:
-        raise ResidueForcedError(
-            "forced residues violated at " + ", ".join(str(x) for x, _, _ in mismatches)
-        )
+    """All phi0 in F_q^x for which some Eisenstein polynomial realises ``Pres``:
+    the negated solutions of ``phi0_equations``, so empty when a horizontal-face
+    residue is not the forced one."""
     n = Pres.polygon.n
     steps = polygon_plan(ctx.base, n, Pres.polygon.points)[1]
     solutions = solve_power_system(ctx.base, phi0_equations(n, zip(steps, Pres.residues)))
@@ -302,13 +286,16 @@ def admissible_phi0(
 
 
 def is_valid_with_unif(ctx: BinomialContext, inv: InvariantWithUnif) -> ValidityReport:
-    try:
-        admissible = admissible_phi0(ctx, inv.res)
-    except ResidueForcedError:
+    """``phi0_equations`` evaluated at x = -phi0, not solved: an exponent-0
+    equation x^0 = a with a != 1, a forced residue that differs, is
+    ``RESIDUE_FORCED``; otherwise any unmet equation is ``RESIDUE_SYSTEM``."""
+    n = inv.res.polygon.n
+    steps = polygon_plan(ctx.base, n, inv.res.polygon.points)[1]
+    x = -inv.phi0
+    unmet = {k for k, a in phi0_equations(n, zip(steps, inv.res.residues)) if x**k != a}
+    if 0 in unmet:
         return ValidityReport.from_violations([Violation.RESIDUE_FORCED])
-    if inv.phi0 in admissible:
-        return ValidityReport.from_violations([])
-    return ValidityReport.from_violations([Violation.RESIDUE_SYSTEM])
+    return ValidityReport.from_violations([Violation.RESIDUE_SYSTEM] if unmet else [])
 
 
 # ---------------------------------------------------------------------------

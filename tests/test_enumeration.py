@@ -64,18 +64,38 @@ def test_root_ordinates_are_the_ore_bound(monkeypatch):
                 own = [J0 for J0 in range(cap + 1) if validity.weak_ram_ok(ctx, n, [(0, 1, J0)])]
                 assert own == _ore_J0_reference(p, e, n), (p, e, n)
     real = validity.weak_ram_ok
-    roots = []
+    roots = {}  # the first vertex's ordinate of each branch, in order of entry
 
     def record(ctx_, n_, positions, weak=True):
-        if weak:
-            roots.append(positions[0][2])
+        roots[positions[0][2]] = None
         return real(ctx_, n_, positions, weak)
 
     monkeypatch.setattr(validity, "weak_ram_ok", record)
     for p, e, n in [(2, 1, 3), (2, 1, 8), (2, 1, 12), (2, 2, 8), (3, 1, 9), (5, 1, 10)]:
         roots.clear()
         enumerate_ram_polygons(BinomialContext(make_field(p, 1, e, 1)), n)
-        assert roots == _ore_J0_reference(p, e, n), (p, e, n)
+        assert list(roots) == _ore_J0_reference(p, e, n), (p, e, n)
+
+
+@pytest.mark.parametrize("p, f, e", [
+    (2, 1, 1), (3, 1, 1), (5, 1, 1), (7, 1, 1), (2, 1, 2), (3, 1, 2), (2, 1, 3), (3, 1, 3),
+    (2, 2, 1), (3, 2, 1),
+])
+def test_a_root_that_passes_alone_passes_with_the_top_vertex(p, f, e):
+    # (p^m, 0) passes its own checks and binds no coefficient below n, and
+    # Ore3 gives the root's Bounding at p^m, so the hull search enters a root
+    # without a weak check of its own
+    ctx = BinomialContext(make_field(p, f, e, "g" if f > 1 else 1))
+    roots = 0
+    for n in range(p, 49, p):  # the wild degrees, where (p^m, 0) is a vertex
+        m = vp(p, n)
+        for J0 in range(n * e * m + 1):
+            if not validity.violations(ctx, n, [(0, 1, J0)]):
+                positions = [(0, 1, J0), (m, p**m, 0)]
+                assert not weak_violations(ctx, n, positions), (n, J0)
+                assert not validity.violations(ctx, n, positions, every=True), (n, J0)
+                roots += 1
+    assert roots
 
 
 def test_degree_one_is_trivial(ctx_q2):
@@ -263,24 +283,25 @@ def test_a_reused_context_enumerates_as_a_fresh_one():
 
 @pytest.mark.parametrize("spec, n", [((2, 1, 1, 1), 16), ((3, 1, 1, 1), 27), ((2, 1, 2, 1), 8)])
 def test_hull_search_is_called_only_for_candidates_that_pass(monkeypatch, spec, n):
-    # the search enters each branch through one weak_ram_ok call; a child's
-    # call checks nothing (its candidate masks decided every pair it adds),
-    # so the reference engine judges each entered branch: only a root, which
-    # gets the whole weak check, may fail, and every pass is a visited branch
+    # the search enters each branch through one weak_ram_ok call that checks
+    # nothing (a root passes its own checks, so with (p^m, 0) too, and a
+    # child's candidate masks decided every pair it adds); the reference
+    # engine judges each entered branch weakly valid, and every call is a
+    # visited branch
     ctx = BinomialContext(make_field(*spec))
     real = validity.weak_ram_ok
-    tally = {True: 0, False: 0}
+    calls = []
 
     def counted(ctx_, n_, positions, weak=True):
         ok = real(ctx_, n_, positions, weak)
-        assert ok == (not weak_violations(ctx_, n_, positions)), positions
-        assert ok or weak, positions
-        tally[ok] += 1
+        assert ok and not weak_violations(ctx_, n_, positions), positions
+        assert not weak, positions
+        calls.append(positions)
         return ok
 
     monkeypatch.setattr(validity, "weak_ram_ok", counted)
     _, stats = enumerate_ram_polygons(ctx, n)
-    assert tally[True] == stats.branches_visited
+    assert len(calls) == stats.branches_visited
 
 
 def test_every_output_is_valid(ctx_q2):

@@ -178,3 +178,19 @@ def test_only_the_polygon_plan_computes_a_binomial_residue():
     # search, and the templates read beta(b, x) off a plan step, so only
     # ``polygons.polygon_plan`` calls ``binomials.beta``
     assert _callers("beta") == {("polygons", "polygon_plan")}
+
+
+def test_one_phi0_system_decides_every_residue_check():
+    # ``phi0_equations`` states the residue relation once, forced residues as
+    # its exponent-0 equations: the unif search and the residue search solve
+    # it, and the validator evaluates it at its one phi0 without solving
+    assert _callers("admissible_phi0") == {("enumeration", "enumerate_unif_classes")}
+    assert _callers("phi0_equations") == {
+        ("validity", "admissible_phi0"),
+        ("validity", "is_valid_with_unif"),
+        ("enumeration", "soluble"),
+    }
+    assert ("validity", "is_valid_with_unif") not in _callers("solve_power_system")
+    assert not hasattr(ramify, "ResidueForcedError")
+    assert not hasattr(ramify.validity, "ResidueForcedError")
+    assert not hasattr(ramify.validity, "forced_residue_violations")

@@ -15,12 +15,12 @@ import itertools
 
 import pytest
 
-from ramify import cli, selftest, validity
+from ramify import cli, selftest
 from ramify.analyzer import EisensteinData, brute_force_survey, residues_of, unif_of
 from ramify.binomials import vp
 from ramify.enumeration import Level, enumerate_invariants
 from ramify.polygons import decompose, polygon_plan
-from ramify.validity import ResidueForcedError, is_valid_fine
+from ramify.validity import ValidityReport, Violation, admissible_phi0, is_valid_fine
 
 
 def matches_template(T, f, depth):
@@ -32,14 +32,9 @@ def matches_template(T, f, depth):
 
 
 def _reference_residues_consistent(ctx, f):
-    decorated = residues_of(f)
-    if not is_valid_fine(ctx, decorated.polygon).ok:
-        return False
-    try:
-        admissible = validity.admissible_phi0(ctx, decorated)
-    except ResidueForcedError:
-        return False
-    return f.digit(0, 1) in admissible
+    # through the oracle's own name, so a fault injected there reaches both
+    inv = unif_of(f)
+    return is_valid_fine(ctx, inv.res.polygon).ok and selftest.is_valid_with_unif(ctx, inv).ok
 
 
 def reference_problems(ctx, n, bound, survey):
@@ -97,12 +92,17 @@ def _narrow_one_slot(real, bound):
     return narrowed
 
 
-def _drop_one_phi0(real):
-    def dropped(ctx, decorated):
-        admissible = real(ctx, decorated)
-        return admissible - {max(admissible)} if admissible else admissible
+REFUSED = ValidityReport.from_violations([Violation.RESIDUE_SYSTEM])
 
-    return dropped
+
+def _refuse_one_phi0(real):
+    """is_valid_with_unif refusing the largest admissible phi0 of each decoration."""
+
+    def refused(ctx, inv):
+        admissible = admissible_phi0(ctx, inv.res)
+        return REFUSED if admissible and inv.phi0 == max(admissible) else real(ctx, inv)
+
+    return refused
 
 
 def test_oracle_matches_the_per_table_reference(default_cases):
@@ -137,7 +137,7 @@ def test_oracle_matches_the_reference_under_a_fault(fault_cases, monkeypatch, fa
                 )
             else:
                 patch.setattr(
-                    validity, "admissible_phi0", _drop_one_phi0(validity.admissible_phi0)
+                    selftest, "is_valid_with_unif", _refuse_one_phi0(selftest.is_valid_with_unif)
                 )
             problems = selftest.survey_case_problems(ctx, n, bound, survey=survey)
             expected = reference_problems(ctx, n, bound, survey)
@@ -177,10 +177,10 @@ def test_oracle_walks_only_the_tables_whose_residue_combination_fails(
     group = max(survey_q3_n3.values(), key=len)
     f = next(itertools.islice(group, len(group) // 2, None))
     target, dropped = residues_of(f), f.digit(0, 1)
-    real = validity.admissible_phi0
+    real = selftest.is_valid_with_unif
     monkeypatch.setattr(
-        validity, "admissible_phi0",
-        lambda ctx, decorated: real(ctx, decorated) - ({dropped} if decorated == target else set()),
+        selftest, "is_valid_with_unif",
+        lambda ctx, inv: REFUSED if (inv.res, inv.phi0) == (target, dropped) else real(ctx, inv),
     )
     problems = selftest.survey_case_problems(ctx_q3, 3, 3, survey=survey_q3_n3)
     lines = [selftest.problem_line(problem) for problem in problems]
@@ -263,10 +263,12 @@ def test_residue_verdicts_are_decided_once_per_invariant(
 
 
 def test_selftest_prints_at_most_twenty_problem_lines_per_case(ctx_q2, monkeypatch, capsys):
-    # dropping the only Q_2 phi0 fails the residue check of every table, and
+    # refusing the only Q_2 phi0 fails the residue check of every table, and
     # only the printed lines are formatted
     total = sum(map(len, brute_force_survey(ctx_q2, 4, 3).values()))
-    monkeypatch.setattr(validity, "admissible_phi0", _drop_one_phi0(validity.admissible_phi0))
+    monkeypatch.setattr(
+        selftest, "is_valid_with_unif", _refuse_one_phi0(selftest.is_valid_with_unif)
+    )
     formatted = []
     real_line = selftest.problem_line
     monkeypatch.setattr(

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from ramify import validity
 from ramify.binomials import BinomialContext, beta, vp
 from ramify.enumeration import (
+    Level,
     enumerate_fine_polygons,
+    enumerate_invariants,
     enumerate_ram_polygons,
     enumerate_residue_classes,
     enumerate_unif_classes,
@@ -26,7 +28,6 @@ from ramify.polygons import (
 from ramify.residue_field import make_field
 from ramify.serialize import ram_from_json, ram_to_json
 from ramify.validity import (
-    ResidueForcedError,
     Violation,
     admissible_phi0,
     equivalent_res,
@@ -516,8 +517,13 @@ def test_admissible_phi0_reports_forced_residue_mismatch(ctx_q2):
     g = K.fq.generator()
     Pstar = FinePolygon(2, 6, ((1, 2), (2, 0), (4, 0), (6, 0)))
     bad = FinePolygonWithResidues(Pstar, (K.fq.one, g, K.fq.one, K.fq.one))
-    with pytest.raises(ResidueForcedError):
-        admissible_phi0(ctx, bad)
+    # the forced residue is the exponent-0 equation x^0 = beta(6, 2) / g != 1,
+    # which no phi0 solves and every phi0 fails first
+    assert admissible_phi0(ctx, bad) == set()
+    for phi0 in K.fq.units():
+        report = is_valid_with_unif(ctx, InvariantWithUnif(bad, phi0))
+        assert report.violations == (Violation.RESIDUE_FORCED,)
+    assert enumerate_unif_classes(ctx, bad)[0] == []
 
 
 @pytest.mark.parametrize("n, points", [
@@ -672,3 +678,26 @@ def test_invariant_gcd_includes_zero_ordinates(ctx_q2):
         FinePolygon(2, 6, ((1, 6), (2, 0), (4, 0), (6, 0))), (one, one, one, one)
     )
     assert invariant_gcd(mixed) == 6
+
+
+RESIDUE_GRID = (
+    [((2, 1, 1, 1), n) for n in range(1, 9)]
+    + [((3, 1, 1, 1), n) for n in range(1, 10)]
+    + [((2, 2, 1, "g"), 4), ((2, 2, 1, "g"), 8), ((3, 2, 1, "g"), 3), ((2, 1, 2, 1), 4)]
+)
+
+
+@pytest.mark.parametrize("spec, n", RESIDUE_GRID)
+def test_evaluating_the_phi0_system_agrees_with_solving_it(spec, n):
+    # is_valid_with_unif evaluates phi0_equations at one phi0 where
+    # admissible_phi0 solves them: the verdicts agree on every unit
+    ctx = BinomialContext(make_field(*spec))
+    classes, _ = enumerate_invariants(ctx, n, Level.RES)
+    units = list(ctx.base.fq.units())
+    for Pres in classes:
+        admissible = admissible_phi0(ctx, Pres)
+        for phi0 in units:
+            report = is_valid_with_unif(ctx, InvariantWithUnif(Pres, phi0))
+            assert report.ok == (phi0 in admissible), (Pres, phi0)
+            assert report.ok or report.violations == (Violation.RESIDUE_SYSTEM,)
+    assert classes
