@@ -14,9 +14,9 @@ R_j = a*n + b is beta(b, j) * phi_b * (-phi0)^-(1+a), phi0 being the
 first digit of the constant coefficient.
 
 The fine polygon depends only on the valuation signature
-(F_0, ..., F_{n-1}), and :func:`ramification_of` maps a signature to its
-plan; every invariant of a polynomial is computed by one call.  It evaluates R_j
-only where a point can lie on the hull, m being v_p(n):
+(F_0, ..., F_{n-1}), held as index masks (:func:`leading_masks`), and
+:func:`ramification_of` maps them to its plan.  It evaluates R_j only where
+a point can lie on the hull, m being v_p(n):
 
 * lemma: for p^s <= j < p^(s+1) and j <= i,
   v_p(binomial(i, j)) >= v_p(binomial(i, p^s));
@@ -28,18 +28,18 @@ only where a point can lie on the hull, m being v_p(n):
   (the leading term gives n*B(n, j), every other term is at least i > 0),
   and the other R_j are positive, above the horizontal face.
 
-So R is taken at p^0, ..., p^(m-1) (at p^m it is the leading term's 0) and
-the points (j, 0) of ``polygons.tame_zeros`` are added: O(n log_p n)
-terms per polynomial, where every abscissa would take O(n^2).  A term less
-n*F_i depends on the degree alone: :func:`degree_rows` reads it off
-``binomials.valuation_table`` as one row per p^s on a degree's first analysis and
-keeps the last ``ROW_DEGREES`` degrees' rows; R at p^s is one C-level min.
-The terms are pairwise distinct mod n, so the residue at (j, R_j) reads
-phi_b directly, and the rest of it depends on the polygon alone:
+So R is taken at p^0, ..., p^(m-1); the hull runs over these points and
+(p^m, 0), and the other points (j, 0) of ``polygons.tame_zeros`` follow on
+its horizontal face.  A term is n*(b + F - 1) + i with b = B(i, p^s) and
+1 <= i <= n, so R at p^s is the lowest bit of the first nonzero AND of a
+b-mask (:func:`degree_masks`) and an F-mask by ascending b + F, else the
+monic term; the scan runs over the b and F present, never over e.  The terms
+are pairwise distinct mod n, so the residue at (j, R_j) reads phi_b
+directly, and the rest of it depends on the polygon alone:
 ``polygons.polygon_plan`` validates the ``FinePolygon`` once and keeps b,
--(1+a), B(b, j) and beta(b, j) per point.  Per polynomial remain the leading
-pairs, the minima, the hull, one plan lookup and :func:`decorate`: per point
-the minimizer check in integers (b >= j, F_b present, n*(B + F_b - 1) + b = R),
+-(1+a), B(b, j) and beta(b, j) per point.  Per polynomial remain the masks,
+the scan, the hull, one plan lookup and :func:`decorate`: per point the
+minimizer check in integers (b >= j, bit b in the mask of F_b = a + 1 - B),
 one product and one power.
 
 This module is also the test oracle: :func:`brute_force_survey` groups
@@ -47,9 +47,7 @@ every digit table up to a depth bound by fine polygon, against which the
 enumerators and templates are checked.  It builds no table and no row: the
 polygon depends on the valuation signature alone, so the tables of one
 signature form a box, a signature costs one :func:`ramification_of` call,
-and a :class:`SurveyGroup` holds only its signatures.  It is sized in closed
-form and iterable in lexicographic order, making rows only as it iterates,
-but not indexable.
+and a :class:`SurveyGroup` holds only its signatures.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .binomials import ROW_DEGREES, BinomialContext, valuation_table, vp
@@ -84,8 +82,6 @@ MAX_DEPTH = 2**10
 # invariants depend only on each coefficient's leading digit, deeper digits
 # are kept so the table remains a faithful approximation of the input
 INTEGER_DIGIT_DEPTH = 8
-
-ABSENT = float("inf")  # n*F of a zero coefficient: above every term, whatever e is
 
 
 class NotEisensteinError(ValueError):
@@ -138,22 +134,7 @@ class EisensteinData:
         if i == self.n:
             return self.base.fq.one if k == 0 else self.base.fq.zero
         row = self.digits[i]
-        if 1 <= k <= len(row):
-            return row[k - 1]
-        return self.base.fq.zero
-
-    def leading(self) -> tuple[tuple[int | None, FqElement | None], ...]:
-        """(F_i, phi_i) for i < n in one pass, (None, None) for a zero coefficient.
-
-        Rows are trimmed, so a nonempty one has a nonzero digit; ``zero`` is the
-        field's interned 0, compared by identity."""
-        zero, lead = self.base.fq.zero, []
-        for row in self.digits:
-            k = 0
-            while row and row[k] is zero:
-                k += 1
-            lead.append((k + 1, row[k]) if row else (None, None))
-        return tuple(lead)
+        return row[k - 1] if 1 <= k <= len(row) else self.base.fq.zero
 
     def nonzero_digits(self) -> Iterable[tuple[int, int, FqElement]]:
         for i, row in enumerate(self.digits):
@@ -177,32 +158,63 @@ def _trim(vec: Iterable[FqElement]) -> tuple[FqElement, ...]:
 
 
 @lru_cache(maxsize=ROW_DEGREES)
-def degree_rows(p: int, e: int, n: int) -> tuple[tuple, tuple]:
-    """The (p^s, row) for p^s < p^(v_p(n)), and the tame zeros (j, 0), of one degree.
+def degree_masks(p: int, e: int, n: int) -> tuple[tuple, tuple]:
+    """Per p^s < p^(v_p(n)), (p^s, n*B(n, p^s), ((n*b, mask), ...)), and the tame zeros: by
+    ascending b < B(n, p^s), the mask of the i in [p^s, n) with B(i, p^s) = b."""
+    table, wild = valuation_table(p, e, n), []
+    for s in range(vp(p, n)):
+        masks: dict[int, int] = {}
+        for i in range(p**s, n):
+            if table[i][s] < table[n][s]:  # else the monic term n*B(n, p^s) is less
+                masks[table[i][s]] = masks.get(table[i][s], 0) | 1 << i
+        wild.append((p**s, n * table[n][s], tuple((n * b, m) for b, m in sorted(masks.items()))))
+    return tuple(wild), tame_zeros(p, n)
 
-    Immutable, as every analysis of the degree shares them.
-    ``row[i - p^s]`` for p^s <= i <= n is coefficient i's term at p^s less n*F_i:
-    n*B[i][s] + i - n, B the valuation table."""
-    table = valuation_table(p, e, n)
-    wild = tuple((p**s, tuple(n * row[s] + i - n for i, row in enumerate(table[p**s:], p**s)))
-                 for s in range(vp(p, n)))
-    return wild, tame_zeros(p, n)
+
+def leading_masks(f: EisensteinData) -> list[int]:
+    """Bit i of ``masks[k]`` is set where coefficient i < n has leading valuation k + 1: one
+    pass over the trimmed rows, comparing with the field's interned 0 by identity."""
+    zero, masks = f.base.fq.zero, [0] * max(map(len, f.digits))
+    for i, row in enumerate(f.digits):
+        if row:
+            k = 0
+            while row[k] is zero:
+                k += 1
+            masks[k] |= 1 << i
+    return masks
 
 
-def ramification_of(base: BaseField, signature: Sequence[int | None]) -> tuple[FinePolygon, tuple]:
-    """The plan of the hull of the points (j, R_j), from R at the p-powers and the tame zeros.
+def signature_masks(signature: Sequence[int | None], depth: int) -> list[int]:
+    """The ``leading_masks``, to length ``depth``, of the tables of a valuation signature."""
+    return [sum(1 << i for i, F in enumerate(signature) if F == k) for k in range(1, depth + 1)]
 
-    ``signature`` holds F_0, ..., F_{n-1}, None for a zero coefficient.  R at p^s is
-    the least row entry plus n*F_i, finite by the monic term (F_n = 0)."""
-    n = len(signature)
-    wild, tame = degree_rows(base.p, base.e, n)
-    nF = [ABSENT if F is None else n * F for F in signature] + [0]
-    points = [(x, min(map(add, row, nF[x:]))) for x, row in wild]
-    return polygon_plan(base, n, tuple(hull_points([*points, *tame])))
+
+def ramification_of(base: BaseField, n: int, masks: Sequence[int]) -> tuple[FinePolygon, tuple]:
+    """The plan of the hull of the points (j, R_j) of the leading valuations ``masks``: per b,
+    the first hit by ascending F is b's least term; a (b, F) whose terms exceed R ends a loop."""
+    wild, tame = degree_masks(base.p, base.e, n)
+    points = []
+    for x, R, b_masks in wild:
+        for nb, b_mask in b_masks:
+            if nb >= R:
+                break
+            for k, F_mask in enumerate(masks):
+                low = nb + n * k  # every term of this b and F = k + 1 is low + i
+                if low >= R:
+                    break
+                hit = b_mask & F_mask
+                if hit:
+                    low += (hit & -hit).bit_length() - 1
+                    if low < R:
+                        R = low
+                    break
+        points.append((x, R))
+    points.append(tame[0])
+    return polygon_plan(base, n, (*hull_points(points), *tame[1:]))
 
 
 def fine_of(f: EisensteinData) -> FinePolygon:
-    return ramification_of(f.base, [F for F, _ in f.leading()])[0]
+    return ramification_of(f.base, f.n, leading_masks(f))[0]
 
 
 def polygon_of(f: EisensteinData) -> RamPolygon:
@@ -210,29 +222,27 @@ def polygon_of(f: EisensteinData) -> RamPolygon:
     return fine_of(f).hull
 
 
-def decorate(fine: FinePolygon, steps: tuple, lead: Sequence) -> FinePolygonWithResidues:
-    """``fine`` decorated with the residues its plan ``steps`` gives the leading pairs ``lead``:
-    (F_i, phi_i) for i < n, (None, None) for a zero coefficient, then (0, 1) for the monic
-    term.  ``lead`` may be any indexable by coefficient; only 0 and each step's b are read.
+def decorate(fine: FinePolygon, steps: tuple, masks: Sequence[int], phi) -> FinePolygonWithResidues:
+    """``fine`` decorated with the residues its plan ``steps`` gives the leading valuations
+    ``masks`` and leading digits ``phi(b, F_b)``, read at 0 and each step's b < n (phi_n = 1).
     Each point's minimizer check confirms ``fine`` is their signature's polygon."""
-    n = fine.n
-    minus_phi0 = -lead[0][1]
+    n, minus_phi0 = fine.n, -phi(0, 1)
     residues = []
     for j, R, b, k, B_bj, beta_bj in steps:
-        # term values are pairwise distinct mod n, so R_j is attained only
-        # at the index congruent to R_j, that is b; checked per polynomial
-        Fb, phi_b = lead[b]
-        if b < j or Fb is None or n * (B_bj + Fb - 1) + b != R:
+        # terms are pairwise distinct mod n, so only b, congruent to R, attains R, if its
+        # F_b is -k - B (n*(B + F_b - 1) + b = R); F_n = 0, and no F_b attains R where b < j
+        F = -k - B_bj if b >= j else 0
+        if not (F == 0 if b == n else 0 < F <= len(masks) and masks[F - 1] >> b & 1):
             raise AssertionError(f"minimizer at j={j} is not the expected index {b}")
-        residues.append(beta_bj * phi_b * minus_phi0**k)
+        rho = beta_bj * minus_phi0**k
+        residues.append(rho * phi(b, F) if b < n else rho)
     return FinePolygonWithResidues(fine, tuple(residues))
 
 
 def residues_of(f: EisensteinData) -> FinePolygonWithResidues:
     """Decorate the fine polygon of ``f`` with its leading residues."""
-    lead = f.leading() + ((0, f.base.fq.one),)
-    fine, steps = ramification_of(f.base, [F for F, _ in lead[:f.n]])
-    return decorate(fine, steps, lead)
+    masks = leading_masks(f)
+    return decorate(*ramification_of(f.base, f.n, masks), masks, f.digit)
 
 
 def unif_of(f: EisensteinData) -> InvariantWithUnif:
@@ -390,11 +400,17 @@ def brute_force_survey(
     # leading valuations in the order of their first rows: zero, then F = depth down to 1
     valuations = [None, *range(digit_bound, 0, -1)]
     survey: dict[FinePolygon, SurveyGroup] = {}
-    # phi_0 has a nonzero first digit; signatures come in lexicographic order
-    for signature in itertools.product([1], *[valuations] * (n - 1)):
-        fine = ramification_of(base, signature)[0]
-        group = survey.get(fine)
-        if group is None:
-            group = survey[fine] = SurveyGroup(base, digit_bound)
-        group.boxes.append(signature)
+    # phi_0 has a nonzero first digit; lexicographic signatures as (head, tail), masks ORed
+    h = (n + 1) // 2
+    heads = [(head, signature_masks(head, digit_bound))
+             for head in itertools.product([1], *[valuations] * (h - 1))]
+    tails = [(tail, [m << h for m in signature_masks(tail, digit_bound)])
+             for tail in itertools.product(valuations, repeat=n - h)]
+    for head, head_masks in heads:
+        for tail, tail_masks in tails:
+            fine = ramification_of(base, n, list(map(or_, head_masks, tail_masks)))[0]
+            group = survey.get(fine)
+            if group is None:
+                group = survey[fine] = SurveyGroup(base, digit_bound)
+            group.boxes.append(head + tail)
     return survey

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .residue_field import BaseField, FqElement
 
-ROW_DEGREES = 16  # degrees whose valuation tables and analyzer rows are kept, LRU dropped first
+ROW_DEGREES = 16  # degrees whose valuation tables and analyzer masks are kept, LRU dropped first
 
 
 def vp(p: int, m: int) -> int:
@@ -67,7 +67,7 @@ def B(ctx: BinomialContext, i: int, j: int) -> int:
 def valuation_table(p: int, e: int, n: int) -> tuple[tuple[int, ...], ...]:
     """B[i][s] = e * v_p(binomial(i, p^s)) for i <= n and p^s <= i, s <= v_p(n): the one table
     of a degree's binomial valuations, which the validity checks, the templates' depth
-    bounds and the analyzer's rows share, so immutable.  Every entry differences one list
+    bounds and the analyzer's masks share, so immutable.  Every entry differences one list
     of v_p(k!), k <= n."""
     powers = [p**s for s in range(vp(p, n) + 1)]
     vf = [vp_factorial(p, k) for k in range(n + 1)]

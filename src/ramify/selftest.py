@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 
-from .analyzer import SurveyGroup, brute_force_survey, decorate, unif_of
+from .analyzer import SurveyGroup, brute_force_survey, decorate, signature_masks, unif_of
 from .binomials import BinomialContext, vp
 from .enumeration import Level, enumerate_invariants
 from .polygons import FinePolygon, InvariantWithUnif, decompose, polygon_plan
@@ -99,10 +99,9 @@ def survey_case_problems(
             raise AssertionError(f"the boxes of {fine.points} differ at a minimizer")
 
         def unif_ok(phis: tuple) -> bool:
-            lead = {b: (first[b], phi) for b, phi in zip(read, phis)}
-            lead[n] = (0, fq.one)
-            inv = InvariantWithUnif(decorate(fine, steps, lead), phis[0])
-            return is_valid_with_unif(ctx, inv).ok
+            lead = dict(zip(read, phis))
+            res = decorate(fine, steps, signature_masks(first, bound), lambda b, F: lead[b])
+            return is_valid_with_unif(ctx, InvariantWithUnif(res, phis[0])).ok
 
         fine_ok = is_valid_fine(ctx, fine).ok
         if fits and fine_ok and all(map(unif_ok, itertools.product(fq.units(), repeat=len(read)))):

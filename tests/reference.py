@@ -2,7 +2,8 @@
 
 The package computes the same things faster: ``polygons.hull_points`` keeps every
 point on the hull, ``analyzer.ramification_of`` evaluates R_j only where a
-point can lie on it, ``templates.reduce_template`` builds an S_m map only
+point can lie on it, over index masks of the leading valuations,
+``templates.reduce_template`` builds an S_m map only
 where two or more points attain C_m, and ``validity`` decides each check in
 closed form over one integer per p-power where ``condition_violations`` runs
 every condition over the rational depth bound ``depth_bound``.  The tests
@@ -26,17 +27,30 @@ def lower_convex_hull(points):
     return _vertices(hull_points(points))
 
 
-def ramification_points(f: EisensteinData) -> list[tuple[int, int]]:
-    """(j, R_j) for 1 <= j <= n by the O(n^2) definition; the leading term keeps R_j finite.
+def leading(f: EisensteinData) -> tuple:
+    """(F_i, phi_i) for i < n: the index of each coefficient's first nonzero digit and that
+    digit, (None, None) for a zero coefficient."""
+    return tuple(next(((k, d) for k, d in enumerate(row, start=1) if d), (None, None))
+                 for row in f.digits)
+
+
+def signature_points(base, signature) -> list[tuple[int, int]]:
+    """(j, R_j) for 1 <= j <= n by the O(n^2) definition, from the leading valuations
+    (F_0, ..., F_{n-1}), None for a zero coefficient; the monic term, F_n = 0, keeps R_j
+    finite.
 
     R_j is the least n * v(binomial(i, j) * f_i) + i over the coefficients i >= j.
     """
-    ctx = BinomialContext(f.base)
-    n = f.n
-    terms = [(i, Fi) for i, (Fi, _) in enumerate(f.leading()) if Fi is not None]
-    terms.append((n, 0))
-    return [(j, min(n * (B(ctx, i, j) + Fi - 1) + i for i, Fi in terms if i >= j))
+    ctx = BinomialContext(base)
+    n = len(signature)
+    terms = [(i, F) for i, F in enumerate(signature) if F is not None] + [(n, 0)]
+    return [(j, min(n * (B(ctx, i, j) + F - 1) + i for i, F in terms if i >= j))
             for j in range(1, n + 1)]
+
+
+def ramification_points(f: EisensteinData) -> list[tuple[int, int]]:
+    """``signature_points`` of the leading valuations of ``f``."""
+    return signature_points(f.base, [F for F, _ in leading(f)])
 
 
 def reduce_template_reference(ctx, T, inv):

@@ -14,8 +14,10 @@ from ramify.analyzer import (
     fine_of,
     parse_integer_polynomial,
     polygon_of,
+    ramification_of,
     render_integer_polynomial,
     residues_of,
+    signature_masks,
     unif_of,
 )
 from ramify.binomials import B, BinomialContext, beta
@@ -24,10 +26,11 @@ from ramify.polygons import (
     FinePolygonWithResidues,
     RamPolygon,
     decompose,
+    polygon_plan,
 )
 from ramify.residue_field import make_field
 from ramify.validity import admissible_phi0, is_valid_fine
-from reference import lower_convex_hull, ramification_points
+from reference import leading, lower_convex_hull, ramification_points, signature_points
 
 
 def poly(base, text):
@@ -116,7 +119,7 @@ def test_digit_table_canonicalization(ctx_q2):
     a = EisensteinData(ctx_q2.base, 2, ((one,), ()))
     b = EisensteinData(ctx_q2.base, 2, ((one, zero), (zero, zero)))
     assert a == b
-    assert a.leading() == ((1, one), (None, None))
+    assert leading(a) == ((1, one), (None, None))
     assert a.digit(0, 1) == one and a.digit(1, 5) == zero
     assert a.digit(2, 0) == one
 
@@ -323,17 +326,64 @@ def test_fine_of_is_the_on_hull_part_of_every_point(p):
                 assert fine_of(f).points == on_hull, (p, e, f_, signature)
 
 
-def test_degree_rows_are_keyed_by_p_e_and_n_and_bounded():
-    # Q_2, e = 2 over Q_2 and F_4 share (p, n): F_4 may read Q_2's rows, the
-    # ramified fields may not, and e = 2^64 puts the terms beyond any fixed
-    # bound.  The degrees outnumber the rows kept, and the second sweep runs
-    # backwards, so evicted degrees are built again.  A sparse table leaves R
-    # to the monic term.  The valuation tables the rows are read from are
-    # bounded by the same constant
+def _reference_plan(base, signature):
+    """The (fine polygon, plan) of a valuation signature by the O(n^2) definition: every
+    point (j, R_j), kept where it lies on the points' hull."""
+    n = len(signature)
+    points = signature_points(base, signature)
+    hull = RamPolygon(base.p, n, tuple(lower_convex_hull(points)))
+    return polygon_plan(base, n, tuple((j, R) for j, R in points if hull.value_at(j) == R))
+
+
+_Q2 = make_field(2, 1, 1, 1)
+
+
+@pytest.mark.parametrize("base, n, depth", [
+    *[(_Q2, n, 2) for n in range(1, 9)],
+    (make_field(3, 1, 1, 1), 9, 1),
+    (make_field(2, 1, 2, 1), 8, 2),
+    (make_field(2, 2, 1, 1), 4, 2),
+])
+def test_kernel_plans_every_survey_signature_as_the_definition(base, n, depth):
+    # the survey's polygon and the kernel's (fine polygon, plan) of every signature,
+    # against the points (j, R_j) of all n abscissas by the definition
+    for fine, group in brute_force_survey(BinomialContext(base), n, depth).items():
+        for box in group.boxes:
+            expected = _reference_plan(base, box)
+            assert fine == expected[0], box
+            assert ramification_of(base, n, signature_masks(box, depth)) == expected, box
+
+
+def test_kernel_matches_the_definition_on_extreme_signatures():
+    # F beyond every monic bound e*(v_p(n) - s), tables whose only nonzero row is the
+    # constant one, and e = 2^64, where B exceeds every leading valuation a table has
+    rng = random.Random(29)
+    fields = [_Q2, make_field(3, 1, 1, 1), make_field(2, 1, 2, 1), make_field(2, 2, 1, 1),
+              make_field(2, 1, 2**64, 1)]
+    for base in fields:
+        for n in (1, 2, 3, 4, 8, 9, 12, 16, 24, 27, 32, 48, 64):
+            top = min(base.e, 2) * binomials.vp(base.p, n) + 3
+            for kind in ("high", "zero", "mixed"):
+                signature = [1] + [
+                    None if kind == "zero" or rng.random() < 0.2
+                    else rng.randint(top - 2, top) if kind == "high" else rng.randint(1, top)
+                    for _ in range(n - 1)
+                ]
+                assert ramification_of(base, n, signature_masks(signature, top)) == \
+                    _reference_plan(base, signature), (base, signature)
+
+
+def test_degree_masks_are_keyed_by_p_e_and_n_and_bounded():
+    # Q_2, e = 2 over Q_2 and F_4 share (p, n): F_4 may read Q_2's masks, the
+    # ramified fields may not, and e = 2^64 puts B beyond any fixed bound.  The
+    # degrees outnumber the masks kept, and the second sweep runs backwards, so
+    # evicted degrees are built again.  A sparse table leaves R to the monic
+    # term.  The valuation tables the masks are read from are bounded by the
+    # same constant
     fields = [make_field(2, 1, e, 1) for e in (1, 2, 2**64)] + [make_field(2, 2, 1, 1)]
     degrees = list(range(1, binomials.ROW_DEGREES + 9)) + [32, 48, 64]
     rng = random.Random(16)
-    caches = (analyzer.degree_rows, binomials.valuation_table)
+    caches = (analyzer.degree_masks, binomials.valuation_table)
     for cache in caches:
         cache.cache_clear()
     for n in degrees + degrees[::-1]:
@@ -399,7 +449,9 @@ def test_a_planned_polygon_is_neither_validated_nor_planned_again(monkeypatch):
     assert len(built) == 1
     assert polygons.polygon_plan.cache_info().misses == 1
     # x^8+2 has no f_7, which the plan of f's polygon reads at (1, 7): handing
-    # its signature that cached plan must fail the minimizer check
+    # its signature that cached plan must fail the minimizer check.  The patched hull
+    # stands for the hull of the wild points and (p^m, 0); at n = 8 = p^m that is
+    # every point of f's polygon, and no other tame zero is appended
     h = poly(base, "x^8+2")
     monkeypatch.setattr(analyzer, "hull_points", lambda points: list(first.res.polygon.points))
     with pytest.raises(AssertionError, match="minimizer at j=1"):

@@ -146,7 +146,7 @@ def test_each_degree_table_has_one_route_and_each_proof_one_writer():
     # one table of a degree's binomial valuations: only ``binomials`` takes
     # the difference of factorial valuations, in ``vp_binomial`` and, over one
     # list per degree, in ``valuation_table``, and the table's readers are the
-    # checks, the depth bounds and the analyzer's rows
+    # checks, the depth bounds and the analyzer's masks
     assert _callers("vp_factorial") == {
         ("binomials", "vp_binomial"), ("binomials", "valuation_table")
     }

@@ -5,7 +5,7 @@ signatures) of one fine polygon, from the template slots per (coefficient,
 leading valuation) and one residue check per choice of the units its
 polygon plan reads, and walks only the failing groups.  The per-table check
 it replaced is kept here as the reference: ``matches_template`` over every
-slot, and the residue check keyed by ``(fine, f.leading())``.  Both must
+slot, and the residue check keyed by ``(fine, leading(f))``.  Both must
 give the same problem list, line for line, on the default cases and under
 injected faults, including faults that fail one group or one combination.
 """
@@ -21,6 +21,7 @@ from ramify.binomials import vp
 from ramify.enumeration import Level, enumerate_invariants
 from ramify.polygons import decompose, polygon_plan
 from ramify.validity import ValidityReport, Violation, admissible_phi0, is_valid_fine
+from reference import leading
 
 
 def matches_template(T, f, depth):
@@ -38,7 +39,7 @@ def _reference_residues_consistent(ctx, f):
 
 
 def reference_problems(ctx, n, bound, survey):
-    """The per-table check: every slot read per table, residues keyed by leading()."""
+    """The per-table check: every slot read per table, residues keyed by leading(f)."""
     problems = []
     enumerated, _ = enumerate_invariants(ctx, n, Level.FINE)
     surveyed_set = set(survey)
@@ -59,7 +60,7 @@ def reference_problems(ctx, n, bound, survey):
         for f in group:
             if T is not None and not matches_template(T, f, bound):
                 problems.append(f"polynomial outside its template: {f.digits}")
-            key = (fine, f.leading())
+            key = (fine, leading(f))
             ok = residue_cache.get(key)
             if ok is None:
                 ok = residue_cache[key] = _reference_residues_consistent(ctx, f)
@@ -252,7 +253,7 @@ def test_residue_verdicts_are_decided_once_per_invariant(
     )
     monkeypatch.setattr(
         selftest, "decorate",
-        lambda fine, steps, lead: decorations.append(lead) or real_decorate(fine, steps, lead),
+        lambda *args: decorations.append(args) or real_decorate(*args),
     )
     monkeypatch.setattr(selftest, "unif_of", lambda f: analyses.append(f) or unif_of(f))
     assert selftest.survey_case_problems(ctx, n, bound, survey=survey) == []
