@@ -39,8 +39,8 @@ directly, and the rest of it depends on the polygon alone:
 ``polygons.polygon_plan`` validates the ``FinePolygon`` once and keeps b,
 -(1+a), B(b, j) and beta(b, j) per point.  Per polynomial remain the masks,
 the scan, the hull, one plan lookup and :func:`decorate`: per point the
-minimizer check in integers (b >= j, bit b in the mask of F_b = a + 1 - B),
-one product and one power.
+minimizer check in integers (b >= j, bit b in the mask of F_b = a + 1 - B)
+and one table lookup, g to log beta(b, j) + k*log(-phi0) + log phi_b mod q - 1.
 
 This module is also the test oracle: :func:`brute_force_survey` groups
 every digit table up to a depth bound by fine polygon, against which the
@@ -108,7 +108,7 @@ class EisensteinData:
     def __post_init__(self) -> None:
         if self.n < 1 or len(self.digits) != self.n:
             raise NotEisensteinError("need one digit vector per coefficient below n")
-        object.__setattr__(self, "digits", tuple(map(_trim, self.digits)))
+        object.__setattr__(self, "digits", tuple(map(trim_row, self.digits)))
         if not self.digits[0] or not self.digits[0][0]:
             raise NotEisensteinError("constant coefficient must have valuation 1")
 
@@ -136,14 +136,8 @@ class EisensteinData:
         row = self.digits[i]
         return row[k - 1] if 1 <= k <= len(row) else self.base.fq.zero
 
-    def nonzero_digits(self) -> Iterable[tuple[int, int, FqElement]]:
-        for i, row in enumerate(self.digits):
-            for k, d in enumerate(row, start=1):
-                if d:
-                    yield i, k, d
 
-
-def _trim(vec: Iterable[FqElement]) -> tuple[FqElement, ...]:
+def trim_row(vec: Iterable[FqElement]) -> tuple[FqElement, ...]:
     """``vec`` as a tuple without trailing zeros; a tuple already so is returned as is."""
     if type(vec) is tuple and (not vec or vec[-1]):
         return vec
@@ -225,8 +219,10 @@ def polygon_of(f: EisensteinData) -> RamPolygon:
 def decorate(fine: FinePolygon, steps: tuple, masks: Sequence[int], phi) -> FinePolygonWithResidues:
     """``fine`` decorated with the residues its plan ``steps`` gives the leading valuations
     ``masks`` and leading digits ``phi(b, F_b)``, read at 0 and each step's b < n (phi_n = 1).
-    Each point's minimizer check confirms ``fine`` is their signature's polygon."""
+    Each point's minimizer check confirms ``fine`` is their signature's polygon; its residue
+    is g to a sum of discrete logs, and a zero digit raises."""
     n, minus_phi0 = fine.n, -phi(0, 1)
+    log_minus_phi0, unit = minus_phi0.log(), minus_phi0.field.unit
     residues = []
     for j, R, b, k, B_bj, beta_bj in steps:
         # terms are pairwise distinct mod n, so only b, congruent to R, attains R, if its
@@ -234,8 +230,10 @@ def decorate(fine: FinePolygon, steps: tuple, masks: Sequence[int], phi) -> Fine
         F = -k - B_bj if b >= j else 0
         if not (F == 0 if b == n else 0 < F <= len(masks) and masks[F - 1] >> b & 1):
             raise AssertionError(f"minimizer at j={j} is not the expected index {b}")
-        rho = beta_bj * minus_phi0**k
-        residues.append(rho * phi(b, F) if b < n else rho)
+        log_phi = phi(b, F).log() if b < n else 0
+        if log_phi is None or log_minus_phi0 is None:
+            raise ValueError(f"a leading digit at 0 or {b} is zero")
+        residues.append(unit(beta_bj.log() + k * log_minus_phi0 + log_phi))
     return FinePolygonWithResidues(fine, tuple(residues))
 
 
@@ -360,7 +358,7 @@ class SurveyGroup:
         rows = {None: ((),)}
         for F in {F for box in self.boxes for F in box} - {None}:
             lead = (base.fq.zero,) * (F - 1)
-            rows[F] = tuple(_trim((*lead, unit, *rest)) for unit in digits[1:]
+            rows[F] = tuple(trim_row((*lead, unit, *rest)) for unit in digits[1:]
                             for rest in itertools.product(digits, repeat=depth - F))
         for table in _lexicographic(self.boxes, 0, rows):
             yield EisensteinData(base, len(table), table)

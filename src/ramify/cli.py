@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 
@@ -87,6 +88,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(doc, out) -> None:
+    """``json.dump(doc, out, indent=2, sort_keys=True)`` and a newline, 8,192 chunks a write."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    while batch := "".join(itertools.islice(chunks, 8192)):
+        out.write(batch)
+    out.write("\n")
+
+
 def _make_context(args) -> BinomialContext:
     try:
         base = make_field(args.p, args.f, args.e, args.gamma)
@@ -161,8 +170,7 @@ def cmd_enumerate(args, out) -> int:
             "branches_visited": stats.branches_visited,
             "results": len(results),
         }
-    json.dump(doc, out, indent=2, sort_keys=True)
-    out.write("\n")
+    _write_json(doc, out)
     return 0
 
 
@@ -196,8 +204,7 @@ def cmd_analyze(args, out) -> int:
         "residues": serialize.res_to_json(invariant.res),
         "phi0": str(invariant.phi0),
     }
-    json.dump(doc, out, indent=2, sort_keys=True)
-    out.write("\n")
+    _write_json(doc, out)
     return 0
 
 

@@ -150,9 +150,11 @@ class Fq:
                 elem._log = self._logs[index]
         return elem
 
-    def _unit(self, k: int) -> FqElement:
-        """g^k for 0 <= k < q - 1."""
-        return self._intern(self._exp[k])
+    def unit(self, k: int) -> FqElement:
+        """g^k, k taken mod q - 1; builds the tables on first use."""
+        if self._exp is None:
+            self._tables()
+        return self._intern(self._exp[k % self.order])
 
     def _tables(self) -> None:
         """Build the tables once and give every interned unit its log.
@@ -229,8 +231,7 @@ class Fq:
 
     def generator(self) -> FqElement:
         """The canonically least generator g of the cyclic group F_q^x."""
-        self._tables()
-        return self._unit(1 % self.order)
+        return self.unit(1)
 
     def parse(self, text: str) -> FqElement:
         """Inverse of ``str(element)``; also accepts a bare integer."""
@@ -256,16 +257,18 @@ class FqElement:
     ``index`` is its position in the lexicographic order of coefficient
     vectors, which exists purely to make representative choices and
     serialisations deterministic.  ``_log`` is its discrete log to g, None
-    for 0 and until the field's tables are built.
+    for 0 and until the field's tables are built.  Its text is computed on
+    the first ``str`` and kept, so interning pays nothing for it.
     """
 
-    __slots__ = ("field", "index", "coeffs", "_log", "_hash")
+    __slots__ = ("field", "index", "coeffs", "_log", "_hash", "_text")
 
     def __init__(self, field: Fq, index: int):
         self.field = field
         self.index = index
         self.coeffs = _digits(index, field.p, field.f)
         self._log: int | None = None
+        self._text: str | None = None
         # by value, not by address, so set iteration orders are reproducible
         self._hash = hash((field.p, field.f, self.coeffs))
 
@@ -283,8 +286,8 @@ class FqElement:
         if self.field is not other.field:
             raise ValueError("elements of different fields")
 
-    def _logarithm(self) -> int | None:
-        """The log to g, building the tables on first use; None for 0."""
+    def log(self) -> int | None:
+        """The discrete log to g, building the tables on first use; None for 0."""
         if self._log is None and self.index:
             self.field._tables()
         return self._log
@@ -294,36 +297,36 @@ class FqElement:
         fq = self.field
         if a is None or b is None or fq is not other.field:
             self._check(other)
-            a, b = self._logarithm(), other._logarithm()
+            a, b = self.log(), other.log()
             if a is None or b is None:
                 return other if a is None else self
         z = fq._zech[(b - a) % fq.order]  # x + y = x * (1 + y/x)
-        return fq.zero if z < 0 else fq._unit((a + z) % fq.order)
+        return fq.zero if z < 0 else fq.unit(a + z)
 
     def __sub__(self, other: "FqElement") -> "FqElement":
         return self + -other
 
     def __neg__(self) -> "FqElement":
-        a = self._logarithm()
-        return self if a is None else self.field._unit((a + self.field._half) % self.field.order)
+        a = self.log()
+        return self if a is None else self.field.unit(a + self.field._half)
 
     def __mul__(self, other: "FqElement") -> "FqElement":
         a, b = self._log, other._log
         fq = self.field
         if a is None or b is None or fq is not other.field:
             self._check(other)
-            a, b = self._logarithm(), other._logarithm()
+            a, b = self.log(), other.log()
             if a is None or b is None:
                 return fq.zero
-        return fq._unit((a + b) % fq.order)
+        return fq.unit(a + b)
 
     def __pow__(self, k: int) -> "FqElement":
-        a = self._logarithm()
+        a = self.log()
         if a is None:
             if k < 0:
                 raise ZeroDivisionError("0 has no negative powers")
             return self if k else self.field.one
-        return self.field._unit(a * k % self.field.order)
+        return self.field.unit(a * k)
 
     def inverse(self) -> "FqElement":
         return self**-1
@@ -332,7 +335,9 @@ class FqElement:
         return self * other.inverse()
 
     def __str__(self) -> str:
-        return ",".join(str(c) for c in self.coeffs)
+        if self._text is None:
+            self._text = ",".join(map(str, self.coeffs))
+        return self._text
 
     def __repr__(self) -> str:
         return f"FqElement({self})"
@@ -421,12 +426,8 @@ class AdditiveMap:
         return cls(fq, tuple(fn(b) for b in fq.basis()))
 
     def __call__(self, x: FqElement) -> FqElement:
-        out = self.fq.zero
-        for c, img in zip(x.coeffs, self.images):
-            if c:
-                scalar = self.fq.from_int(c)
-                out = out + scalar * img
-        return out
+        return sum((self.fq.from_int(c) * img for c, img in zip(x.coeffs, self.images) if c),
+                   self.fq.zero)
 
 
 def additive_coset_representatives(
@@ -477,7 +478,7 @@ def solve_power_system(
     """
     fq = field.fq
     n = fq.order
-    system = [(k, a._logarithm()) for k, a in eqs]
+    system = [(k, a.log()) for k, a in eqs]
     if any(c is None for _, c in system):
         raise ValueError("right-hand sides must be nonzero")
     r, M = 0, 1  # t = r (mod M) solves the equations merged so far
@@ -493,7 +494,7 @@ def solve_power_system(
         # r + M*s = t0 (mod m), i.e. (M/g)*s = (t0-r)/g (mod m/g)
         s = (t0 - r) // g * pow(M // g, -1, m // g) % (m // g)
         r, M = r + M * s, M // g * m
-    return {fq._unit(t) for t in range(r % M, n, M)}
+    return {fq.unit(t) for t in range(r % M, n, M)}
 
 
 def orbit_representatives(

@@ -160,7 +160,8 @@ def polynomial_to_json(f: EisensteinData) -> dict[str, Any]:
     return {
         "n": f.n,
         "digits": [
-            {"i": i, "k": k, "residue": str(d)} for i, k, d in f.nonzero_digits()
+            {"i": i, "k": k, "residue": str(d)}
+            for i, row in enumerate(f.digits) for k, d in enumerate(row, start=1) if d
         ],
     }
 

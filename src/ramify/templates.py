@@ -25,12 +25,13 @@ and the reduction.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .analyzer import EisensteinData
+from .analyzer import EisensteinData, trim_row
 from .binomials import BinomialContext, valuation_table, vp
 from .polygons import (
     FinePolygon,
@@ -229,10 +230,7 @@ def compute_Sm(ctx: BinomialContext, Pres: FinePolygonWithResidues, m: int) -> S
     fq = ctx.base.fq
 
     def act(u: FqElement) -> FqElement:
-        out = fq.zero
-        for x, rho in minimisers:
-            out = out + rho * u**x
-        return out
+        return sum((rho * u**x for x, rho in minimisers), fq.zero)
 
     c_m, d_m = divmod(C, n)
     return SmData(m=m, C_m=C, c_m=c_m, d_m=d_m, map=AdditiveMap.from_function(fq, act))
@@ -281,32 +279,25 @@ def reduce_template(ctx: BinomialContext, T: Template, inv: InvariantWithUnif) -
 # counting and expansion
 
 
-def _positions(T: Template) -> list[tuple[int, int]]:
-    if T.cutoff is None:
-        raise ValueError("template is not finite (no cutoff)")
-    return [(i, k) for i in range(T.n) for k in range(T.cutoff)]
-
-
 def cardinality(T: Template) -> int:
     """Number of polynomials the template describes."""
-    count = 1
-    for i, k in _positions(T):
-        count *= len(T.slot(i, k))
-    return count
+    if T.cutoff is None:
+        raise ValueError("template is not finite (no cutoff)")
+    return math.prod(len(T.slot(i, k)) for i in range(T.n) for k in range(T.cutoff))
 
 
 def expand_template(T: Template):
-    """Stream every polynomial of the template as a digit table.
-
-    Positions are enumerated in (i, k) order with element choices in
-    canonical order, so the stream is deterministic.
+    """Stream every polynomial of the template as a digit table, in (i, k) order of the
+    positions with element choices in canonical order.  Each coefficient's rows, one per
+    choice of its digits 1 <= k < cutoff, are built and trimmed once, and repeated once per
+    element of its k = 0 slot; the tables are their product, so they share their rows.
     """
-    positions = _positions(T)
-    choice_sets = [sorted(T.slot(i, k)) for i, k in positions]
-    zero = T.base.fq.zero
-    for combo in itertools.product(*choice_sets):
-        rows = [[zero] * (T.cutoff - 1) for _ in range(T.n)]
-        for (i, k), value in zip(positions, combo):
-            if k >= 1:
-                rows[i][k - 1] = value
-        yield EisensteinData(T.base, T.n, tuple(tuple(row) for row in rows))
+    if T.cutoff is None:
+        raise ValueError("template is not finite (no cutoff)")
+    rows = []
+    for i in range(T.n):
+        choices = itertools.product(*(sorted(T.slot(i, k)) for k in range(1, T.cutoff)))
+        repeats = len(T.slot(i, 0)) if T.cutoff > 0 else 1  # k = 0 is a position if 0 < cutoff
+        rows.append([trim_row(digits) for digits in choices] * repeats)
+    for digits in itertools.product(*rows):
+        yield EisensteinData(T.base, T.n, digits)

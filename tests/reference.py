@@ -4,11 +4,14 @@ The package computes the same things faster: ``polygons.hull_points`` keeps ever
 point on the hull, ``analyzer.ramification_of`` evaluates R_j only where a
 point can lie on it, over index masks of the leading valuations,
 ``templates.reduce_template`` builds an S_m map only
-where two or more points attain C_m, and ``validity`` decides each check in
+where two or more points attain C_m, ``templates.expand_template`` builds each
+coefficient's rows once, and ``validity`` decides each check in
 closed form over one integer per p-power where ``condition_violations`` runs
 every condition over the rational depth bound ``depth_bound``.  The tests
 compare against these.
 """
+
+import itertools
 
 from ramify.analyzer import EisensteinData
 from ramify.binomials import B, BinomialContext, vp
@@ -51,6 +54,22 @@ def signature_points(base, signature) -> list[tuple[int, int]]:
 def ramification_points(f: EisensteinData) -> list[tuple[int, int]]:
     """``signature_points`` of the leading valuations of ``f``."""
     return signature_points(f.base, [F for F, _ in leading(f)])
+
+
+def expand_template_by_position(T):
+    """``expand_template`` by its definition: the product over every position (i, k),
+    k < cutoff, in (i, k) order, each table's rows written digit by digit."""
+    if T.cutoff is None:
+        raise ValueError("template is not finite (no cutoff)")
+    positions = [(i, k) for i in range(T.n) for k in range(T.cutoff)]
+    choice_sets = [sorted(T.slot(i, k)) for i, k in positions]
+    zero = T.base.fq.zero
+    for combo in itertools.product(*choice_sets):
+        rows = [[zero] * (T.cutoff - 1) for _ in range(T.n)]
+        for (i, k), value in zip(positions, combo):
+            if k >= 1:
+                rows[i][k - 1] = value
+        yield EisensteinData(T.base, T.n, tuple(tuple(row) for row in rows))
 
 
 def reduce_template_reference(ctx, T, inv):

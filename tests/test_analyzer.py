@@ -479,3 +479,33 @@ def test_binomial_valuation_is_least_at_the_p_power_below(p):
             floor = v(i, x)
             assert all(v(i, j) >= floor for j in range(x, min(x * p, i + 1))), (i, x)
             x *= p
+
+
+@pytest.mark.parametrize("field", [(2, 1, 1, 1), (3, 1, 1, 1), (5, 1, 1, 1), (2, 2, 1, 1),
+                                   (3, 2, 1, "g"), (2, 1, 2, 1)],
+                         ids=["Q2", "Q3", "Q5", "F4", "F9-g", "e2"])
+def test_log_domain_residues_equal_the_definition(field):
+    # residues summed as discrete logs against the O(n^2) products; random leading
+    # digits, phi0 included, so -phi0 != 1 on odd p and every power of it counts
+    base = make_field(*field)
+    rng = random.Random(30)
+    elements = list(base.fq.elements())
+    for _ in range(150):
+        n = rng.choice([rng.randint(1, 12), rng.choice(_SKIPPING_DEGREES)])
+        rows = [[rng.choice(elements) for _ in range(rng.randint(0, 4))] for _ in range(n)]
+        rows[0] = [rng.choice(elements[1:]), *rows[0][1:]]
+        f = EisensteinData(base, n, tuple(map(tuple, rows)))
+        assert residues_of(f) == reference_invariants(f)[3], (field, rows)
+
+
+def test_decorate_refuses_a_zero_digit(ctx_q2):
+    f = poly(ctx_q2.base, "x^8+2x^7+2x^6+2x^4+2")
+    masks = analyzer.leading_masks(f)
+    fine, steps = ramification_of(f.base, f.n, masks)
+    zero = f.base.fq.zero
+    assert analyzer.decorate(fine, steps, masks, f.digit) == residues_of(f)
+    wild_b = next(b for _, _, b, _, _, _ in steps if b < f.n)
+    for zeroed in (0, wild_b):
+        with pytest.raises(ValueError, match="zero"):
+            analyzer.decorate(fine, steps, masks,
+                              lambda b, F: zero if b == zeroed else f.digit(b, F))

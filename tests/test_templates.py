@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from ramify import BinomialContext, make_field, templates
-from ramify.analyzer import fine_of, render_integer_polynomial
+from ramify.analyzer import NotEisensteinError, fine_of, render_integer_polynomial
 from ramify.enumeration import (
     enumerate_fine_polygons,
     enumerate_invariants,
@@ -16,6 +16,7 @@ from ramify.enumeration import (
 from ramify.polygons import FinePolygon, FinePolygonWithResidues, RamPolygon
 from ramify.residue_field import additive_coset_representatives
 from ramify.templates import (
+    Template,
     cardinality,
     compute_Sm,
     eisenstein_template,
@@ -26,7 +27,7 @@ from ramify.templates import (
     template_for_polygon,
     truncate_krasner,
 )
-from reference import reduce_template_reference
+from reference import expand_template_by_position, reduce_template_reference
 
 
 def test_eisenstein_template_spec_examples(ctx_q2, ctx_q3):
@@ -420,3 +421,58 @@ def test_reduce_refuses_a_mismatched_template(ctx_q2, ctx_q3, mismatch):
     ctx, T, inv = mismatch(ctx_q2, ctx_q3)
     with pytest.raises(ValueError):
         reduce_template(ctx, T, inv)
+
+
+def _reduced_templates(base, n):
+    ctx = BinomialContext(base)
+    for inv in enumerate_invariants(ctx, n, "unif")[0]:
+        T = truncate_krasner(template_for_invariant(ctx, inv), inv.res.polygon.J0)
+        yield reduce_template(ctx, T, inv)
+
+
+def _assert_expands_as_the_definition(T):
+    tables = list(expand_template(T))
+    assert tables == list(expand_template_by_position(T))
+    assert len(tables) == cardinality(T)
+    # tables are built from one set of rows: equal rows of a coefficient are one object
+    rows = {}
+    for f in tables:
+        for i, row in enumerate(f.digits):
+            assert rows.setdefault((i, row), row) is row
+    return tables
+
+
+@pytest.mark.parametrize("field, degrees", [
+    ((2, 1, 1, 1), range(1, 13)),
+    ((2, 2, 1, 1), [4]),
+    ((3, 2, 1, "g"), [3]),
+    ((2, 1, 2, 1), [4]),
+], ids=["Q2", "F4", "F9-g", "e2"])
+def test_expansion_order_equals_the_definition(field, degrees):
+    base = make_field(*field)
+    for n in degrees:
+        for R in _reduced_templates(base, n):
+            _assert_expands_as_the_definition(R)
+
+
+def test_expansion_keeps_the_multiplicity_of_a_k0_slot_and_raises_lazily(ctx_q2):
+    fq = ctx_q2.base.fq
+    T = truncate_krasner(eisenstein_template(ctx_q2, 2), 1)
+    # a two-element k = 0 slot of coefficient 1 repeats its four rows per row of
+    # coefficient 0; the digit at k = 0 is dropped from each
+    doubled = T.with_slots({(1, 0): frozenset(fq.elements())})
+    tables = _assert_expands_as_the_definition(doubled)
+    assert len(tables) == 2 * cardinality(T) == 16 and len(set(tables)) == 8
+    assert tables[0:4] == tables[4:8] and tables[8:12] == tables[12:16]
+    assert _assert_expands_as_the_definition(T.with_slots({(1, 2): frozenset()})) == []
+    # with no position below the cutoff, even an empty k = 0 slot counts for nothing:
+    # the one table, with no digits, is not Eisenstein
+    bare = Template(T.base, 2, {(1, 0): frozenset()}, 0)
+    with pytest.raises(NotEisensteinError):
+        list(expand_template(bare))
+    with pytest.raises(NotEisensteinError):
+        list(expand_template_by_position(bare))
+    assert cardinality(bare) == 1
+    stream = expand_template(eisenstein_template(ctx_q2, 2))  # nothing raised yet
+    with pytest.raises(ValueError, match="no cutoff"):
+        next(stream)
