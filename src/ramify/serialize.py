@@ -15,6 +15,10 @@ abscissas, and ``point_specs`` is a tuple of dicts holding only ints and
 strs.  A census keeps thousands of records alive, and every container a
 record adds that the cyclic garbage collector tracks is one more survivor
 its full collections walk; such dicts, and tuples of ints, are not tracked.
+Residue and slot records are shared and read-only too, each cache a bounded
+``lru_cache`` of ``RECORDS`` that holds no ``BinomialContext``: ``res_to_json``
+gives one per residue class, which ``unif_to_json`` copies to add ``phi0``,
+and ``template_to_json`` one per (i, k, set), its ``set`` a tuple of strings.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .residue_field import BaseField, make_field
 from .templates import Template
 
 SCHEMA_VERSION = 1
+RECORDS = 4096  # shared residue records and slot records, each cache; only caps memory
 
 
 def field_to_json(base: BaseField) -> dict[str, Any]:
@@ -108,6 +113,7 @@ def fine_from_json(base: BaseField, data: dict[str, Any]) -> FinePolygon:
     return FinePolygon(base.p, int(data["n"]), tuple((x, J) for x, J in data["points"]))
 
 
+@lru_cache(maxsize=RECORDS)
 def res_to_json(Pres: FinePolygonWithResidues) -> dict[str, Any]:
     Pstar = Pres.polygon
     return {
@@ -126,9 +132,7 @@ def res_from_json(base: BaseField, data: dict[str, Any]) -> FinePolygonWithResid
 
 
 def unif_to_json(inv: InvariantWithUnif) -> dict[str, Any]:
-    out = res_to_json(inv.res)
-    out["phi0"] = str(inv.phi0)
-    return out
+    return {**res_to_json(inv.res), "phi0": str(inv.phi0)}
 
 
 def unif_from_json(base: BaseField, data: dict[str, Any]) -> InvariantWithUnif:
@@ -140,11 +144,13 @@ def template_to_json(T: Template) -> dict[str, Any]:
         "n": T.n,
         "field": field_to_json(T.base),
         "cutoff": T.cutoff,
-        "slots": [
-            {"i": i, "k": k, "set": sorted(str(v) for v in values)}
-            for (i, k), values in sorted(T.slots.items())
-        ],
+        "slots": [_slot_record(i, k, values) for (i, k), values in sorted(T.slots.items())],
     }
+
+
+@lru_cache(maxsize=RECORDS)
+def _slot_record(i: int, k: int, values: frozenset) -> dict[str, Any]:
+    return {"i": i, "k": k, "set": tuple(sorted(map(str, values)))}
 
 
 def template_from_json(data: dict[str, Any]) -> Template:
@@ -157,11 +163,12 @@ def template_from_json(data: dict[str, Any]) -> Template:
 
 
 def polynomial_to_json(f: EisensteinData) -> dict[str, Any]:
+    zero = f.base.fq.zero  # interned, so a zero digit is this object
     return {
         "n": f.n,
         "digits": [
             {"i": i, "k": k, "residue": str(d)}
-            for i, row in enumerate(f.digits) for k, d in enumerate(row, start=1) if d
+            for i, row in enumerate(f.digits) for k, d in enumerate(row, start=1) if d is not zero
         ],
     }
 
@@ -230,13 +237,12 @@ def invariant_to_csv_row(level: str, index: int, obj) -> list[str]:
             _encode_pairs(obj.points),
             _encode_pairs((x,) for x in obj.tame_abscissas()),
         ]
-    polygon = obj.polygon if level == "res" else obj.res.polygon
     res = obj if level == "res" else obj.res
     row = [
         str(index),
-        str(polygon.n),
+        str(res.polygon.n),
         _encode_pairs((x, J, _flat(rho)) for x, J, rho in res.items()),
-        _encode_pairs((x,) for x in polygon.tame_abscissas()),
+        _encode_pairs((x,) for x in res.polygon.tame_abscissas()),
     ]
     if level == "unif":
         row.append(_flat(obj.phi0))

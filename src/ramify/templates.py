@@ -15,11 +15,13 @@ extensions, and the uniformizer-change reduction shrinks free positions
 to coset representatives of the images of the induced additive maps S_m,
 each built only where m is the slope of a hull face.
 
-Built once per (base field, fine polygon) and cached in a bounded
-``lru_cache`` that never holds a caller's context: the validated template
-and the steps of ``polygons.polygon_plan``, which give the unit pins and the
-pinned values.  Per invariant remain the validity guard, the pinned values
-and the reduction.
+Cached in bounded ``lru_cache``s, none holding a ``BinomialContext``: per
+(base field, fine polygon), the validated template and the steps of
+``polygons.polygon_plan``, which give the unit pins and the pinned values;
+per (points, n, cutoff), the reduction walk: each m's position and whether
+points tie there (``FINE_POLYGONS`` each); per (base field, residue class, m),
+the S_m map (``S_MAPS``).  Per invariant remain the validity guard, the
+pinned values, the reduction's slot tests and coset sets.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ from .polygons import (
 from .residue_field import AdditiveMap, BaseField, Fq, FqElement, additive_coset_representatives
 from .validity import is_valid_fine, is_valid_ram, is_valid_with_unif
 
-# An enumeration yields one polygon's invariants in a row, so this bound only
-# caps memory.  Full (tracemalloc): 14 MiB of Q_2 degree-32 fine templates.
-FINE_POLYGONS = 1024  # fine templates and plan steps, per (base field, fine polygon)
+# An enumeration yields one polygon's invariants in a row, so these bounds only
+# cap memory.  Full (tracemalloc): 14 MiB of Q_2 degree-32 fine templates.
+FINE_POLYGONS = 1024  # fine templates and plan steps; reduction walks
+S_MAPS = 4096  # S_m maps, per (base field, residue class, m)
 
 
 @lru_cache(maxsize=None)
@@ -221,19 +224,35 @@ class SmData:
 def compute_Sm(ctx: BinomialContext, Pres: FinePolygonWithResidues, m: int) -> SmData:
     if m < 1:
         raise ValueError("m must be positive")
-    p = ctx.base.p
-    n = Pres.polygon.n
+    return _Sm(ctx.base, Pres, m)
+
+
+@lru_cache(maxsize=S_MAPS)
+def _Sm(base: BaseField, Pres: FinePolygonWithResidues, m: int) -> SmData:
+    p, fq = base.p, base.fq
     C = min(J + m * x for x, J in Pres.polygon.points)
     minimisers = [(x, rho) for x, J, rho in Pres.items() if J + m * x == C]
     if any(x != p ** vp(p, x) for x, _ in minimisers):
         raise AssertionError("minimiser at a non-p-power abscissa")
-    fq = ctx.base.fq
 
     def act(u: FqElement) -> FqElement:
         return sum((rho * u**x for x, rho in minimisers), fq.zero)
 
-    c_m, d_m = divmod(C, n)
+    c_m, d_m = divmod(C, Pres.polygon.n)
     return SmData(m=m, C_m=C, c_m=c_m, d_m=d_m, map=AdditiveMap.from_function(fq, act))
+
+
+@lru_cache(maxsize=FINE_POLYGONS)
+def _reduction_walk(points: tuple, n: int, cutoff: int) -> tuple:
+    """(m, (d_m, 1 + c_m), whether two or more points attain C_m) for each m >= 1 with
+    C_m < (cutoff - 1) * n; C_m strictly increases, so the first m past it ends the walk."""
+    walk = []
+    for m in itertools.count(1):
+        values = [J + m * x for x, J in points]
+        C = min(values)
+        if C >= (cutoff - 1) * n:
+            return tuple(walk)
+        walk.append((m, (C % n, 1 + C // n), values.count(C) > 1))
 
 
 def reduce_template(ctx: BinomialContext, T: Template, inv: InvariantWithUnif) -> Template:
@@ -255,23 +274,11 @@ def reduce_template(ctx: BinomialContext, T: Template, inv: InvariantWithUnif) -
     if T.base != ctx.base or inv.phi0.field is not T.base.fq:
         raise ValueError("template, invariant and context differ in base field")
     zero, full = _default_sets(T.base.fq)
-    minus_phi0, points = -inv.phi0, inv.res.polygon.points
-    bound = (T.cutoff - 1) * T.n
     updates = {}
-    for m in itertools.count(1):
-        values = [J + m * x for x, J in points]
-        C = min(values)
-        if C >= bound:
-            break
-        c, d = divmod(C, T.n)
-        if T.slot(d, 1 + c) != full:
-            continue
-        if values.count(C) == 1:
-            updates[(d, 1 + c)] = zero
-        else:
-            amap = compute_Sm(ctx, inv.res, m).map
-            updates[(d, 1 + c)] = frozenset(
-                additive_coset_representatives(ctx.base, amap, minus_phi0 ** (1 + c)))
+    for m, (d, k), tied in _reduction_walk(inv.res.polygon.points, T.n, T.cutoff):
+        if T.slot(d, k) == full:
+            updates[(d, k)] = frozenset(additive_coset_representatives(
+                T.base, compute_Sm(ctx, inv.res, m).map, (-inv.phi0) ** k)) if tied else zero
     return T.with_slots(updates)
 
 
@@ -283,7 +290,9 @@ def cardinality(T: Template) -> int:
     """Number of polynomials the template describes."""
     if T.cutoff is None:
         raise ValueError("template is not finite (no cutoff)")
-    return math.prod(len(T.slot(i, k)) for i in range(T.n) for k in range(T.cutoff))
+    listed = [len(v) for (i, k), v in T.slots.items() if 0 <= i < T.n and 0 <= k < T.cutoff]
+    unlisted = len(range(T.n)) * len(range(T.cutoff)) - len(listed)  # each one F_q
+    return math.prod(listed) * T.base.fq.q ** unlisted
 
 
 def expand_template(T: Template):

@@ -4,7 +4,8 @@ The package computes the same things faster: ``polygons.hull_points`` keeps ever
 point on the hull, ``analyzer.ramification_of`` evaluates R_j only where a
 point can lie on it, over index masks of the leading valuations,
 ``templates.reduce_template`` builds an S_m map only
-where two or more points attain C_m, ``templates.expand_template`` builds each
+where two or more points attain C_m, ``templates.cardinality`` reads only the
+listed slots, ``templates.expand_template`` builds each
 coefficient's rows once, and ``validity`` decides each check in
 closed form over one integer per p-power where ``condition_violations`` runs
 every condition over the rational depth bound ``depth_bound``.  The tests
@@ -12,6 +13,7 @@ compare against these.
 """
 
 import itertools
+import math
 
 from ramify.analyzer import EisensteinData
 from ramify.binomials import B, BinomialContext, vp
@@ -70,6 +72,14 @@ def expand_template_by_position(T):
             if k >= 1:
                 rows[i][k - 1] = value
         yield EisensteinData(T.base, T.n, tuple(tuple(row) for row in rows))
+
+
+def cardinality_by_position(T):
+    """``cardinality`` by its definition: the product of the slot sizes over every position
+    (i, k), 0 <= i < n and 0 <= k < cutoff."""
+    if T.cutoff is None:
+        raise ValueError("template is not finite (no cutoff)")
+    return math.prod(len(T.slot(i, k)) for i in range(T.n) for k in range(T.cutoff))
 
 
 def reduce_template_reference(ctx, T, inv):

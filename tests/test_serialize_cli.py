@@ -3,6 +3,7 @@ import csv
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from ramify.enumeration import enumerate_invariants
 from ramify.polygons import FinePolygon, FinePolygonWithResidues, RamPolygon
 from ramify.residue_field import make_field
 from ramify.selftest import problem_line, survey_case_problems
-from ramify.templates import template_for_invariant, truncate_krasner
+from ramify.templates import reduce_template, template_for_invariant, truncate_krasner
 from ramify.validity import Violation
 
 
@@ -147,6 +148,26 @@ def test_point_specs_match_reference_records(p, f, e, gamma, degrees):
                 assert all(r["rel"] == "=" for r in records if "rho" in r)
                 found = [(r["x"], r["J"], r["rel"], r.get("rho")) for r in records]
                 assert found == _reference_records(obj), (level, obj)
+
+
+def test_residue_and_slot_records_are_shared_and_never_changed():
+    ctx = BinomialContext(make_field(3, 2, 1, "g"))
+    reduced: dict = {}
+    for inv in enumerate_invariants(ctx, 6, "unif")[0]:
+        assert serialize.unif_to_json(inv)["phi0"] == str(inv.phi0)
+        assert "phi0" not in serialize.res_to_json(inv.res)
+        assert serialize.res_to_json(inv.res) is serialize.res_to_json(inv.res)
+        T = truncate_krasner(template_for_invariant(ctx, inv), inv.res.polygon.J0)
+        record = serialize.template_to_json(reduce_template(ctx, T, inv))
+        reduced.setdefault(inv.res.polygon, []).append(record)
+    shared = 0
+    for records in reduced.values():
+        for a, b in itertools.combinations(records, 2):
+            for slot_a, slot_b in itertools.product(a["slots"], b["slots"]):
+                if slot_a == slot_b:
+                    assert slot_a is slot_b
+                    shared += 1
+    assert shared > 0
 
 
 def test_template_json_round_trip(ctx_q2):

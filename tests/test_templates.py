@@ -1,12 +1,13 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from ramify import BinomialContext, make_field, templates
+from ramify import BinomialContext, make_field, serialize, templates
 from ramify.analyzer import NotEisensteinError, fine_of, render_integer_polynomial
 from ramify.enumeration import (
     enumerate_fine_polygons,
@@ -27,7 +28,11 @@ from ramify.templates import (
     template_for_polygon,
     truncate_krasner,
 )
-from reference import expand_template_by_position, reduce_template_reference
+from reference import (
+    cardinality_by_position,
+    expand_template_by_position,
+    reduce_template_reference,
+)
 
 
 def test_eisenstein_template_spec_examples(ctx_q2, ctx_q3):
@@ -399,6 +404,47 @@ def test_truncating_a_truncated_template_keeps_the_lower_cutoff(ctx_q2):
     assert outer.slot(1, 3) == {ctx_q2.base.fq.zero}
     assert cardinality(outer) == cardinality(inner) == 8
     assert truncate_krasner(inner, 0).cutoff == 2
+
+
+def _random_slots(rng, fq, n, cutoff):
+    """Slots at random positions, some outside [0, n) x [0, cutoff), of random sets, some empty."""
+    elements = list(fq.elements())
+    return {
+        (rng.randrange(-1, n + 2), rng.randrange(-1, cutoff + 3)):
+            frozenset(rng.sample(elements, rng.randrange(len(elements) + 1)))
+        for _ in range(rng.randrange(3 * n + 1))
+    }
+
+
+@pytest.mark.parametrize("field", [(2, 1, 1, 1), (3, 1, 1, 1), (3, 2, 1, "g")])
+def test_cardinality_equals_the_product_over_every_position(field):
+    rng, base = random.Random(31), make_field(*field)
+    for _ in range(400):
+        n, cutoff = rng.randrange(6), rng.randrange(-1, 6)
+        T = Template(base, n, _random_slots(rng, base.fq, n, cutoff), cutoff)
+        assert cardinality(T) == cardinality_by_position(T)
+    # an empty slot inside the box empties the template; outside it, it counts for nothing
+    outside = Template(base, 3, {(3, 0): frozenset(), (-1, 1): frozenset(), (1, 2): frozenset()}, 2)
+    assert cardinality(outside) == cardinality_by_position(outside) == base.fq.q ** 6
+    inside = outside.with_slots({(2, 1): frozenset()})
+    assert cardinality(inside) == cardinality_by_position(inside) == 0
+
+
+def test_cardinality_of_templates_truncated_twice_equals_the_product():
+    ctx = BinomialContext(make_field(3, 2, 1, "g"))
+    for inv in enumerate_invariants(ctx, 6, "unif")[0]:
+        J0 = inv.res.polygon.J0
+        once = _truncated(ctx, inv, extra=12)
+        twice = truncate_krasner(once, J0)
+        assert once.cutoff > twice.cutoff and twice == _truncated(ctx, inv)
+        for T in (once, twice, reduce_template(ctx, twice, inv)):
+            assert cardinality(T) == cardinality_by_position(T)
+
+
+def test_reduction_and_record_caches_are_bounded():
+    for cache in (templates._reduction_walk, templates._Sm, serialize.res_to_json,
+                  serialize._slot_record):
+        assert cache.cache_parameters()["maxsize"] is not None
 
 
 def _degree_mismatch(ctx_q2, ctx_q3):
