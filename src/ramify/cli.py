@@ -35,9 +35,9 @@ from .templates import (
 
 
 # the largest J0 range n*e*v_p(n) enumerate searches: the hull search tree
-# grows fast with it (Q_2 degree 64, 384: 28-34 s CPU and 242 MB max RSS at level
-# ram, 56-59 s and 369 MB at level fine, most of it the JSON, in one process on a
-# 2-vCPU VM; degree 128, 896: no end)
+# grows fast with it (Q_2 degree 64, 384: 11-12 s and 73 MB max RSS at level
+# ram, 21-27 s and 119 MB at level fine, in one process on a 2-vCPU VM; degree
+# 128, 896: no end)
 MAX_J0_RANGE = 512
 # the most valuation signatures a selftest case may survey, one polygon computation
 # each: (1+depth)^(n-1) (2:19:1, 2^18: 1.2-1.8 s, 67 MB, 2 vCPUs)

@@ -124,7 +124,7 @@ def _unchecked(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RamPolygon:
     """A (potential) ramification polygon, stored by its vertices.
 
@@ -194,7 +194,7 @@ class RamPolygon:
         return wild_positions(self.p, self.n, self.vertices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinePolygon:
     """All attained lattice points of a ramification polygon.
 
@@ -241,7 +241,7 @@ class FinePolygon:
         return [x for x, J in self.points if J == 0 and x > top]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinePolygonWithResidues:
     """A fine polygon with one nonzero residue attached to each point."""
 
@@ -270,7 +270,7 @@ class FinePolygonWithResidues:
         raise KeyError(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvariantWithUnif:
     """A residue-decorated fine polygon refined by the uniformizer residue.
 

@@ -11,14 +11,28 @@ relation per p-power position, then every point beyond the last one.
 Polygon records are read-only.  Their arrays are tuples, which JSON writes
 as it writes lists: ``vertices``, ``points`` and ``hull`` are the polygon's
 own tuples, ``tame`` is one tuple for every record with the same tame
-abscissas, and ``point_specs`` is a tuple of dicts holding only ints and
-strs.  A census keeps thousands of records alive, and every container a
+abscissas, and ``point_specs`` is a tuple of shared dicts holding only ints
+and strs.  A census keeps thousands of records alive, and every container a
 record adds that the cyclic garbage collector tracks is one more survivor
 its full collections walk; such dicts, and tuples of ints, are not tracked.
-Residue and slot records are shared and read-only too, each cache a bounded
-``lru_cache`` of ``RECORDS`` that holds no ``BinomialContext``: ``res_to_json``
-gives one per residue class, which ``unif_to_json`` copies to add ``phi0``,
-and ``template_to_json`` one per (i, k, set), its ``set`` a tuple of strings.
+
+Every repeated leaf is one shared, read-only object per distinct value, so
+a listing costs what its distinct values cost.  Each cache is an
+``lru_cache`` bounded by ``RECORDS`` that holds no ``BinomialContext``:
+
+* ``field_to_json``, one record per base field, its ``modulus`` a tuple;
+* ``_point_record``, one point spec per (x, J, rel, rho text), for the ram,
+  fine and res records alike;
+* ``_digit_record``, one digit record of ``polynomial_to_json`` per (i, k,
+  digit); digits are interned and equal only to themselves, so no two
+  fields share a key;
+* ``res_to_json``, one record per residue class, which ``unif_to_json``
+  copies to add ``phi0``;
+* ``_slot_record``, one slot record of ``template_to_json`` per (i, k, set),
+  its ``set`` a tuple of strings.
+
+JSON writes a shared dict exactly as it writes a fresh one, and records
+hold no cycles, so sharing changes no byte of any document.
 """
 
 from __future__ import annotations
@@ -39,16 +53,17 @@ from .residue_field import BaseField, make_field
 from .templates import Template
 
 SCHEMA_VERSION = 1
-RECORDS = 4096  # shared residue records and slot records, each cache; only caps memory
+RECORDS = 4096  # entries in each shared-record cache below; only caps memory
 
 
+@lru_cache(maxsize=RECORDS)
 def field_to_json(base: BaseField) -> dict[str, Any]:
     return {
         "p": base.p,
         "f": base.f,
         "e": base.e,
         "gamma": str(base.gamma),
-        "modulus": list(base.fq.modulus),
+        "modulus": tuple(base.fq.modulus),
     }
 
 
@@ -74,13 +89,18 @@ def _point_specs(p: int, points, wild, rel: str, residues=()) -> tuple[dict[str,
         while g < len(bounds) and bounds[g][1] < x:
             # ">=" ceil(V) where the position is open, ">" floor(V) where it is excluded
             _, x_b, up, excluded = bounds[g]
-            records.append({"x": x_b, "J": up if rel == ">=" else excluded - 1, "rel": rel})
+            records.append(_point_record(x_b, up if rel == ">=" else excluded - 1, rel))
             g += 1
-        record = {"x": x, "J": J, "rel": "="}
-        if residues:
-            record["rho"] = str(residues[i])
-        records.append(record)
+        records.append(_point_record(x, J, "=", str(residues[i]) if residues else None))
     return tuple(records)
+
+
+@lru_cache(maxsize=RECORDS)
+def _point_record(x: int, J: int, rel: str, rho: str | None = None) -> dict[str, Any]:
+    record = {"x": x, "J": J, "rel": rel}
+    if rho is not None:
+        record["rho"] = rho
+    return record
 
 
 # the tame abscissas of the records of one degree, one tuple for equal ones
@@ -167,10 +187,16 @@ def polynomial_to_json(f: EisensteinData) -> dict[str, Any]:
     return {
         "n": f.n,
         "digits": [
-            {"i": i, "k": k, "residue": str(d)}
+            _digit_record(i, k, d)
             for i, row in enumerate(f.digits) for k, d in enumerate(row, start=1) if d is not zero
         ],
     }
+
+
+@lru_cache(maxsize=RECORDS)
+def _digit_record(i: int, k: int, d) -> dict[str, Any]:
+    # digits are interned and equal only to themselves, so no two fields share a key
+    return {"i": i, "k": k, "residue": str(d)}
 
 
 def polynomial_from_json(base: BaseField, data: Any) -> EisensteinData:

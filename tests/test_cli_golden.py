@@ -56,6 +56,10 @@ GOLDEN = [
     ("fine-q2-8-csv",
      ["enumerate", "--p", "2", "--degree", "8", "--level", "fine", "--format", "csv"],
      "a2e5ba8042dc208fdabce7d0b0101274ec34a12b4508cbf445387d1b3d3e97f7"),
+    # 447 records whose point specs are shared dicts, written as fresh ones are
+    ("fine-q2-16",
+     ["enumerate", "--p", "2", "--degree", "16", "--level", "fine"],
+     "120e80c0d6c5de69a29f4029378a2dad5d0e7095608879b774b4de784e470475"),
     ("res-q2-4-stats",
      ["enumerate", "--p", "2", "--degree", "4", "--level", "res", "--stats"],
      "40f60797bc9dee9ec72fb3ba6000cb44347ffef861e8b58a635a078d317c8e65"),

@@ -26,14 +26,22 @@ from ramify.enumeration import enumerate_invariants
 from ramify.polygons import FinePolygon, FinePolygonWithResidues, RamPolygon
 from ramify.residue_field import make_field
 from ramify.selftest import problem_line, survey_case_problems
-from ramify.templates import reduce_template, template_for_invariant, truncate_krasner
+from ramify.templates import (
+    expand_template,
+    reduce_template,
+    template_for_invariant,
+    truncate_krasner,
+)
 from ramify.validity import Violation
 
 
 def test_field_json_round_trip():
     K = make_field(3, 2, 2, "g")
     data = serialize.field_to_json(K)
-    assert data["modulus"] == [1, 0, 1]
+    # one read-only record per field, its modulus a tuple that JSON writes as a list
+    assert data["modulus"] == (1, 0, 1)
+    assert serialize.field_to_json(make_field(3, 2, 2, "g")) is data
+    assert json.loads(json.dumps(data))["modulus"] == [1, 0, 1]
     assert serialize.field_from_json(data) == K
 
 
@@ -168,6 +176,43 @@ def test_residue_and_slot_records_are_shared_and_never_changed():
                     assert slot_a is slot_b
                     shared += 1
     assert shared > 0
+
+
+def _leaf_records(ctx, kind):
+    """The Q_2 degree-16 ram, fine or res records, or the polynomial records that
+    ``enumerate --p 2 --degree 4 --level unif --truncate --reduce --expand`` lists."""
+    if kind != "polynomials":
+        return [serialize.invariant_to_json(P) for P in enumerate_invariants(ctx, 16, kind)[0]]
+    polynomials = []
+    for inv in enumerate_invariants(ctx, 4, "unif")[0]:
+        T = truncate_krasner(template_for_invariant(ctx, inv), inv.res.polygon.J0)
+        R = reduce_template(ctx, T, inv)
+        polynomials += map(serialize.polynomial_to_json, expand_template(R))
+    return polynomials
+
+
+def test_point_and_digit_records_are_shared_and_never_changed(ctx_q2):
+    kinds = ("fine", "res", "ram", "polynomials")
+    caches = (serialize._point_record, serialize._digit_record, serialize.res_to_json)
+    records = {}
+    for kind in kinds:
+        records[kind] = _leaf_records(ctx_q2, kind)
+        leaves = [leaf for record in records[kind]
+                  for leaf in record["digits" if kind == "polynomials" else "point_specs"]]
+        # equal records are one object, and fewer objects than records
+        distinct = {}
+        for leaf in leaves:
+            assert distinct.setdefault(tuple(sorted(leaf.items())), leaf) is leaf
+        assert len(distinct) < len(leaves)
+    text = json.dumps(records, sort_keys=True)
+    # each kind rebuilt alone from empty caches: no later kind changed a shared record
+    for kind in kinds:
+        for cache in caches:
+            cache.cache_clear()
+        fresh = _leaf_records(ctx_q2, kind)
+        assert fresh == records[kind], kind
+        assert json.dumps(fresh, sort_keys=True) == json.dumps(records[kind], sort_keys=True)
+    assert json.dumps(records, sort_keys=True) == text
 
 
 def test_template_json_round_trip(ctx_q2):

@@ -443,7 +443,8 @@ def test_cardinality_of_templates_truncated_twice_equals_the_product():
 
 def test_reduction_and_record_caches_are_bounded():
     for cache in (templates._reduction_walk, templates._Sm, serialize.res_to_json,
-                  serialize._slot_record):
+                  serialize._slot_record, serialize._point_record, serialize._digit_record,
+                  serialize.field_to_json):
         assert cache.cache_parameters()["maxsize"] is not None
 
 

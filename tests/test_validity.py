@@ -200,7 +200,8 @@ def test_an_ordinate_above_the_ore_bound_fails_its_own_conditions(spec):
 
 def _state(ctx, hulls):
     """The context's fields and each hull's, proof included, as plain values."""
-    return dict(vars(ctx)), [dict(vars(P)) for P in hulls]
+    return dict(vars(ctx)), [{f.name: getattr(P, f.name) for f in dataclasses.fields(P)}
+                             for P in hulls]
 
 
 def test_a_report_above_the_ore_bound_leaves_context_and_hulls_as_they_were():
